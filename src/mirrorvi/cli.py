@@ -28,9 +28,9 @@ from .gen import GenSpec, generate_economy, initial_prices
 from .kernels import FeasibleSet, box, negative_entropy, simplex, squared_euclidean
 from .tatonnement import (
     PriceRun,
-    auto_step_size,
     mirror_extratatonnement,
     mirror_tatonnement,
+    resolve_step_size,
     scale_to_equilibrium,
 )
 from .vi import (
@@ -123,7 +123,7 @@ def _maybe_rate_slope(trace: RunTrace) -> float | None:
         return None
 
 
-def _price_report(run: PriceRun, kernel, config_echo: dict, eps: float) -> dict:
+def _price_report(run: PriceRun, config_echo: dict, eps: float) -> dict:
     cert = run.certificate
     report = {
         "config_echo": config_echo,
@@ -139,7 +139,7 @@ def _price_report(run: PriceRun, kernel, config_echo: dict, eps: float) -> dict:
             "walras_residual": cert.walras_residual,
             "gap": cert.gap_value,
         },
-        "pathwise_L_max": pathwise_modulus(run.trace, kernel),
+        "pathwise_L_max": pathwise_modulus(run.trace),
         "rate_slope": _maybe_rate_slope(run.trace),
         "converged": cert.passes(eps),
     }
@@ -151,7 +151,8 @@ def _price_report(run: PriceRun, kernel, config_echo: dict, eps: float) -> dict:
 def _run_prices(economy, space: FeasibleSet, method: str, kernel_name: str, eta, iters: int,
                 eps: float, stop_gap, no_stop: bool, record_every: int, seed: int,
                 p0_text: str | None, csv_path: str, json_path: str,
-                config_echo: dict) -> int:
+                config_echo: dict) -> tuple[PriceRun, int]:
+    """Run, write the CSV trace and JSON report; return the run and its exit code."""
     kernel = _kernel_for(kernel_name)
     p0 = _parse_vector(p0_text) if p0_text else initial_prices(seed, space)
     stop = None if no_stop else (eps if stop_gap is None else stop_gap)
@@ -174,8 +175,8 @@ def _run_prices(economy, space: FeasibleSet, method: str, kernel_name: str, eta,
         p0=[float(v) for v in p0],
     )
     _write_csv(csv_path, run.trace, run.feasibility_series, run.walras_series)
-    _write_json(json_path, _price_report(run, kernel, config_echo, eps))
-    return 0 if run.certificate.passes(eps) else 2
+    _write_json(json_path, _price_report(run, config_echo, eps))
+    return run, 0 if run.certificate.passes(eps) else 2
 
 
 @click.group()
@@ -215,7 +216,7 @@ def scarf_cmd(space_name, kernel_name, method, eta, iters, eps, stop_gap, no_sto
     echo = {"command": "scarf", "space": space_name, "lo": lo}
     return _run_prices(economy, space, method, kernel_name, _parse_eta(eta), iters, eps,
                        stop_gap, no_stop, record_every, seed, p0_text, csv_path, json_path,
-                       echo)
+                       echo)[1]
 
 
 def load_economy_file(path: str) -> ExchangeEconomy:
@@ -297,7 +298,7 @@ def economy_cmd(file_path, n_consumers, n_goods, mix_text, supply_total, space_n
     echo = {"command": "economy", "space": space_name, **source}
     return _run_prices(economy, space, method, kernel_name, _parse_eta(eta), iters, eps,
                        stop_gap, no_stop, record_every, seed, p0_text, csv_path, json_path,
-                       echo)
+                       echo)[1]
 
 
 _VI_EXAMPLES = {
@@ -344,12 +345,7 @@ def vi_example_cmd(name, method, kernel_name, eta, iters, eps, stop_gap, lo_text
     problem = VIProblem(set=box(lo, hi), operator=example["operator"](), operator_label=name)
     kernel = _kernel_for(kernel_name)
     eta_value = _parse_eta(eta)
-    if isinstance(eta_value, str):
-        eta_used = auto_step_size(problem, kernel, seed=seed)
-        backoff = True
-    else:
-        eta_used = eta_value
-        backoff = False
+    eta_used, backoff = resolve_step_size(problem, kernel, eta_value, seed)
     config = SolverConfig(eta=eta_used, horizon=iters, kernel=kernel,
                           record_every=record_every, stop_gap=stop_gap,
                           modulus_backoff=backoff)
@@ -385,7 +381,7 @@ def vi_example_cmd(name, method, kernel_name, eta, iters, eps, stop_gap, lo_text
         "certificate": {"eps_feasibility": None, "walras_residual": None, "gap": best_gap},
         "final_point": [float(v) for v in final_point],
         "final_norm": float(np.linalg.norm(final_point)),
-        "pathwise_L_max": pathwise_modulus(trace, kernel),
+        "pathwise_L_max": pathwise_modulus(trace),
         "rate_slope": _maybe_rate_slope(trace),
         "converged": best_gap <= eps,
     }
@@ -440,28 +436,20 @@ def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_na
                     "supply_total": supply_total,
                 },
             }
-            code = _run_prices(
+            run, code = _run_prices(
                 economy, space, "extragradient", kernel_name, eta_value, iters, eps,
                 None, False, record_every, seed, None,
                 str(out / f"trace_seed{seed}.csv"), str(out / f"report_seed{seed}.json"),
                 echo,
             )
-            report = json.loads((out / f"report_seed{seed}.json").read_text())
-            converged = bool(report["converged"])
-            trace_gaps = [
-                float(line.split(",")[1])
-                for line in (out / f"trace_seed{seed}.csv").read_text().splitlines()[1:]
-            ]
-            trace_iters = [
-                int(line.split(",")[0])
-                for line in (out / f"trace_seed{seed}.csv").read_text().splitlines()[1:]
-            ]
+            converged = run.certificate.passes(eps)
+            trace = run.trace
             iters_to_eps = next(
-                (k for k, g in zip(trace_iters, trace_gaps) if g <= eps), -1
+                (int(k) for k, g in zip(trace.indices, trace.gaps) if g <= eps), -1
             )
             rows.append(
                 f"{seed},{n_consumers},{n_goods},{str(converged).lower()},"
-                f"{iters_to_eps},{_fmt(report['pathwise_L_max'])}"
+                f"{iters_to_eps},{_fmt(pathwise_modulus(trace))}"
             )
             all_converged = all_converged and converged and code == 0
         except MirrorVIError as exc:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EvaluationError, InvalidInput, Unsupported
 
@@ -41,6 +40,20 @@ def _as_prices(p, n: int | None = None) -> np.ndarray:
     if np.any(arr < 0.0):
         raise InvalidInput("prices must be nonnegative")
     return arr
+
+
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along axis, for finite a.
+
+    The max entries are taken out of the sum and counted instead, so the sum
+    of the other terms goes through log1p: the same arithmetic as
+    scipy.special.logsumexp, whose results this reproduces bit for bit.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=axis, keepdims=True, dtype=float)
+    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +114,7 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
     else:
         sigma = 1.0 / (1.0 - consumer.rho)
         t = sigma * (np.log(v) - np.log(prices))
-        x = budget * np.exp(t - logsumexp(t + np.log(prices)))
+        x = budget * np.exp(t - _logsumexp(t + np.log(prices)))
     if not np.all(np.isfinite(x)):
         raise EvaluationError(f"demand overflow for {consumer.utility} consumer at p={prices}")
     if cap is not None:
@@ -180,7 +193,7 @@ class _ConsumerGroup:
         if self.utility == LEONTIEF:
             return self.valuations * (budgets / self.valuations.dot(prices))[:, None]
         t = self.sigmas[:, None] * (np.log(self.valuations) - np.log(prices)[None, :])
-        lse = logsumexp(t + np.log(prices)[None, :], axis=1)
+        lse = _logsumexp(t + np.log(prices)[None, :], axis=1)
         return budgets[:, None] * np.exp(t - lse[:, None])
 
 

@@ -64,12 +64,6 @@ class Kernel:
         """Smoothness constant: 1 for Euclidean, 1/nu for floored entropy."""
         return 1.0 if self.kind == EUCLIDEAN else 1.0 / self.floor
 
-    def clamp_domain(self, x: np.ndarray) -> np.ndarray:
-        """Clamp a point into the kernel's domain (entropy: coordinates >= nu)."""
-        if self.kind == ENTROPY:
-            return np.maximum(x, self.floor)
-        return x
-
 
 def squared_euclidean() -> Kernel:
     return Kernel(EUCLIDEAN)
@@ -95,12 +89,6 @@ class FeasibleSet:
         if self.kind == BOX:
             return bool(np.all(arr >= self.lo - tol) and np.all(arr <= self.hi + tol))
         return bool(np.all(arr >= -tol) and abs(arr.sum() - 1.0) <= tol)
-
-    def diameter(self) -> float:
-        """Euclidean diameter of the set."""
-        if self.kind == BOX:
-            return float(np.linalg.norm(self.hi - self.lo))
-        return float(np.sqrt(2.0))
 
 
 def box(lo, hi) -> FeasibleSet:
@@ -142,7 +130,10 @@ def bregman_divergence(kernel: Kernel, x, y) -> float:
 
 def simplex_projection(v) -> np.ndarray:
     """Euclidean projection onto the unit simplex via sort-and-threshold."""
-    arr = _require_finite(_as_vector(v, "v"), "v")
+    return _project_simplex(_require_finite(_as_vector(v, "v"), "v"))
+
+
+def _project_simplex(arr: np.ndarray) -> np.ndarray:
     u = np.sort(arr)[::-1]
     css = np.cumsum(u)
     idx = np.arange(1, arr.size + 1)
@@ -167,17 +158,23 @@ def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.nda
     _require_finite(g_arr, "g")
     if not space.contains(x0_arr):
         raise InvalidInput("x0 lies outside the feasible set")
+    return _prox(space, kernel, eta, x0_arr, g_arr)
 
+
+def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
+          g: np.ndarray) -> np.ndarray:
+    """mirror_step without its checks: x0 must lie in the set, g be finite and
+    both be float vectors of the set's dimension."""
     if kernel.kind == EUCLIDEAN:
-        target = x0_arr - (2.0 * eta) * g_arr
+        target = x0 - (2.0 * eta) * g
         if space.kind == BOX:
             return np.clip(target, space.lo, space.hi)
-        return simplex_projection(target)
+        return _project_simplex(target)
 
     # Entropy: multiplicative update x0 * exp(-2*eta*g), evaluated in log space.
     nu = kernel.floor
     if space.kind == SIMPLEX:
-        logw = np.log(np.maximum(x0_arr, nu)) - (2.0 * eta) * g_arr
+        logw = np.log(np.maximum(x0, nu)) - (2.0 * eta) * g
         logw -= logw.max()
         w = np.exp(logw)
         p = w / w.sum()
@@ -186,7 +183,7 @@ def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.nda
             p = p / p.sum()
         return p
     lo_eff = np.maximum(space.lo, nu)
-    logw = np.log(np.maximum(x0_arr, lo_eff)) - (2.0 * eta) * g_arr
+    logw = np.log(np.maximum(x0, lo_eff)) - (2.0 * eta) * g
     # Cap the exponent at the upper bound's log so huge negative gradients
     # cannot overflow before the clamp.
     logw = np.minimum(logw, np.log(space.hi))
@@ -198,10 +195,16 @@ def linear_max(space: FeasibleSet, c) -> tuple[float, np.ndarray]:
     c_arr = _require_finite(_as_vector(c, "c"), "c")
     if c_arr.size != space.n:
         raise InvalidInput("c must match the set dimension")
+    return _linear_max(space, c_arr)
+
+
+def _linear_max(space: FeasibleSet, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """linear_max without its checks: c must be a finite float vector of the
+    set's dimension."""
     if space.kind == BOX:
-        argmax = np.where(c_arr > 0.0, space.hi, space.lo)
-        return float(c_arr.dot(argmax)), argmax
-    j = int(np.argmax(c_arr))
+        argmax = np.where(c > 0.0, space.hi, space.lo)
+        return float(c.dot(argmax)), argmax
+    j = int(np.argmax(c))
     vertex = np.zeros(space.n)
     vertex[j] = 1.0
-    return float(c_arr[j]), vertex
+    return float(c[j]), vertex

@@ -161,17 +161,23 @@ def auto_step_size(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS,
     return 1.0 / (2.0 * np.sqrt(2.0) * modulus)
 
 
-def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
-         extragradient: bool, stop_gap: float | None, record_every: int, seed) -> PriceRun:
-    problem = _price_problem(economy, space)
+def resolve_step_size(problem: VIProblem, kernel: Kernel, eta, seed) -> tuple[float, bool]:
+    """Turn a run's eta, a positive number or 'auto', into (step size, backoff).
+
+    'auto' probes the modulus (auto_step_size with this seed) and turns on
+    modulus backoff; a number is used as given, without backoff.
+    """
     if isinstance(eta, str):
         if eta != "auto":
             raise InvalidInput(f"eta must be a positive number or 'auto', got {eta!r}")
-        eta_value = auto_step_size(problem, kernel, seed=seed)
-        backoff = True
-    else:
-        eta_value = float(eta)
-        backoff = False
+        return auto_step_size(problem, kernel, seed=seed), True
+    return float(eta), False
+
+
+def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
+         extragradient: bool, stop_gap: float | None, record_every: int, seed) -> PriceRun:
+    problem = _price_problem(economy, space)
+    eta_value, backoff = resolve_step_size(problem, kernel, eta, seed)
     config = SolverConfig(
         eta=eta_value,
         horizon=horizon,
@@ -182,13 +188,6 @@ def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
     )
     solve = mirror_extragradient_solve if extragradient else mirror_gradient_solve
     trace = solve(problem, config, p0)
-
-    feasibility = np.empty(len(trace.iterates))
-    walras = np.empty(len(trace.iterates))
-    for i, (_, _, p_half) in enumerate(trace.iterates):
-        z = np.asarray(economy.excess(p_half), dtype=float)
-        feasibility[i] = max(float(z.max()), 0.0)
-        walras[i] = abs(float(p_half.dot(z)))
 
     certificate = equilibrium_certificate(economy, trace.best_iterate, space)
     try:
@@ -204,8 +203,10 @@ def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
         trace=trace,
         certificate=certificate,
         normalized_equilibrium=normalized,
-        feasibility_series=feasibility,
-        walras_series=walras,
+        # The operator is -Z, so the trace's residuals of F at p_{k+0.5} are
+        # exactly max_j [Z_j]_+ and |p.Z|.
+        feasibility_series=trace.infeasibility,
+        walras_series=trace.complementarity,
         eta=eta_value,
         minty_violation=minty,
     )

@@ -9,7 +9,7 @@ Solution quality is measured by the strong gap max_x <F(x_hat), x_hat - x>.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -19,9 +19,11 @@ from .kernels import (
     BOX,
     FeasibleSet,
     Kernel,
+    _linear_max,
+    _prox,
     bregman_divergence,
     linear_max,
-    mirror_step,
+    mirror_step,  # noqa: F401  (not called here; benchmarks/tracing.py patches vi.mirror_step)
 )
 
 #: Steps with divergence at or below this carry no continuity information and
@@ -89,7 +91,9 @@ class RunTrace:
     mirror gradient method stores x_{k+1} in the half slot (see `method`).
     best_index is the absolute iteration index minimizing D_h(x_{k+0.5}, x_k)
     among recorded iterations, lowest index on ties; best_iterate is that
-    iteration's x_{k+0.5}.
+    iteration's x_{k+0.5}. complementarity holds |<F(x_{k+0.5}), x_{k+0.5}>|
+    and infeasibility max(-min_j F_j(x_{k+0.5}), 0), one entry per record:
+    for F = -Z they are the Walras and feasibility residuals.
     """
 
     method: str
@@ -104,6 +108,8 @@ class RunTrace:
     elapsed: np.ndarray
     converged: bool = False
     final_eta: float = 0.0
+    complementarity: np.ndarray = field(default_factory=lambda: np.empty(0))
+    infeasibility: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def indices(self) -> np.ndarray:
@@ -116,7 +122,11 @@ class RunTrace:
 
 
 def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) -> RunTrace:
+    # x0 is checked here once; the loop's own iterates stay in the set and
+    # evaluate() checks every operator value, so the prox and the linear
+    # maximization run without the checks of their public forms.
     space = problem.set
+    kernel = config.kernel
     x = np.asarray(x0, dtype=float)
     if not space.contains(x):
         raise InvalidInput("x0 lies outside the feasible set")
@@ -127,32 +137,41 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     divergences: list[float] = []
     deltas: list[float] = []
     samples: list[float] = []
+    complementarity: list[float] = []
+    infeasibility: list[float] = []
     elapsed: list[float] = []
     converged = False
     eta = config.eta
+    # F at the current iterate when the previous iteration already computed it
+    # (the plain method's recorded F(x_{k+1})); None means evaluate.
+    fx = None
 
     for k in range(config.horizon):
-        fx = problem.evaluate(x)
-        x_half = mirror_step(space, config.kernel, eta, x, fx)
+        if fx is None:
+            fx = problem.evaluate(x)
+        x_half = _prox(space, kernel, eta, x, fx)
         record = k % config.record_every == 0
         if extragradient:
             f_half = problem.evaluate(x_half)
-            x_next = mirror_step(space, config.kernel, eta, x, f_half)
+            x_next = _prox(space, kernel, eta, x, f_half)
         else:
             x_next = x_half
             f_half = problem.evaluate(x_half) if record else None
 
         if record:
-            div = bregman_divergence(config.kernel, x_half, x)
+            div = bregman_divergence(kernel, x_half, x)
             delta = float(np.linalg.norm(f_half - fx))
-            value, _ = linear_max(space, -f_half)
-            gap_value = float(f_half.dot(x_half)) + value
+            value, _ = _linear_max(space, -f_half)
+            inner = float(f_half.dot(x_half))
+            gap_value = inner + value
             sample = delta / np.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
             iterates.append((k, x, x_half))
             gaps.append(gap_value)
             divergences.append(div)
             deltas.append(delta)
             samples.append(sample)
+            complementarity.append(abs(inner))
+            infeasibility.append(max(-float(f_half.min()), 0.0))
             elapsed.append(time.perf_counter() - start)
             if config.stop_gap is not None and gap_value <= config.stop_gap:
                 converged = True
@@ -162,6 +181,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
                 # premise 2*eta <= 1/(sqrt(2)*L) caps the modulus at this value.
                 eta *= 0.5
         x = x_next
+        fx = None if extragradient else f_half
 
     best_pos = int(np.argmin(divergences))
     return RunTrace(
@@ -177,6 +197,8 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         elapsed=np.array(elapsed),
         converged=converged,
         final_eta=eta,
+        complementarity=np.array(complementarity),
+        infeasibility=np.array(infeasibility),
     )
 
 
@@ -242,19 +264,14 @@ def minty_certificate(
     return max_violation, (witness if max_violation > 0.0 else None)
 
 
-def pathwise_modulus(trace: RunTrace, kernel: Kernel) -> float:
+def pathwise_modulus(trace: RunTrace) -> float:
     """Largest observed ||F(x_{k+0.5}) - F(x_k)|| / sqrt(2 D_h(x_{k+0.5}, x_k)).
 
-    Iterations with D_h <= 1e-16 are skipped (a zero step carries no
-    continuity information); returns 0 when no iteration is eligible.
+    This is the largest recorded modulus sample: iterations with D_h <= 1e-16
+    record 0 (a zero step carries no continuity information), so 0 is returned
+    when no iteration is eligible.
     """
-    best = 0.0
-    for (_, x, x_half), delta in zip(trace.iterates, trace.operator_deltas):
-        div = bregman_divergence(kernel, x_half, x)
-        if div <= DEGENERATE_STEP_TOL:
-            continue
-        best = max(best, float(delta) / np.sqrt(2.0 * div))
-    return best
+    return float(np.max(trace.modulus_samples, initial=0.0))
 
 
 def rate_slope(trace: RunTrace) -> float:

@@ -230,7 +230,7 @@ def test_criterion_09_desk_scale_mixed_economies():
             seed=seed,
         )
         assert run.certificate.passes(1e-3)
-        assert np.isfinite(pathwise_modulus(run.trace, EUC))
+        assert np.isfinite(pathwise_modulus(run.trace))
 
 
 @pytest.mark.skipif(

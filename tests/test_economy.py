@@ -26,6 +26,7 @@ from mirrorvi import (
     excess_demand,
     scarf_excess_demand,
 )
+from mirrorvi.economy import _logsumexp
 
 RHO_CHOICES = (-8.0, -1.5, 0.5, 0.9)
 
@@ -404,3 +405,17 @@ def test_bregman_continuity_bound_certifies_local_steps():
         lhs = 0.5 * np.linalg.norm(zq - zp) ** 2
         rhs = bound**2 * 0.5 * np.linalg.norm(q - p) ** 2
         assert lhs <= rhs + 1e-12
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    # The CES demand used scipy.special.logsumexp; its numpy replacement must
+    # reproduce it exactly, ties in the row maximum included.
+    scipy_special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(12)
+    for i in range(300):
+        a = rng.normal(size=(12, 50)) * rng.uniform(0.1, 50.0)
+        if i % 2:
+            a = np.round(a, 1)
+            a[:, :4] = a[:, :1]
+        np.testing.assert_array_equal(_logsumexp(a, axis=1), scipy_special.logsumexp(a, axis=1))
+        assert _logsumexp(a[0]) == scipy_special.logsumexp(a[0])

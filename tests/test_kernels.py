@@ -21,6 +21,7 @@ from mirrorvi import (
     squared_euclidean,
     unit_box,
 )
+from mirrorvi.kernels import _linear_max, _project_simplex, _prox
 
 
 def test_kernel_factories():
@@ -327,3 +328,34 @@ def test_invalid_inputs_raise():
         mirror_step(b, k, 0.1, np.array([0.5, 0.5]), np.array([np.inf, 0.0]))
     with pytest.raises(InvalidInput):
         bregman_divergence(k, np.array([1.0, 0.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        box(np.array([-1.0, 0.0, 0.5, 0.0]), np.array([1.0, 2.0, 3.0, 1e-3])),
+        unit_box(4),
+        simplex(4),
+    ],
+    ids=["box", "unit_box", "simplex"],
+)
+@pytest.mark.parametrize("kernel", [squared_euclidean(), negative_entropy()],
+                         ids=[EUCLIDEAN, ENTROPY])
+def test_unchecked_forms_equal_public_forms(space, kernel):
+    # The solver loop calls the unchecked helpers on its own iterates; they
+    # must give exactly what the public, checked functions give.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        if space.kind == BOX:
+            x0 = rng.uniform(space.lo, space.hi)
+        else:
+            x0 = rng.dirichlet(np.full(space.n, 0.5))
+        g = rng.normal(size=space.n) * rng.choice([0.01, 1.0, 100.0])
+        eta = float(rng.choice([1e-3, 0.05, 1.0]))
+        np.testing.assert_array_equal(_prox(space, kernel, eta, x0, g),
+                                      mirror_step(space, kernel, eta, x0, g))
+        value, argmax = _linear_max(space, g)
+        ref_value, ref_argmax = linear_max(space, g)
+        assert value == ref_value
+        np.testing.assert_array_equal(argmax, ref_argmax)
+        np.testing.assert_array_equal(_project_simplex(g), simplex_projection(g))

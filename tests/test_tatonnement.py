@@ -12,12 +12,14 @@ from mirrorvi import (
     Consumer,
     DegenerateSolution,
     ExchangeEconomy,
+    GenSpec,
     InvalidInput,
     ScarfEconomy,
     VIProblem,
     auto_step_size,
     box,
     equilibrium_certificate,
+    generate_economy,
     mirror_extratatonnement,
     mirror_tatonnement,
     negative_entropy,
@@ -300,4 +302,65 @@ def test_price_run_surface():
     assert run.converged
     assert run.trace.final_gap <= 1e-6
     assert len(run.trace.iterates) < 600
-    assert pathwise_modulus(run.trace, EUC) <= 12.0
+    assert pathwise_modulus(run.trace) <= 12.0
+
+
+class CountingEconomy:
+    """Forwards to an economy and counts excess-demand evaluations."""
+
+    def __init__(self, economy):
+        self.economy = economy
+        self.n_goods = economy.n_goods
+        self.calls = 0
+
+    def excess(self, p):
+        self.calls += 1
+        return self.economy.excess(p)
+
+
+@pytest.mark.parametrize(
+    "runner, solve_evals",
+    [(mirror_extratatonnement, 2 * 300), (mirror_tatonnement, 300 + 1)],
+    ids=["extragradient", "gradient"],
+)
+@pytest.mark.parametrize(
+    "space, post_evals",
+    [(simplex(3), 1 + 256), (box(np.full(3, 0.1), np.ones(3)), 1)],
+    ids=["simplex", "box"],
+)
+def test_run_spends_only_solve_certificate_and_minty_evaluations(
+    runner, solve_evals, space, post_evals
+):
+    # The residual series come from the solve's own evaluations; after the
+    # solve a run evaluates Z once for the certificate and, on the simplex,
+    # at the Minty sample points.
+    economy = CountingEconomy(ScarfEconomy())
+    runner(economy, space, EUC, 0.05, 300, START)
+    assert economy.calls == solve_evals + post_evals
+
+
+def generated_economy() -> ExchangeEconomy:
+    return generate_economy(GenSpec(
+        seed=5, n_consumers=30, n_goods=20,
+        mix={"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
+             "ces_complements": 0.25}))
+
+
+@pytest.mark.parametrize(
+    "runner", [mirror_extratatonnement, mirror_tatonnement], ids=["extragradient", "gradient"]
+)
+@pytest.mark.parametrize(
+    "economy, space, p0",
+    [
+        (ScarfEconomy(), simplex(3), START),
+        (generated_economy(), unit_box(20), np.linspace(0.2, 0.9, 20)),
+    ],
+    ids=["scarf_simplex", "mixed_box"],
+)
+def test_residual_series_equal_excess_at_every_half_iterate(runner, economy, space, p0):
+    run = runner(economy, space, EUC, 0.02, 200, p0, record_every=3)
+    assert len(run.feasibility_series) == len(run.trace.iterates) == 67
+    for i, (_, _, p_half) in enumerate(run.trace.iterates):
+        z = economy.excess(p_half)
+        assert run.feasibility_series[i] == max(z.max(), 0.0)
+        assert run.walras_series[i] == abs(p_half.dot(z))

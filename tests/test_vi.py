@@ -262,7 +262,7 @@ def test_pathwise_modulus_constant_operator_is_zero():
     problem = VIProblem(space, lambda x: np.array([1.0, 1.0]))
     config = SolverConfig(eta=0.1, horizon=10, kernel=EUC)
     trace = mirror_extragradient_solve(problem, config, np.array([0.7, 0.7]))
-    assert pathwise_modulus(trace, EUC) == 0.0
+    assert pathwise_modulus(trace) == 0.0
 
 
 def test_pathwise_modulus_identity_operator_is_one():
@@ -270,7 +270,7 @@ def test_pathwise_modulus_identity_operator_is_one():
     problem = VIProblem(space, lambda x: np.asarray(x, dtype=float).copy())
     config = SolverConfig(eta=0.1, horizon=20, kernel=EUC)
     trace = mirror_extragradient_solve(problem, config, np.array([1.0]))
-    np.testing.assert_allclose(pathwise_modulus(trace, EUC), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(pathwise_modulus(trace), 1.0, rtol=1e-12)
 
 
 def test_pathwise_modulus_matches_recorded_samples():
@@ -279,7 +279,7 @@ def test_pathwise_modulus_matches_recorded_samples():
         rotation_problem(), config, np.array([1.0, 0.0])
     )
     np.testing.assert_allclose(
-        pathwise_modulus(trace, EUC), trace.modulus_samples.max(), rtol=1e-12
+        pathwise_modulus(trace), trace.modulus_samples.max(), rtol=1e-12
     )
 
 
@@ -291,7 +291,7 @@ def test_pathwise_modulus_respects_price_floor_bound():
     problem = scarf_problem(space)
     config = SolverConfig(eta=0.05, horizon=300, kernel=EUC)
     trace = mirror_extragradient_solve(problem, config, np.array([0.5, 0.9, 0.6]))
-    estimate = pathwise_modulus(trace, EUC)
+    estimate = pathwise_modulus(trace)
     assert 0.0 < estimate <= 12.0
 
 
@@ -404,3 +404,32 @@ def test_trace_iterates_stay_feasible_and_timing_monotone():
     assert np.all(np.diff(trace.elapsed) >= 0.0)
     assert trace.wall_time >= trace.elapsed[-1] >= 0.0
     assert trace.final_gap == trace.gaps[-1]
+
+
+class CountingOperator:
+    """Wraps an operator and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def test_extragradient_evaluates_twice_per_iteration():
+    op = CountingOperator(lambda p: -scarf_excess_demand(p))
+    config = SolverConfig(eta=0.05, horizon=40, kernel=EUC)
+    mirror_extragradient_solve(VIProblem(simplex(3), op), config, np.array([0.2, 0.3, 0.5]))
+    assert op.calls == 2 * 40
+
+
+@pytest.mark.parametrize("record_every, expected", [(1, 31), (3, 30)])
+def test_gradient_reuses_recorded_evaluation(record_every, expected):
+    # F(x_{k+1}) recorded for iteration k is F at the next iterate, so each
+    # iterate is evaluated once; the last one only when its iteration is recorded.
+    op = CountingOperator(lambda p: -scarf_excess_demand(p))
+    config = SolverConfig(eta=0.05, horizon=30, kernel=EUC, record_every=record_every)
+    mirror_gradient_solve(VIProblem(simplex(3), op), config, np.array([0.2, 0.3, 0.5]))
+    assert op.calls == expected
