@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from .economy import Consumer, ExchangeEconomy, ScarfEconomy
-from .errors import DegenerateSolution, InsufficientData, MirrorVIError
+from .errors import DegenerateSolution, InsufficientData, InvalidInput, MirrorVIError
 from .gen import GenSpec, generate_economy, initial_prices
 from .kernels import FeasibleSet, box, negative_entropy, simplex, squared_euclidean
 from .tatonnement import (
@@ -220,23 +220,30 @@ def scarf_cmd(space_name, kernel_name, method, eta, iters, eps, stop_gap, no_sto
 
 
 def load_economy_file(path: str) -> ExchangeEconomy:
-    """Build an ExchangeEconomy from the documented JSON schema."""
+    """Build an ExchangeEconomy from the documented JSON schema.
+
+    A file that is valid JSON but does not follow the schema raises
+    InvalidInput.
+    """
     data = json.loads(Path(path).read_text())
-    consumers = [
-        Consumer(
-            utility=entry["utility"],
-            valuations=np.asarray(entry["valuations"], dtype=float),
-            endowment=np.asarray(entry["endowment"], dtype=float),
-            rho=entry.get("rho"),
-        )
-        for entry in data["consumers"]
-    ]
-    kwargs = {}
-    if "demand_cap_factor" in data:
-        kwargs["demand_cap_factor"] = float(data["demand_cap_factor"])
-    if "price_floor" in data:
-        kwargs["price_floor"] = float(data["price_floor"])
-    return ExchangeEconomy(consumers=consumers, n_goods=int(data["n_goods"]), **kwargs)
+    try:
+        entries = [
+            (
+                entry["utility"],
+                np.asarray(entry["valuations"], dtype=float),
+                np.asarray(entry["endowment"], dtype=float),
+                None if entry.get("rho") is None else float(entry["rho"]),
+            )
+            for entry in data["consumers"]
+        ]
+        kwargs = {
+            key: float(data[key]) for key in ("demand_cap_factor", "price_floor") if key in data
+        }
+        n_goods = int(data["n_goods"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"{path} does not follow the economy schema: {exc!r}") from exc
+    consumers = [Consumer(*entry) for entry in entries]
+    return ExchangeEconomy(consumers=consumers, n_goods=n_goods, **kwargs)
 
 
 @cli.command("economy")
@@ -409,7 +416,10 @@ def vi_example_cmd(name, method, kernel_name, eta, iters, eps, stop_gap, lo_text
 def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_name,
               kernel_name, eta, iters, eps, record_every, out_dir) -> int:
     """Run one generated economy per seed; aggregate results in one CSV."""
-    seeds = [int(part) for part in seeds_text.split(",") if part.strip() != ""]
+    try:
+        seeds = [int(part) for part in seeds_text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {seeds_text!r}")
     if not seeds:
         raise click.UsageError("--seeds must list at least one seed")
     mix = _parse_mix(mix_text)
@@ -472,7 +482,7 @@ def main(argv=None) -> int:
     except MirrorVIError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return result if isinstance(result, int) else 0

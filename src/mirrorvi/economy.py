@@ -43,7 +43,7 @@ def _as_prices(p, n: int | None = None) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along axis, for finite a.
+    """log(sum(exp(a))) along axis, for finite a; a itself is not modified.
 
     The max entries are taken out of the sum and counted instead, so the sum
     of the other terms goes through log1p: the same arithmetic as
@@ -52,8 +52,12 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     a_max = a.max(axis=axis, keepdims=True)
     is_max = a == a_max
     m = is_max.sum(axis=axis, keepdims=True, dtype=float)
-    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
-    return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)
+    w = np.where(is_max, -np.inf, a)
+    w -= a_max
+    np.exp(w, out=w)
+    s = w.sum(axis=axis, keepdims=True)
+    s /= m
+    return np.squeeze(np.log1p(s) + np.log(m) + a_max, axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,23 +102,14 @@ class Consumer:
 def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
     """Closed-form Marshallian demand at prices p with budget p . endowment.
 
-    CES (sigma = 1/(1-rho)) is evaluated entirely in log space so elasticities
-    of substitution up to ~1000 survive double precision. A zero budget returns
-    the zero bundle. When cap is given, each coordinate is clipped at cap_j.
+    Evaluates the consumer as a one-row group, with the same closed forms as
+    an exchange economy. A zero budget returns the zero bundle. When cap is
+    given, each coordinate is clipped at cap_j.
     """
     prices = np.maximum(_as_prices(p, consumer.n_goods), floor)
-    budget = float(prices.dot(consumer.endowment))
-    if budget == 0.0:
+    if float(prices.dot(consumer.endowment)) == 0.0:
         return np.zeros(consumer.n_goods)
-    v = consumer.valuations
-    if consumer.utility == COBB_DOUGLAS:
-        x = (v / v.sum()) * (budget / prices)
-    elif consumer.utility == LEONTIEF:
-        x = v * (budget / prices.dot(v))
-    else:
-        sigma = 1.0 / (1.0 - consumer.rho)
-        t = sigma * (np.log(v) - np.log(prices))
-        x = budget * np.exp(t - _logsumexp(t + np.log(prices)))
+    x = _ConsumerGroup.stack(consumer.utility, [consumer]).demand_matrix(prices)[0]
     if not np.all(np.isfinite(x)):
         raise EvaluationError(f"demand overflow for {consumer.utility} consumer at p={prices}")
     if cap is not None:
@@ -178,23 +173,57 @@ def demand_oracle(consumer: Consumer, p, resolution: int, floor: float = DEFAULT
 
 @dataclass(frozen=True, eq=False)
 class _ConsumerGroup:
-    """Consumers of one utility family, stacked for vectorized evaluation."""
+    """Consumers of one utility family, stacked for vectorized evaluation.
+
+    CES (sigma = 1/(1-rho)) is evaluated entirely in log space so elasticities
+    of substitution up to ~1000 survive double precision. The price-free
+    constants are computed once, when the group is built: the Cobb-Douglas
+    budget shares and the CES log valuations. demand_matrix allocates one
+    (m, n) matrix and finishes it in place; every product is the same IEEE
+    operation as in the textbook form, so the results are identical.
+    """
 
     utility: str
     valuations: np.ndarray  # (m, n)
     endowments: np.ndarray  # (m, n)
     sigmas: np.ndarray | None = None  # (m,) for CES
+    weights: np.ndarray | None = field(init=False, repr=False)  # (m, n) for Cobb-Douglas
+    log_valuations: np.ndarray | None = field(init=False, repr=False)  # (m, n) for CES
+
+    def __post_init__(self) -> None:
+        v = self.valuations
+        weights = v / v.sum(axis=1, keepdims=True) if self.utility == COBB_DOUGLAS else None
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "log_valuations", np.log(v) if self.utility == CES else None)
+
+    @classmethod
+    def stack(cls, utility: str, members: Sequence[Consumer]) -> _ConsumerGroup:
+        return cls(
+            utility=utility,
+            valuations=np.array([c.valuations for c in members]),
+            endowments=np.array([c.endowment for c in members]),
+            sigmas=(
+                np.array([1.0 / (1.0 - c.rho) for c in members]) if utility == CES else None
+            ),
+        )
 
     def demand_matrix(self, prices: np.ndarray) -> np.ndarray:
+        """Each member's uncapped demand at floored prices, one row per member."""
         budgets = self.endowments.dot(prices)
         if self.utility == COBB_DOUGLAS:
-            weights = self.valuations / self.valuations.sum(axis=1, keepdims=True)
-            return weights * np.outer(budgets, 1.0 / prices)
+            x = np.outer(budgets, 1.0 / prices)
+            x *= self.weights
+            return x
         if self.utility == LEONTIEF:
             return self.valuations * (budgets / self.valuations.dot(prices))[:, None]
-        t = self.sigmas[:, None] * (np.log(self.valuations) - np.log(prices)[None, :])
-        lse = _logsumexp(t + np.log(prices)[None, :], axis=1)
-        return budgets[:, None] * np.exp(t - lse[:, None])
+        log_p = np.log(prices)
+        t = self.log_valuations - log_p
+        t *= self.sigmas[:, None]
+        lse = _logsumexp(t + log_p, axis=1)
+        t -= lse[:, None]
+        np.exp(t, out=t)
+        t *= budgets[:, None]
+        return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,6 +236,7 @@ class ExchangeEconomy:
     price_floor: float = DEFAULT_PRICE_FLOOR
     aggregate_supply: np.ndarray = field(init=False, repr=False)
     _groups: tuple[_ConsumerGroup, ...] = field(init=False, repr=False)
+    _cap: np.ndarray | None = field(init=False, repr=False)  # None when uncapped
 
     def __post_init__(self) -> None:
         consumers = tuple(self.consumers)
@@ -229,33 +259,23 @@ class ExchangeEconomy:
         groups = []
         for kind in (COBB_DOUGLAS, LEONTIEF, CES):
             members = [c for c in consumers if c.utility == kind]
-            if not members:
-                continue
-            groups.append(
-                _ConsumerGroup(
-                    utility=kind,
-                    valuations=np.array([c.valuations for c in members]),
-                    endowments=np.array([c.endowment for c in members]),
-                    sigmas=(
-                        np.array([1.0 / (1.0 - c.rho) for c in members])
-                        if kind == CES
-                        else None
-                    ),
-                )
-            )
+            if members:
+                groups.append(_ConsumerGroup.stack(kind, members))
+        cap = self.demand_cap_factor * supply if np.isfinite(self.demand_cap_factor) else None
         object.__setattr__(self, "consumers", consumers)
         object.__setattr__(self, "aggregate_supply", supply)
         object.__setattr__(self, "_groups", tuple(groups))
+        object.__setattr__(self, "_cap", cap)
 
     def demand(self, p) -> np.ndarray:
         """Aggregate (capped) demand at floored prices."""
         prices = np.maximum(_as_prices(p, self.n_goods), self.price_floor)
-        cap = self.demand_cap_factor * self.aggregate_supply
         total = np.zeros(self.n_goods)
         for group in self._groups:
+            # demand_matrix returns a fresh matrix, so it is capped in place.
             matrix = group.demand_matrix(prices)
-            if np.isfinite(self.demand_cap_factor):
-                matrix = np.minimum(matrix, cap[None, :])
+            if self._cap is not None:
+                np.minimum(matrix, self._cap, out=matrix)
             total += matrix.sum(axis=0)
         if not np.all(np.isfinite(total)):
             raise EvaluationError(f"aggregate demand overflow at p={prices}")

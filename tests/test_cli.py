@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import mirrorvi.cli as cli_module
+from mirrorvi import InvalidInput
 from mirrorvi.cli import CSV_HEADER, load_economy_file, main
 
 CENTER = np.ones(3) / 3.0
@@ -252,3 +254,31 @@ def test_error_exit_codes(tmp_path):
     assert main(["no-such-command"]) == 1
     assert main(["scarf", "--p0", "0.5,abc"]) == 1
     assert main(["economy", "--file", str(tmp_path / "missing.json")]) == 1
+
+
+def test_malformed_economy_file_is_a_user_error(tmp_path):
+    # Schema errors in --file and non-integer --seeds exit 1 as user errors.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n_goods": 2, "consumers": [{"utility": "leontief"}]}))
+    with pytest.raises(InvalidInput):
+        load_economy_file(str(bad))
+    assert main(["economy", "--file", str(bad)]) == 1
+    (tmp_path / "garbled.json").write_text("{not json")
+    assert main(["economy", "--file", str(tmp_path / "garbled.json")]) == 1
+    assert main(["sweep", "--seeds", "0,a", "--out-dir", str(tmp_path / "x")]) == 1
+
+
+def test_internal_type_error_propagates(tmp_path, monkeypatch):
+    # A TypeError from inside the library is a bug, not bad user input, so
+    # main must not turn it into exit code 1.
+    def broken(spec):
+        raise TypeError("internal failure")
+
+    monkeypatch.setattr(cli_module, "generate_economy", broken)
+    with pytest.raises(TypeError, match="internal failure"):
+        main(
+            [
+                "economy", "--consumers", "3", "--goods", "2", "--iters", "5",
+                "--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json"),
+            ]
+        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mirrorvi import (
     LEONTIEF,
     Consumer,
     ExchangeEconomy,
+    GenSpec,
     InvalidInput,
     ScarfEconomy,
     Unsupported,
@@ -24,6 +27,7 @@ from mirrorvi import (
     demand_oracle,
     elasticity_bound_estimate,
     excess_demand,
+    generate_economy,
     scarf_excess_demand,
 )
 from mirrorvi.economy import _logsumexp
@@ -419,3 +423,105 @@ def test_logsumexp_matches_scipy_bit_for_bit():
             a[:, :4] = a[:, :1]
         np.testing.assert_array_equal(_logsumexp(a, axis=1), scipy_special.logsumexp(a, axis=1))
         assert _logsumexp(a[0]) == scipy_special.logsumexp(a[0])
+
+
+def test_logsumexp_leaves_its_argument_unchanged():
+    a = np.random.default_rng(13).normal(size=(6, 9))
+    before = a.copy()
+    _logsumexp(a, axis=1)
+    np.testing.assert_array_equal(a, before)
+
+
+def _reference_logsumexp(a, axis):
+    a_max = a.max(axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=axis, keepdims=True, dtype=float)
+    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+    return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)
+
+
+def reference_excess(economy, p) -> np.ndarray:
+    """Excess demand written as plain expressions, one fresh array per step.
+
+    The economy finishes one matrix per consumer group in place and keeps the
+    price-free constants from construction; it must agree with this bit for
+    bit.
+    """
+    prices = np.maximum(np.asarray(p, dtype=float), economy.price_floor)
+    cap = economy.demand_cap_factor * economy.aggregate_supply
+    total = np.zeros(economy.n_goods)
+    for kind in (COBB_DOUGLAS, LEONTIEF, CES):
+        members = [c for c in economy.consumers if c.utility == kind]
+        if not members:
+            continue
+        valuations = np.array([c.valuations for c in members])
+        budgets = np.array([c.endowment for c in members]).dot(prices)
+        if kind == COBB_DOUGLAS:
+            weights = valuations / valuations.sum(axis=1, keepdims=True)
+            matrix = weights * np.outer(budgets, 1.0 / prices)
+        elif kind == LEONTIEF:
+            matrix = valuations * (budgets / valuations.dot(prices))[:, None]
+        else:
+            sigmas = np.array([1.0 / (1.0 - c.rho) for c in members])
+            t = sigmas[:, None] * (np.log(valuations) - np.log(prices)[None, :])
+            lse = _reference_logsumexp(t + np.log(prices)[None, :], axis=1)
+            matrix = budgets[:, None] * np.exp(t - lse[:, None])
+        if np.isfinite(economy.demand_cap_factor):
+            matrix = np.minimum(matrix, cap[None, :])
+        total += matrix.sum(axis=0)
+    return total - economy.aggregate_supply
+
+
+@pytest.mark.parametrize("family", [COBB_DOUGLAS, LEONTIEF, CES, "mixed"])
+@pytest.mark.parametrize("cap_factor", [1.0, np.inf])
+def test_excess_matches_reference_bit_for_bit(family, cap_factor):
+    rng = np.random.default_rng(14)
+    for _ in range(12):
+        n = int(rng.integers(1, 25))
+        m = int(rng.integers(1, 40))
+        consumers = []
+        for i in range(m):
+            kind = family
+            if family == "mixed":
+                kind = (COBB_DOUGLAS, LEONTIEF, CES)[int(rng.integers(3))]
+            rho = float(rng.choice(RHO_CHOICES)) if kind == CES else None
+            # Equal valuations tie every entry of a CES row at equal prices.
+            v = np.full(n, 0.5) if i % 4 == 0 else rng.uniform(0.1, 1.0, n)
+            consumers.append(Consumer(kind, v, rng.uniform(0.0, 1.0, n) + 0.05, rho=rho))
+        economy = ExchangeEconomy(consumers, n_goods=n, demand_cap_factor=cap_factor)
+        for k in range(10):
+            p = 10.0 ** rng.uniform(-9.0, 3.0, n)
+            if k % 3 == 0:
+                p[rng.random(n) < 0.4] = 0.0  # floored to price_floor, ties included
+            elif k % 3 == 1:
+                p = np.ones(n)
+            np.testing.assert_array_equal(economy.excess(p), reference_excess(economy, p))
+
+
+@pytest.mark.parametrize(
+    "mix,bound",
+    [
+        ({"leontief": 1.0}, 1.5),
+        ({"cobb_douglas": 1.0}, 1.5),
+        ({"ces_substitutes": 0.5, "ces_complements": 0.5}, 3.5),
+    ],
+)
+def test_excess_peak_temporaries(mix, bound):
+    # numpy reports its data buffers to tracemalloc; one evaluation should
+    # hold about one (m, n) matrix per group (CES also needs its log-sum-exp
+    # temporaries), not a second capped copy.
+    m = n = 200
+    economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=mix))
+    p = np.random.default_rng(15).uniform(0.1, 1.0, n)
+    economy.excess(p)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        economy.excess(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak - before <= bound * m * n * 8
