@@ -28,18 +28,36 @@ DEFAULT_PRICE_FLOOR = 1e-8
 #: Largest brute-force demand grid resolution we evaluate.
 MAX_ORACLE_RESOLUTION = 401
 
+#: Demand-matrix entries (price rows x consumers x goods) that one block of a
+#: batched evaluation holds across its consumer groups: 8 MB of float64.
+BATCH_ENTRIES = 1 << 20
 
-def _as_prices(p, n: int | None = None) -> np.ndarray:
+
+def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
+    """Checked prices: a vector, or with batch=True also a (k, n) stack of rows."""
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInput(f"prices must be a one-dimensional vector, got shape {arr.shape}")
-    if n is not None and arr.size != n:
-        raise InvalidInput(f"expected {n} prices, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim != 1 and not (batch and arr.ndim == 2):
+        shapes = "a vector or a (k, n) stack" if batch else "a one-dimensional vector"
+        raise InvalidInput(f"prices must be {shapes}, got shape {arr.shape}")
+    if n is not None and arr.shape[-1] != n:
+        raise InvalidInput(f"expected {n} prices, got {arr.shape[-1]}")
+    if not np.isfinite(arr).all():
         raise InvalidInput("prices must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise InvalidInput("prices must be nonnegative")
     return arr
+
+
+def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """matrix . p for a price vector, or for each row of a (k, n) price stack.
+
+    A stack goes through matmul, which runs one matrix-vector product per row,
+    so each row equals the vector product bit for bit (a single (k, n) @ (n, m)
+    product sums in another order).
+    """
+    if prices.ndim == 1:
+        return matrix.dot(prices)
+    return np.matmul(matrix, prices[..., None])[..., 0]
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -179,8 +197,9 @@ class _ConsumerGroup:
     of substitution up to ~1000 survive double precision. The price-free
     constants are computed once, when the group is built: the Cobb-Douglas
     budget shares and the CES log valuations. demand_matrix allocates one
-    (m, n) matrix and finishes it in place; every product is the same IEEE
-    operation as in the textbook form, so the results are identical.
+    (m, n) matrix per price vector and finishes it in place; every product is
+    the same IEEE operation as in the textbook form, so the results are
+    identical, and each row of a price stack gives what that row alone gives.
     """
 
     utility: str
@@ -208,21 +227,25 @@ class _ConsumerGroup:
         )
 
     def demand_matrix(self, prices: np.ndarray) -> np.ndarray:
-        """Each member's uncapped demand at floored prices, one row per member."""
-        budgets = self.endowments.dot(prices)
+        """Each member's uncapped demand at floored prices, one row per member.
+
+        Prices of shape (n,) give an (m, n) matrix; a (k, n) stack gives
+        (k, m, n), one matrix per price row.
+        """
+        budgets = _matvec(self.endowments, prices)
         if self.utility == COBB_DOUGLAS:
-            x = np.outer(budgets, 1.0 / prices)
+            x = budgets[..., :, None] * (1.0 / prices)[..., None, :]
             x *= self.weights
             return x
         if self.utility == LEONTIEF:
-            return self.valuations * (budgets / self.valuations.dot(prices))[:, None]
-        log_p = np.log(prices)
+            return self.valuations * (budgets / _matvec(self.valuations, prices))[..., :, None]
+        log_p = np.log(prices)[..., None, :]
         t = self.log_valuations - log_p
         t *= self.sigmas[:, None]
-        lse = _logsumexp(t + log_p, axis=1)
-        t -= lse[:, None]
+        lse = _logsumexp(t + log_p, axis=-1)
+        t -= lse[..., None]
         np.exp(t, out=t)
-        t *= budgets[:, None]
+        t *= budgets[..., None]
         return t
 
 
@@ -268,20 +291,41 @@ class ExchangeEconomy:
         object.__setattr__(self, "_cap", cap)
 
     def demand(self, p) -> np.ndarray:
-        """Aggregate (capped) demand at floored prices."""
-        prices = np.maximum(_as_prices(p, self.n_goods), self.price_floor)
-        total = np.zeros(self.n_goods)
+        """Aggregate (capped) demand at floored prices.
+
+        p is a price vector, or a (k, n) stack of price vectors that gives one
+        demand row per price row; each row equals the demand at that row
+        alone, bit for bit.
+        """
+        prices = np.maximum(_as_prices(p, self.n_goods, batch=True), self.price_floor)
+        if prices.ndim == 1:
+            total = self._total_demand(prices)
+        else:
+            # Each row costs one (m, n) matrix per group, so a long stack is
+            # evaluated in blocks that keep those matrices near BATCH_ENTRIES.
+            step = max(1, BATCH_ENTRIES // (len(self.consumers) * self.n_goods))
+            total = np.empty_like(prices)
+            for start in range(0, len(prices), step):
+                total[start:start + step] = self._total_demand(prices[start:start + step])
+        if not np.isfinite(total).all():
+            if total.ndim == 1:
+                raise EvaluationError(f"aggregate demand overflow at p={prices}")
+            row = int(np.argmin(np.isfinite(total).all(axis=1)))
+            raise EvaluationError(f"aggregate demand overflow in row {row} at p={prices[row]}")
+        return total
+
+    def _total_demand(self, prices: np.ndarray) -> np.ndarray:
+        total = np.zeros(prices.shape)
         for group in self._groups:
             # demand_matrix returns a fresh matrix, so it is capped in place.
             matrix = group.demand_matrix(prices)
             if self._cap is not None:
                 np.minimum(matrix, self._cap, out=matrix)
-            total += matrix.sum(axis=0)
-        if not np.all(np.isfinite(total)):
-            raise EvaluationError(f"aggregate demand overflow at p={prices}")
+            total += matrix.sum(axis=-2)
         return total
 
     def excess(self, p) -> np.ndarray:
+        """Aggregate demand minus aggregate supply, for a price vector or a (k, n) stack."""
         return self.demand(p) - self.aggregate_supply
 
 
@@ -291,17 +335,21 @@ def excess_demand(economy, p) -> np.ndarray:
 
 
 def scarf_excess_demand(p, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
-    """The fixed 3-good excess demand with equilibrium at equal prices."""
+    """The fixed 3-good excess demand with equilibrium at equal prices.
+
+    p is a 3-vector, or a (k, 3) stack that gives one excess-demand row per
+    price row.
+    """
     arr = np.asarray(p, dtype=float)
-    if arr.shape != (3,):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
         raise InvalidInput(f"expected 3 prices, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput("prices must be finite")
-    q1, q2, q3 = np.maximum(arr, floor)
+    q1, q2, q3 = np.maximum(arr, floor).T
     a = q1 / (q1 + q2)
     b = q3 / (q1 + q3)
     c = q2 / (q2 + q3)
-    return np.array([a + b - 1.0, a + c - 1.0, c + b - 1.0])
+    return np.array([a + b - 1.0, a + c - 1.0, c + b - 1.0]).T
 
 
 @dataclass(frozen=True)
@@ -334,7 +382,8 @@ def check_homogeneity(economy, p, lam: float) -> float:
     if not (lam > 0.0):
         raise InvalidInput(f"lambda must be positive, got {lam}")
     prices = _as_prices(p, economy.n_goods)
-    return float(np.max(np.abs(economy.excess(lam * prices) - economy.excess(prices))))
+    scaled, base = economy.excess(np.array([lam * prices, prices]))
+    return float(np.max(np.abs(scaled - base)))
 
 
 def check_walras(economy, p) -> float:
@@ -343,8 +392,14 @@ def check_walras(economy, p) -> float:
     return float(abs(prices.dot(economy.excess(prices))))
 
 
-def _sample_prices(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.uniform(0.1, 1.0, n)
+def _sample_prices(rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
+    """rows price vectors in [0.1, 1]^n: the same stream as rows draws of n each."""
+    return rng.uniform(0.1, 1.0, (rows, n))
+
+
+def _check_pairs(pairs: int) -> None:
+    if pairs < 0:
+        raise InvalidInput(f"the number of sampled pairs must be >= 0, got {pairs}")
 
 
 def check_wgs_sample(economy, pairs: int, seed) -> int:
@@ -352,19 +407,39 @@ def check_wgs_sample(economy, pairs: int, seed) -> int:
 
     For each sample, one coordinate is raised multiplicatively and every other
     good whose excess demand drops by more than 1e-9 counts as a violation.
+    All 2 * pairs price vectors are evaluated in one call.
     """
+    _check_pairs(pairs)
     rng = np.random.default_rng(seed)
     n = economy.n_goods
-    violations = 0
-    for _ in range(pairs):
-        p = _sample_prices(rng, n)
-        k = int(rng.integers(n))
-        q = p.copy()
-        q[k] *= 1.0 + rng.uniform(0.01, 0.5)
-        drop = economy.excess(p) - economy.excess(q)
-        drop[k] = -np.inf
-        violations += int(np.sum(drop > 1e-9))
-    return violations
+    # Rows 2i and 2i + 1 are the i-th sample p and its raise q. The draws of
+    # p, k and the raise interleave, so they are taken one sample at a time.
+    prices = np.empty((2 * pairs, n))
+    raised = np.empty(pairs, dtype=int)
+    for i in range(pairs):
+        p = _sample_prices(rng, n, 1)[0]
+        raised[i] = rng.integers(n)
+        prices[2 * i] = prices[2 * i + 1] = p
+        prices[2 * i + 1, raised[i]] *= 1.0 + rng.uniform(0.01, 0.5)
+    z = economy.excess(prices)
+    drop = z[0::2] - z[1::2]
+    drop[np.arange(pairs), raised] = -np.inf
+    return int(np.sum(drop > 1e-9))
+
+
+def _sample_pair_block(economy, pairs: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, 2, n) sampled prices (p, q) and their excess demands, one call.
+
+    Each pair's p and q are drawn one after the other, so the block is the
+    same stream as drawing p, then q, pair by pair. The excess rows are made
+    contiguous because the samplers decide their counts with per-row dot
+    products, and BLAS sums a strided vector in another order.
+    """
+    _check_pairs(pairs)
+    n = economy.n_goods
+    prices = _sample_prices(np.random.default_rng(seed), n, 2 * pairs).reshape(pairs, 2, n)
+    z = np.ascontiguousarray(economy.excess(prices.reshape(2 * pairs, n)))
+    return prices, z.reshape(pairs, 2, n)
 
 
 def check_warp_sample(economy, pairs: int, seed) -> int:
@@ -372,16 +447,11 @@ def check_warp_sample(economy, pairs: int, seed) -> int:
 
     A pair (p, q) violates the axiom when Z(q) is affordable at its own prices
     relative to p (<Z(q), p> <= <Z(q), q>), the two excess demands differ, and
-    yet <Z(p), q> <= <Z(p), p>.
+    yet <Z(p), q> <= <Z(p), p>. All 2 * pairs price vectors are evaluated in
+    one call.
     """
-    rng = np.random.default_rng(seed)
-    n = economy.n_goods
     violations = 0
-    for _ in range(pairs):
-        p = _sample_prices(rng, n)
-        q = _sample_prices(rng, n)
-        zp = economy.excess(p)
-        zq = economy.excess(q)
+    for (p, q), (zp, zq) in zip(*_sample_pair_block(economy, pairs, seed)):
         if np.array_equal(zp, zq):
             continue
         if zq.dot(p) <= zq.dot(q) and zp.dot(q) <= zp.dot(p):
@@ -390,14 +460,13 @@ def check_warp_sample(economy, pairs: int, seed) -> int:
 
 
 def check_lsd_sample(economy, pairs: int, seed) -> int:
-    """Count law-of-supply-and-demand violations <Z(q)-Z(p), q-p> > 1e-9."""
-    rng = np.random.default_rng(seed)
-    n = economy.n_goods
+    """Count law-of-supply-and-demand violations <Z(q)-Z(p), q-p> > 1e-9.
+
+    All 2 * pairs price vectors are evaluated in one call.
+    """
     violations = 0
-    for _ in range(pairs):
-        p = _sample_prices(rng, n)
-        q = _sample_prices(rng, n)
-        if float((economy.excess(q) - economy.excess(p)).dot(q - p)) > 1e-9:
+    for (p, q), (zp, zq) in zip(*_sample_pair_block(economy, pairs, seed)):
+        if float((zq - zp).dot(q - p)) > 1e-9:
             violations += 1
     return violations
 
@@ -412,23 +481,32 @@ def elasticity_bound_estimate(economy, pairs: int, seed) -> float:
     Base prices are sampled in [0.1, 1]^n; each coordinate is perturbed
     multiplicatively by 1 +/- delta for delta in ELASTICITY_DELTAS. Components
     with zero baseline demand are skipped. Aggregate supply is constant, so
-    its elasticity contributes zero.
+    its elasticity contributes zero. Each base point and its 4n perturbations
+    are evaluated together; base points go in blocks of about BATCH_ENTRIES
+    price entries, so a small economy needs one demand call and a large one
+    never holds all pairs * (1 + 4n) * n entries at once.
     """
-    rng = np.random.default_rng(seed)
+    _check_pairs(pairs)
     n = economy.n_goods
+    base_prices = _sample_prices(np.random.default_rng(seed), n, pairs)
+    moves = list(itertools.product(range(n), ELASTICITY_DELTAS, (1.0, -1.0)))
+    coords = np.array([k for k, _, _ in moves], dtype=int)
+    factors = np.array([1.0 + sign * delta for _, delta, sign in moves])
+    deltas = np.array([delta for _, delta, _ in moves])
+    rows = 1 + len(moves)
     eps_hat = 0.0
-    for _ in range(pairs):
-        p = _sample_prices(rng, n)
-        base = economy.demand(p)
-        nonzero = base != 0.0
-        for k, delta, sign in itertools.product(range(n), ELASTICITY_DELTAS, (1.0, -1.0)):
-            q = p.copy()
-            q[k] = p[k] * (1.0 + sign * delta)
-            rel_change = np.zeros(n)
-            moved = economy.demand(q)
-            rel_change[nonzero] = (moved[nonzero] - base[nonzero]) / base[nonzero]
-            ratios = np.abs(rel_change) / (delta)
-            eps_hat = max(eps_hat, float(ratios.max()))
+    step = max(1, BATCH_ENTRIES // (rows * n))
+    for start in range(0, pairs, step):
+        block = base_prices[start:start + step]
+        # prices[i, 0] is base point i; prices[i, 1 + j] perturbs its
+        # coordinate coords[j] by factors[j].
+        prices = np.repeat(block[:, None, :], rows, axis=1)
+        prices[:, np.arange(1, rows), coords] = block[:, coords] * factors
+        demand = economy.demand(prices.reshape(-1, n)).reshape(prices.shape)
+        base = demand[:, :1]
+        rel_change = np.divide(demand[:, 1:] - base, base, out=np.zeros(demand[:, 1:].shape),
+                               where=base != 0.0)
+        eps_hat = max(eps_hat, float(np.max(np.abs(rel_change) / deltas[:, None])))
     return eps_hat
 
 

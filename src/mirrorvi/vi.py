@@ -242,6 +242,10 @@ def minty_certificate(
     Draws `samples` uniform points in the set (box: per-coordinate uniform;
     simplex: flat Dirichlet) and returns the largest violation together with
     the violating point, or None when no sampled point gives a positive value.
+    All points are drawn in one generator call, which gives the same points as
+    drawing them one at a time. Each point is still evaluated on its own: an
+    operator is defined on single points, and a stack of points given to one
+    such as `lambda x: A @ x` would come back as wrong rows without an error.
     """
     cand = np.asarray(candidate, dtype=float)
     if not problem.set.contains(cand):
@@ -250,18 +254,18 @@ def minty_certificate(
         raise InvalidInput(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     space = problem.set
+    if space.kind == BOX:
+        points = rng.uniform(space.lo, space.hi, (samples, space.n))
+    else:
+        points = rng.dirichlet(np.ones(space.n), samples)
     max_violation = -np.inf
-    witness: np.ndarray | None = None
-    for _ in range(samples):
-        if space.kind == BOX:
-            x = rng.uniform(space.lo, space.hi)
-        else:
-            x = rng.dirichlet(np.ones(space.n))
+    worst = 0
+    for i, x in enumerate(points):
         value = float(problem.evaluate(x).dot(cand - x))
         if value > max_violation:
             max_violation = value
-            witness = x
-    return max_violation, (witness if max_violation > 0.0 else None)
+            worst = i
+    return max_violation, (points[worst].copy() if max_violation > 0.0 else None)
 
 
 def pathwise_modulus(trace: RunTrace) -> float:

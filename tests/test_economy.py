@@ -12,6 +12,7 @@ from mirrorvi import (
     COBB_DOUGLAS,
     LEONTIEF,
     Consumer,
+    EvaluationError,
     ExchangeEconomy,
     GenSpec,
     InvalidInput,
@@ -30,6 +31,7 @@ from mirrorvi import (
     generate_economy,
     scarf_excess_demand,
 )
+import mirrorvi.economy as economy_module
 from mirrorvi.economy import _logsumexp
 
 RHO_CHOICES = (-8.0, -1.5, 0.5, 0.9)
@@ -229,6 +231,29 @@ def test_scarf_excess_demand_oracles():
         scarf_excess_demand(np.ones(2))
     with pytest.raises(InvalidInput):
         scarf_excess_demand(np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(InvalidInput):
+        scarf_excess_demand(np.ones((4, 2)))
+    with pytest.raises(InvalidInput):
+        scarf_excess_demand(np.ones((2, 4, 3)))
+    with pytest.raises(InvalidInput):
+        scarf_excess_demand(np.array([[1.0, 1.0, 1.0], [1.0, np.inf, 1.0]]))
+
+
+def scarf_price_stack() -> np.ndarray:
+    """Simplex points at scales from 1e-9 to 1e3, with zero (floored) prices."""
+    rng = np.random.default_rng(16)
+    prices = rng.dirichlet(np.ones(3), 500) * 10.0 ** rng.uniform(-9.0, 3.0, (500, 1))
+    prices[::7, int(rng.integers(3))] = 0.0
+    prices[::11] = 1.0
+    return prices
+
+
+def test_scarf_excess_demand_rows_match_single_calls():
+    prices = scarf_price_stack()
+    batch = scarf_excess_demand(prices)
+    assert batch.shape == prices.shape
+    for p, row in zip(prices, batch):
+        np.testing.assert_array_equal(row, scarf_excess_demand(p))
 
 
 def test_scarf_economy_surface():
@@ -239,6 +264,9 @@ def test_scarf_economy_surface():
     np.testing.assert_allclose(
         economy.demand(p), economy.excess(p) + np.ones(3), rtol=1e-15
     )
+    prices = scarf_price_stack()
+    for p, row in zip(prices, economy.demand(prices)):
+        np.testing.assert_array_equal(row, economy.demand(p))
 
 
 def test_homogeneity_and_walras_checks():
@@ -489,6 +517,7 @@ def test_excess_matches_reference_bit_for_bit(family, cap_factor):
             v = np.full(n, 0.5) if i % 4 == 0 else rng.uniform(0.1, 1.0, n)
             consumers.append(Consumer(kind, v, rng.uniform(0.0, 1.0, n) + 0.05, rho=rho))
         economy = ExchangeEconomy(consumers, n_goods=n, demand_cap_factor=cap_factor)
+        prices = []
         for k in range(10):
             p = 10.0 ** rng.uniform(-9.0, 3.0, n)
             if k % 3 == 0:
@@ -496,6 +525,12 @@ def test_excess_matches_reference_bit_for_bit(family, cap_factor):
             elif k % 3 == 1:
                 p = np.ones(n)
             np.testing.assert_array_equal(economy.excess(p), reference_excess(economy, p))
+            prices.append(p)
+        # A (10, n) stack gives, row by row, exactly what each price vector gives.
+        batch = economy.excess(np.array(prices))
+        assert batch.shape == (10, n)
+        for p, row in zip(prices, batch):
+            np.testing.assert_array_equal(row, economy.excess(p))
 
 
 @pytest.mark.parametrize(
@@ -512,16 +547,114 @@ def test_excess_peak_temporaries(mix, bound):
     # temporaries), not a second capped copy.
     m = n = 200
     economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=mix))
-    p = np.random.default_rng(15).uniform(0.1, 1.0, n)
-    economy.excess(p)
+    prices = np.random.default_rng(15).uniform(0.1, 1.0, (8, n))
+    economy.excess(prices)
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        economy.excess(p)
-        _, peak = tracemalloc.get_traced_memory()
+        peaks = []
+        for p in (prices[0], prices):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            economy.excess(p)
+            _, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - before)
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak - before <= bound * m * n * 8
+    assert peaks[0] <= bound * m * n * 8
+    # Eight price rows hold eight matrices per group, and no more copies.
+    assert peaks[1] <= 8 * bound * m * n * 8
+
+
+def test_batch_price_validation():
+    economy = cobb_douglas_pair()
+    good = np.full((4, 3), 0.5)
+    for bad in (np.ones((2, 4, 3)), np.ones((4, 2)), np.ones(4)):
+        with pytest.raises(InvalidInput):
+            economy.excess(bad)
+    for value in (np.nan, np.inf, -0.1):
+        prices = good.copy()
+        prices[2, 1] = value
+        with pytest.raises(InvalidInput):
+            economy.excess(prices)
+        with pytest.raises(InvalidInput):
+            economy.demand(prices)
+    for sampler in (check_warp_sample, check_wgs_sample, check_lsd_sample,
+                    elasticity_bound_estimate):
+        with pytest.raises(InvalidInput):
+            sampler(economy, -1, 0)
+
+
+def test_batch_overflow_names_the_row():
+    # Uncapped Cobb-Douglas demand b / p_j overflows at a huge budget and a
+    # floored price; the error names the first such row of the stack.
+    economy = ExchangeEconomy(
+        [Consumer(COBB_DOUGLAS, np.array([1.0, 1.0]), np.array([1.0, 1.0]))],
+        n_goods=2,
+        demand_cap_factor=np.inf,
+    )
+    prices = np.array([[1.0, 1.0], [0.5, 2.0], [1e305, 0.0], [1e305, 0.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError, match="row 2"):
+            economy.excess(prices)
+        with pytest.raises(EvaluationError):
+            economy.excess(prices[2])
+    assert np.all(np.isfinite(economy.excess(prices[:2])))
+
+
+def test_blocked_batches_match_one_block(monkeypatch):
+    # A long stack is evaluated in blocks of BATCH_ENTRIES demand-matrix (and,
+    # for elasticities, price) entries; the block size must not change a value.
+    economy = random_economy(np.random.default_rng(17), cap_factor=1.0)
+    m, n = len(economy.consumers), economy.n_goods
+    prices = np.random.default_rng(18).uniform(0.0, 1.0, (25, n))
+    whole = economy.excess(prices)
+    elasticity = elasticity_bound_estimate(economy, 6, 0)
+    monkeypatch.setattr(economy_module, "BATCH_ENTRIES", 3 * m * n)
+    np.testing.assert_array_equal(economy.excess(prices), whole)
+    assert elasticity_bound_estimate(economy, 6, 0) == elasticity
+    overflow = ExchangeEconomy(
+        [Consumer(COBB_DOUGLAS, np.array([1.0, 1.0]), np.array([1.0, 1.0]))],
+        n_goods=2,
+        demand_cap_factor=np.inf,
+    )
+    stack = np.ones((6, 2))
+    stack[4] = [1e305, 0.0]
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="row 4"):
+        overflow.excess(stack)
+
+
+class CountingEconomy:
+    """Forwards to an economy and counts demand and excess-demand calls."""
+
+    def __init__(self, economy):
+        self.economy = economy
+        self.n_goods = economy.n_goods
+        self.calls = 0
+
+    def excess(self, p):
+        self.calls += 1
+        return self.economy.excess(p)
+
+    def demand(self, p):
+        self.calls += 1
+        return self.economy.demand(p)
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        lambda e: check_warp_sample(e, 32, 1),
+        lambda e: check_wgs_sample(e, 32, 1),
+        lambda e: check_lsd_sample(e, 32, 1),
+        lambda e: elasticity_bound_estimate(e, 4, 1),
+        lambda e: check_homogeneity(e, np.array([0.2, 0.5, 0.3]), 3.0),
+    ],
+    ids=["warp", "wgs", "lsd", "elasticity", "homogeneity"],
+)
+@pytest.mark.parametrize("economy", [ScarfEconomy(), cobb_douglas_pair()], ids=["scarf", "pair"])
+def test_sampler_evaluates_once(sampler, economy):
+    counting = CountingEconomy(economy)
+    assert sampler(counting) == sampler(economy)
+    assert counting.calls == 1

@@ -425,6 +425,15 @@ def test_extragradient_evaluates_twice_per_iteration():
     assert op.calls == 2 * 40
 
 
+@pytest.mark.parametrize("space", [simplex(3), box(np.zeros(3), np.ones(3))], ids=["simplex", "box"])
+def test_minty_certificate_evaluates_each_sample_once(space):
+    # Points are drawn in one call but evaluated one at a time: an operator
+    # is defined on single points.
+    op = CountingOperator(lambda p: -scarf_excess_demand(p))
+    minty_certificate(VIProblem(space, op), CENTER3, 50, 0)
+    assert op.calls == 50
+
+
 @pytest.mark.parametrize("record_every, expected", [(1, 31), (3, 30)])
 def test_gradient_reuses_recorded_evaluation(record_every, expected):
     # F(x_{k+1}) recorded for iteration k is F at the next iterate, so each
