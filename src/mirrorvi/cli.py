@@ -48,6 +48,9 @@ from .vi import (
 
 CSV_HEADER = "iter,gap,feas_violation,walras_residual,breg_progress,pathwise_L,elapsed_s"
 
+#: One CSV row: the iteration, then every value as _fmt writes it.
+CSV_ROW = "%d" + ",%.17g" * 6
+
 DEFAULT_MIX = "cobb_douglas=0.25,leontief=0.25,ces_substitutes=0.25,ces_complements=0.25"
 
 
@@ -92,23 +95,24 @@ def _kernel_for(name: str):
 
 
 def _write_csv(path: str, trace: RunTrace, feasibility=None, walras=None) -> None:
+    # CSV_ROW on Python numbers gives the text of _fmt value by value, nan,
+    # inf and -0 included, at one format call per row.
+    missing = [float("nan")] * len(trace.iterates)
+
+    def column(values):
+        return missing if values is None else np.asarray(values, dtype=float).tolist()
+
+    columns = (
+        [k for k, _, _ in trace.iterates],
+        trace.gaps.tolist(),
+        column(feasibility),
+        column(walras),
+        trace.divergences.tolist(),
+        trace.modulus_samples.tolist(),
+        trace.elapsed.tolist(),
+    )
     rows = [CSV_HEADER]
-    for i, (k, _, _) in enumerate(trace.iterates):
-        feas = feasibility[i] if feasibility is not None else float("nan")
-        res = walras[i] if walras is not None else float("nan")
-        rows.append(
-            ",".join(
-                [
-                    str(k),
-                    _fmt(trace.gaps[i]),
-                    _fmt(feas),
-                    _fmt(res),
-                    _fmt(trace.divergences[i]),
-                    _fmt(trace.modulus_samples[i]),
-                    _fmt(trace.elapsed[i]),
-                ]
-            )
-        )
+    rows.extend(CSV_ROW % row for row in zip(*columns))
     Path(path).write_text("\n".join(rows) + "\n")
 
 
@@ -208,6 +212,8 @@ def cli() -> None:
 def scarf_cmd(space_name, kernel_name, method, eta, iters, eps, stop_gap, no_stop, lo,
               p0_text, seed, record_every, csv_path, json_path) -> int:
     """Price adjustment on the fixed 3-good economy."""
+    if lo < 0.0:
+        raise click.BadParameter(f"--lo must be >= 0 (prices are nonnegative), got {lo}")
     economy = ScarfEconomy()
     if space_name == "box":
         space = box(np.full(3, lo), np.ones(3))

@@ -41,9 +41,12 @@ def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
         raise InvalidInput(f"prices must be {shapes}, got shape {arr.shape}")
     if n is not None and arr.shape[-1] != n:
         raise InvalidInput(f"expected {n} prices, got {arr.shape[-1]}")
-    if not np.isfinite(arr).all():
-        raise InvalidInput("prices must be finite")
-    if (arr < 0.0).any():
+    # One pass each for the smallest and largest entry tests both finiteness
+    # and sign (a NaN fails both comparisons); the messages are sorted out
+    # only when a price is bad.
+    if arr.size and not (0.0 <= arr.min() and arr.max() < np.inf):
+        if not np.isfinite(arr).all():
+            raise InvalidInput("prices must be finite")
         raise InvalidInput("prices must be nonnegative")
     return arr
 
@@ -67,13 +70,18 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     of the other terms goes through log1p: the same arithmetic as
     scipy.special.logsumexp, whose results this reproduces bit for bit.
     """
+    return _logsumexp_inplace(np.array(a, dtype=float), axis)
+
+
+def _logsumexp_inplace(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """_logsumexp that uses a, a float array, as its workspace and overwrites it."""
     a_max = a.max(axis=axis, keepdims=True)
     is_max = a == a_max
     m = is_max.sum(axis=axis, keepdims=True, dtype=float)
-    w = np.where(is_max, -np.inf, a)
-    w -= a_max
-    np.exp(w, out=w)
-    s = w.sum(axis=axis, keepdims=True)
+    a -= a_max
+    a[is_max] = -np.inf
+    np.exp(a, out=a)
+    s = a.sum(axis=axis, keepdims=True)
     s /= m
     return np.squeeze(np.log1p(s) + np.log(m) + a_max, axis=axis)
 
@@ -242,7 +250,7 @@ class _ConsumerGroup:
         log_p = np.log(prices)[..., None, :]
         t = self.log_valuations - log_p
         t *= self.sigmas[:, None]
-        lse = _logsumexp(t + log_p, axis=-1)
+        lse = _logsumexp_inplace(t + log_p, axis=-1)
         t -= lse[..., None]
         np.exp(t, out=t)
         t *= budgets[..., None]
@@ -338,14 +346,13 @@ def scarf_excess_demand(p, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
     """The fixed 3-good excess demand with equilibrium at equal prices.
 
     p is a 3-vector, or a (k, 3) stack that gives one excess-demand row per
-    price row.
+    price row. Prices are checked like an exchange economy's: finite and
+    nonnegative.
     """
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
-        raise InvalidInput(f"expected 3 prices, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInput("prices must be finite")
-    q1, q2, q3 = np.maximum(arr, floor).T
+    q = np.maximum(_as_prices(p, 3, batch=True), floor)
+    # A single vector is unpacked into Python floats, which do the same IEEE
+    # operations as numpy scalars at a fraction of the call cost.
+    q1, q2, q3 = q.tolist() if q.ndim == 1 else q.T
     a = q1 / (q1 + q2)
     b = q3 / (q1 + q3)
     c = q2 / (q2 + q3)

@@ -32,7 +32,7 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} must be finite")
     return arr
 
@@ -84,11 +84,11 @@ class FeasibleSet:
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.n,) or not np.all(np.isfinite(arr)):
+        if arr.shape != (self.n,) or not np.isfinite(arr).all():
             return False
         if self.kind == BOX:
-            return bool(np.all(arr >= self.lo - tol) and np.all(arr <= self.hi + tol))
-        return bool(np.all(arr >= -tol) and abs(arr.sum() - 1.0) <= tol)
+            return bool((arr >= self.lo - tol).all() and (arr <= self.hi + tol).all())
+        return bool((arr >= -tol).all() and abs(arr.sum() - 1.0) <= tol)
 
 
 def box(lo, hi) -> FeasibleSet:
@@ -125,7 +125,7 @@ def bregman_divergence(kernel: Kernel, x, y) -> float:
         return float(0.5 * d.dot(d))
     xf = np.maximum(x_arr, kernel.floor)
     yf = np.maximum(y_arr, kernel.floor)
-    return float(np.sum(xf * np.log(xf / yf) - xf + yf))
+    return float((xf * np.log(xf / yf) - xf + yf).sum())
 
 
 def simplex_projection(v) -> np.ndarray:
@@ -135,12 +135,13 @@ def simplex_projection(v) -> np.ndarray:
 
 def _project_simplex(arr: np.ndarray) -> np.ndarray:
     u = np.sort(arr)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, arr.size + 1)
-    rho = np.nonzero(u * idx > css - 1.0)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    w = np.maximum(arr - theta, 0.0)
-    return w / w.sum()
+    css = u.cumsum()
+    rho = int((u * np.arange(1.0, arr.size + 1.0) > css - 1.0).nonzero()[0][-1])
+    theta = (float(css[rho]) - 1.0) / (rho + 1.0)
+    w = arr - theta
+    np.maximum(w, 0.0, out=w)
+    w /= w.sum()
+    return w
 
 
 def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.ndarray:
@@ -174,14 +175,15 @@ def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
     # Entropy: multiplicative update x0 * exp(-2*eta*g), evaluated in log space.
     nu = kernel.floor
     if space.kind == SIMPLEX:
-        logw = np.log(np.maximum(x0, nu)) - (2.0 * eta) * g
-        logw -= logw.max()
-        w = np.exp(logw)
-        p = w / w.sum()
-        if p.min() < nu:
-            p = np.maximum(p, nu)
-            p = p / p.sum()
-        return p
+        w = np.log(np.maximum(x0, nu))
+        w -= (2.0 * eta) * g
+        w -= w.max()
+        np.exp(w, out=w)
+        w /= w.sum()
+        if w.min() < nu:
+            np.maximum(w, nu, out=w)
+            w /= w.sum()
+        return w
     lo_eff = np.maximum(space.lo, nu)
     logw = np.log(np.maximum(x0, lo_eff)) - (2.0 * eta) * g
     # Cap the exponent at the upper bound's log so huge negative gradients

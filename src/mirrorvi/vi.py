@@ -8,6 +8,7 @@ Solution quality is measured by the strong gap max_x <F(x_hat), x_hat - x>.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import EvaluationError, InsufficientData, InvalidInput
 from .kernels import (
     BOX,
+    SIMPLEX,
     FeasibleSet,
     Kernel,
     _linear_max,
@@ -50,7 +52,7 @@ class VIProblem:
                 f"operator {self.operator_label!r} returned shape {out.shape}, "
                 f"expected ({self.set.n},)"
             )
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise EvaluationError(
                 f"operator {self.operator_label!r} returned non-finite values"
             )
@@ -127,6 +129,10 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     # maximization run without the checks of their public forms.
     space = problem.set
     kernel = config.kernel
+    on_simplex = space.kind == SIMPLEX
+    record_every = config.record_every
+    stop_gap = config.stop_gap
+    backoff = config.modulus_backoff
     x = np.asarray(x0, dtype=float)
     if not space.contains(x):
         raise InvalidInput("x0 lies outside the feasible set")
@@ -150,7 +156,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         if fx is None:
             fx = problem.evaluate(x)
         x_half = _prox(space, kernel, eta, x, fx)
-        record = k % config.record_every == 0
+        record = k % record_every == 0
         if extragradient:
             f_half = problem.evaluate(x_half)
             x_next = _prox(space, kernel, eta, x, f_half)
@@ -160,23 +166,30 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
 
         if record:
             div = bregman_divergence(kernel, x_half, x)
-            delta = float(np.linalg.norm(f_half - fx))
-            value, _ = _linear_max(space, -f_half)
+            # Record values from what the loop holds. numpy's 1-D norm is
+            # sqrt(d.dot(d)). On the simplex the support value of -f_half is
+            # -min(f_half); it equals linear_max's value up to the sign of a
+            # zero minimum, which could differ only if F had zeros of both
+            # signs there (-Z has no +0.0 entries).
+            d = f_half - fx
+            delta = math.sqrt(d.dot(d))
+            lowest = float(f_half.min())
+            value = -lowest if on_simplex else _linear_max(space, -f_half)[0]
             inner = float(f_half.dot(x_half))
             gap_value = inner + value
-            sample = delta / np.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
+            sample = delta / math.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
             iterates.append((k, x, x_half))
             gaps.append(gap_value)
             divergences.append(div)
             deltas.append(delta)
             samples.append(sample)
             complementarity.append(abs(inner))
-            infeasibility.append(max(-float(f_half.min()), 0.0))
+            infeasibility.append(max(-lowest, 0.0))
             elapsed.append(time.perf_counter() - start)
-            if config.stop_gap is not None and gap_value <= config.stop_gap:
+            if stop_gap is not None and gap_value <= stop_gap:
                 converged = True
                 break
-            if config.modulus_backoff and sample > 1.0 / (2.0 * np.sqrt(2.0) * eta):
+            if backoff and sample > 1.0 / (2.0 * math.sqrt(2.0) * eta):
                 # The effective Euclidean step is 2*eta, so the step-size
                 # premise 2*eta <= 1/(sqrt(2)*L) caps the modulus at this value.
                 eta *= 0.5

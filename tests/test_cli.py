@@ -5,11 +5,24 @@ from __future__ import annotations
 import json
 import math
 
+import click
 import numpy as np
 import pytest
 
 import mirrorvi.cli as cli_module
-from mirrorvi import InvalidInput
+from mirrorvi import (
+    InvalidInput,
+    RunTrace,
+    ScarfEconomy,
+    SolverConfig,
+    VIProblem,
+    box,
+    mirror_extragradient_solve,
+    mirror_extratatonnement,
+    negative_entropy,
+    rotation_operator,
+    simplex,
+)
 from mirrorvi.cli import CSV_HEADER, load_economy_file, main
 
 CENTER = np.ones(3) / 3.0
@@ -282,3 +295,71 @@ def test_internal_type_error_propagates(tmp_path, monkeypatch):
                 "--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json"),
             ]
         )
+
+
+def _reference_write_csv(path, trace, feasibility=None, walras=None) -> None:
+    # The trace CSV written one value at a time, each through f"{x:.17g}".
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    rows = [CSV_HEADER]
+    for i, (k, _, _) in enumerate(trace.iterates):
+        feas = feasibility[i] if feasibility is not None else float("nan")
+        res = walras[i] if walras is not None else float("nan")
+        rows.append(",".join([str(k), fmt(trace.gaps[i]), fmt(feas), fmt(res),
+                              fmt(trace.divergences[i]), fmt(trace.modulus_samples[i]),
+                              fmt(trace.elapsed[i])]))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_write_csv_matches_reference_text(tmp_path):
+    price_run = mirror_extratatonnement(ScarfEconomy(), simplex(3), negative_entropy(), 0.05,
+                                        200, np.array([0.5, 0.3, 0.2]), record_every=3)
+    rotation = VIProblem(box(np.full(2, -10.0), np.full(2, 10.0)), rotation_operator())
+    vi_trace = mirror_extragradient_solve(
+        rotation, SolverConfig(eta=0.1, horizon=150, kernel=negative_entropy()),
+        np.array([1.0, 0.0]),
+    )
+    # Every special value the format has to spell: nan, infinities, signed
+    # zeros, subnormals and the extremes of the double range.
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-308,
+                        1.7976931348623157e308, 0.1, 1.0 / 3.0, -12345.678, 1e-17])
+    n = special.size
+    dummy = np.zeros(2)
+    synthetic = RunTrace(
+        method="mirror_extragradient",
+        iterates=[(10 * k, dummy, dummy) for k in range(n)],
+        gaps=special,
+        divergences=np.roll(special, 1),
+        operator_deltas=special,
+        modulus_samples=np.roll(special, 2),
+        best_index=0,
+        best_iterate=dummy,
+        wall_time=0.0,
+        elapsed=np.roll(special, 3),
+    )
+    cases = [
+        (price_run.trace, price_run.feasibility_series, price_run.walras_series),
+        (vi_trace, None, None),
+        (synthetic, np.roll(special, 4), -special),
+        (synthetic, list(np.roll(special, 5)), None),
+    ]
+    for i, (trace, feasibility, walras) in enumerate(cases):
+        ours, reference = tmp_path / f"ours{i}.csv", tmp_path / f"reference{i}.csv"
+        cli_module._write_csv(str(ours), trace, feasibility, walras)
+        _reference_write_csv(reference, trace, feasibility, walras)
+        assert ours.read_text() == reference.read_text()
+    assert read_csv_rows(tmp_path / "ours1.csv")[0][2:4] == ["nan", "nan"]
+
+
+def test_scarf_negative_lo_is_rejected_up_front(tmp_path):
+    # Prices are nonnegative, so a box with a negative lower bound is a bad
+    # option value, reported before any run starts or any file is written.
+    csv_path = tmp_path / "trace.csv"
+    argv = ["scarf", "--space", "box", "--lo", "-0.5", "--iters", "50",
+            "--csv", str(csv_path), "--json", str(tmp_path / "report.json")]
+    with pytest.raises(click.BadParameter, match="--lo"):
+        cli_module.cli.main(args=argv, standalone_mode=False)
+    assert main(argv) == 1
+    assert not csv_path.exists()
+    assert main(argv[:4] + ["0.0"] + argv[5:]) in (0, 2)

@@ -7,17 +7,21 @@ import pytest
 
 from mirrorvi import (
     EvaluationError,
+    GenSpec,
     InsufficientData,
     InvalidInput,
     RunTrace,
     SolverConfig,
     VIProblem,
     box,
+    bregman_divergence,
     gap,
+    generate_economy,
     is_epsilon_strong,
     minty_certificate,
     mirror_extragradient_solve,
     mirror_gradient_solve,
+    negative_entropy,
     pathwise_modulus,
     rate_slope,
     rotation_operator,
@@ -26,6 +30,8 @@ from mirrorvi import (
     simplex,
     squared_euclidean,
 )
+from mirrorvi.kernels import _linear_max
+from mirrorvi.vi import DEGENERATE_STEP_TOL
 
 EUC = squared_euclidean()
 CENTER3 = np.ones(3) / 3.0
@@ -442,3 +448,51 @@ def test_gradient_reuses_recorded_evaluation(record_every, expected):
     config = SolverConfig(eta=0.05, horizon=30, kernel=EUC, record_every=record_every)
     mirror_gradient_solve(VIProblem(simplex(3), op), config, np.array([0.2, 0.3, 0.5]))
     assert op.calls == expected
+
+
+def _mixed_price_problem(space) -> VIProblem:
+    economy = generate_economy(GenSpec(seed=4, n_consumers=20, n_goods=20, mix={
+        "cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25, "ces_complements": 0.25,
+    }))
+    return VIProblem(space, lambda p: -economy.excess(p))
+
+
+@pytest.mark.parametrize(
+    "problem,eta",
+    [
+        (scarf_problem(simplex(3)), 0.05),
+        (scarf_problem(box(np.full(3, 0.1), np.ones(3))), 0.05),
+        (_mixed_price_problem(simplex(20)), 0.002),
+        (_mixed_price_problem(box(np.zeros(20), np.ones(20))), 0.002),
+    ],
+    ids=["scarf-simplex", "scarf-box", "mixed20-simplex", "mixed20-box"],
+)
+@pytest.mark.parametrize("kernel", [EUC, negative_entropy()], ids=["euclidean", "entropy"])
+@pytest.mark.parametrize("solve", [mirror_extragradient_solve, mirror_gradient_solve],
+                         ids=["extragradient", "gradient"])
+def test_record_values_match_reference_bit_for_bit(problem, eta, kernel, solve):
+    # The loop records from the values it holds (sqrt(d.dot(d)) for the norm,
+    # -min(F) for the simplex support value); each record must equal the
+    # textbook expressions evaluated afresh at the recorded points.
+    space = problem.set
+    if space.kind == "simplex":
+        x0 = np.full(space.n, 1.0 / space.n)
+    else:
+        x0 = (space.lo + space.hi) / 2.0
+    x0 = x0 + np.linspace(-0.3, 0.3, space.n) / space.n
+    trace = solve(problem, SolverConfig(eta=eta, horizon=60, kernel=kernel, record_every=3), x0)
+    assert len(trace.iterates) == 20
+    for i, (_, x, x_half) in enumerate(trace.iterates):
+        fx = problem.evaluate(x)
+        f_half = problem.evaluate(x_half)
+        div = bregman_divergence(kernel, x_half, x)
+        delta = float(np.linalg.norm(f_half - fx))
+        value, _ = _linear_max(space, -f_half)
+        inner = float(f_half.dot(x_half))
+        sample = delta / np.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
+        recorded = [trace.divergences[i], trace.operator_deltas[i], trace.gaps[i],
+                    trace.modulus_samples[i], trace.complementarity[i], trace.infeasibility[i]]
+        expected = [div, delta, inner + value, sample, abs(inner),
+                    max(-float(f_half.min()), 0.0)]
+        # Compared as bytes, so that the sign of a zero counts too.
+        assert np.array(recorded).tobytes() == np.array(expected).tobytes()
