@@ -28,9 +28,13 @@ DEFAULT_PRICE_FLOOR = 1e-8
 #: Largest brute-force demand grid resolution we evaluate.
 MAX_ORACLE_RESOLUTION = 401
 
-#: Demand-matrix entries (price rows x consumers x goods) that one block of a
-#: batched evaluation holds across its consumer groups: 8 MB of float64.
+#: Demand-matrix entries (price rows x consumers x goods) that one block of
+#: price rows of a batched evaluation covers across its consumer groups.
 BATCH_ENTRIES = 1 << 20
+
+#: Demand-matrix entries (price rows x consumers x goods) that one row block
+#: of a consumer group holds: 256 KB of float64, which fits in a typical L2.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
@@ -70,20 +74,24 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     of the other terms goes through log1p: the same arithmetic as
     scipy.special.logsumexp, whose results this reproduces bit for bit.
     """
-    return _logsumexp_inplace(np.array(a, dtype=float), axis)
+    return np.squeeze(_logsumexp_inplace(np.array(a, dtype=float), axis), axis=axis)
 
 
 def _logsumexp_inplace(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """_logsumexp that uses a, a float array, as its workspace and overwrites it."""
-    a_max = a.max(axis=axis, keepdims=True)
+    """_logsumexp with the reduced axis kept, overwriting a, a float array."""
+    # ufunc.reduce is what the max and sum methods call, minus a Python frame.
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     is_max = a == a_max
-    m = is_max.sum(axis=axis, keepdims=True, dtype=float)
+    m = np.add.reduce(is_max, axis=axis, keepdims=True, dtype=float)
     a -= a_max
     a[is_max] = -np.inf
     np.exp(a, out=a)
-    s = a.sum(axis=axis, keepdims=True)
+    s = np.add.reduce(a, axis=axis, keepdims=True)
     s /= m
-    return np.squeeze(np.log1p(s) + np.log(m) + a_max, axis=axis)
+    np.log1p(s, out=s)
+    s += np.log(m)
+    s += a_max
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +143,8 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
     prices = np.maximum(_as_prices(p, consumer.n_goods), floor)
     if float(prices.dot(consumer.endowment)) == 0.0:
         return np.zeros(consumer.n_goods)
-    x = _ConsumerGroup.stack(consumer.utility, [consumer]).demand_matrix(prices)[0]
+    group = _ConsumerGroup.stack(consumer.utility, [consumer])
+    x = group.fill(group.price_vectors(prices), 0, 1)[0]
     if not np.all(np.isfinite(x)):
         raise EvaluationError(f"demand overflow for {consumer.utility} consumer at p={prices}")
     if cap is not None:
@@ -204,10 +213,16 @@ class _ConsumerGroup:
     CES (sigma = 1/(1-rho)) is evaluated entirely in log space so elasticities
     of substitution up to ~1000 survive double precision. The price-free
     constants are computed once, when the group is built: the Cobb-Douglas
-    budget shares and the CES log valuations. demand_matrix allocates one
-    (m, n) matrix per price vector and finishes it in place; every product is
-    the same IEEE operation as in the textbook form, so the results are
-    identical, and each row of a price stack gives what that row alone gives.
+    budget shares, the CES log valuations, and the column maxima of the
+    Leontief valuations or Cobb-Douglas shares that cap_is_slack bounds with.
+
+    Demand is produced in two steps: price_vectors computes the per-consumer
+    vectors over the whole group (the budget and Leontief gemvs are never
+    split, since a gemv over some rows can round differently), then fill
+    writes any block of rows, in place into a buffer when one is given. Every
+    product is the same IEEE operation as in the textbook form, so the results
+    are identical, and each row of a price stack gives what that row alone
+    gives.
     """
 
     utility: str
@@ -216,12 +231,17 @@ class _ConsumerGroup:
     sigmas: np.ndarray | None = None  # (m,) for CES
     weights: np.ndarray | None = field(init=False, repr=False)  # (m, n) for Cobb-Douglas
     log_valuations: np.ndarray | None = field(init=False, repr=False)  # (m, n) for CES
+    column_max: np.ndarray | None = field(init=False, repr=False)  # (n,), None for CES
 
     def __post_init__(self) -> None:
         v = self.valuations
         weights = v / v.sum(axis=1, keepdims=True) if self.utility == COBB_DOUGLAS else None
+        column_max = {COBB_DOUGLAS: weights, LEONTIEF: v}.get(self.utility)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "log_valuations", np.log(v) if self.utility == CES else None)
+        object.__setattr__(
+            self, "column_max", None if column_max is None else column_max.max(axis=0)
+        )
 
     @classmethod
     def stack(cls, utility: str, members: Sequence[Consumer]) -> _ConsumerGroup:
@@ -234,27 +254,57 @@ class _ConsumerGroup:
             ),
         )
 
-    def demand_matrix(self, prices: np.ndarray) -> np.ndarray:
-        """Each member's uncapped demand at floored prices, one row per member.
+    def price_vectors(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(per consumer, per good) vectors that fill needs at floored prices.
 
-        Prices of shape (n,) give an (m, n) matrix; a (k, n) stack gives
-        (k, m, n), one matrix per price row.
+        Cobb-Douglas: (budgets, 1/p); Leontief: (budgets / (V . p), None);
+        CES: (budgets, log p). For a (k, n) price stack each has a leading k.
         """
         budgets = _matvec(self.endowments, prices)
         if self.utility == COBB_DOUGLAS:
-            x = budgets[..., :, None] * (1.0 / prices)[..., None, :]
-            x *= self.weights
-            return x
+            return budgets, 1.0 / prices
         if self.utility == LEONTIEF:
-            return self.valuations * (budgets / _matvec(self.valuations, prices))[..., :, None]
-        log_p = np.log(prices)[..., None, :]
-        t = self.log_valuations - log_p
-        t *= self.sigmas[:, None]
-        lse = _logsumexp_inplace(t + log_p, axis=-1)
-        t -= lse[..., None]
-        np.exp(t, out=t)
-        t *= budgets[..., None]
-        return t
+            return budgets / _matvec(self.valuations, prices), None
+        return budgets, np.log(prices)
+
+    def fill(self, vectors, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Uncapped demand of members start:stop, (..., stop - start, n).
+
+        It is written into out when given, and into a fresh array otherwise.
+        """
+        per_consumer, per_good = vectors
+        column = per_consumer[..., start:stop, None]
+        if self.utility == COBB_DOUGLAS:
+            out = np.multiply(column, per_good[..., None, :], out=out)
+            out *= self.weights[start:stop]
+        elif self.utility == LEONTIEF:
+            out = np.multiply(self.valuations[start:stop], column, out=out)
+        else:
+            log_p = per_good[..., None, :]
+            out = np.subtract(self.log_valuations[start:stop], log_p, out=out)
+            out *= self.sigmas[start:stop, None]
+            out -= _logsumexp_inplace(out + log_p, axis=-1)
+            np.exp(out, out=out)
+            out *= column
+        return out
+
+    def cap_is_slack(self, vectors, cap: np.ndarray) -> bool:
+        """True when an O(n) bound proves that no demand entry exceeds cap.
+
+        Each Leontief entry is fl(V_ij * r_i) and each Cobb-Douglas entry
+        fl(fl(b_i * q_j) * W_ij), all factors nonnegative. IEEE rounding is
+        monotone, so putting each factor's maximum in its place bounds every
+        entry, and when the bound is within cap, capping changes nothing. A NaN
+        factor fails the comparison. CES has no such bound and always caps.
+        """
+        if self.column_max is None:
+            return False
+        per_consumer, per_good = vectors
+        bound = per_consumer.max(axis=-1, keepdims=True)
+        if self.utility == COBB_DOUGLAS:
+            bound = bound * per_good
+        bound = bound * self.column_max
+        return bool((bound <= cap).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,8 +359,8 @@ class ExchangeEconomy:
         if prices.ndim == 1:
             total = self._total_demand(prices)
         else:
-            # Each row costs one (m, n) matrix per group, so a long stack is
-            # evaluated in blocks that keep those matrices near BATCH_ENTRIES.
+            # A long stack is evaluated in blocks of price rows, so the
+            # per-consumer vectors of one call stay near BATCH_ENTRIES / n.
             step = max(1, BATCH_ENTRIES // (len(self.consumers) * self.n_goods))
             total = np.empty_like(prices)
             for start in range(0, len(prices), step):
@@ -323,14 +373,53 @@ class ExchangeEconomy:
         return total
 
     def _total_demand(self, prices: np.ndarray) -> np.ndarray:
+        """Sum of capped demand over consumers, one consumer group at a time.
+
+        A group of at most _BLOCK_ENTRIES demand entries is one block: its
+        matrix is filled, capped and summed whole, without the block loop's
+        bookkeeping, which costs a few percent on 10 x 5 economies. A larger
+        group is streamed through _streamed_sum. With n = 1 numpy sums a column
+        pairwise, not row after row, so a one-good group is always one block.
+        """
         total = np.zeros(prices.shape)
+        n = prices.shape[-1]
         for group in self._groups:
-            # demand_matrix returns a fresh matrix, so it is capped in place.
-            matrix = group.demand_matrix(prices)
-            if self._cap is not None:
-                np.minimum(matrix, self._cap, out=matrix)
-            total += matrix.sum(axis=-2)
+            vectors = group.price_vectors(prices)
+            m = len(group.valuations)
+            if n == 1 or m * prices.size <= _BLOCK_ENTRIES:
+                block = group.fill(vectors, 0, m)
+                if self._cap is not None:
+                    np.minimum(block, self._cap, out=block)
+                total += np.add.reduce(block, axis=-2)
+            else:
+                total += self._streamed_sum(group, vectors, prices)
         return total
+
+    def _streamed_sum(self, group: _ConsumerGroup, vectors, prices: np.ndarray) -> np.ndarray:
+        """A group's capped column sum, filled, capped and added block by block.
+
+        Each block of consumer rows goes into one reused buffer of about
+        _BLOCK_ENTRIES entries, whose row 0 holds the running column sum, so
+        the rows are still added one after another in their order: what
+        sum(axis=-2) does over the whole matrix when n >= 2. The cap is
+        skipped when cap_is_slack proves it a no-op.
+        """
+        m = len(group.valuations)
+        rows = max(1, _BLOCK_ENTRIES // prices.size)
+        buffer = np.empty(prices.shape[:-1] + (1 + rows, prices.shape[-1]))
+        capped = self._cap is not None and not group.cap_is_slack(vectors, self._cap)
+        column_sum = None
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            block = group.fill(vectors, start, stop, buffer[..., 1:1 + stop - start, :])
+            if capped:
+                np.minimum(block, self._cap, out=block)
+            if column_sum is None:
+                column_sum = np.add.reduce(block, axis=-2)
+            else:
+                buffer[..., 0, :] = column_sum
+                np.add.reduce(buffer[..., :1 + stop - start, :], axis=-2, out=column_sum)
+        return column_sum
 
     def excess(self, p) -> np.ndarray:
         """Aggregate demand minus aggregate supply, for a price vector or a (k, n) stack."""
@@ -517,14 +606,14 @@ def elasticity_bound_estimate(economy, pairs: int, seed) -> float:
     return eps_hat
 
 
-def bregman_continuity_bound(economy, p, kernel=None, elasticity: float | None = None,
+def bregman_continuity_bound(economy, p, elasticity: float | None = None,
                              pairs: int = 64, seed=0) -> float:
     """Per-point modulus epsilon_hat * (||d(p)|| + ||s||) / ||p||_inf.
 
     Certifies 0.5 * ||Z(p) - Z(p')||^2 <= bound^2 * D_h(p', p) for any
-    1-strongly-convex kernel (the divergence dominates 0.5 * ||p - p'||^2, so
-    the kernel argument does not change the value). When elasticity is not
-    given it is estimated via elasticity_bound_estimate(economy, pairs, seed).
+    1-strongly-convex kernel: the divergence dominates 0.5 * ||p - p'||^2, so
+    one value serves every kernel. When elasticity is not given it is
+    estimated via elasticity_bound_estimate(economy, pairs, seed).
     """
     prices = _as_prices(p, economy.n_goods)
     total = prices.sum()

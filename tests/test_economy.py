@@ -435,7 +435,9 @@ def test_bregman_continuity_bound_formula():
     supply = economy.aggregate_supply
     hand = 2.0 * (np.linalg.norm(demand) + np.linalg.norm(supply)) / p.max()
     assert value == hand
-    assert bregman_continuity_bound(economy, p, kernel=None, elasticity=2.0) == value
+    # The value never depended on a kernel, so the function takes none.
+    with pytest.raises(TypeError):
+        bregman_continuity_bound(economy, p, kernel=None, elasticity=2.0)
     estimated = bregman_continuity_bound(economy, p, pairs=8, seed=0)
     assert estimated > 0.0
     with pytest.raises(InvalidInput):
@@ -522,8 +524,8 @@ def reference_excess(economy, p) -> np.ndarray:
 
 
 @pytest.mark.parametrize("family", [COBB_DOUGLAS, LEONTIEF, CES, "mixed"])
-@pytest.mark.parametrize("cap_factor", [1.0, np.inf])
-def test_excess_matches_reference_bit_for_bit(family, cap_factor):
+@pytest.mark.parametrize("cap_factor", [1.0, np.inf, 2.5])
+def test_excess_matches_reference_bit_for_bit(monkeypatch, family, cap_factor):
     rng = np.random.default_rng(14)
     for _ in range(12):
         n = int(rng.integers(1, 25))
@@ -546,6 +548,10 @@ def test_excess_matches_reference_bit_for_bit(family, cap_factor):
             elif k % 3 == 1:
                 p = np.ones(n)
             np.testing.assert_array_equal(economy.excess(p), reference_excess(economy, p))
+            # Blocks of three consumer rows stream every group of four or more.
+            with monkeypatch.context() as patched:
+                patched.setattr(economy_module, "_BLOCK_ENTRIES", 3 * n)
+                np.testing.assert_array_equal(economy.excess(p), reference_excess(economy, p))
             prices.append(p)
         # A (10, n) stack gives, row by row, exactly what each price vector gives.
         batch = economy.excess(np.array(prices))
@@ -567,16 +573,27 @@ def test_excess_matches_reference_bit_for_bit(family, cap_factor):
 def test_excess_peak_temporaries(mix, bound):
     # numpy reports its data buffers to tracemalloc; one evaluation should
     # hold about one (m, n) matrix per group (CES also needs its log-sum-exp
-    # workspace), not a second capped copy.
+    # workspace), not a second capped copy. Each mix is one 200 x 200 group,
+    # which streams in blocks of 163 consumer rows for one price vector and of
+    # 20 rows for the eight-row stack.
     m = n = 200
     economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=mix))
     prices = np.random.default_rng(15).uniform(0.1, 1.0, (8, n))
-    economy.excess(prices)
+    peaks = excess_peaks(economy, (prices[0], prices))
+    assert peaks[0] <= bound * m * n * 8
+    # Eight price rows hold eight matrices per group, and no more copies.
+    assert peaks[1] <= 8 * bound * m * n * 8
+
+
+def excess_peaks(economy, price_sets) -> list[int]:
+    """Peak bytes that tracemalloc sees during one warm excess call per price set."""
+    for p in price_sets:
+        economy.excess(p)
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         peaks = []
-        for p in (prices[0], prices):
+        for p in price_sets:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
             economy.excess(p)
@@ -585,9 +602,18 @@ def test_excess_peak_temporaries(mix, bound):
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peaks[0] <= bound * m * n * 8
-    # Eight price rows hold eight matrices per group, and no more copies.
-    assert peaks[1] <= 8 * bound * m * n * 8
+    return peaks
+
+
+@pytest.mark.parametrize("family", ["leontief", "cobb_douglas"])
+def test_streamed_excess_peak_temporaries(family):
+    # A 400 x 400 group streams in blocks of _BLOCK_ENTRIES entries, so one
+    # evaluation holds a block and the group's vectors, not an (m, n) matrix.
+    m = n = 400
+    economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix={family: 1.0}))
+    price = np.random.default_rng(16).uniform(0.1, 1.0, n)
+    (peak,) = excess_peaks(economy, (price,))
+    assert peak <= 0.5 * m * n * 8
 
 
 def test_batch_price_validation():
@@ -646,6 +672,128 @@ def test_blocked_batches_match_one_block(monkeypatch):
     stack[4] = [1e305, 0.0]
     with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="row 4"):
         overflow.excess(stack)
+
+
+#: Consumer rows per block for one price vector in the row-block tests.
+BLOCK_ROWS = 4
+
+
+def family_economy(rng, family: str, m: int, n: int, cap_factor: float) -> ExchangeEconomy:
+    """m consumers of the family, or m of each family when it is "mixed"."""
+    kinds = (COBB_DOUGLAS, LEONTIEF, CES) if family == "mixed" else (family,)
+    consumers = []
+    for kind in kinds:
+        for i in range(m):
+            rho = float(rng.choice(RHO_CHOICES)) if kind == CES else None
+            v = np.full(n, 0.5) if i % 4 == 0 else rng.uniform(0.1, 1.0, n)
+            consumers.append(Consumer(kind, v, rng.uniform(0.0, 1.0, n) + 0.05, rho=rho))
+    return ExchangeEconomy(consumers, n_goods=n, demand_cap_factor=cap_factor)
+
+
+def reference_group_demand(group, prices) -> np.ndarray:
+    """A group's uncapped demand as one (m, n) matrix, or (k, m, n) for a stack.
+
+    The closed forms as they were before rows were streamed in blocks.
+    """
+    budgets = economy_module._matvec(group.endowments, prices)
+    if group.utility == COBB_DOUGLAS:
+        x = budgets[..., :, None] * (1.0 / prices)[..., None, :]
+        x *= group.weights
+        return x
+    if group.utility == LEONTIEF:
+        ratios = budgets / economy_module._matvec(group.valuations, prices)
+        return group.valuations * ratios[..., :, None]
+    log_p = np.log(prices)[..., None, :]
+    t = group.log_valuations - log_p
+    t *= group.sigmas[:, None]
+    lse = _reference_logsumexp(t + log_p, axis=-1)
+    t -= lse[..., None]
+    np.exp(t, out=t)
+    t *= budgets[..., None]
+    return t
+
+
+def reference_group_demand_sum(economy, p) -> np.ndarray:
+    """Aggregate demand with one capped matrix per group, summed with sum(axis=-2)."""
+    prices = np.maximum(np.asarray(p, dtype=float), economy.price_floor)
+    total = np.zeros(prices.shape)
+    for group in economy._groups:
+        matrix = reference_group_demand(group, prices)
+        if economy._cap is not None:
+            matrix = np.minimum(matrix, economy._cap)
+        total += matrix.sum(axis=-2)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("family", [COBB_DOUGLAS, LEONTIEF, CES, "mixed"])
+def test_row_blocks_match_one_matrix_per_group(monkeypatch, family, n):
+    # A block of BLOCK_ROWS * n entries holds BLOCK_ROWS consumer rows for a
+    # price vector and BLOCK_ROWS // k for a (k, n) stack, so the larger groups
+    # below stream through many blocks (an n = 1 group is always one block).
+    monkeypatch.setattr(economy_module, "_BLOCK_ENTRIES", BLOCK_ROWS * n)
+    rng = np.random.default_rng(22 + n)
+    for m in (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 5 * BLOCK_ROWS + 3):
+        for cap_factor in (1.0, 2.5, np.inf):
+            economy = family_economy(rng, family, m, n, cap_factor)
+            zeros = 10.0 ** rng.uniform(-9.0, 3.0, n)
+            zeros[rng.random(n) < 0.4] = 0.0
+            below_floor = rng.uniform(0.1, 1.0, n)
+            below_floor[0] = 1e-12
+            vectors = [np.ones(n), 10.0 ** rng.uniform(-9.0, 3.0, n), zeros, below_floor]
+            for p in vectors + [np.array(vectors), np.array(vectors[:2])]:
+                np.testing.assert_array_equal(
+                    economy.demand(p), reference_group_demand_sum(economy, p)
+                )
+
+
+def capped_at(economy, cap) -> ExchangeEconomy:
+    """The economy with its cap vector replaced, to put the cap on an exact value."""
+    object.__setattr__(economy, "_cap", np.array(cap, dtype=float))
+    return economy
+
+
+@pytest.mark.parametrize("family", [COBB_DOUGLAS, LEONTIEF])
+def test_slack_cap_proof_at_its_bound(monkeypatch, family):
+    n, m = 6, 3 * BLOCK_ROWS + 1
+    monkeypatch.setattr(economy_module, "_BLOCK_ENTRIES", BLOCK_ROWS * n)
+    economy = family_economy(np.random.default_rng(23), family, m, n, 1.0)
+    (group,) = economy._groups
+    for p in (np.random.default_rng(24).uniform(0.1, 1.0, n), np.ones(n)):
+        # The proof's bound, written out: largest factors in place of each
+        # entry's own, with the closed form's order of rounding.
+        if family == LEONTIEF:
+            ratios = group.endowments.dot(p) / group.valuations.dot(p)
+            bound = group.valuations.max(axis=0) * ratios.max()
+        else:
+            bound = group.endowments.dot(p).max() * (1.0 / p) * group.weights.max(axis=0)
+        vectors = group.price_vectors(p)
+        assert group.cap_is_slack(vectors, bound)
+        for j in range(n):
+            below = bound.copy()
+            below[j] = np.nextafter(bound[j], 0.0)
+            assert not group.cap_is_slack(vectors, below)
+        matrix = reference_group_demand(group, p)
+        assert (matrix <= bound).all()
+        # A cap at the bound is skipped and changes nothing.
+        capped_at(economy, bound)
+        np.testing.assert_array_equal(economy.demand(p), matrix.sum(axis=0))
+        np.testing.assert_array_equal(economy.demand(p), reference_group_demand_sum(economy, p))
+        # A cap between the two largest entries of a column binds on the
+        # largest alone, which the proof must not skip.
+        j = np.unravel_index(np.argmax(matrix), matrix.shape)[1]
+        cap = matrix.max(axis=0)
+        second, first = np.sort(matrix[:, j])[-2:]
+        cap[j] = 0.5 * (first + second)
+        assert np.sum(matrix > cap) == 1
+        capped_at(economy, cap)
+        expected = reference_group_demand_sum(economy, p)
+        assert not np.array_equal(expected, matrix.sum(axis=0))
+        np.testing.assert_array_equal(economy.demand(p), expected)
+        np.testing.assert_array_equal(
+            economy.demand(np.array([p, p, 2.0 * p])),
+            reference_group_demand_sum(economy, np.array([p, p, 2.0 * p])),
+        )
 
 
 class CountingEconomy:
