@@ -37,7 +37,6 @@ from .vi import (
     RunTrace,
     SolverConfig,
     VIProblem,
-    gap,
     mirror_extragradient_solve,
     mirror_gradient_solve,
     pathwise_modulus,
@@ -48,14 +47,10 @@ from .vi import (
 
 CSV_HEADER = "iter,gap,feas_violation,walras_residual,breg_progress,pathwise_L,elapsed_s"
 
-#: One CSV row: the iteration, then every value as _fmt writes it.
+#: One CSV row: the iteration, then every value as f"{x:.17g}" writes it.
 CSV_ROW = "%d" + ",%.17g" * 6
 
 DEFAULT_MIX = "cobb_douglas=0.25,leontief=0.25,ces_substitutes=0.25,ces_complements=0.25"
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _parse_eta(text: str):
@@ -95,8 +90,8 @@ def _kernel_for(name: str):
 
 
 def _write_csv(path: str, trace: RunTrace, feasibility=None, walras=None) -> None:
-    # CSV_ROW on Python numbers gives the text of _fmt value by value, nan,
-    # inf and -0 included, at one format call per row.
+    # CSV_ROW on Python numbers gives the text of f"{x:.17g}" value by value,
+    # nan, inf and -0 included, at one format call per row.
     missing = [float("nan")] * len(trace.iterates)
 
     def column(values):
@@ -178,7 +173,7 @@ def _run_prices(economy, space: FeasibleSet, method: str, kernel_name: str, eta,
         seed=seed,
         p0=[float(v) for v in p0],
     )
-    _write_csv(csv_path, run.trace, run.feasibility_series, run.walras_series)
+    _write_csv(csv_path, run.trace, run.trace.infeasibility, run.trace.complementarity)
     _write_json(json_path, _price_report(run, config_echo, eps))
     return run, 0 if run.certificate.passes(eps) else 2
 
@@ -364,7 +359,7 @@ def vi_example_cmd(name, method, kernel_name, eta, iters, eps, stop_gap, lo_text
                           modulus_backoff=backoff)
     solve = mirror_extragradient_solve if method == "extragradient" else mirror_gradient_solve
     trace = solve(problem, config, x0)
-    best_gap = gap(problem, trace.best_iterate)
+    best_gap = float(trace.gaps[trace.best_position])
     final_point = trace.iterates[-1][2]
     try:
         normalized = [float(v) for v in scale_to_equilibrium(trace.best_iterate)]
@@ -458,20 +453,18 @@ def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_na
                 str(out / f"trace_seed{seed}.csv"), str(out / f"report_seed{seed}.json"),
                 echo,
             )
-            converged = run.certificate.passes(eps)
+            converged = code == 0  # exit code 0 is certificate.passes(eps)
             trace = run.trace
             iters_to_eps = next(
                 (int(k) for k, g in zip(trace.indices, trace.gaps) if g <= eps), -1
             )
-            rows.append(
-                f"{seed},{n_consumers},{n_goods},{str(converged).lower()},"
-                f"{iters_to_eps},{_fmt(pathwise_modulus(trace))}"
-            )
-            all_converged = all_converged and converged and code == 0
+            row = (iters_to_eps, pathwise_modulus(trace))
         except MirrorVIError as exc:
             click.echo(f"seed {seed} failed: {exc}", err=True)
-            rows.append(f"{seed},{n_consumers},{n_goods},false,-1,nan")
-            all_converged = False
+            converged, row = False, (-1, float("nan"))
+        rows.append("%d,%d,%d,%s,%d,%.17g"
+                    % (seed, n_consumers, n_goods, str(converged).lower(), *row))
+        all_converged = all_converged and converged
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
     return 0 if all_converged else 2
 

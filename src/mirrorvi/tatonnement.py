@@ -19,12 +19,12 @@ from .kernels import (
     FeasibleSet,
     Kernel,
     bregman_divergence,
-    linear_max,
 )
 from .vi import (
     RunTrace,
     SolverConfig,
     VIProblem,
+    _residuals,
     minty_certificate,
     mirror_extragradient_solve,
     mirror_gradient_solve,
@@ -58,10 +58,12 @@ class EquilibriumCertificate:
 class PriceRun:
     """A completed price-adjustment run with its certificate.
 
-    feasibility_series and walras_series hold the per-recorded-iteration
-    residuals at p_{k+0.5}; eta is the step size the run actually started with
-    (after automatic selection, when requested). minty_violation is the
-    post-hoc sampled weak-solution check in simplex mode, None on the box.
+    certificate is the best record of trace (whose infeasibility and
+    complementarity are max_j [Z_j]_+ and |p.Z| at each p_{k+0.5}), so it
+    describes trace.best_iterate by construction. eta is the step size the run
+    actually started with (after automatic selection, when requested).
+    minty_violation is the post-hoc sampled weak-solution check in simplex
+    mode, None on the box.
     """
 
     economy: object
@@ -69,8 +71,6 @@ class PriceRun:
     trace: RunTrace
     certificate: EquilibriumCertificate
     normalized_equilibrium: np.ndarray | None
-    feasibility_series: np.ndarray
-    walras_series: np.ndarray
     eta: float
     minty_violation: float | None = None
 
@@ -88,16 +88,12 @@ def _price_problem(economy, space: FeasibleSet) -> VIProblem:
 
 
 def equilibrium_certificate(economy, p_hat, space: FeasibleSet) -> EquilibriumCertificate:
-    """Evaluate Z once at p_hat and fill all certificate fields."""
+    """Evaluate Z once at p_hat and fill all certificate fields; a bad Z is EvaluationError."""
     prices = np.asarray(p_hat, dtype=float)
     if not space.contains(prices):
         raise InvalidInput("p_hat lies outside the price space")
-    z = np.asarray(economy.excess(prices), dtype=float)
-    feasibility = max(float(z.max()), 0.0)
-    walras = abs(float(prices.dot(z)))
-    # gap of (space, -Z): <-Z, p> + max_x <Z, x>
-    value, _ = linear_max(space, z)
-    gap_value = -float(z.dot(prices)) + value
+    neg_z = _price_problem(economy, space).evaluate(prices)
+    gap_value, walras, feasibility = _residuals(space, prices, neg_z)
     return EquilibriumCertificate(feasibility, walras, gap_value)
 
 
@@ -176,6 +172,7 @@ def resolve_step_size(problem: VIProblem, kernel: Kernel, eta, seed) -> tuple[fl
 
 def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
          extragradient: bool, stop_gap: float | None, record_every: int, seed) -> PriceRun:
+    """Solve (space, -Z); the certificate is read from the best iterate's record."""
     problem = _price_problem(economy, space)
     eta_value, backoff = resolve_step_size(problem, kernel, eta, seed)
     config = SolverConfig(
@@ -189,7 +186,10 @@ def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
     solve = mirror_extragradient_solve if extragradient else mirror_gradient_solve
     trace = solve(problem, config, p0)
 
-    certificate = equilibrium_certificate(economy, trace.best_iterate, space)
+    best = trace.best_position
+    certificate = EquilibriumCertificate(float(trace.infeasibility[best]),
+                                         float(trace.complementarity[best]),
+                                         float(trace.gaps[best]))
     try:
         normalized = scale_to_equilibrium(trace.best_iterate)
     except DegenerateSolution:
@@ -203,10 +203,6 @@ def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
         trace=trace,
         certificate=certificate,
         normalized_equilibrium=normalized,
-        # The operator is -Z, so the trace's residuals of F at p_{k+0.5} are
-        # exactly max_j [Z_j]_+ and |p.Z|.
-        feasibility_series=trace.infeasibility,
-        walras_series=trace.complementarity,
         eta=eta_value,
         minty_violation=minty,
     )

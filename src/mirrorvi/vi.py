@@ -24,7 +24,6 @@ from .kernels import (
     _linear_max,
     _prox,
     bregman_divergence,
-    linear_max,
     mirror_step,  # noqa: F401  (not called here; benchmarks/tracing.py patches vi.mirror_step)
 )
 
@@ -93,9 +92,10 @@ class RunTrace:
     mirror gradient method stores x_{k+1} in the half slot (see `method`).
     best_index is the absolute iteration index minimizing D_h(x_{k+0.5}, x_k)
     among recorded iterations, lowest index on ties; best_iterate is that
-    iteration's x_{k+0.5}. complementarity holds |<F(x_{k+0.5}), x_{k+0.5}>|
-    and infeasibility max(-min_j F_j(x_{k+0.5}), 0), one entry per record:
-    for F = -Z they are the Walras and feasibility residuals.
+    iteration's x_{k+0.5}, and best_position its record's position. gaps,
+    complementarity |<F, x>| and infeasibility max(-min_j F_j, 0) hold one
+    value per record at x_{k+0.5}: for F = -Z they are the certificate's gap,
+    Walras and feasibility residuals, with no further evaluation of F.
     """
 
     method: str
@@ -119,8 +119,31 @@ class RunTrace:
         return np.array([k for k, _, _ in self.iterates], dtype=int)
 
     @property
+    def best_position(self) -> int:
+        """Position of best_iterate's record in gaps, divergences and the rest."""
+        return _best_position(self.divergences)
+
+    @property
     def final_gap(self) -> float:
         return float(self.gaps[-1])
+
+
+def _best_position(divergences) -> int:
+    """The best record: least D_h(x_{k+0.5}, x_k), the earliest one on ties."""
+    return int(np.argmin(divergences))
+
+
+def _residuals(space: FeasibleSet, x: np.ndarray, fx: np.ndarray) -> tuple[float, float, float]:
+    """Strong gap, |<F(x), x>| and max(-min_j F_j(x), 0) from a checked fx = F(x).
+
+    On the simplex the support value max_y <-F(x), y> is -min_j F_j(x); it
+    equals linear_max's value up to the sign of a zero minimum, which could
+    differ only if F had zeros of both signs there (-Z has no +0.0 entries).
+    """
+    lowest = float(fx.min())
+    value = -lowest if space.kind == SIMPLEX else _linear_max(space, -fx)[0]
+    inner = float(fx.dot(x))
+    return inner + value, abs(inner), max(-lowest, 0.0)
 
 
 def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) -> RunTrace:
@@ -129,7 +152,6 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     # maximization run without the checks of their public forms.
     space = problem.set
     kernel = config.kernel
-    on_simplex = space.kind == SIMPLEX
     record_every = config.record_every
     stop_gap = config.stop_gap
     backoff = config.modulus_backoff
@@ -139,12 +161,10 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
 
     start = time.perf_counter()
     iterates: list[tuple[int, np.ndarray, np.ndarray]] = []
-    gaps: list[float] = []
+    residuals: list[tuple[float, float, float]] = []
     divergences: list[float] = []
     deltas: list[float] = []
     samples: list[float] = []
-    complementarity: list[float] = []
-    infeasibility: list[float] = []
     elapsed: list[float] = []
     converged = False
     eta = config.eta
@@ -166,27 +186,18 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
 
         if record:
             div = bregman_divergence(kernel, x_half, x)
-            # Record values from what the loop holds. numpy's 1-D norm is
-            # sqrt(d.dot(d)). On the simplex the support value of -f_half is
-            # -min(f_half); it equals linear_max's value up to the sign of a
-            # zero minimum, which could differ only if F had zeros of both
-            # signs there (-Z has no +0.0 entries).
+            # Record values from what the loop holds; numpy's 1-D norm is sqrt(d.dot(d)).
             d = f_half - fx
             delta = math.sqrt(d.dot(d))
-            lowest = float(f_half.min())
-            value = -lowest if on_simplex else _linear_max(space, -f_half)[0]
-            inner = float(f_half.dot(x_half))
-            gap_value = inner + value
+            residual = _residuals(space, x_half, f_half)
             sample = delta / math.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
             iterates.append((k, x, x_half))
-            gaps.append(gap_value)
+            residuals.append(residual)
             divergences.append(div)
             deltas.append(delta)
             samples.append(sample)
-            complementarity.append(abs(inner))
-            infeasibility.append(max(-lowest, 0.0))
             elapsed.append(time.perf_counter() - start)
-            if stop_gap is not None and gap_value <= stop_gap:
+            if stop_gap is not None and residual[0] <= stop_gap:
                 converged = True
                 break
             if backoff and sample > 1.0 / (2.0 * math.sqrt(2.0) * eta):
@@ -196,11 +207,12 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         x = x_next
         fx = None if extragradient else f_half
 
-    best_pos = int(np.argmin(divergences))
+    best_pos = _best_position(divergences)
+    gaps, complementarity, infeasibility = np.array(list(zip(*residuals)))
     return RunTrace(
         method=MIRROR_EXTRAGRADIENT if extragradient else MIRROR_GRADIENT,
         iterates=iterates,
-        gaps=np.array(gaps),
+        gaps=gaps,
         divergences=np.array(divergences),
         operator_deltas=np.array(deltas),
         modulus_samples=np.array(samples),
@@ -210,8 +222,8 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         elapsed=np.array(elapsed),
         converged=converged,
         final_eta=eta,
-        complementarity=np.array(complementarity),
-        infeasibility=np.array(infeasibility),
+        complementarity=complementarity,
+        infeasibility=infeasibility,
     )
 
 
@@ -230,16 +242,14 @@ def mirror_extragradient_solve(problem: VIProblem, config: SolverConfig, x0) -> 
 
 
 def gap(problem: VIProblem, x_hat) -> float:
-    """Strong gap max_{x in set} <F(x_hat), x_hat - x>, via closed-form linear_max.
+    """Strong gap max_{x in set} <F(x_hat), x_hat - x>, evaluating F once.
 
     Nonnegative up to floating error; a strong solution gives a value at 0.
     """
     x = np.asarray(x_hat, dtype=float)
     if not problem.set.contains(x):
         raise InvalidInput("x_hat lies outside the feasible set")
-    fx = problem.evaluate(x)
-    value, _ = linear_max(problem.set, -fx)
-    return float(fx.dot(x)) + value
+    return _residuals(problem.set, x, problem.evaluate(x))[0]
 
 
 def is_epsilon_strong(problem: VIProblem, x_hat, eps: float) -> bool:

@@ -17,10 +17,12 @@ from mirrorvi import (
     SolverConfig,
     VIProblem,
     box,
+    gap,
     mirror_extragradient_solve,
     mirror_extratatonnement,
     negative_entropy,
     rotation_operator,
+    scalar_nonminty_operator,
     simplex,
 )
 from mirrorvi.cli import CSV_HEADER, load_economy_file, main
@@ -207,6 +209,25 @@ def test_vi_example_rotation(tmp_path):
     assert rows[0][2] == "nan" and rows[0][3] == "nan"  # no economy residuals
 
 
+@pytest.mark.parametrize("method", ["extragradient", "gradient"])
+@pytest.mark.parametrize(
+    "name, problem",
+    [
+        ("rotation", VIProblem(box(np.full(2, -10.0), np.full(2, 10.0)), rotation_operator())),
+        ("nonminty", VIProblem(box(np.zeros(1), np.full(1, 3.0)), scalar_nonminty_operator())),
+    ],
+    ids=["rotation", "nonminty"],
+)
+def test_vi_example_gap_is_the_gap_at_best_prices(tmp_path, name, problem, method):
+    # The reported gap is read from the best record; evaluated afresh at the
+    # reported point it is the same number.
+    json_path = tmp_path / "report.json"
+    main(["vi-example", name, "--method", method,
+          "--csv", str(tmp_path / "trace.csv"), "--json", str(json_path)])
+    report = json.loads(json_path.read_text())
+    assert report["certificate"]["gap"] == gap(problem, np.array(report["best_prices"]))
+
+
 def test_vi_example_rotation_gradient_fails(tmp_path):
     code = main(
         [
@@ -259,6 +280,40 @@ def test_sweep_aggregates_seed_runs(tmp_path):
         assert (out_dir / f"trace_seed{seed}.csv").exists()
         report = json.loads((out_dir / f"report_seed{seed}.json").read_text())
         assert report["converged"] is True
+
+
+def _reference_sweep_row(out_dir, seed, n_consumers, n_goods, eps) -> str:
+    # One sweep.csv row rebuilt from the seed's own outputs, each value
+    # formatted on its own, the modulus through f"{x:.17g}".
+    report = json.loads((out_dir / f"report_seed{seed}.json").read_text())
+    gaps = [(int(row[0]), float(row[1])) for row in read_csv_rows(
+        out_dir / f"trace_seed{seed}.csv")]
+    first = next((k for k, g in gaps if g <= eps), -1)
+    converged = "true" if report["converged"] else "false"
+    return ",".join([str(seed), str(n_consumers), str(n_goods), converged, str(first),
+                     f"{float(report['pathwise_L_max']):.17g}"])
+
+
+def test_sweep_rows_match_reference_text(tmp_path, monkeypatch):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--seeds", "3,4", "--consumers", "5", "--goods", "3", "--iters", "600",
+            "--eps", "1e-4", "--record-every", "7", "--out-dir", str(out_dir)]
+    main(argv)
+    lines = (out_dir / "sweep.csv").read_text().splitlines()
+    assert lines[1:] == [_reference_sweep_row(out_dir, seed, 5, 3, 1e-4) for seed in (3, 4)]
+
+    # A seed that fails is a row of its own, with the same fields.
+    real = cli_module.generate_economy
+
+    def failing(spec):
+        if spec.seed == 4:
+            raise InvalidInput("no economy for this seed")
+        return real(spec)
+
+    monkeypatch.setattr(cli_module, "generate_economy", failing)
+    assert main(argv) == 2
+    lines = (out_dir / "sweep.csv").read_text().splitlines()
+    assert lines[1:] == [_reference_sweep_row(out_dir, 3, 5, 3, 1e-4), "4,5,3,false,-1,nan"]
 
 
 def test_error_exit_codes(tmp_path):
@@ -339,7 +394,7 @@ def test_write_csv_matches_reference_text(tmp_path):
         elapsed=np.roll(special, 3),
     )
     cases = [
-        (price_run.trace, price_run.feasibility_series, price_run.walras_series),
+        (price_run.trace, price_run.trace.infeasibility, price_run.trace.complementarity),
         (vi_trace, None, None),
         (synthetic, np.roll(special, 4), -special),
         (synthetic, list(np.roll(special, 5)), None),

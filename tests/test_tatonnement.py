@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mirrorvi import (
     LEONTIEF,
     Consumer,
     DegenerateSolution,
+    EvaluationError,
     ExchangeEconomy,
     GenSpec,
     InvalidInput,
@@ -140,8 +143,8 @@ def test_wgs_economy_tatonnement_converges_on_simplex():
     assert np.abs(economy.excess(CENTER)).max() > 1e-3  # start is not already solved
     run = mirror_tatonnement(economy, simplex(3), EUC, 0.05, 3000, CENTER.copy())
     assert run.certificate.passes(1e-3)
-    assert run.walras_series[-1] <= 1e-3
-    assert run.feasibility_series[-1] <= 1e-3
+    assert run.trace.complementarity[-1] <= 1e-3
+    assert run.trace.infeasibility[-1] <= 1e-3
 
 
 def test_natural_process_updates_are_coordinatewise_on_box():
@@ -227,6 +230,33 @@ def test_certificate_oracles():
         equilibrium_certificate(ScarfEconomy(), np.array([0.5, 0.5, 0.5]), simplex(3))
 
 
+class FixedExcessEconomy:
+    """Returns the same excess-demand vector at every price."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def excess(self, p):
+        return self.z
+
+
+@pytest.mark.parametrize("space", [simplex(3), unit_box(3)], ids=["simplex", "box"])
+@pytest.mark.parametrize(
+    "z, problem",
+    [
+        (np.array([0.1, np.nan, -0.1]), "non-finite"),
+        (np.array([np.inf, 0.0, -0.1]), "non-finite"),
+        (np.array([0.1, -0.1]), "shape"),
+    ],
+    ids=["nan", "inf", "wrong_length"],
+)
+def test_certificate_rejects_bad_excess_as_evaluation_error(space, z, problem):
+    # A bad Z is the operator's fault, not the caller's: it raises the typed
+    # error that names -Z, as it would inside a solve.
+    with pytest.raises(EvaluationError, match=f"'-Z' returned {problem}"):
+        equilibrium_certificate(FixedExcessEconomy(z), CENTER, space)
+
+
 def test_scale_to_equilibrium_oracles():
     np.testing.assert_array_equal(
         scale_to_equilibrium(np.array([0.5, 0.5, 0.5])), np.ones(3)
@@ -286,8 +316,8 @@ def test_price_run_surface():
         stop_gap=1e-6,
     )
     assert run.price_space.kind == "simplex"
-    assert len(run.feasibility_series) == len(run.trace.iterates)
-    assert len(run.walras_series) == len(run.trace.iterates)
+    assert len(run.trace.infeasibility) == len(run.trace.iterates)
+    assert len(run.trace.complementarity) == len(run.trace.iterates)
     assert run.converged == run.trace.converged
     assert run.eta == 0.05
     for _, p, p_half in run.trace.iterates:
@@ -296,8 +326,8 @@ def test_price_run_surface():
     # residual series are evaluated at the half iterates
     _, _, p_half = run.trace.iterates[0]
     z = ScarfEconomy().excess(p_half)
-    assert run.feasibility_series[0] == max(z.max(), 0.0)
-    assert run.walras_series[0] == abs(p_half.dot(z))
+    assert run.trace.infeasibility[0] == max(z.max(), 0.0)
+    assert run.trace.complementarity[0] == abs(p_half.dot(z))
     # the run stopped early on the gap and the best iterate sits at the center
     assert run.converged
     assert run.trace.final_gap <= 1e-6
@@ -325,15 +355,15 @@ class CountingEconomy:
 )
 @pytest.mark.parametrize(
     "space, post_evals",
-    [(simplex(3), 1 + 256), (box(np.full(3, 0.1), np.ones(3)), 1)],
+    [(simplex(3), 256), (box(np.full(3, 0.1), np.ones(3)), 0)],
     ids=["simplex", "box"],
 )
 def test_run_spends_only_solve_certificate_and_minty_evaluations(
     runner, solve_evals, space, post_evals
 ):
-    # The residual series come from the solve's own evaluations; after the
-    # solve a run evaluates Z once for the certificate and, on the simplex,
-    # at the Minty sample points.
+    # The residual series and the certificate come from the solve's own
+    # evaluations; after the solve a run evaluates Z only at the Minty sample
+    # points, on the simplex.
     economy = CountingEconomy(ScarfEconomy())
     runner(economy, space, EUC, 0.05, 300, START)
     assert economy.calls == solve_evals + post_evals
@@ -350,17 +380,26 @@ def generated_economy() -> ExchangeEconomy:
     "runner", [mirror_extratatonnement, mirror_tatonnement], ids=["extragradient", "gradient"]
 )
 @pytest.mark.parametrize(
-    "economy, space, p0",
+    "economy, space, kernel, p0",
     [
-        (ScarfEconomy(), simplex(3), START),
-        (generated_economy(), unit_box(20), np.linspace(0.2, 0.9, 20)),
+        (ScarfEconomy(), simplex(3), EUC, START),
+        (generated_economy(), unit_box(20), EUC, np.linspace(0.2, 0.9, 20)),
+        (generated_economy(), simplex(20), ENT, np.linspace(1.0, 3.0, 20) / 40.0),
     ],
-    ids=["scarf_simplex", "mixed_box"],
+    ids=["scarf_simplex", "mixed_box", "mixed_simplex_entropy"],
 )
-def test_residual_series_equal_excess_at_every_half_iterate(runner, economy, space, p0):
-    run = runner(economy, space, EUC, 0.02, 200, p0, record_every=3)
-    assert len(run.feasibility_series) == len(run.trace.iterates) == 67
+def test_residual_series_equal_excess_at_every_half_iterate(runner, economy, space, kernel,
+                                                            p0):
+    run = runner(economy, space, kernel, 0.02, 200, p0, record_every=3)
+    assert len(run.trace.infeasibility) == len(run.trace.iterates) == 67
     for i, (_, _, p_half) in enumerate(run.trace.iterates):
         z = economy.excess(p_half)
-        assert run.feasibility_series[i] == max(z.max(), 0.0)
-        assert run.walras_series[i] == abs(p_half.dot(z))
+        assert run.trace.infeasibility[i] == max(z.max(), 0.0)
+        assert run.trace.complementarity[i] == abs(p_half.dot(z))
+    # The run's certificate is its best record, and it equals the certificate
+    # evaluated afresh at the reported point, bit for bit.
+    fresh = equilibrium_certificate(economy, run.trace.best_iterate, space)
+    for name in ("eps_feasibility", "walras_residual", "gap_value"):
+        ours = getattr(run.certificate, name)
+        assert type(ours) is float
+        assert struct.pack("<d", ours) == struct.pack("<d", getattr(fresh, name))
