@@ -23,22 +23,19 @@ import click
 import numpy as np
 
 from .economy import Consumer, ExchangeEconomy, ScarfEconomy
-from .errors import DegenerateSolution, InsufficientData, InvalidInput, MirrorVIError
+from .errors import InsufficientData, InvalidInput, MirrorVIError
 from .gen import GenSpec, generate_economy, initial_prices
 from .kernels import FeasibleSet, box, negative_entropy, simplex, squared_euclidean
 from .tatonnement import (
     PriceRun,
+    _normalized,
+    _solve_run,
     mirror_extratatonnement,
     mirror_tatonnement,
-    resolve_step_size,
-    scale_to_equilibrium,
 )
 from .vi import (
     RunTrace,
-    SolverConfig,
     VIProblem,
-    mirror_extragradient_solve,
-    mirror_gradient_solve,
     pathwise_modulus,
     rate_slope,
     rotation_operator,
@@ -92,13 +89,13 @@ def _kernel_for(name: str):
 def _write_csv(path: str, trace: RunTrace, feasibility=None, walras=None) -> None:
     # CSV_ROW on Python numbers gives the text of f"{x:.17g}" value by value,
     # nan, inf and -0 included, at one format call per row.
-    missing = [float("nan")] * len(trace.iterates)
+    missing = [float("nan")] * trace.indices.size
 
     def column(values):
         return missing if values is None else np.asarray(values, dtype=float).tolist()
 
     columns = (
-        [k for k, _, _ in trace.iterates],
+        trace.indices.tolist(),
         trace.gaps.tolist(),
         column(feasibility),
         column(walras),
@@ -115,33 +112,32 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _maybe_rate_slope(trace: RunTrace) -> float | None:
+def _report(trace: RunTrace, config_echo: dict, normalized, certificate: tuple,
+            converged: bool) -> dict:
+    """Report fields every command writes; certificate is (feasibility, walras, gap)."""
+    feasibility, walras, gap_value = certificate
     try:
-        return rate_slope(trace)
+        slope = rate_slope(trace)
     except InsufficientData:
-        return None
+        slope = None
+    return {
+        "config_echo": config_echo,
+        "best_iter": trace.best_index,
+        "best_prices": trace.best_iterate.tolist(),
+        "normalized_equilibrium": None if normalized is None else normalized.tolist(),
+        "certificate": {"eps_feasibility": feasibility, "walras_residual": walras,
+                        "gap": gap_value},
+        "pathwise_L_max": pathwise_modulus(trace),
+        "rate_slope": slope,
+        "converged": converged,
+    }
 
 
 def _price_report(run: PriceRun, config_echo: dict, eps: float) -> dict:
     cert = run.certificate
-    report = {
-        "config_echo": config_echo,
-        "best_iter": int(run.trace.best_index),
-        "best_prices": [float(v) for v in run.trace.best_iterate],
-        "normalized_equilibrium": (
-            None
-            if run.normalized_equilibrium is None
-            else [float(v) for v in run.normalized_equilibrium]
-        ),
-        "certificate": {
-            "eps_feasibility": cert.eps_feasibility,
-            "walras_residual": cert.walras_residual,
-            "gap": cert.gap_value,
-        },
-        "pathwise_L_max": pathwise_modulus(run.trace),
-        "rate_slope": _maybe_rate_slope(run.trace),
-        "converged": cert.passes(eps),
-    }
+    report = _report(run.trace, config_echo, run.normalized_equilibrium,
+                     (cert.eps_feasibility, cert.walras_residual, cert.gap_value),
+                     cert.passes(eps))
     if run.minty_violation is not None:
         report["minty_violation"] = run.minty_violation
     return report
@@ -351,20 +347,12 @@ def vi_example_cmd(name, method, kernel_name, eta, iters, eps, stop_gap, lo_text
     hi = _parse_vector(hi_text) if hi_text else np.array(example["hi"])
     x0 = _parse_vector(x0_text) if x0_text else np.array(example["x0"])
     problem = VIProblem(set=box(lo, hi), operator=example["operator"](), operator_label=name)
-    kernel = _kernel_for(kernel_name)
     eta_value = _parse_eta(eta)
-    eta_used, backoff = resolve_step_size(problem, kernel, eta_value, seed)
-    config = SolverConfig(eta=eta_used, horizon=iters, kernel=kernel,
-                          record_every=record_every, stop_gap=stop_gap,
-                          modulus_backoff=backoff)
-    solve = mirror_extragradient_solve if method == "extragradient" else mirror_gradient_solve
-    trace = solve(problem, config, x0)
+    trace, eta_used = _solve_run(problem, _kernel_for(kernel_name), eta_value, iters, x0,
+                                 extragradient=method == "extragradient", stop_gap=stop_gap,
+                                 record_every=record_every, seed=seed)
     best_gap = float(trace.gaps[trace.best_position])
-    final_point = trace.iterates[-1][2]
-    try:
-        normalized = [float(v) for v in scale_to_equilibrium(trace.best_iterate)]
-    except DegenerateSolution:
-        normalized = None
+    final_point = trace.half_points[-1]
     echo = {
         "command": "vi-example",
         "name": name,
@@ -377,22 +365,14 @@ def vi_example_cmd(name, method, kernel_name, eta, iters, eps, stop_gap, lo_text
         "stop_gap": stop_gap,
         "seed": seed,
         "record_every": record_every,
-        "lo": [float(v) for v in lo],
-        "hi": [float(v) for v in hi],
-        "x0": [float(v) for v in x0],
+        "lo": lo.tolist(),
+        "hi": hi.tolist(),
+        "x0": x0.tolist(),
     }
-    report = {
-        "config_echo": echo,
-        "best_iter": int(trace.best_index),
-        "best_prices": [float(v) for v in trace.best_iterate],
-        "normalized_equilibrium": normalized,
-        "certificate": {"eps_feasibility": None, "walras_residual": None, "gap": best_gap},
-        "final_point": [float(v) for v in final_point],
-        "final_norm": float(np.linalg.norm(final_point)),
-        "pathwise_L_max": pathwise_modulus(trace),
-        "rate_slope": _maybe_rate_slope(trace),
-        "converged": best_gap <= eps,
-    }
+    report = _report(trace, echo, _normalized(trace.best_iterate), (None, None, best_gap),
+                     best_gap <= eps)
+    report["final_point"] = final_point.tolist()
+    report["final_norm"] = float(np.linalg.norm(final_point))
     _write_csv(csv_path, trace)
     _write_json(json_path, report)
     return 0 if best_gap <= eps else 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import EvaluationError, InvalidInput
 
 #: Absolute tolerance for set-membership checks everywhere in the library.
 MEMBERSHIP_TOL = 1e-12
@@ -136,7 +136,10 @@ def simplex_projection(v) -> np.ndarray:
 def _project_simplex(arr: np.ndarray) -> np.ndarray:
     u = np.sort(arr)[::-1]
     css = u.cumsum()
-    rho = int((u * np.arange(1.0, arr.size + 1.0) > css - 1.0).nonzero()[0][-1])
+    above = (u * np.arange(1.0, arr.size + 1.0) > css - 1.0).nonzero()[0]
+    if above.size == 0:  # only a non-finite point, say an overflowed prox target
+        raise EvaluationError("simplex projection of a non-finite point")
+    rho = int(above[-1])
     theta = (float(css[rho]) - 1.0) / (rho + 1.0)
     w = arr - theta
     np.maximum(w, 0.0, out=w)

@@ -8,6 +8,7 @@ per-iteration equilibrium residuals, and a certificate at the best iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,8 @@ def scale_to_equilibrium(p) -> np.ndarray:
 
 def recommended_step_size(n_goods: int, elasticity_bound: float, demand_bound: float) -> float:
     """Simplex-mode step size 1 / (2 * sqrt(2) * n * elasticity * demand bound)."""
-    if n_goods <= 0 or elasticity_bound <= 0.0 or demand_bound <= 0.0:
-        raise InvalidInput("recommended_step_size needs positive arguments")
+    if not all(0.0 < v < math.inf for v in (n_goods, elasticity_bound, demand_bound)):
+        raise InvalidInput("recommended_step_size needs positive finite arguments")
     return 1.0 / (2.0 * np.sqrt(2.0) * n_goods * elasticity_bound * demand_bound)
 
 
@@ -131,6 +132,8 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
     the simplex) because the modulus is only needed along iterate paths, which
     the floor/projection keep away from the boundary blow-up of Z.
     """
+    if pairs < 1:
+        raise InvalidInput(f"pairs must be >= 1, got {pairs}")
     rng = np.random.default_rng(seed)
     largest = 0.0
     for _ in range(pairs):
@@ -157,43 +160,44 @@ def auto_step_size(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS,
     return 1.0 / (2.0 * np.sqrt(2.0) * modulus)
 
 
-def resolve_step_size(problem: VIProblem, kernel: Kernel, eta, seed) -> tuple[float, bool]:
-    """Turn a run's eta, a positive number or 'auto', into (step size, backoff).
+def _normalized(x) -> np.ndarray | None:
+    """scale_to_equilibrium(x), or None for the all-zero vector."""
+    try:
+        return scale_to_equilibrium(x)
+    except DegenerateSolution:
+        return None
 
-    'auto' probes the modulus (auto_step_size with this seed) and turns on
-    modulus backoff; a number is used as given, without backoff.
+
+def _solve_run(problem: VIProblem, kernel: Kernel, eta, horizon: int, x0, *,
+               extragradient: bool, stop_gap: float | None, record_every: int,
+               seed) -> tuple[RunTrace, float]:
+    """Resolve eta, solve, and return (trace, the step size the run started with).
+
+    eta is a positive number, used as given, or 'auto', which probes the
+    modulus (auto_step_size with this seed) and turns on modulus backoff.
     """
-    if isinstance(eta, str):
+    backoff = isinstance(eta, str)
+    if backoff:
         if eta != "auto":
             raise InvalidInput(f"eta must be a positive number or 'auto', got {eta!r}")
-        return auto_step_size(problem, kernel, seed=seed), True
-    return float(eta), False
+        eta = auto_step_size(problem, kernel, seed=seed)
+    config = SolverConfig(eta=float(eta), horizon=horizon, kernel=kernel,
+                          record_every=record_every, stop_gap=stop_gap,
+                          modulus_backoff=backoff)
+    solve = mirror_extragradient_solve if extragradient else mirror_gradient_solve
+    return solve(problem, config, x0), config.eta
 
 
 def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
          extragradient: bool, stop_gap: float | None, record_every: int, seed) -> PriceRun:
     """Solve (space, -Z); the certificate is read from the best iterate's record."""
     problem = _price_problem(economy, space)
-    eta_value, backoff = resolve_step_size(problem, kernel, eta, seed)
-    config = SolverConfig(
-        eta=eta_value,
-        horizon=horizon,
-        kernel=kernel,
-        record_every=record_every,
-        stop_gap=stop_gap,
-        modulus_backoff=backoff,
-    )
-    solve = mirror_extragradient_solve if extragradient else mirror_gradient_solve
-    trace = solve(problem, config, p0)
-
+    trace, eta_used = _solve_run(problem, kernel, eta, horizon, p0, extragradient=extragradient,
+                                 stop_gap=stop_gap, record_every=record_every, seed=seed)
     best = trace.best_position
     certificate = EquilibriumCertificate(float(trace.infeasibility[best]),
                                          float(trace.complementarity[best]),
                                          float(trace.gaps[best]))
-    try:
-        normalized = scale_to_equilibrium(trace.best_iterate)
-    except DegenerateSolution:
-        normalized = None
     minty = None
     if space.kind == SIMPLEX:
         minty = minty_certificate(problem, trace.best_iterate, MINTY_SAMPLES, seed)[0]
@@ -202,8 +206,8 @@ def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
         price_space=space,
         trace=trace,
         certificate=certificate,
-        normalized_equilibrium=normalized,
-        eta=eta_value,
+        normalized_equilibrium=_normalized(trace.best_iterate),
+        eta=eta_used,
         minty_violation=minty,
     )
 

@@ -76,8 +76,8 @@ class SolverConfig:
     modulus_backoff: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.eta > 0.0):
-            raise InvalidInput(f"eta must be positive, got {self.eta}")
+        if not (0.0 < self.eta < math.inf):
+            raise InvalidInput(f"eta must be positive and finite, got {self.eta}")
         if self.horizon < 1:
             raise InvalidInput(f"horizon must be >= 1, got {self.horizon}")
         if self.record_every < 1:
@@ -86,26 +86,26 @@ class SolverConfig:
 
 @dataclass
 class RunTrace:
-    """Recorded trajectory of a solver run.
+    """Recorded trajectory of a solver run: one array row per record.
 
-    iterates holds (k, x_k, x_{k+0.5}) triples at the recording cadence; the
-    mirror gradient method stores x_{k+1} in the half slot (see `method`).
-    best_index is the absolute iteration index minimizing D_h(x_{k+0.5}, x_k)
-    among recorded iterations, lowest index on ties; best_iterate is that
-    iteration's x_{k+0.5}, and best_position its record's position. gaps,
-    complementarity |<F, x>| and infeasibility max(-min_j F_j, 0) hold one
-    value per record at x_{k+0.5}: for F = -Z they are the certificate's gap,
-    Walras and feasibility residuals, with no further evaluation of F.
+    indices (R,) holds each record's iteration k, points (R, n) its x_k and
+    half_points (R, n) its x_{k+0.5}; the mirror gradient method stores
+    x_{k+1} in the half slot (see `method`), and iterates derives (k, x_k,
+    x_{k+0.5}) triples from the three. gaps, complementarity |<F, x>| and
+    infeasibility max(-min_j F_j, 0) hold one value per record at x_{k+0.5}:
+    for F = -Z they are the certificate's gap, Walras and feasibility
+    residuals, with no further evaluation of F. The best record is
+    best_position; best_index and best_iterate are its k and x_{k+0.5}.
     """
 
     method: str
-    iterates: list[tuple[int, np.ndarray, np.ndarray]]
+    indices: np.ndarray
+    points: np.ndarray
+    half_points: np.ndarray
     gaps: np.ndarray
     divergences: np.ndarray
     operator_deltas: np.ndarray
     modulus_samples: np.ndarray
-    best_index: int
-    best_iterate: np.ndarray
     wall_time: float
     elapsed: np.ndarray
     converged: bool = False
@@ -114,23 +114,26 @@ class RunTrace:
     infeasibility: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
-    def indices(self) -> np.ndarray:
-        """Absolute iteration indices of the recorded iterations."""
-        return np.array([k for k, _, _ in self.iterates], dtype=int)
+    def iterates(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """The records as (k, x_k, x_{k+0.5}) triples."""
+        return list(zip(self.indices.tolist(), self.points, self.half_points))
 
     @property
     def best_position(self) -> int:
-        """Position of best_iterate's record in gaps, divergences and the rest."""
-        return _best_position(self.divergences)
+        """The best record: least D_h(x_{k+0.5}, x_k), the earliest one on ties."""
+        return int(np.argmin(self.divergences))
+
+    @property
+    def best_index(self) -> int:
+        return int(self.indices[self.best_position])
+
+    @property
+    def best_iterate(self) -> np.ndarray:
+        return self.half_points[self.best_position]
 
     @property
     def final_gap(self) -> float:
         return float(self.gaps[-1])
-
-
-def _best_position(divergences) -> int:
-    """The best record: least D_h(x_{k+0.5}, x_k), the earliest one on ties."""
-    return int(np.argmin(divergences))
 
 
 def _residuals(space: FeasibleSet, x: np.ndarray, fx: np.ndarray) -> tuple[float, float, float]:
@@ -160,7 +163,9 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         raise InvalidInput("x0 lies outside the feasible set")
 
     start = time.perf_counter()
-    iterates: list[tuple[int, np.ndarray, np.ndarray]] = []
+    indices: list[int] = []
+    points: list[np.ndarray] = []
+    half_points: list[np.ndarray] = []
     residuals: list[tuple[float, float, float]] = []
     divergences: list[float] = []
     deltas: list[float] = []
@@ -191,7 +196,9 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
             delta = math.sqrt(d.dot(d))
             residual = _residuals(space, x_half, f_half)
             sample = delta / math.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
-            iterates.append((k, x, x_half))
+            indices.append(k)
+            points.append(x)
+            half_points.append(x_half)
             residuals.append(residual)
             divergences.append(div)
             deltas.append(delta)
@@ -207,17 +214,16 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         x = x_next
         fx = None if extragradient else f_half
 
-    best_pos = _best_position(divergences)
     gaps, complementarity, infeasibility = np.array(list(zip(*residuals)))
     return RunTrace(
         method=MIRROR_EXTRAGRADIENT if extragradient else MIRROR_GRADIENT,
-        iterates=iterates,
+        indices=np.array(indices),
+        points=np.array(points),
+        half_points=np.array(half_points),
         gaps=gaps,
         divergences=np.array(divergences),
         operator_deltas=np.array(deltas),
         modulus_samples=np.array(samples),
-        best_index=iterates[best_pos][0],
-        best_iterate=iterates[best_pos][2],
         wall_time=time.perf_counter() - start,
         elapsed=np.array(elapsed),
         converged=converged,
@@ -308,7 +314,7 @@ def rate_slope(trace: RunTrace) -> float:
     margin) is consistent with the guarantee. Entries after the running min
     reaches zero or below are dropped (their logs are undefined).
     """
-    if len(trace.iterates) == 0:
+    if trace.indices.size == 0:
         raise InsufficientData("trace has no recorded iterations")
     running = np.minimum.accumulate(trace.gaps)
     positive = running > 0.0

@@ -319,6 +319,11 @@ def test_sweep_rows_match_reference_text(tmp_path, monkeypatch):
 def test_error_exit_codes(tmp_path):
     assert main(["sweep", "--seeds", ",", "--out-dir", str(tmp_path / "x")]) == 1
     assert main(["scarf", "--eta", "-0.5"]) == 1
+    # A step size that overflows the prox, or is not finite, is an error too.
+    for eta in ("inf", "1e308"):
+        files = ["--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["scarf", "--eta", eta] + files) == 1
     assert main(["no-such-command"]) == 1
     assert main(["scarf", "--p0", "0.5,abc"]) == 1
     assert main(["economy", "--file", str(tmp_path / "missing.json")]) == 1
@@ -380,16 +385,15 @@ def test_write_csv_matches_reference_text(tmp_path):
     special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-308,
                         1.7976931348623157e308, 0.1, 1.0 / 3.0, -12345.678, 1e-17])
     n = special.size
-    dummy = np.zeros(2)
     synthetic = RunTrace(
         method="mirror_extragradient",
-        iterates=[(10 * k, dummy, dummy) for k in range(n)],
+        indices=10 * np.arange(n),
+        points=np.zeros((n, 2)),
+        half_points=np.zeros((n, 2)),
         gaps=special,
         divergences=np.roll(special, 1),
         operator_deltas=special,
         modulus_samples=np.roll(special, 2),
-        best_index=0,
-        best_iterate=dummy,
         wall_time=0.0,
         elapsed=np.roll(special, 3),
     )

@@ -280,7 +280,8 @@ def test_recommended_step_size_formula():
         recommended_step_size(3, 1.0, 1.0) / 2.0,
         rtol=1e-15,
     )
-    for bad in [(0, 1.0, 1.0), (3, 0.0, 1.0), (3, 1.0, -1.0)]:
+    for bad in [(0, 1.0, 1.0), (3, 0.0, 1.0), (3, 1.0, -1.0), (3, np.nan, 1.0),
+                (3, np.inf, 1.0), (3, 1.0, np.nan)]:
         with pytest.raises(InvalidInput):
             recommended_step_size(*bad)
 
@@ -298,6 +299,11 @@ def test_probe_modulus_and_auto_step():
         auto_step_size(identity, EUC), 1.0 / (2.0 * np.sqrt(2.0)), rtol=1e-12
     )
     assert probe_modulus(identity, EUC, seed=3) == probe_modulus(identity, EUC, seed=3)
+    for pairs in (0, -1):
+        with pytest.raises(InvalidInput):
+            probe_modulus(identity, EUC, pairs)
+        with pytest.raises(InvalidInput):
+            auto_step_size(identity, EUC, pairs)
 
 
 def test_auto_step_plumbing_and_validation():

@@ -50,16 +50,15 @@ def scarf_problem(space) -> VIProblem:
 def synthetic_trace(gaps) -> RunTrace:
     gaps = np.asarray(gaps, dtype=float)
     n = gaps.size
-    dummy = np.zeros(2)
     return RunTrace(
         method="mirror_extragradient",
-        iterates=[(k, dummy, dummy) for k in range(n)],
+        indices=np.arange(n),
+        points=np.zeros((n, 2)),
+        half_points=np.zeros((n, 2)),
         gaps=gaps,
         divergences=np.ones(n),
         operator_deltas=np.ones(n),
         modulus_samples=np.ones(n),
-        best_index=0,
-        best_iterate=dummy,
         wall_time=0.0,
         elapsed=np.zeros(n),
     )
@@ -84,6 +83,8 @@ def test_solver_config_validation():
         SolverConfig(eta=0.0, horizon=10, kernel=EUC)
     with pytest.raises(InvalidInput):
         SolverConfig(eta=-0.1, horizon=10, kernel=EUC)
+    with pytest.raises(InvalidInput):
+        SolverConfig(eta=np.inf, horizon=10, kernel=EUC)
     with pytest.raises(InvalidInput):
         SolverConfig(eta=0.1, horizon=0, kernel=EUC)
     with pytest.raises(InvalidInput):
@@ -391,6 +392,31 @@ def test_best_iterate_minimizes_divergence_with_lowest_tie():
     assert pos == zeros[0]
 
 
+@pytest.mark.parametrize("solve", [mirror_gradient_solve, mirror_extragradient_solve],
+                         ids=["gradient", "extragradient"])
+@pytest.mark.parametrize("space", [box(np.full(3, 0.1), np.ones(3)), simplex(3)],
+                         ids=["box", "simplex"])
+@pytest.mark.parametrize("kernel", [EUC, negative_entropy()], ids=["euclidean", "entropy"])
+def test_trace_records_are_arrays_and_iterates_is_their_view(solve, space, kernel):
+    config = SolverConfig(eta=0.05, horizon=40, kernel=kernel, record_every=3)
+    trace = solve(scarf_problem(space), config, np.array([0.5, 0.3, 0.2]))
+    records = 14  # k = 0, 3, ..., 39
+    assert trace.indices.shape == (records,) and trace.indices.dtype.kind == "i"
+    np.testing.assert_array_equal(trace.indices, np.arange(0, 40, 3))
+    for values in (trace.points, trace.half_points):
+        assert values.shape == (records, 3) and values.dtype == np.float64
+    iterates = trace.iterates
+    assert len(iterates) == records
+    for i, (k, x, x_half) in enumerate(iterates):
+        assert type(k) is int and k == trace.indices[i]
+        np.testing.assert_array_equal(x, trace.points[i])
+        np.testing.assert_array_equal(x_half, trace.half_points[i])
+    pos = trace.best_position
+    assert pos == int(np.argmin(trace.divergences))
+    assert trace.best_index == trace.indices[pos]
+    np.testing.assert_array_equal(trace.best_iterate, trace.half_points[pos])
+
+
 def test_gradient_trace_stores_next_iterate_in_half_slot():
     config = SolverConfig(eta=0.05, horizon=30, kernel=EUC)
     trace = mirror_gradient_solve(rotation_problem(), config, np.array([1.0, 0.0]))
@@ -398,6 +424,7 @@ def test_gradient_trace_stores_next_iterate_in_half_slot():
         np.testing.assert_array_equal(
             trace.iterates[k][2], trace.iterates[k + 1][1]
         )
+    np.testing.assert_array_equal(trace.points[1:], trace.half_points[:-1])
 
 
 def test_trace_iterates_stay_feasible_and_timing_monotone():
