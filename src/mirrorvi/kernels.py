@@ -114,18 +114,53 @@ def simplex(n: int) -> FeasibleSet:
     return FeasibleSet(SIMPLEX, int(n))
 
 
-def bregman_divergence(kernel: Kernel, x, y) -> float:
-    """D_h(x, y) = h(x) - h(y) - <grad h(y), x - y>, nonnegative by convexity."""
-    x_arr = _require_finite(_as_vector(x, "x"), "x")
-    y_arr = _require_finite(_as_vector(y, "y"), "y")
+def bregman_divergence(kernel: Kernel, x, y) -> float | np.ndarray:
+    """D_h(x, y) = h(x) - h(y) - <grad h(y), x - y>, nonnegative by convexity.
+
+    For vectors x and y it returns a float. For (k, n) stacks it returns the
+    k row divergences D_h(x_i, y_i) as an array, each equal to the vector call
+    bit for bit.
+    """
+    x_arr = _require_finite(_as_points(x, "x"), "x")
+    y_arr = _require_finite(_as_points(y, "y"), "y")
     if x_arr.shape != y_arr.shape:
         raise InvalidInput(f"dimension mismatch: {x_arr.shape} vs {y_arr.shape}")
+    div = _divergence(kernel, x_arr, y_arr)
+    return float(div) if x_arr.ndim == 1 else div
+
+
+def _as_points(x, name: str) -> np.ndarray:
+    """A vector or a (k, n) stack of points, as C-ordered floats so that every
+    row is contiguous and reduces as a vector does."""
+    arr = np.asarray(x, dtype=float, order="C")
+    if arr.ndim not in (1, 2):
+        raise InvalidInput(f"{name} must be a vector or a (k, n) stack, got shape {arr.shape}")
+    return arr
+
+
+def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
+    """bregman_divergence without its checks: x and y must be finite C-ordered
+    float arrays of one shape, a vector (giving a numpy float) or a (k, n)
+    stack (giving k values)."""
     if kernel.kind == EUCLIDEAN:
-        d = x_arr - y_arr
-        return float(0.5 * d.dot(d))
-    xf = np.maximum(x_arr, kernel.floor)
-    yf = np.maximum(y_arr, kernel.floor)
-    return float((xf * np.log(xf / yf) - xf + yf).sum())
+        d = x - y
+        if d.ndim == 1:
+            return 0.5 * d.dot(d)
+        # matmul runs one dot per row, so each row equals the vector's d.dot(d)
+        # bit for bit; a sum of squares along the axis rounds differently.
+        return 0.5 * np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    # xf*log(xf/yf) - xf + yf, in place in two arrays; the buffer of xf takes
+    # yf again for the last addition. Each row sums along the last axis
+    # pairwise, as a vector's sum does.
+    nu = kernel.floor
+    xf = np.maximum(x, nu)
+    t = np.maximum(y, nu)
+    np.divide(xf, t, out=t)
+    np.log(t, out=t)
+    t *= xf
+    t -= xf
+    t += np.maximum(y, nu, out=xf)
+    return t.sum(axis=-1)
 
 
 def simplex_projection(v) -> np.ndarray:

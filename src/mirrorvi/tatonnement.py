@@ -119,10 +119,12 @@ def recommended_step_size(n_goods: int, elasticity_bound: float, demand_bound: f
     return 1.0 / (2.0 * np.sqrt(2.0) * n_goods * elasticity_bound * demand_bound)
 
 
-def _interior_sample(rng: np.random.Generator, space: FeasibleSet) -> np.ndarray:
+def _interior_samples(rng: np.random.Generator, space: FeasibleSet, count: int) -> np.ndarray:
+    """count interior points in one generator call, the same points as drawing
+    them one at a time."""
     if space.kind == BOX:
-        return space.lo + (space.hi - space.lo) * rng.beta(2.0, 2.0, space.n)
-    return rng.dirichlet(np.full(space.n, 2.0))
+        return space.lo + (space.hi - space.lo) * rng.beta(2.0, 2.0, (count, space.n))
+    return rng.dirichlet(np.full(space.n, 2.0), count)
 
 
 def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, seed=0) -> float:
@@ -130,20 +132,21 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
 
     Sampling is interior-biased (Beta(2,2) per box coordinate; Dirichlet(2) on
     the simplex) because the modulus is only needed along iterate paths, which
-    the floor/projection keep away from the boundary blow-up of Z.
+    the floor/projection keep away from the boundary blow-up of Z. The pairs
+    (x, y) are drawn x first, then y; all divergences come from one stacked
+    call, and each pair with a nondegenerate divergence is evaluated at x,
+    then at y.
     """
     if pairs < 1:
         raise InvalidInput(f"pairs must be >= 1, got {pairs}")
     rng = np.random.default_rng(seed)
+    points = _interior_samples(rng, problem.set, 2 * pairs)
+    xs, ys = points[0::2], points[1::2]
+    divergences = bregman_divergence(kernel, xs, ys)
     largest = 0.0
-    for _ in range(pairs):
-        x = _interior_sample(rng, problem.set)
-        y = _interior_sample(rng, problem.set)
-        div = bregman_divergence(kernel, x, y)
-        if div <= 1e-16:
-            continue
-        delta = float(np.linalg.norm(problem.evaluate(x) - problem.evaluate(y)))
-        largest = max(largest, delta / np.sqrt(2.0 * div))
+    for i in np.flatnonzero(divergences > 1e-16):
+        delta = float(np.linalg.norm(problem.evaluate(xs[i]) - problem.evaluate(ys[i])))
+        largest = max(largest, delta / np.sqrt(2.0 * divergences[i]))
     return largest
 
 

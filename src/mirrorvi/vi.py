@@ -21,6 +21,7 @@ from .kernels import (
     SIMPLEX,
     FeasibleSet,
     Kernel,
+    _divergence,
     _linear_max,
     _prox,
     bregman_divergence,
@@ -62,10 +63,13 @@ class VIProblem:
 class SolverConfig:
     """Step size, horizon, kernel, and recording/stopping options for a run.
 
-    With modulus_backoff enabled, the step size is halved whenever a recorded
+    eta must be positive with a finite effective Euclidean step 2 * eta. With
+    modulus_backoff enabled, the step size is halved whenever a recorded
     iteration's modulus sample exceeds 1/(2 * sqrt(2) * current step): the
     effective Euclidean step is twice eta, so this keeps the run within the
-    pathwise step-size condition 2 * eta <= 1/(sqrt(2) * L).
+    pathwise step-size condition 2 * eta <= 1/(sqrt(2) * L). Only then does
+    the loop take a record's divergence itself; otherwise every record's
+    divergence and sample are computed in one stacked call after the loop.
     """
 
     eta: float
@@ -76,8 +80,10 @@ class SolverConfig:
     modulus_backoff: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eta < math.inf):
-            raise InvalidInput(f"eta must be positive and finite, got {self.eta}")
+        # 0 < eta, and the effective step 2*eta finite (so NaN and inf fail too).
+        if not (0.0 < self.eta and 2.0 * self.eta < math.inf):
+            raise InvalidInput(
+                f"eta must be positive with a finite effective step 2*eta, got {self.eta}")
         if self.horizon < 1:
             raise InvalidInput(f"horizon must be >= 1, got {self.horizon}")
         if self.record_every < 1:
@@ -94,8 +100,12 @@ class RunTrace:
     x_{k+0.5}) triples from the three. gaps, complementarity |<F, x>| and
     infeasibility max(-min_j F_j, 0) hold one value per record at x_{k+0.5}:
     for F = -Z they are the certificate's gap, Walras and feasibility
-    residuals, with no further evaluation of F. The best record is
-    best_position; best_index and best_iterate are its k and x_{k+0.5}.
+    residuals, with no further evaluation of F. divergences D_h(x_{k+0.5},
+    x_k) and modulus_samples come from one stacked bregman_divergence call
+    over half_points and points after the loop, equal to per-record vector
+    calls bit for bit; a record with D_h <= DEGENERATE_STEP_TOL has sample 0.
+    The best record is best_position; best_index and best_iterate are its k
+    and x_{k+0.5}.
     """
 
     method: str
@@ -167,9 +177,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     points: list[np.ndarray] = []
     half_points: list[np.ndarray] = []
     residuals: list[tuple[float, float, float]] = []
-    divergences: list[float] = []
     deltas: list[float] = []
-    samples: list[float] = []
     elapsed: list[float] = []
     converged = False
     eta = config.eta
@@ -190,40 +198,50 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
             f_half = problem.evaluate(x_half) if record else None
 
         if record:
-            div = bregman_divergence(kernel, x_half, x)
             # Record values from what the loop holds; numpy's 1-D norm is sqrt(d.dot(d)).
             d = f_half - fx
             delta = math.sqrt(d.dot(d))
             residual = _residuals(space, x_half, f_half)
-            sample = delta / math.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
             indices.append(k)
             points.append(x)
             half_points.append(x_half)
             residuals.append(residual)
-            divergences.append(div)
             deltas.append(delta)
-            samples.append(sample)
             elapsed.append(time.perf_counter() - start)
             if stop_gap is not None and residual[0] <= stop_gap:
                 converged = True
                 break
-            if backoff and sample > 1.0 / (2.0 * math.sqrt(2.0) * eta):
-                # The effective Euclidean step is 2*eta, so the step-size
-                # premise 2*eta <= 1/(sqrt(2)*L) caps the modulus at this value.
-                eta *= 0.5
+            if backoff:
+                # The same divergence and sample the trace records after the loop.
+                div = _divergence(kernel, x_half, x)
+                sample = delta / math.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
+                if sample > 1.0 / (2.0 * math.sqrt(2.0) * eta):
+                    # The effective Euclidean step is 2*eta, so the step-size
+                    # premise 2*eta <= 1/(sqrt(2)*L) caps the modulus at this value.
+                    eta *= 0.5
         x = x_next
         fx = None if extragradient else f_half
 
+    x_rows = np.array(points)
+    half_rows = np.array(half_points)
+    delta_rows = np.array(deltas)
+    # Every record's divergence in one stacked call, each row equal to the
+    # vector call; the square root is taken only where the sample is defined,
+    # since an entropy divergence can round slightly below zero.
+    divergences = bregman_divergence(kernel, half_rows, x_rows)
+    eligible = divergences > DEGENERATE_STEP_TOL
+    samples = np.zeros(divergences.size)
+    samples[eligible] = delta_rows[eligible] / np.sqrt(2.0 * divergences[eligible])
     gaps, complementarity, infeasibility = np.array(list(zip(*residuals)))
     return RunTrace(
         method=MIRROR_EXTRAGRADIENT if extragradient else MIRROR_GRADIENT,
         indices=np.array(indices),
-        points=np.array(points),
-        half_points=np.array(half_points),
+        points=x_rows,
+        half_points=half_rows,
         gaps=gaps,
-        divergences=np.array(divergences),
-        operator_deltas=np.array(deltas),
-        modulus_samples=np.array(samples),
+        divergences=divergences,
+        operator_deltas=delta_rows,
+        modulus_samples=samples,
         wall_time=time.perf_counter() - start,
         elapsed=np.array(elapsed),
         converged=converged,

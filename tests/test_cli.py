@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import click
 import numpy as np
@@ -316,14 +317,24 @@ def test_sweep_rows_match_reference_text(tmp_path, monkeypatch):
     assert lines[1:] == [_reference_sweep_row(out_dir, 3, 5, 3, 1e-4), "4,5,3,false,-1,nan"]
 
 
-def test_error_exit_codes(tmp_path):
+def test_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--seeds", ",", "--out-dir", str(tmp_path / "x")]) == 1
     assert main(["scarf", "--eta", "-0.5"]) == 1
     # A step size that overflows the prox, or is not finite, is an error too.
+    files = ["--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")]
     for eta in ("inf", "1e308"):
-        files = ["--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")]
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["scarf", "--eta", eta] + files) == 1
+    # A finite eta whose effective step 2*eta overflows is rejected by name
+    # before any step, so numpy never warns (a warning here raises).
+    capsys.readouterr()
+    for argv in (["scarf", "--space", "box"], ["scarf", "--kernel", "entropy"],
+                 ["vi-example", "rotation"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--eta", "1e308"] + files) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta ") and err.count("\n") == 1
     assert main(["no-such-command"]) == 1
     assert main(["scarf", "--p0", "0.5,abc"]) == 1
     assert main(["economy", "--file", str(tmp_path / "missing.json")]) == 1

@@ -330,6 +330,51 @@ def test_invalid_inputs_raise():
         bregman_divergence(k, np.array([1.0, 0.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("kernel", [squared_euclidean(), negative_entropy()],
+                         ids=[EUCLIDEAN, ENTROPY])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 50, 500])
+@pytest.mark.parametrize("k", [1, 2, 300])
+def test_stacked_divergence_matches_vector_calls_bit_for_bit(kernel, n, k):
+    # Each row of the (k, n) form must be the vector call's value as bytes,
+    # across the sizes where numpy's pairwise summation changes its blocking.
+    rng = np.random.default_rng(19)
+    scales = rng.choice([1e-6, 1.0, 1e3], (k, 1))
+    x = rng.uniform(0.0, 1.0, (k, n)) * scales
+    y = rng.dirichlet(np.full(n, 0.5), k)
+    # Zeros and entries below the entropy floor, in both arguments.
+    x[::2, ::3] = 0.0
+    y[1::2, ::2] = 0.0
+    x[1::3, 1::4] = 1e-12
+    y[::3, 1::3] = 1e-11
+    expected = np.array([bregman_divergence(kernel, xi, yi) for xi, yi in zip(x, y)])
+    for xs, ys in ((x, y), (np.asfortranarray(x), y), (x, np.asfortranarray(y))):
+        got = bregman_divergence(kernel, xs, ys)
+        assert got.shape == (k,)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_divergence_forms_and_invalid_stacks():
+    x = np.array([0.2, 0.3, 0.5])
+    y = np.array([0.1, 0.6, 0.3])
+    for k in (squared_euclidean(), negative_entropy()):
+        assert type(bregman_divergence(k, x, y)) is float
+        stack = np.array([x, y, x])
+        for bad in (np.nan, np.inf, -np.inf):
+            for row in range(3):
+                broken = stack.copy()
+                broken[row, 1] = bad
+                with pytest.raises(InvalidInput):
+                    bregman_divergence(k, broken, stack)
+                with pytest.raises(InvalidInput):
+                    bregman_divergence(k, stack, broken)
+        for a, b in ((stack, stack[:2]), (stack, x), (x, stack), (stack, stack[:, :2])):
+            with pytest.raises(InvalidInput):
+                bregman_divergence(k, a, b)
+        for bad in (np.float64(0.5), stack[None]):
+            with pytest.raises(InvalidInput):
+                bregman_divergence(k, bad, bad)
+
+
 @pytest.mark.parametrize(
     "space",
     [

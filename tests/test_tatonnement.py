@@ -20,6 +20,7 @@ from mirrorvi import (
     ScarfEconomy,
     VIProblem,
     auto_step_size,
+    bregman_divergence,
     box,
     equilibrium_certificate,
     generate_economy,
@@ -304,6 +305,53 @@ def test_probe_modulus_and_auto_step():
             probe_modulus(identity, EUC, pairs)
         with pytest.raises(InvalidInput):
             auto_step_size(identity, EUC, pairs)
+
+
+def _reference_probe_modulus(problem, kernel, pairs, seed):
+    # The probe drawing, measuring and evaluating one pair at a time.
+    rng = np.random.default_rng(seed)
+    space = problem.set
+    largest = 0.0
+    for _ in range(pairs):
+        if space.kind == "box":
+            x = space.lo + (space.hi - space.lo) * rng.beta(2.0, 2.0, space.n)
+            y = space.lo + (space.hi - space.lo) * rng.beta(2.0, 2.0, space.n)
+        else:
+            x = rng.dirichlet(np.full(space.n, 2.0))
+            y = rng.dirichlet(np.full(space.n, 2.0))
+        div = bregman_divergence(kernel, x, y)
+        if div <= 1e-16:
+            continue
+        delta = float(np.linalg.norm(problem.evaluate(x) - problem.evaluate(y)))
+        largest = max(largest, delta / np.sqrt(2.0 * div))
+    return largest
+
+
+@pytest.mark.parametrize("space", [box(np.full(3, 0.1), np.ones(3)), simplex(3), unit_box(50),
+                                   simplex(50)], ids=["box3", "simplex3", "box50", "simplex50"])
+@pytest.mark.parametrize("kernel", [EUC, ENT], ids=["euclidean", "entropy"])
+def test_probe_matches_looped_reference_bit_for_bit(space, kernel):
+    # One stacked draw and one stacked divergence call give the value, and
+    # the sequence of evaluated points, of the probe that went pair by pair.
+    if space.n == 3:
+        economy = ScarfEconomy()
+    else:
+        economy = generate_economy(GenSpec(seed=2, n_consumers=30, n_goods=50, mix={
+            "cobb_douglas": 0.5, "ces_substitutes": 0.25, "ces_complements": 0.25}))
+    def recording(seen):
+        def operator(p):
+            seen.append(p.copy())
+            return -economy.excess(p)
+        return VIProblem(space, operator)
+
+    for seed in (0, 5):
+        for pairs in (1, 7, 32):
+            seen, reference_seen = [], []
+            got = probe_modulus(recording(seen), kernel, pairs, seed)
+            expected = _reference_probe_modulus(recording(reference_seen), kernel, pairs, seed)
+            assert struct.pack("d", got) == struct.pack("d", expected)
+            assert np.array(seen).tobytes() == np.array(reference_seen).tobytes()
+            assert len(seen) == 2 * pairs
 
 
 def test_auto_step_plumbing_and_validation():

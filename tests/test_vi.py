@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,10 @@ from mirrorvi import (
     scarf_excess_demand,
     simplex,
     squared_euclidean,
+    unit_box,
 )
 from mirrorvi.kernels import _linear_max
+from mirrorvi.tatonnement import _solve_run
 from mirrorvi.vi import DEGENERATE_STEP_TOL
 
 EUC = squared_euclidean()
@@ -85,6 +89,9 @@ def test_solver_config_validation():
         SolverConfig(eta=-0.1, horizon=10, kernel=EUC)
     with pytest.raises(InvalidInput):
         SolverConfig(eta=np.inf, horizon=10, kernel=EUC)
+    with pytest.raises(InvalidInput, match="eta"):
+        # Finite, but its effective Euclidean step 2*eta overflows.
+        SolverConfig(eta=1e308, horizon=10, kernel=EUC)
     with pytest.raises(InvalidInput):
         SolverConfig(eta=0.1, horizon=0, kernel=EUC)
     with pytest.raises(InvalidInput):
@@ -484,30 +491,65 @@ def _mixed_price_problem(space) -> VIProblem:
     return VIProblem(space, lambda p: -economy.excess(p))
 
 
+def _steep_problem() -> VIProblem:
+    # A monotone affine field 50 times steeper along one axis: the probe's
+    # random pairs underestimate its modulus, so an 'auto' step backs off.
+    scale = np.array([50.0, 1.0, 1.0, 1.0, 1.0])
+    return VIProblem(unit_box(5), lambda x: scale * (x - 0.3))
+
+
 @pytest.mark.parametrize(
-    "problem,eta",
+    "problem,eta,record_every",
     [
-        (scarf_problem(simplex(3)), 0.05),
-        (scarf_problem(box(np.full(3, 0.1), np.ones(3))), 0.05),
-        (_mixed_price_problem(simplex(20)), 0.002),
-        (_mixed_price_problem(box(np.zeros(20), np.ones(20))), 0.002),
+        (scarf_problem(simplex(3)), 0.05, 3),
+        (scarf_problem(box(np.full(3, 0.1), np.ones(3))), 0.05, 3),
+        (_mixed_price_problem(simplex(20)), 0.002, 3),
+        (_mixed_price_problem(box(np.zeros(20), np.ones(20))), 0.002, 3),
+        (scarf_problem(simplex(3)), 0.05, 1),
+        (_mixed_price_problem(box(np.zeros(20), np.ones(20))), 0.002, 1),
+        (scarf_problem(simplex(3)), 0.05, 100),
+        (_mixed_price_problem(simplex(20)), 0.002, 100),
+        (_steep_problem(), "auto", 3),
+        (_steep_problem(), "auto", 1),
+        (_steep_problem(), "auto", 100),
     ],
-    ids=["scarf-simplex", "scarf-box", "mixed20-simplex", "mixed20-box"],
+    ids=["scarf-simplex", "scarf-box", "mixed20-simplex", "mixed20-box",
+         "scarf-simplex-every1", "mixed20-box-every1", "scarf-simplex-every100",
+         "mixed20-simplex-every100", "steep5-box-auto", "steep5-box-auto-every1",
+         "steep5-box-auto-every100"],
 )
 @pytest.mark.parametrize("kernel", [EUC, negative_entropy()], ids=["euclidean", "entropy"])
 @pytest.mark.parametrize("solve", [mirror_extragradient_solve, mirror_gradient_solve],
                          ids=["extragradient", "gradient"])
-def test_record_values_match_reference_bit_for_bit(problem, eta, kernel, solve):
+def test_record_values_match_reference_bit_for_bit(problem, eta, record_every, kernel, solve):
     # The loop records from the values it holds (sqrt(d.dot(d)) for the norm,
-    # -min(F) for the simplex support value); each record must equal the
-    # textbook expressions evaluated afresh at the recorded points.
+    # -min(F) for the simplex support value), and the divergences and modulus
+    # samples of all records come from one stacked call after the loop; each
+    # record must equal the textbook expressions evaluated afresh at the
+    # recorded points. An 'auto' step runs with backoff, which takes its
+    # divergences inside the loop, and must halve at least once.
     space = problem.set
     if space.kind == "simplex":
         x0 = np.full(space.n, 1.0 / space.n)
     else:
         x0 = (space.lo + space.hi) / 2.0
     x0 = x0 + np.linspace(-0.3, 0.3, space.n) / space.n
-    trace = solve(problem, SolverConfig(eta=eta, horizon=60, kernel=kernel, record_every=3), x0)
+    horizon = 20 * record_every
+    if eta == "auto":
+        trace, eta_used = _solve_run(problem, kernel, eta, horizon, x0,
+                                     extragradient=solve is mirror_extragradient_solve,
+                                     stop_gap=None, record_every=record_every, seed=0)
+        assert trace.final_eta < eta_used
+        # Replaying the backoff rule on the recorded samples, which come from
+        # the stacked call, gives the halvings the loop made on its own.
+        replayed = eta_used
+        for sample in trace.modulus_samples:
+            if sample > 1.0 / (2.0 * np.sqrt(2.0) * replayed):
+                replayed *= 0.5
+        assert replayed == trace.final_eta
+    else:
+        config = SolverConfig(eta=eta, horizon=horizon, kernel=kernel, record_every=record_every)
+        trace = solve(problem, config, x0)
     assert len(trace.iterates) == 20
     for i, (_, x, x_half) in enumerate(trace.iterates):
         fx = problem.evaluate(x)
@@ -523,3 +565,18 @@ def test_record_values_match_reference_bit_for_bit(problem, eta, kernel, solve):
                     max(-float(f_half.min()), 0.0)]
         # Compared as bytes, so that the sign of a zero counts too.
         assert np.array(recorded).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("backoff", [False, True], ids=["fixed", "backoff"])
+def test_entropy_divergences_below_zero_run_clean(backoff):
+    # Near the fixed point an entropy divergence rounds to a tiny negative
+    # value; its record gets sample 0, and no square root of it is taken.
+    problem = scarf_problem(simplex(3))
+    config = SolverConfig(eta=0.2, horizon=2000, kernel=negative_entropy(),
+                          modulus_backoff=backoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = mirror_extragradient_solve(problem, config, np.array([0.5, 0.3, 0.2]))
+    negative = trace.divergences < 0.0
+    assert negative.any()
+    assert (trace.modulus_samples[negative] == 0.0).all()
