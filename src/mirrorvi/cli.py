@@ -35,6 +35,7 @@ from .tatonnement import (
 )
 from .vi import (
     RunTrace,
+    SolverConfig,
     VIProblem,
     pathwise_modulus,
     rate_slope,
@@ -405,6 +406,13 @@ def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_na
         raise click.UsageError("--seeds must list at least one seed")
     mix = _parse_mix(mix_text)
     eta_value = _parse_eta(eta)
+    # The options every seed shares are checked once, before any file is
+    # written, so a bad one is one error and not a failed row per seed; seed
+    # 0 stands in for the seeds, whose own failures stay rows.
+    GenSpec(seed=0, n_consumers=n_consumers, n_goods=n_goods, mix=mix,
+            supply_total=supply_total)
+    SolverConfig(eta=1.0 if isinstance(eta_value, str) else eta_value, horizon=iters,
+                 kernel=_kernel_for(kernel_name), record_every=record_every)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["seed,n_consumers,n_goods,converged,iters_to_eps,pathwise_L_max"]

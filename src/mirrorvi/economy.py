@@ -11,6 +11,7 @@ demand, and two-point elasticities.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -47,8 +48,9 @@ def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
         raise InvalidInput(f"expected {n} prices, got {arr.shape[-1]}")
     # One pass each for the smallest and largest entry tests both finiteness
     # and sign (a NaN fails both comparisons); the messages are sorted out
-    # only when a price is bad.
-    if arr.size and not (0.0 <= arr.min() and arr.max() < np.inf):
+    # only when a price is bad. ufunc.reduce is what min and max call.
+    if arr.size and not (0.0 <= np.minimum.reduce(arr, axis=None)
+                         and np.maximum.reduce(arr, axis=None) < np.inf):
         if not np.isfinite(arr).all():
             raise InvalidInput("prices must be finite")
         raise InvalidInput("prices must be nonnegative")
@@ -438,10 +440,23 @@ def scarf_excess_demand(p, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
     price row. Prices are checked like an exchange economy's: finite and
     nonnegative.
     """
+    if type(p) is np.ndarray and p.shape == (3,) and p.dtype == np.float64:
+        # A single float vector is checked and floored on its Python floats,
+        # which do the same IEEE operations as numpy scalars at a fraction of
+        # the call cost. 0 <= q < inf fails for exactly the entries that
+        # _as_prices rejects (a NaN fails both comparisons), which then
+        # raises its message below; q if q > floor else floor is
+        # np.maximum(q, floor), which keeps the floor on ties and NaN floors.
+        q1, q2, q3 = p.tolist()
+        if 0.0 <= q1 < math.inf and 0.0 <= q2 < math.inf and 0.0 <= q3 < math.inf:
+            return _scarf_rows(q1 if q1 > floor else floor, q2 if q2 > floor else floor,
+                               q3 if q3 > floor else floor)
     q = np.maximum(_as_prices(p, 3, batch=True), floor)
-    # A single vector is unpacked into Python floats, which do the same IEEE
-    # operations as numpy scalars at a fraction of the call cost.
-    q1, q2, q3 = q.tolist() if q.ndim == 1 else q.T
+    return _scarf_rows(*(q.tolist() if q.ndim == 1 else q.T))
+
+
+def _scarf_rows(q1, q2, q3) -> np.ndarray:
+    """Scarf excess demand at floored prices: floats, or the columns of a stack."""
     a = q1 / (q1 + q2)
     b = q3 / (q1 + q3)
     c = q2 / (q2 + q3)

@@ -144,11 +144,8 @@ def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
     stack (giving k values)."""
     if kernel.kind == EUCLIDEAN:
         d = x - y
-        if d.ndim == 1:
-            return 0.5 * d.dot(d)
-        # matmul runs one dot per row, so each row equals the vector's d.dot(d)
-        # bit for bit; a sum of squares along the axis rounds differently.
-        return 0.5 * np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+        # A sum of squares along the axis would round differently from d.dot(d).
+        return 0.5 * (d.dot(d) if d.ndim == 1 else _row_dots(d, d))
     # xf*log(xf/yf) - xf + yf, in place in two arrays; the buffer of xf takes
     # yf again for the last addition. Each row sums along the last axis
     # pairwise, as a vector's sum does.
@@ -163,14 +160,24 @@ def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
     return t.sum(axis=-1)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for each row of two C-ordered (k, n) stacks, each equal to the
+    vector's a_i.dot(b_i) bit for bit: matmul runs one dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def simplex_projection(v) -> np.ndarray:
     """Euclidean projection onto the unit simplex via sort-and-threshold."""
     return _project_simplex(_require_finite(_as_vector(v, "v"), "v"))
 
 
 def _project_simplex(arr: np.ndarray) -> np.ndarray:
-    u = np.sort(arr)[::-1]
-    css = u.cumsum()
+    # ndarray.sort on a copy, np.add.accumulate and ufunc.reduce are what
+    # np.sort, cumsum and sum call, minus a Python frame each.
+    u = arr.copy()
+    u.sort()
+    u = u[::-1]
+    css = np.add.accumulate(u)
     above = (u * np.arange(1.0, arr.size + 1.0) > css - 1.0).nonzero()[0]
     if above.size == 0:  # only a non-finite point, say an overflowed prox target
         raise EvaluationError("simplex projection of a non-finite point")
@@ -178,7 +185,7 @@ def _project_simplex(arr: np.ndarray) -> np.ndarray:
     theta = (float(css[rho]) - 1.0) / (rho + 1.0)
     w = arr - theta
     np.maximum(w, 0.0, out=w)
-    w /= w.sum()
+    w /= np.add.reduce(w)
     return w
 
 
@@ -215,12 +222,12 @@ def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
     if space.kind == SIMPLEX:
         w = np.log(np.maximum(x0, nu))
         w -= (2.0 * eta) * g
-        w -= w.max()
+        w -= np.maximum.reduce(w)
         np.exp(w, out=w)
-        w /= w.sum()
-        if w.min() < nu:
+        w /= np.add.reduce(w)
+        if np.minimum.reduce(w) < nu:
             np.maximum(w, nu, out=w)
-            w /= w.sum()
+            w /= np.add.reduce(w)
         return w
     lo_eff = np.maximum(space.lo, nu)
     logw = np.log(np.maximum(x0, lo_eff)) - (2.0 * eta) * g

@@ -24,6 +24,7 @@ from .kernels import (
     _divergence,
     _linear_max,
     _prox,
+    _row_dots,
     bregman_divergence,
     mirror_step,  # noqa: F401  (not called here; benchmarks/tracing.py patches vi.mirror_step)
 )
@@ -68,8 +69,10 @@ class SolverConfig:
     iteration's modulus sample exceeds 1/(2 * sqrt(2) * current step): the
     effective Euclidean step is twice eta, so this keeps the run within the
     pathwise step-size condition 2 * eta <= 1/(sqrt(2) * L). Only then does
-    the loop take a record's divergence itself; otherwise every record's
-    divergence and sample are computed in one stacked call after the loop.
+    the loop take a record's divergence and sample itself, and only with
+    stop_gap set does it take a record's gap, for the stop test; the trace's
+    residuals, divergences and samples are computed in stacked calls after
+    the loop, equal to the loop's own values bit for bit.
     """
 
     eta: float
@@ -100,12 +103,15 @@ class RunTrace:
     x_{k+0.5}) triples from the three. gaps, complementarity |<F, x>| and
     infeasibility max(-min_j F_j, 0) hold one value per record at x_{k+0.5}:
     for F = -Z they are the certificate's gap, Walras and feasibility
-    residuals, with no further evaluation of F. divergences D_h(x_{k+0.5},
-    x_k) and modulus_samples come from one stacked bregman_divergence call
-    over half_points and points after the loop, equal to per-record vector
-    calls bit for bit; a record with D_h <= DEGENERATE_STEP_TOL has sample 0.
-    The best record is best_position; best_index and best_iterate are its k
-    and x_{k+0.5}.
+    residuals, with no further evaluation of F. The loop takes
+    operator_deltas ||F(x_{k+0.5}) - F(x_k)|| and keeps the F(x_{k+0.5})
+    rows; the other values are computed after it, each equal to the
+    per-record vector call bit for bit: the three residuals from one stacked
+    _residuals call over those rows, and divergences D_h(x_{k+0.5}, x_k) and
+    modulus_samples from one stacked bregman_divergence call over
+    half_points and points; a record with D_h <= DEGENERATE_STEP_TOL has
+    sample 0. The best record is best_position; best_index and best_iterate
+    are its k and x_{k+0.5}.
     """
 
     method: str
@@ -146,17 +152,32 @@ class RunTrace:
         return float(self.gaps[-1])
 
 
-def _residuals(space: FeasibleSet, x: np.ndarray, fx: np.ndarray) -> tuple[float, float, float]:
+def _residuals(space: FeasibleSet, x: np.ndarray, fx: np.ndarray):
     """Strong gap, |<F(x), x>| and max(-min_j F_j(x), 0) from a checked fx = F(x).
 
-    On the simplex the support value max_y <-F(x), y> is -min_j F_j(x); it
-    equals linear_max's value up to the sign of a zero minimum, which could
-    differ only if F had zeros of both signs there (-Z has no +0.0 entries).
+    For vectors x and fx it returns three floats. For C-ordered (k, n) stacks
+    it returns three arrays of k values, each equal to the vector call at
+    that row bit for bit: the row dots go through kernels._row_dots, one
+    matmul dot per row, and the minimum is taken along each row. On the
+    simplex the support value max_y <-F(x), y> is -min_j F_j(x); it equals
+    linear_max's value up to the sign of a zero minimum, which could differ
+    only if F had zeros of both signs there (-Z has no +0.0 entries).
     """
-    lowest = float(fx.min())
-    value = -lowest if space.kind == SIMPLEX else _linear_max(space, -fx)[0]
-    inner = float(fx.dot(x))
-    return inner + value, abs(inner), max(-lowest, 0.0)
+    if x.ndim == 1:
+        lowest = float(fx.min())
+        value = -lowest if space.kind == SIMPLEX else _linear_max(space, -fx)[0]
+        inner = float(fx.dot(x))
+        return inner + value, abs(inner), max(-lowest, 0.0)
+    lowest = np.minimum.reduce(fx, axis=1)
+    if space.kind == SIMPLEX:
+        value = -lowest
+    else:
+        c = -fx
+        value = _row_dots(c, np.where(c > 0.0, space.hi, space.lo))
+    inner = _row_dots(fx, x)
+    # max(a, 0.0) keeps a unless 0.0 > a, so a zero keeps its sign as in the vector call.
+    neg = -lowest
+    return inner + value, np.abs(inner), np.where(0.0 > neg, 0.0, neg)
 
 
 def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) -> RunTrace:
@@ -176,7 +197,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     indices: list[int] = []
     points: list[np.ndarray] = []
     half_points: list[np.ndarray] = []
-    residuals: list[tuple[float, float, float]] = []
+    half_values: list[np.ndarray] = []
     deltas: list[float] = []
     elapsed: list[float] = []
     converged = False
@@ -198,17 +219,19 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
             f_half = problem.evaluate(x_half) if record else None
 
         if record:
-            # Record values from what the loop holds; numpy's 1-D norm is sqrt(d.dot(d)).
+            # A record keeps its points, F(x_{k+0.5}) and the operator change
+            # (numpy's 1-D norm is sqrt(d.dot(d))); its residuals are computed
+            # after the loop. Only the stop test takes a gap here, equal to
+            # the one recorded.
             d = f_half - fx
             delta = math.sqrt(d.dot(d))
-            residual = _residuals(space, x_half, f_half)
             indices.append(k)
             points.append(x)
             half_points.append(x_half)
-            residuals.append(residual)
+            half_values.append(f_half)
             deltas.append(delta)
             elapsed.append(time.perf_counter() - start)
-            if stop_gap is not None and residual[0] <= stop_gap:
+            if stop_gap is not None and _residuals(space, x_half, f_half)[0] <= stop_gap:
                 converged = True
                 break
             if backoff:
@@ -225,6 +248,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     x_rows = np.array(points)
     half_rows = np.array(half_points)
     delta_rows = np.array(deltas)
+    gaps, complementarity, infeasibility = _residuals(space, half_rows, np.array(half_values))
     # Every record's divergence in one stacked call, each row equal to the
     # vector call; the square root is taken only where the sample is defined,
     # since an entropy divergence can round slightly below zero.
@@ -232,7 +256,6 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     eligible = divergences > DEGENERATE_STEP_TOL
     samples = np.zeros(divergences.size)
     samples[eligible] = delta_rows[eligible] / np.sqrt(2.0 * divergences[eligible])
-    gaps, complementarity, infeasibility = np.array(list(zip(*residuals)))
     return RunTrace(
         method=MIRROR_EXTRAGRADIENT if extragradient else MIRROR_GRADIENT,
         indices=np.array(indices),

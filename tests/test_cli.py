@@ -317,6 +317,23 @@ def test_sweep_rows_match_reference_text(tmp_path, monkeypatch):
     assert lines[1:] == [_reference_sweep_row(out_dir, 3, 5, 3, 1e-4), "4,5,3,false,-1,nan"]
 
 
+
+@pytest.mark.parametrize(
+    "option, message",
+    [(["--iters", "0"], "horizon must be >= 1, got 0"),
+     (["--record-every", "0"], "record_every must be >= 1, got 0"),
+     (["--mix", "leontief=2"], "mix proportions must sum to 1, got 2.0")],
+    ids=["iters", "record_every", "mix"])
+def test_sweep_rejects_shared_options_once_before_any_file(tmp_path, capsys, option, message):
+    # An option every seed shares is one error, exit 1, before the output
+    # directory exists; not a failed row per seed and exit 2.
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--seeds", "0,1,2", "--consumers", "4", "--goods", "3",
+            "--out-dir", str(out_dir)] + option
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
 def test_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--seeds", ",", "--out-dir", str(tmp_path / "x")]) == 1
     assert main(["scarf", "--eta", "-0.5"]) == 1

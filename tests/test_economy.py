@@ -277,6 +277,45 @@ def test_scarf_excess_demand_rows_match_single_calls():
         np.testing.assert_array_equal(row, scarf_excess_demand(p))
 
 
+
+@pytest.mark.parametrize("floor", [1e-8, 0.0, -0.0, 0.5], ids=["default", "zero", "negzero", "half"])
+def test_scarf_single_vector_equals_stack_row(floor):
+    # A float 3-vector is checked and floored on its Python floats; each
+    # value must equal the (1, 3) stack row, which goes through _as_prices
+    # and np.maximum, as bytes so that the sign of a zero counts too.
+    cases = [np.ones(3), np.array([-0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]),
+             np.array([1e-9, 0.5, 2e-8]), np.array([1e-8, 1e-8, 0.3]),
+             np.array([0.5, 0.5, 0.5]), np.array([1e-300, 1.0, 1e300]),
+             np.array([1e-12, 3e5, 7.0])]
+    if floor > 0.0:
+        cases += [np.zeros(3), np.array([-0.0, -0.0, 0.0])]
+    for p in cases:
+        expected = scarf_excess_demand(p[None, :], floor)[0]
+        got = scarf_excess_demand(p, floor)
+        assert got.shape == (3,) and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes(), p
+        assert ScarfEconomy(floor).excess(p).tobytes() == expected.tobytes()
+
+
+def test_scarf_single_vector_checks_like_as_prices():
+    # Bad prices raise the InvalidInput that _as_prices raises, word for word;
+    # inputs other than a float 3-vector take the _as_prices path and give
+    # the float vector's values.
+    bad = [np.array([np.nan, 0.5, 0.5]), np.array([0.5, np.inf, 0.5]),
+           np.array([0.5, 0.5, -np.inf]), np.array([-1.0, 0.5, 0.5]),
+           np.array([0.5, -1e-300, 0.5]), np.array([-1.0, np.nan, 0.5]), np.ones(2),
+           np.ones(4), [0.5, np.nan, 0.5], [1.0, 2.0], np.array([1, -2, 3])]
+    for p in bad:
+        with pytest.raises(InvalidInput) as expected:
+            economy_module._as_prices(p, 3, batch=True)
+        with pytest.raises(InvalidInput) as got:
+            scarf_excess_demand(p)
+        assert str(got.value) == str(expected.value)
+    reference = scarf_excess_demand(np.array([1.0, 2.0, 3.0]))
+    for p in ([1.0, 2.0, 3.0], [1, 2, 3], np.array([1, 2, 3]), (1.0, 2.0, 3.0),
+              np.array([1.0, 2.0, 3.0], dtype=np.float32), np.array([1.0, 2.0, 3.0], dtype=">f8")):
+        assert scarf_excess_demand(p).tobytes() == reference.tobytes()
+
 def test_scarf_economy_surface():
     economy = ScarfEconomy()
     assert economy.n_goods == 3

@@ -423,6 +423,28 @@ def test_run_spends_only_solve_certificate_and_minty_evaluations(
     assert economy.calls == solve_evals + post_evals
 
 
+
+def test_solver_calls_scarf_excess_once_per_evaluation(monkeypatch):
+    # The solver evaluates the Scarf operator through the class attribute
+    # ScarfEconomy.excess, once per evaluation: the checks on its prices run
+    # inside that call, not on a path around it. A counting wrapper on the
+    # class sees 2 evaluations per extragradient iteration and the 256 Minty
+    # points, on the simplex.
+    calls = []
+    original = ScarfEconomy.excess
+
+    def counting(self, p):
+        calls.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(ScarfEconomy, "excess", counting)
+    run = mirror_extratatonnement(ScarfEconomy(), simplex(3), EUC, 0.05, 300, START)
+    assert len(calls) == 2 * 300 + 256
+    monkeypatch.undo()
+    # The wrapper does not change the run.
+    plain = mirror_extratatonnement(ScarfEconomy(), simplex(3), EUC, 0.05, 300, START)
+    assert run.trace.half_points.tobytes() == plain.trace.half_points.tobytes()
+
 def generated_economy() -> ExchangeEconomy:
     return generate_economy(GenSpec(
         seed=5, n_consumers=30, n_goods=20,

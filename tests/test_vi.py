@@ -35,7 +35,7 @@ from mirrorvi import (
 )
 from mirrorvi.kernels import _linear_max
 from mirrorvi.tatonnement import _solve_run
-from mirrorvi.vi import DEGENERATE_STEP_TOL
+from mirrorvi.vi import DEGENERATE_STEP_TOL, _residuals
 
 EUC = squared_euclidean()
 CENTER3 = np.ones(3) / 3.0
@@ -580,3 +580,80 @@ def test_entropy_divergences_below_zero_run_clean(backoff):
     negative = trace.divergences < 0.0
     assert negative.any()
     assert (trace.modulus_samples[negative] == 0.0).all()
+
+
+def _residual_rows() -> list[np.ndarray]:
+    """Operator rows with zeros of both signs, tied minima, and one sign only."""
+    return [np.array(row) for row in (
+        [0.0, -0.0, 1.0, 2.0, -0.5],
+        [-0.0, 0.0, 1.0, 2.0, 3.0],
+        [0.0, 0.0, -0.0, -0.0, 0.0],
+        [-0.0, -0.0, -0.0, -0.0, -0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [-1.0, 2.0, -1.0, 3.0, -1.0],
+        [-3.0, -0.25, -1.0, -7.5, -3.0],
+        [2.0, 0.25, 1.0, 7.5, 0.25],
+    )]
+
+
+@pytest.mark.parametrize("k", [1, 2, 300])
+@pytest.mark.parametrize(
+    "space", [box(np.full(5, -1.0), np.full(5, 2.0)), simplex(5)], ids=["box", "simplex"])
+def test_stacked_residuals_match_vector_calls_bit_for_bit(space, k):
+    # Each row of the stacked residuals must equal the vector call at that
+    # row, compared as bytes so that the sign of a zero counts too.
+    rng = np.random.default_rng(k)
+    special = _residual_rows()
+    if k < 300:
+        # Every special row, in stacks of k consecutive rows.
+        stacks = [[special[(s + j) % len(special)] for j in range(k)]
+                  for s in range(len(special))]
+    else:
+        stacks = [[special[i // 2 % len(special)] if i % 2 == 0 else rng.normal(size=5)
+                   for i in range(k)]]
+    for rows in stacks:
+        fx = np.array(rows)
+        if space.kind == "box":
+            x = rng.uniform(-1.0, 2.0, fx.shape)
+            x[::2, 1] = 0.0
+            x[1::2, 1] = -0.0
+        else:
+            x = rng.dirichlet(np.ones(5), k)
+        stacked = _residuals(space, x, fx)
+        vector = [_residuals(space, xi, fi) for xi, fi in zip(x, fx)]
+        for column, got in enumerate(stacked):
+            assert got.shape == (k,)
+            expected = np.array([values[column] for values in vector])
+            assert got.tobytes() == expected.tobytes()
+
+
+_TRACE_ARRAYS = ("indices", "points", "half_points", "gaps", "divergences", "operator_deltas",
+                 "modulus_samples", "complementarity", "infeasibility")
+
+
+@pytest.mark.parametrize("eta", [0.05, "auto"], ids=["fixed", "auto"])
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("kernel", [EUC, negative_entropy()], ids=["euclidean", "entropy"])
+@pytest.mark.parametrize("extragradient", [True, False], ids=["extragradient", "gradient"])
+def test_stopped_run_is_a_prefix_of_the_full_run(extragradient, kernel, record_every, eta):
+    # The loop takes the stop test's gap itself and every record's residuals
+    # come from the stacked pass after it: a run stopped at stop_gap must
+    # record exactly the first R records of the same run without a stop.
+    problem = scarf_problem(simplex(3))
+    x0 = np.array([0.5, 0.3, 0.2])
+
+    def run(stop_gap):
+        return _solve_run(problem, kernel, eta, 60 * record_every, x0,
+                          extragradient=extragradient, stop_gap=stop_gap,
+                          record_every=record_every, seed=0)[0]
+
+    full = run(None)
+    stop_gap = float(full.gaps[full.gaps.size // 2])
+    stopped = run(stop_gap)
+    size = int(np.argmax(full.gaps <= stop_gap)) + 1
+    assert stopped.converged and not full.converged
+    assert stopped.indices.size == size < full.indices.size
+    assert stopped.gaps[-1] <= stop_gap
+    for name in _TRACE_ARRAYS:
+        got = getattr(stopped, name)
+        assert got.tobytes() == getattr(full, name)[:size].tobytes(), name
