@@ -7,6 +7,10 @@ economy     Run price adjustment on a JSON-defined or generated economy.
 vi-example  Run a named variational-inequality example (rotation, nonminty).
 sweep       Run one generated economy per seed and aggregate the results.
 
+An option that several commands share is declared once, in _solver_options,
+_run_options, _price_options or _generator_options, and each command passes
+only its own defaults.
+
 Every run writes a CSV trace (header: iter,gap,feas_violation,
 walras_residual,breg_progress,pathwise_L,elapsed_s) and a JSON report. Exit
 codes: 0 when the certificate passes the requested epsilon, 2 when the
@@ -15,6 +19,7 @@ horizon is exhausted without passing, 1 on error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,7 +30,14 @@ import numpy as np
 from .economy import Consumer, ExchangeEconomy, ScarfEconomy
 from .errors import InsufficientData, InvalidInput, MirrorVIError
 from .gen import GenSpec, generate_economy, initial_prices
-from .kernels import FeasibleSet, box, negative_entropy, simplex, squared_euclidean
+from .kernels import (
+    FeasibleSet,
+    box,
+    negative_entropy,
+    simplex,
+    squared_euclidean,
+    unit_box,
+)
 from .tatonnement import (
     PriceRun,
     _normalized,
@@ -51,7 +63,8 @@ CSV_ROW = "%d" + ",%.17g" * 6
 DEFAULT_MIX = "cobb_douglas=0.25,leontief=0.25,ces_substitutes=0.25,ces_complements=0.25"
 
 
-def _parse_eta(text: str):
+def _parse_eta(ctx, param, text: str):
+    """The --eta callback: 'auto' or a positive number."""
     if text == "auto":
         return "auto"
     try:
@@ -87,6 +100,72 @@ def _kernel_for(name: str):
     return squared_euclidean() if name == "euclidean" else negative_entropy()
 
 
+def _options(*options):
+    """Apply click options as if stacked in the order given."""
+    def apply(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+    return apply
+
+
+def _solver_options(iters: int, eps: float = 1e-3, record_every: int = 1):
+    """--kernel, --eta, --iters, --eps and --record-every: every command has them."""
+    return _options(
+        click.option("--kernel", "kernel_name", type=click.Choice(["euclidean", "entropy"]),
+                     default="euclidean", show_default=True),
+        click.option("--eta", default="auto", show_default=True, callback=_parse_eta,
+                     help="Step size, a positive number or 'auto' (probed)."),
+        click.option("--iters", type=int, default=iters, show_default=True),
+        click.option("--eps", type=float, default=eps, show_default=True,
+                     help="Certificate tolerance; also the default early-stop gap of a "
+                          "price run."),
+        click.option("--record-every", type=int, default=record_every, show_default=True),
+    )
+
+
+def _run_options(prefix: str):
+    """--method, --stop-gap, --seed, --csv and --json: the options of a single run."""
+    return _options(
+        click.option("--method", type=click.Choice(["extragradient", "gradient"]),
+                     default="extragradient", show_default=True),
+        click.option("--stop-gap", type=float, default=None,
+                     help="Early-stop gap (a price run defaults to eps)."),
+        click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True),
+        click.option("--csv", "csv_path", default=f"{prefix}_trace.csv", show_default=True),
+        click.option("--json", "json_path", default=f"{prefix}_report.json", show_default=True),
+    )
+
+
+def _space_option(default: str):
+    return click.option("--space", "space_name", type=click.Choice(["box", "simplex"]),
+                        default=default, show_default=True,
+                        help="Price space: a box or the unit simplex.")
+
+
+def _price_options(space: str):
+    """--space, --no-stop and --p0: the options of a single price run."""
+    return _options(
+        _space_option(space),
+        click.option("--no-stop", is_flag=True, help="Disable early stopping (fixed horizon)."),
+        click.option("--p0", "p0_text", default=None, help="Initial prices, comma-separated."),
+    )
+
+
+def _generator_options(consumers, goods, mix):
+    """--consumers, --goods, --mix and --supply-total: the economy generator's options."""
+    return _options(
+        click.option("--consumers", "n_consumers", type=int, default=consumers,
+                     show_default=True, help="Generator: number of consumers."),
+        click.option("--goods", "n_goods", type=int, default=goods, show_default=True,
+                     help="Generator: number of goods."),
+        click.option("--mix", "mix_text", default=mix, show_default=True,
+                     help=f"Generator: utility mix, e.g. '{DEFAULT_MIX}'."),
+        click.option("--supply-total", type=float, default=10.0, show_default=True,
+                     help="Generator: aggregate supply per good."),
+    )
+
+
 def _write_csv(path: str, trace: RunTrace, feasibility=None, walras=None) -> None:
     # CSV_ROW on Python numbers gives the text of f"{x:.17g}" value by value,
     # nan, inf and -0 included, at one format call per row.
@@ -111,6 +190,13 @@ def _write_csv(path: str, trace: RunTrace, feasibility=None, walras=None) -> Non
 
 def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _echo(source: dict, eta_used: float, *, method: str, kernel_name: str, eta, iters: int,
+          eps: float, stop_gap, record_every: int, seed: int) -> dict:
+    """config_echo: the command's own fields, then the solver fields that replay the run."""
+    return dict(source, method=method, kernel=kernel_name, eta=eta, eta_used=eta_used,
+                horizon=iters, eps=eps, stop_gap=stop_gap, record_every=record_every, seed=seed)
 
 
 def _report(trace: RunTrace, config_echo: dict, normalized, certificate: tuple,
@@ -144,35 +230,32 @@ def _price_report(run: PriceRun, config_echo: dict, eps: float) -> dict:
     return report
 
 
-def _run_prices(economy, space: FeasibleSet, method: str, kernel_name: str, eta, iters: int,
-                eps: float, stop_gap, no_stop: bool, record_every: int, seed: int,
-                p0_text: str | None, csv_path: str, json_path: str,
-                config_echo: dict) -> tuple[PriceRun, int]:
+def _run_prices(economy, space: FeasibleSet, echo: dict, *, method: str = "extragradient",
+                kernel_name: str, eta, iters: int, eps: float, stop_gap=None,
+                no_stop: bool = False, record_every: int, seed: int, p0_text: str | None = None,
+                csv_path: str, json_path: str) -> tuple[PriceRun, int]:
     """Run, write the CSV trace and JSON report; return the run and its exit code."""
-    kernel = _kernel_for(kernel_name)
     p0 = _parse_vector(p0_text) if p0_text else initial_prices(seed, space)
     stop = None if no_stop else (eps if stop_gap is None else stop_gap)
     runner = mirror_extratatonnement if method == "extragradient" else mirror_tatonnement
     run = runner(
-        economy, space, kernel, eta, iters, p0,
+        economy, space, _kernel_for(kernel_name), eta, iters, p0,
         stop_gap=stop, record_every=record_every, seed=seed,
     )
-    config_echo = dict(
-        config_echo,
-        method=method,
-        kernel=kernel_name,
-        eta="auto" if isinstance(eta, str) else eta,
-        eta_used=run.eta,
-        horizon=iters,
-        eps=eps,
-        stop_gap=stop,
-        record_every=record_every,
-        seed=seed,
-        p0=[float(v) for v in p0],
-    )
+    config_echo = _echo(dict(echo, p0=[float(v) for v in p0]), run.eta, method=method,
+                        kernel_name=kernel_name, eta=eta, iters=iters, eps=eps, stop_gap=stop,
+                        record_every=record_every, seed=seed)
     _write_csv(csv_path, run.trace, run.trace.infeasibility, run.trace.complementarity)
     _write_json(json_path, _price_report(run, config_echo, eps))
     return run, 0 if run.certificate.passes(eps) else 2
+
+
+def _generated(seed: int, n_consumers: int, n_goods: int, mix: dict,
+               supply_total: float) -> tuple[ExchangeEconomy, dict]:
+    """A generated economy and the `generator` entry of its config_echo."""
+    spec = GenSpec(seed=seed, n_consumers=n_consumers, n_goods=n_goods, mix=mix,
+                   supply_total=supply_total)
+    return generate_economy(spec), {"generator": dataclasses.asdict(spec)}
 
 
 @click.group()
@@ -181,40 +264,18 @@ def cli() -> None:
 
 
 @cli.command("scarf")
-@click.option("--space", "space_name", type=click.Choice(["box", "simplex"]), default="simplex",
-              show_default=True, help="Price space: the unit simplex or a box [lo, 1]^3.")
-@click.option("--kernel", "kernel_name", type=click.Choice(["euclidean", "entropy"]),
-              default="euclidean", show_default=True)
-@click.option("--method", type=click.Choice(["extragradient", "gradient"]),
-              default="extragradient", show_default=True)
-@click.option("--eta", default="auto", show_default=True,
-              help="Step size, a positive number or 'auto' (probed).")
-@click.option("--iters", type=int, default=5000, show_default=True)
-@click.option("--eps", type=float, default=1e-3, show_default=True,
-              help="Certificate tolerance; also the default early-stop gap.")
-@click.option("--stop-gap", type=float, default=None, help="Early-stop gap (defaults to eps).")
-@click.option("--no-stop", is_flag=True, help="Disable early stopping (fixed horizon).")
+@_price_options("simplex")
 @click.option("--lo", type=float, default=0.1, show_default=True,
               help="Box lower bound (box mode only).")
-@click.option("--p0", "p0_text", default=None, help="Initial prices, comma-separated.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--record-every", type=int, default=1, show_default=True)
-@click.option("--csv", "csv_path", default="scarf_trace.csv", show_default=True)
-@click.option("--json", "json_path", default="scarf_report.json", show_default=True)
-def scarf_cmd(space_name, kernel_name, method, eta, iters, eps, stop_gap, no_stop, lo,
-              p0_text, seed, record_every, csv_path, json_path) -> int:
+@_solver_options(iters=5000)
+@_run_options("scarf")
+def scarf_cmd(space_name, lo, **opts) -> int:
     """Price adjustment on the fixed 3-good economy."""
     if lo < 0.0:
         raise click.BadParameter(f"--lo must be >= 0 (prices are nonnegative), got {lo}")
-    economy = ScarfEconomy()
-    if space_name == "box":
-        space = box(np.full(3, lo), np.ones(3))
-    else:
-        space = simplex(3)
+    space = box(np.full(3, lo), np.ones(3)) if space_name == "box" else simplex(3)
     echo = {"command": "scarf", "space": space_name, "lo": lo}
-    return _run_prices(economy, space, method, kernel_name, _parse_eta(eta), iters, eps,
-                       stop_gap, no_stop, record_every, seed, p0_text, csv_path, json_path,
-                       echo)[1]
+    return _run_prices(ScarfEconomy(), space, echo, **opts)[1]
 
 
 def load_economy_file(path: str) -> ExchangeEconomy:
@@ -237,7 +298,9 @@ def load_economy_file(path: str) -> ExchangeEconomy:
         kwargs = {
             key: float(data[key]) for key in ("demand_cap_factor", "price_floor") if key in data
         }
-        n_goods = int(data["n_goods"])
+        n_goods = data["n_goods"]
+        if isinstance(n_goods, bool) or not isinstance(n_goods, int):
+            raise TypeError(f"n_goods must be an integer, got {n_goods!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"{path} does not follow the economy schema: {exc!r}") from exc
     consumers = [Consumer(*entry) for entry in entries]
@@ -247,63 +310,24 @@ def load_economy_file(path: str) -> ExchangeEconomy:
 @cli.command("economy")
 @click.option("--file", "file_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Economy definition JSON (mutually exclusive with the generator options).")
-@click.option("--consumers", "n_consumers", type=int, default=None,
-              help="Generator: number of consumers.")
-@click.option("--goods", "n_goods", type=int, default=None, help="Generator: number of goods.")
-@click.option("--mix", "mix_text", default=None,
-              help=f"Generator: utility mix, e.g. '{DEFAULT_MIX}'.")
-@click.option("--supply-total", type=float, default=10.0, show_default=True,
-              help="Generator: aggregate supply per good.")
-@click.option("--space", "space_name", type=click.Choice(["box", "simplex"]), default="box",
-              show_default=True)
-@click.option("--kernel", "kernel_name", type=click.Choice(["euclidean", "entropy"]),
-              default="euclidean", show_default=True)
-@click.option("--method", type=click.Choice(["extragradient", "gradient"]),
-              default="extragradient", show_default=True)
-@click.option("--eta", default="auto", show_default=True)
-@click.option("--iters", type=int, default=10000, show_default=True)
-@click.option("--eps", type=float, default=1e-3, show_default=True)
-@click.option("--stop-gap", type=float, default=None)
-@click.option("--no-stop", is_flag=True)
-@click.option("--p0", "p0_text", default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--record-every", type=int, default=1, show_default=True)
-@click.option("--csv", "csv_path", default="economy_trace.csv", show_default=True)
-@click.option("--json", "json_path", default="economy_report.json", show_default=True)
-def economy_cmd(file_path, n_consumers, n_goods, mix_text, supply_total, space_name,
-                kernel_name, method, eta, iters, eps, stop_gap, no_stop, p0_text, seed,
-                record_every, csv_path, json_path) -> int:
+@_generator_options(consumers=None, goods=None, mix=None)
+@_price_options("box")
+@_solver_options(iters=10000)
+@_run_options("economy")
+def economy_cmd(file_path, n_consumers, n_goods, mix_text, supply_total, space_name, seed,
+                **opts) -> int:
     """Price adjustment on a JSON-defined or generated exchange economy."""
-    generator_opts = [n_consumers, n_goods, mix_text]
-    if file_path is not None and any(opt is not None for opt in generator_opts):
-        raise click.UsageError("--file and the generator options are mutually exclusive")
     if file_path is not None:
-        economy = load_economy_file(file_path)
-        source = {"file": file_path}
+        if any(opt is not None for opt in (n_consumers, n_goods, mix_text)):
+            raise click.UsageError("--file and the generator options are mutually exclusive")
+        economy, source = load_economy_file(file_path), {"file": file_path}
     else:
-        spec = GenSpec(
-            seed=seed,
-            n_consumers=n_consumers if n_consumers is not None else 10,
-            n_goods=n_goods if n_goods is not None else 5,
-            mix=_parse_mix(mix_text if mix_text is not None else DEFAULT_MIX),
-            supply_total=supply_total,
-        )
-        economy = generate_economy(spec)
-        source = {
-            "generator": {
-                "seed": spec.seed,
-                "n_consumers": spec.n_consumers,
-                "n_goods": spec.n_goods,
-                "mix": dict(spec.mix),
-                "supply_total": spec.supply_total,
-            }
-        }
-    n = economy.n_goods
-    space = box(np.zeros(n), np.ones(n)) if space_name == "box" else simplex(n)
+        economy, source = _generated(
+            seed, 10 if n_consumers is None else n_consumers, 5 if n_goods is None else n_goods,
+            _parse_mix(DEFAULT_MIX if mix_text is None else mix_text), supply_total)
+    space = unit_box(economy.n_goods) if space_name == "box" else simplex(economy.n_goods)
     echo = {"command": "economy", "space": space_name, **source}
-    return _run_prices(economy, space, method, kernel_name, _parse_eta(eta), iters, eps,
-                       stop_gap, no_stop, record_every, seed, p0_text, csv_path, json_path,
-                       echo)[1]
+    return _run_prices(economy, space, echo, seed=seed, **opts)[1]
 
 
 _VI_EXAMPLES = {
@@ -324,52 +348,28 @@ _VI_EXAMPLES = {
 
 @cli.command("vi-example")
 @click.argument("name", type=click.Choice(sorted(_VI_EXAMPLES)))
-@click.option("--method", type=click.Choice(["extragradient", "gradient"]),
-              default="extragradient", show_default=True)
-@click.option("--kernel", "kernel_name", type=click.Choice(["euclidean", "entropy"]),
-              default="euclidean", show_default=True)
-@click.option("--eta", default="auto", show_default=True)
-@click.option("--iters", type=int, default=200, show_default=True)
-@click.option("--eps", type=float, default=1e-6, show_default=True,
-              help="Pass threshold on the gap at the best iterate.")
-@click.option("--stop-gap", type=float, default=None, help="Optional early-stop gap.")
 @click.option("--lo", "lo_text", default=None, help="Box lower bounds, comma-separated.")
 @click.option("--hi", "hi_text", default=None, help="Box upper bounds, comma-separated.")
 @click.option("--x0", "x0_text", default=None, help="Start point, comma-separated.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--record-every", type=int, default=1, show_default=True)
-@click.option("--csv", "csv_path", default="vi_trace.csv", show_default=True)
-@click.option("--json", "json_path", default="vi_report.json", show_default=True)
-def vi_example_cmd(name, method, kernel_name, eta, iters, eps, stop_gap, lo_text, hi_text,
-                   x0_text, seed, record_every, csv_path, json_path) -> int:
-    """Run a named VI example on a box."""
+@_solver_options(iters=200, eps=1e-6)
+@_run_options("vi")
+def vi_example_cmd(name, lo_text, hi_text, x0_text, method, kernel_name, eta, iters, eps,
+                   stop_gap, record_every, seed, csv_path, json_path) -> int:
+    """Run a named VI example on a box; eps bounds the gap at the best iterate."""
     example = _VI_EXAMPLES[name]
     lo = _parse_vector(lo_text) if lo_text else np.array(example["lo"])
     hi = _parse_vector(hi_text) if hi_text else np.array(example["hi"])
     x0 = _parse_vector(x0_text) if x0_text else np.array(example["x0"])
     problem = VIProblem(set=box(lo, hi), operator=example["operator"](), operator_label=name)
-    eta_value = _parse_eta(eta)
-    trace, eta_used = _solve_run(problem, _kernel_for(kernel_name), eta_value, iters, x0,
+    trace, eta_used = _solve_run(problem, _kernel_for(kernel_name), eta, iters, x0,
                                  extragradient=method == "extragradient", stop_gap=stop_gap,
                                  record_every=record_every, seed=seed)
     best_gap = float(trace.gaps[trace.best_position])
     final_point = trace.half_points[-1]
-    echo = {
-        "command": "vi-example",
-        "name": name,
-        "method": method,
-        "kernel": kernel_name,
-        "eta": "auto" if isinstance(eta_value, str) else eta_value,
-        "eta_used": eta_used,
-        "horizon": iters,
-        "eps": eps,
-        "stop_gap": stop_gap,
-        "seed": seed,
-        "record_every": record_every,
-        "lo": lo.tolist(),
-        "hi": hi.tolist(),
-        "x0": x0.tolist(),
-    }
+    source = {"command": "vi-example", "name": name, "lo": lo.tolist(), "hi": hi.tolist(),
+              "x0": x0.tolist()}
+    echo = _echo(source, eta_used, method=method, kernel_name=kernel_name, eta=eta,
+                 iters=iters, eps=eps, stop_gap=stop_gap, record_every=record_every, seed=seed)
     report = _report(trace, echo, _normalized(trace.best_iterate), (None, None, best_gap),
                      best_gap <= eps)
     report["final_point"] = final_point.tolist()
@@ -382,21 +382,12 @@ def vi_example_cmd(name, method, kernel_name, eta, iters, eps, stop_gap, lo_text
 @cli.command("sweep")
 @click.option("--seeds", "seeds_text", required=True,
               help="Comma-separated list of generator seeds.")
-@click.option("--consumers", "n_consumers", type=int, default=50, show_default=True)
-@click.option("--goods", "n_goods", type=int, default=50, show_default=True)
-@click.option("--mix", "mix_text", default=DEFAULT_MIX, show_default=True)
-@click.option("--supply-total", type=float, default=10.0, show_default=True)
-@click.option("--space", "space_name", type=click.Choice(["box", "simplex"]), default="box",
-              show_default=True)
-@click.option("--kernel", "kernel_name", type=click.Choice(["euclidean", "entropy"]),
-              default="euclidean", show_default=True)
-@click.option("--eta", default="auto", show_default=True)
-@click.option("--iters", type=int, default=50000, show_default=True)
-@click.option("--eps", type=float, default=1e-3, show_default=True)
-@click.option("--record-every", type=int, default=10, show_default=True)
+@_generator_options(consumers=50, goods=50, mix=DEFAULT_MIX)
+@_space_option("box")
+@_solver_options(iters=50000, record_every=10)
 @click.option("--out-dir", default="sweep_out", show_default=True)
-def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_name,
-              kernel_name, eta, iters, eps, record_every, out_dir) -> int:
+def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_name, eps,
+              out_dir, **opts) -> int:
     """Run one generated economy per seed; aggregate results in one CSV."""
     try:
         seeds = [int(part) for part in seeds_text.split(",") if part.strip() != ""]
@@ -405,41 +396,26 @@ def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_na
     if not seeds:
         raise click.UsageError("--seeds must list at least one seed")
     mix = _parse_mix(mix_text)
-    eta_value = _parse_eta(eta)
     # The options every seed shares are checked once, before any file is
     # written, so a bad one is one error and not a failed row per seed; seed
     # 0 stands in for the seeds, whose own failures stay rows.
     GenSpec(seed=0, n_consumers=n_consumers, n_goods=n_goods, mix=mix,
             supply_total=supply_total)
-    SolverConfig(eta=1.0 if isinstance(eta_value, str) else eta_value, horizon=iters,
-                 kernel=_kernel_for(kernel_name), record_every=record_every)
+    SolverConfig(eta=1.0 if opts["eta"] == "auto" else opts["eta"], horizon=opts["iters"],
+                 kernel=_kernel_for(opts["kernel_name"]), record_every=opts["record_every"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["seed,n_consumers,n_goods,converged,iters_to_eps,pathwise_L_max"]
     all_converged = True
     for seed in seeds:
         try:
-            spec = GenSpec(seed=seed, n_consumers=n_consumers, n_goods=n_goods, mix=mix,
-                           supply_total=supply_total)
-            economy = generate_economy(spec)
+            economy, source = _generated(seed, n_consumers, n_goods, mix, supply_total)
             n = economy.n_goods
-            space = box(np.zeros(n), np.ones(n)) if space_name == "box" else simplex(n)
-            echo = {
-                "command": "sweep",
-                "space": space_name,
-                "generator": {
-                    "seed": seed,
-                    "n_consumers": n_consumers,
-                    "n_goods": n_goods,
-                    "mix": mix,
-                    "supply_total": supply_total,
-                },
-            }
+            space = unit_box(n) if space_name == "box" else simplex(n)
             run, code = _run_prices(
-                economy, space, "extragradient", kernel_name, eta_value, iters, eps,
-                None, False, record_every, seed, None,
-                str(out / f"trace_seed{seed}.csv"), str(out / f"report_seed{seed}.json"),
-                echo,
+                economy, space, {"command": "sweep", "space": space_name, **source},
+                eps=eps, seed=seed, csv_path=str(out / f"trace_seed{seed}.csv"),
+                json_path=str(out / f"report_seed{seed}.json"), **opts,
             )
             converged = code == 0  # exit code 0 is certificate.passes(eps)
             trace = run.trace

@@ -57,6 +57,12 @@ def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
     return arr
 
 
+def _check_price_floor(floor: float) -> None:
+    """An economy's price floor must be > 0 (a NaN fails too)."""
+    if not (floor > 0.0):
+        raise InvalidInput(f"price_floor must be positive, got {floor}")
+
+
 def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
     """matrix . p for a price vector, or for each row of a (k, n) price stack.
 
@@ -334,8 +340,7 @@ class ExchangeEconomy:
                 )
         if not (self.demand_cap_factor >= 1.0):
             raise InvalidInput(f"demand_cap_factor must be >= 1, got {self.demand_cap_factor}")
-        if not (self.price_floor > 0.0):
-            raise InvalidInput(f"price_floor must be positive, got {self.price_floor}")
+        _check_price_floor(self.price_floor)
         supply = np.sum([c.endowment for c in consumers], axis=0)
         if not np.all(supply > 0.0):
             raise InvalidInput("every good needs a strictly positive aggregate endowment")
@@ -472,6 +477,9 @@ class ScarfEconomy:
     """
 
     price_floor: float = DEFAULT_PRICE_FLOOR
+
+    def __post_init__(self) -> None:
+        _check_price_floor(self.price_floor)
 
     @property
     def n_goods(self) -> int:

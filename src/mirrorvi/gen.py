@@ -54,6 +54,13 @@ def _uniforms(seed: int, field: int, consumer: int, count: int, offset: int = 0)
     return (raw >> np.uint64(11)) * 2.0**-53
 
 
+def _check_seed(seed) -> None:
+    # The key is field * 2**64 + seed, so a seed outside [0, 2**64) would
+    # alias another seed's stream (or fail inside numpy when negative).
+    if not (0 <= int(seed) < 2**64):
+        raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Recipe for one random economy: seed, sizes, utility mix, supply scale."""
@@ -65,8 +72,7 @@ class GenSpec:
     supply_total: float = 10.0
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.seed) < 2**64):
-            raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed(self.seed)
         if self.n_consumers < 1 or self.n_goods < 1:
             raise InvalidInput("n_consumers and n_goods must be positive")
         if not (self.supply_total > 0.0):
@@ -138,8 +144,9 @@ def initial_prices(seed: int, space: FeasibleSet) -> np.ndarray:
 
     Box spaces divide by the max coordinate (then clip into the box); the
     simplex divides by the sum. Homogeneity of excess demand makes the
-    normalization harmless.
+    normalization harmless. The seed must lie in [0, 2**64), as for GenSpec.
     """
+    _check_seed(seed)
     raw = 1.0 + 9.0 * _uniforms(seed, FIELD_PRICE, 0, space.n)
     if space.kind == BOX:
         return np.clip(raw / raw.max(), space.lo, space.hi)

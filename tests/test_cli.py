@@ -369,6 +369,46 @@ def test_malformed_economy_file_is_a_user_error(tmp_path):
     assert main(["sweep", "--seeds", "0,a", "--out-dir", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("n_goods", [2.5, 2.0, True, "2", None])
+def test_economy_file_n_goods_must_be_an_integer(tmp_path, n_goods):
+    # int() would read 2.5 as 2 and true as 1, and the run would go ahead.
+    path = tmp_path / "economy.json"
+    path.write_text(json.dumps({"n_goods": n_goods, "consumers": [
+        {"utility": "leontief", "valuations": [1.0, 2.0], "endowment": [1.0, 2.0]}]}))
+    with pytest.raises(InvalidInput, match="does not follow the economy schema.*n_goods"):
+        load_economy_file(str(path))
+    files = ["--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")]
+    assert main(["economy", "--file", str(path)] + files) == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", [["scarf"], ["economy", "--consumers", "3", "--goods", "2"],
+                                     ["vi-example", "rotation"]],
+                         ids=["scarf", "economy", "vi-example"])
+def test_seed_outside_64_bits_is_an_option_error(tmp_path, capsys, command, seed):
+    # One line on stderr and exit 1, before any file is written; not a
+    # numpy traceback from the start point or the step-size probe.
+    csv_path = tmp_path / "t.csv"
+    argv = command + ["--iters", "5", "--csv", str(csv_path), "--json", str(tmp_path / "r.json")]
+    assert main(argv + ["--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Invalid value for '--seed'") and err.count("\n") == 1
+    assert not csv_path.exists()
+    assert main(argv + ["--seed", str(2**64 - 1)]) in (0, 2)
+
+
+def test_sweep_seed_outside_64_bits_is_a_failed_row(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", f"--seeds=-1,0,{2**64}", "--consumers", "3", "--goods", "2",
+            "--iters", "50", "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+    assert rows[0] == "-1,3,2,false,-1,nan" and rows[2] == f"{2**64},3,2,false,-1,nan"
+    assert rows[1].startswith("0,3,2,")
+    assert capsys.readouterr().err.count("failed: seed must be a 64-bit unsigned integer") == 2
+
+
 def test_internal_type_error_propagates(tmp_path, monkeypatch):
     # A TypeError from inside the library is a bug, not bad user input, so
     # main must not turn it into exit code 1.

@@ -294,7 +294,8 @@ def test_scarf_single_vector_equals_stack_row(floor):
         got = scarf_excess_demand(p, floor)
         assert got.shape == (3,) and got.dtype == np.float64
         assert got.tobytes() == expected.tobytes(), p
-        assert ScarfEconomy(floor).excess(p).tobytes() == expected.tobytes()
+        if floor > 0.0:  # an economy's floor must be positive
+            assert ScarfEconomy(floor).excess(p).tobytes() == expected.tobytes()
 
 
 def test_scarf_single_vector_checks_like_as_prices():
@@ -315,6 +316,16 @@ def test_scarf_single_vector_checks_like_as_prices():
     for p in ([1.0, 2.0, 3.0], [1, 2, 3], np.array([1, 2, 3]), (1.0, 2.0, 3.0),
               np.array([1.0, 2.0, 3.0], dtype=np.float32), np.array([1.0, 2.0, 3.0], dtype=">f8")):
         assert scarf_excess_demand(p).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("floor", [0.0, -0.0, -1e-8, float("nan")])
+def test_scarf_economy_rejects_a_floor_that_is_not_positive(floor):
+    # As for an exchange economy: a zero floor let [0, 0, 1] divide by zero,
+    # and a NaN floor made every excess NaN.
+    with pytest.raises(InvalidInput, match="price_floor must be positive"):
+        ScarfEconomy(price_floor=floor)
+    assert ScarfEconomy(price_floor=1e-12).price_floor == 1e-12
+
 
 def test_scarf_economy_surface():
     economy = ScarfEconomy()

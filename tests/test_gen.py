@@ -140,6 +140,16 @@ def test_initial_prices_normalization():
     assert not np.array_equal(initial_prices(4, unit_box(4)), p_box)
 
 
+def test_initial_prices_rejects_seeds_outside_64_bits():
+    # The key is field * 2**64 + seed: a larger seed would alias a smaller
+    # one's draws, and a negative one fails inside numpy.
+    assert not np.array_equal(initial_prices(2**64 - 1, simplex(3)),
+                              initial_prices(0, simplex(3)))
+    for seed in (-1, 2**64, 4 * 2**64):
+        with pytest.raises(InvalidInput, match="seed must be a 64-bit unsigned integer"):
+            initial_prices(seed, simplex(3))
+
+
 def test_counter_stream_regression():
     # Frozen draws pin the (key, counter, draw-index) addressing: any change
     # to the stream layout silently regenerates every documented experiment.
