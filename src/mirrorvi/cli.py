@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -76,6 +77,14 @@ def _parse_eta(ctx, param, text: str):
     return value
 
 
+def _check_tolerance(ctx, param, value):
+    """The --eps and --stop-gap callback: a finite number >= 0, or no value."""
+    # 0 <= value < inf fails for NaN too, which no gap can pass.
+    if value is not None and not (0.0 <= value < math.inf):
+        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+    return value
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(",")], dtype=float)
@@ -118,6 +127,7 @@ def _solver_options(iters: int, eps: float = 1e-3, record_every: int = 1):
                      help="Step size, a positive number or 'auto' (probed)."),
         click.option("--iters", type=int, default=iters, show_default=True),
         click.option("--eps", type=float, default=eps, show_default=True,
+                     callback=_check_tolerance,
                      help="Certificate tolerance; also the default early-stop gap of a "
                           "price run."),
         click.option("--record-every", type=int, default=record_every, show_default=True),
@@ -129,7 +139,7 @@ def _run_options(prefix: str):
     return _options(
         click.option("--method", type=click.Choice(["extragradient", "gradient"]),
                      default="extragradient", show_default=True),
-        click.option("--stop-gap", type=float, default=None,
+        click.option("--stop-gap", type=float, default=None, callback=_check_tolerance,
                      help="Early-stop gap (a price run defaults to eps)."),
         click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True),
         click.option("--csv", "csv_path", default=f"{prefix}_trace.csv", show_default=True),

@@ -90,14 +90,19 @@ def _logsumexp_inplace(a: np.ndarray, axis: int = -1) -> np.ndarray:
     # ufunc.reduce is what the max and sum methods call, minus a Python frame.
     a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     is_max = a == a_max
-    m = np.add.reduce(is_max, axis=axis, keepdims=True, dtype=float)
     a -= a_max
     a[is_max] = -np.inf
     np.exp(a, out=a)
     s = np.add.reduce(a, axis=axis, keepdims=True)
-    s /= m
-    np.log1p(s, out=s)
-    s += np.log(m)
+    if np.count_nonzero(is_max) == a_max.size:
+        # Every finite row has a maximum, so as many as there are rows means
+        # one per row: m = 1, where s / m and + log(m) change no bit.
+        np.log1p(s, out=s)
+    else:
+        m = np.add.reduce(is_max, axis=axis, keepdims=True, dtype=float)
+        s /= m
+        np.log1p(s, out=s)
+        s += np.log(m)
     s += a_max
     return s
 
@@ -382,12 +387,16 @@ class ExchangeEconomy:
     def _total_demand(self, prices: np.ndarray) -> np.ndarray:
         """Sum of capped demand over consumers, one consumer group at a time.
 
-        A group of at most _BLOCK_ENTRIES demand entries is one block: its
-        matrix is filled, capped and summed whole, without the block loop's
-        bookkeeping, which costs a few percent on 10 x 5 economies. A larger
-        group is streamed through _streamed_sum. With n = 1 numpy sums a column
-        pairwise, not row after row, so a one-good group is always one block.
+        When the whole demand matrix fits in _BLOCK_ENTRIES entries, every
+        group fills its own rows of one buffer, one np.minimum caps it, and
+        each group's rows are summed on their own, in group order. Otherwise
+        a group of at most _BLOCK_ENTRIES entries is one block: its matrix is
+        filled, capped and summed whole, and a larger group is streamed
+        through _streamed_sum. With n = 1 numpy sums a column pairwise, not
+        row after row, so a one-good group is always one block.
         """
+        if len(self.consumers) * prices.size <= _BLOCK_ENTRIES:
+            return self._buffered_demand(prices)
         total = np.zeros(prices.shape)
         n = prices.shape[-1]
         for group in self._groups:
@@ -400,6 +409,31 @@ class ExchangeEconomy:
                 total += np.add.reduce(block, axis=-2)
             else:
                 total += self._streamed_sum(group, vectors, prices)
+        return total
+
+    def _buffered_demand(self, prices: np.ndarray) -> np.ndarray:
+        """_total_demand's one-buffer path, bit for bit the per-group sums.
+
+        Each group keeps its own vectors and its own np.add.reduce over its
+        rows, as a matrix of its own would: np.add.reduceat, or one gemv for
+        the budgets of all groups, can round differently. The total starts
+        from the first group's sum, not from zeros: 0.0 + x is x for every x
+        but -0.0, and a column sums to -0.0 only if every budget is zero,
+        which a positive aggregate supply rules out.
+        """
+        buffer = np.empty(prices.shape[:-1] + (len(self.consumers), prices.shape[-1]))
+        blocks = []
+        start = 0
+        for group in self._groups:
+            stop = start + len(group.valuations)
+            blocks.append(group.fill(group.price_vectors(prices), 0, stop - start,
+                                     buffer[..., start:stop, :]))
+            start = stop
+        if self._cap is not None:
+            np.minimum(buffer, self._cap, out=buffer)
+        total = np.add.reduce(blocks[0], axis=-2)
+        for block in blocks[1:]:
+            total += np.add.reduce(block, axis=-2)
         return total
 
     def _streamed_sum(self, group: _ConsumerGroup, vectors, prices: np.ndarray) -> np.ndarray:
@@ -430,7 +464,9 @@ class ExchangeEconomy:
 
     def excess(self, p) -> np.ndarray:
         """Aggregate demand minus aggregate supply, for a price vector or a (k, n) stack."""
-        return self.demand(p) - self.aggregate_supply
+        total = self.demand(p)
+        total -= self.aggregate_supply
+        return total
 
 
 def excess_demand(economy, p) -> np.ndarray:

@@ -214,7 +214,10 @@ def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
     if kernel.kind == EUCLIDEAN:
         target = x0 - (2.0 * eta) * g
         if space.kind == BOX:
-            return np.clip(target, space.lo, space.hi)
+            # np.clip with the box's array bounds, bit for bit (-0.0 included),
+            # without its Python frames; target is a fresh array.
+            np.maximum(target, space.lo, out=target)
+            return np.minimum(target, space.hi, out=target)
         return _project_simplex(target)
 
     # Entropy: multiplicative update x0 * exp(-2*eta*g), evaluated in log space.

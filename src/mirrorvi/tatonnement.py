@@ -19,6 +19,7 @@ from .kernels import (
     SIMPLEX,
     FeasibleSet,
     Kernel,
+    _row_dots,
     bregman_divergence,
 )
 from .vi import (
@@ -81,10 +82,14 @@ class PriceRun:
 
 
 def _price_problem(economy, space: FeasibleSet) -> VIProblem:
+    """(space, -Z), declared batched: an economy's excess maps a (k, n) stack of
+    prices to its (k, n) rows, each equal to the single call, as the economy
+    samplers already require."""
     return VIProblem(
         set=space,
         operator=lambda p: -np.asarray(economy.excess(p), dtype=float),
         operator_label="-Z",
+        batched=True,
     )
 
 
@@ -133,9 +138,12 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
     Sampling is interior-biased (Beta(2,2) per box coordinate; Dirichlet(2) on
     the simplex) because the modulus is only needed along iterate paths, which
     the floor/projection keep away from the boundary blow-up of Z. The pairs
-    (x, y) are drawn x first, then y; all divergences come from one stacked
-    call, and each pair with a nondegenerate divergence is evaluated at x,
-    then at y.
+    (x, y) are drawn x first, then y, and all divergences come from one
+    stacked call. The pairs with a nondegenerate divergence are evaluated as
+    two stacks, their xs and then their ys, when the problem is batched, and
+    otherwise pair by pair, at x and then at y. Both give the same value bit
+    for bit: a batched operator's rows equal its single-point values, and
+    each row's norm is taken as a dot product, as numpy's vector norm does.
     """
     if pairs < 1:
         raise InvalidInput(f"pairs must be >= 1, got {pairs}")
@@ -143,11 +151,16 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
     points = _interior_samples(rng, problem.set, 2 * pairs)
     xs, ys = points[0::2], points[1::2]
     divergences = bregman_divergence(kernel, xs, ys)
-    largest = 0.0
-    for i in np.flatnonzero(divergences > 1e-16):
-        delta = float(np.linalg.norm(problem.evaluate(xs[i]) - problem.evaluate(ys[i])))
-        largest = max(largest, delta / np.sqrt(2.0 * divergences[i]))
-    return largest
+    eligible = np.flatnonzero(divergences > 1e-16)
+    if eligible.size == 0:
+        return 0.0
+    if problem.batched:
+        d = problem.evaluate_many(xs[eligible]) - problem.evaluate_many(ys[eligible])
+        deltas = np.sqrt(_row_dots(d, d))
+    else:
+        deltas = np.array([np.linalg.norm(problem.evaluate(xs[i]) - problem.evaluate(ys[i]))
+                           for i in eligible])
+    return float(np.max(deltas / np.sqrt(2.0 * divergences[eligible])))
 
 
 def auto_step_size(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, seed=0) -> float:

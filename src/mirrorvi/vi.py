@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InsufficientData, InvalidInput
+from .errors import EvaluationError, InsufficientData, InvalidInput, Unsupported
 from .kernels import (
     BOX,
     SIMPLEX,
@@ -39,32 +39,63 @@ MIRROR_EXTRAGRADIENT = "mirror_extragradient"
 
 @dataclass(frozen=True)
 class VIProblem:
-    """A variational inequality (set, F) with a single-valued operator."""
+    """A variational inequality (set, F) with a single-valued operator.
+
+    An operator is defined on single points. One that also maps a (k, n)
+    stack of points to the (k, n) stack of its values, each row equal to its
+    value at that point alone bit for bit, may declare batched=True, and
+    evaluate_many then evaluates a whole stack in one call. The declaration
+    is the operator's promise: an undeclared one such as `lambda x: A @ x`
+    would return wrong rows, without an error, if it were handed a square
+    stack, so the library evaluates it one point at a time.
+    """
 
     set: FeasibleSet
     operator: Callable[[np.ndarray], np.ndarray]
     operator_label: str = "F"
+    batched: bool = False
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate F(x), checking shape and finiteness."""
         out = np.asarray(self.operator(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.set.n,):
+        if out.shape != (self.set.n,) or not np.isfinite(out).all():
+            self._reject(out, (self.set.n,))
+        return out
+
+    def evaluate_many(self, xs) -> np.ndarray:
+        """F at every row of a (k, n) stack in one operator call, with checks.
+
+        Only a batched operator can be given a stack (Unsupported otherwise);
+        its value must have shape (k, n) and be finite (EvaluationError), and
+        is returned as a C-ordered float array, so each row is contiguous.
+        """
+        if not self.batched:
+            raise Unsupported(f"operator {self.operator_label!r} is not declared batched")
+        points = np.asarray(xs, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.set.n:
+            raise InvalidInput(
+                f"points must be a (k, {self.set.n}) stack, got shape {points.shape}")
+        out = np.asarray(self.operator(points), dtype=float, order="C")
+        if out.shape != points.shape or not np.isfinite(out).all():
+            self._reject(out, points.shape)
+        return out
+
+    def _reject(self, out: np.ndarray, shape: tuple) -> None:
+        """Raise EvaluationError for an operator value of the wrong shape or not finite."""
+        if out.shape != shape:
             raise EvaluationError(
                 f"operator {self.operator_label!r} returned shape {out.shape}, "
-                f"expected ({self.set.n},)"
+                f"expected {shape}"
             )
-        if not np.isfinite(out).all():
-            raise EvaluationError(
-                f"operator {self.operator_label!r} returned non-finite values"
-            )
-        return out
+        raise EvaluationError(f"operator {self.operator_label!r} returned non-finite values")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Step size, horizon, kernel, and recording/stopping options for a run.
 
-    eta must be positive with a finite effective Euclidean step 2 * eta. With
+    eta must be positive with a finite effective Euclidean step 2 * eta, and
+    stop_gap, when given, finite and >= 0. With
     modulus_backoff enabled, the step size is halved whenever a recorded
     iteration's modulus sample exceeds 1/(2 * sqrt(2) * current step): the
     effective Euclidean step is twice eta, so this keeps the run within the
@@ -91,6 +122,9 @@ class SolverConfig:
             raise InvalidInput(f"horizon must be >= 1, got {self.horizon}")
         if self.record_every < 1:
             raise InvalidInput(f"record_every must be >= 1, got {self.record_every}")
+        # 0 <= stop_gap < inf fails for NaN too, which would never stop a run.
+        if self.stop_gap is not None and not (0.0 <= self.stop_gap < math.inf):
+            raise InvalidInput(f"stop_gap must be finite and >= 0, got {self.stop_gap}")
 
 
 @dataclass

@@ -398,6 +398,34 @@ def test_seed_outside_64_bits_is_an_option_error(tmp_path, capsys, command, seed
     assert main(argv + ["--seed", str(2**64 - 1)]) in (0, 2)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("option", ["--eps", "--stop-gap"])
+@pytest.mark.parametrize("command", [["scarf"], ["economy", "--consumers", "3", "--goods", "2"],
+                                     ["vi-example", "rotation"]],
+                         ids=["scarf", "economy", "vi-example"])
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, command, option, value):
+    # A NaN eps can never pass and a NaN stop gap never stops a run: both are
+    # one error line and exit 1, before any file is written.
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "r.json"
+    argv = command + ["--iters", "5", "--csv", str(csv_path), "--json", str(json_path)]
+    assert main(argv + [option, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: Invalid value for '{option}'") and err.count("\n") == 1
+    assert not csv_path.exists() and not json_path.exists()
+    assert main(argv + [option, "0"]) in (0, 2)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+def test_sweep_eps_must_be_finite_and_nonnegative(tmp_path, capsys, value):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--seeds", "0,1", "--consumers", "3", "--goods", "2", "--iters", "5",
+            "--out-dir", str(out_dir)]
+    assert main(argv + ["--eps", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Invalid value for '--eps'") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_sweep_seed_outside_64_bits_is_a_failed_row(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     argv = ["sweep", f"--seeds=-1,0,{2**64}", "--consumers", "3", "--goods", "2",

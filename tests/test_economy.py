@@ -541,6 +541,30 @@ def _reference_logsumexp(a, axis):
     return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)
 
 
+def test_logsumexp_matches_reference_bit_for_bit():
+    # Rows with one maximum skip the count of maxima; rows with tied maxima
+    # keep it. Either way every result equals the reference's bytes: all rows
+    # untied, all tied, a mix, one column, a vector and stacks of rows.
+    rng = np.random.default_rng(17)
+    for i in range(200):
+        k, n = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        a = rng.normal(size=(3, k, n)) * rng.uniform(0.1, 50.0)
+        if i % 4 == 1 and n > 1:
+            a[..., 1] = a.max(axis=-1)  # every row tied
+        elif i % 4 == 2 and n > 1:
+            a[:, ::2, -1] = a[:, ::2].max(axis=-1)  # some rows tied
+        elif i % 4 == 3:
+            a = np.round(a, 0)  # ties by rounding, per row at random
+        expected = _reference_logsumexp(a, axis=-1)
+        assert _logsumexp(a, axis=-1).tobytes() == expected.tobytes()
+        assert _logsumexp(a[0], axis=1).tobytes() == expected[0].tobytes()
+        assert _logsumexp(a[0].T, axis=0).tobytes() == expected[0].tobytes()
+        assert _logsumexp(a[0, 0]).tobytes() == expected[0, 0].tobytes()
+        column = a[0, :, :1]
+        assert (_logsumexp(column, axis=1).tobytes()
+                == _reference_logsumexp(column, axis=1).tobytes())
+
+
 def reference_excess(economy, p) -> np.ndarray:
     """Excess demand written as plain expressions, one fresh array per step.
 
@@ -633,6 +657,23 @@ def test_excess_peak_temporaries(mix, bound):
     assert peaks[0] <= bound * m * n * 8
     # Eight price rows hold eight matrices per group, and no more copies.
     assert peaks[1] <= 8 * bound * m * n * 8
+
+
+def test_buffered_excess_peak_temporaries():
+    # A 50 x 50 mixed economy fits in one block, so its groups fill one
+    # shared buffer: one evaluation holds that (m, n) buffer, the CES group's
+    # log-sum-exp workspace and mask, and the vectors. Measured 2.25 matrices
+    # for one price vector and 18.7 for an eight-row stack.
+    m = n = 50
+    mix = {"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
+           "ces_complements": 0.25}
+    economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=mix))
+    assert len(economy._groups) == 3
+    prices = np.random.default_rng(15).uniform(0.1, 1.0, (8, n))
+    assert 8 * m * n <= economy_module._BLOCK_ENTRIES
+    peaks = excess_peaks(economy, (prices[0], prices))
+    assert peaks[0] <= 2.5 * m * n * 8
+    assert peaks[1] <= 8 * 2.5 * m * n * 8
 
 
 def excess_peaks(economy, price_sets) -> list[int]:

@@ -465,3 +465,29 @@ def test_entropy_simplex_step_matches_reference_bit_for_bit(n):
             _prox(space, kernel, eta, x0, g),
             _reference_entropy_simplex_step(x0, g, eta, kernel.floor),
         )
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_euclidean_box_step_matches_clip_bit_for_bit(n):
+    # The Euclidean box prox clamps with np.maximum then np.minimum on the
+    # box's array bounds, which must give np.clip's bytes, the sign of a zero
+    # included. With eta = 0.5 and g = 0 the target is x0 itself, so the
+    # targets below hit the bounds and both zeros exactly.
+    rng = np.random.default_rng(n)
+    euc = squared_euclidean()
+    boxes = [
+        unit_box(n),
+        box(np.full(n, -0.0), np.ones(n)),
+        box(np.full(n, -1.0), np.full(n, -0.0)),
+        box(np.full(n, -1.0), np.zeros(n)),
+        box(rng.uniform(-3.0, -0.5, n), rng.uniform(0.5, 3.0, n)),
+        box(rng.uniform(0.1, 1.0, n), rng.uniform(2.0, 5.0, n)),
+    ]
+    for space in boxes:
+        choices = np.stack([np.zeros(n), np.full(n, -0.0), space.lo, space.hi,
+                            rng.uniform(space.lo - 1.0, space.hi + 1.0)])
+        for _ in range(20):
+            x0 = choices[rng.integers(len(choices), size=n), np.arange(n)]
+            for eta, g in ((0.5, np.zeros(n)), (float(rng.uniform(0.01, 2.0)), rng.normal(size=n))):
+                expected = np.clip(x0 - (2.0 * eta) * g, space.lo, space.hi)
+                assert _prox(space, euc, eta, x0, g).tobytes() == expected.tobytes()

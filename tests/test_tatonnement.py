@@ -354,6 +354,40 @@ def test_probe_matches_looped_reference_bit_for_bit(space, kernel):
             assert len(seen) == 2 * pairs
 
 
+MIXED = {"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
+         "ces_complements": 0.25}
+
+
+@pytest.mark.parametrize("n", [5, 50])
+@pytest.mark.parametrize("space_kind", ["box", "simplex"])
+@pytest.mark.parametrize("kernel", [EUC, ENT], ids=["euclidean", "entropy"])
+def test_price_problem_probe_is_two_stacked_calls_bit_for_bit(kernel, space_kind, n):
+    # A price problem is declared batched, so the probe evaluates the xs and
+    # the ys of its pairs as two stacks: two excess calls, not two per pair,
+    # with the bytes of the probe that evaluates one point at a time.
+    space = unit_box(n) if space_kind == "box" else simplex(n)
+    economy = generate_economy(GenSpec(seed=n, n_consumers=n if n > 5 else 10, n_goods=n,
+                                       mix=MIXED))
+    looped = VIProblem(space, lambda p: -economy.excess(p), "-Z")
+    assert _price_problem(economy, space).batched and not looped.batched
+    for seed in (0, 3):
+        for pairs in (1, 7, 32):
+            counting = CountingEconomy(economy)
+            got = probe_modulus(_price_problem(counting, space), kernel, pairs, seed)
+            assert counting.calls == 2
+            expected = _reference_probe_modulus(looped, kernel, pairs, seed)
+            assert struct.pack("d", got) == struct.pack("d", expected)
+            assert struct.pack("d", probe_modulus(looped, kernel, pairs, seed)) == struct.pack(
+                "d", expected)
+
+
+def test_probe_without_a_nondegenerate_pair_evaluates_nothing():
+    # On the one-point simplex every pair has divergence 0: no call, modulus 0.
+    counting = CountingEconomy(RecipeEconomy(lambda p: np.zeros(p.shape), 1))
+    assert probe_modulus(_price_problem(counting, simplex(1)), EUC, 8) == 0.0
+    assert counting.calls == 0
+
+
 def test_auto_step_plumbing_and_validation():
     run = mirror_extratatonnement(
         ScarfEconomy(), simplex(3), EUC, "auto", 200, START, seed=4

@@ -14,6 +14,7 @@ from mirrorvi import (
     InvalidInput,
     RunTrace,
     SolverConfig,
+    Unsupported,
     VIProblem,
     box,
     bregman_divergence,
@@ -80,6 +81,36 @@ def test_problem_evaluate_rejects_nonfinite():
     problem = VIProblem(space, lambda x: np.array([np.nan]))
     with pytest.raises(EvaluationError):
         problem.evaluate(np.array([0.5]))
+
+
+def test_evaluate_many_checks_the_stack_contract():
+    space = simplex(3)
+    stack = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], CENTER3])
+    problem = VIProblem(space, lambda p: -scarf_excess_demand(p), "-Z", batched=True)
+    values = problem.evaluate_many(stack)
+    assert values.shape == (3, 3) and values.flags.c_contiguous
+    for x, row in zip(stack, values):
+        assert row.tobytes() == problem.evaluate(x).tobytes()
+    # A value of the wrong shape, or with a NaN, is the operator's fault.
+    for operator, message in [(lambda p: p[:, :2], r"shape \(3, 2\), expected \(3, 3\)"),
+                              (lambda p: p[0], r"shape \(3,\), expected \(3, 3\)"),
+                              (lambda p: np.where(p > 0.9, np.nan, p), "non-finite")]:
+        with pytest.raises(EvaluationError, match=message):
+            VIProblem(space, operator, batched=True).evaluate_many(stack)
+    # Points that are not a (k, n) stack are the caller's fault, and an
+    # undeclared operator is never handed a stack.
+    for bad in (stack[0], stack[:, :2], stack[None]):
+        with pytest.raises(InvalidInput):
+            problem.evaluate_many(bad)
+    with pytest.raises(Unsupported):
+        VIProblem(space, lambda p: -scarf_excess_demand(p)).evaluate_many(stack)
+
+
+def test_solver_config_rejects_a_stop_gap_that_is_not_finite_and_nonnegative():
+    for stop_gap in (np.nan, np.inf, -1e-3):
+        with pytest.raises(InvalidInput, match="stop_gap must be finite and >= 0"):
+            SolverConfig(eta=0.1, horizon=10, kernel=EUC, stop_gap=stop_gap)
+    assert SolverConfig(eta=0.1, horizon=10, kernel=EUC, stop_gap=0.0).stop_gap == 0.0
 
 
 def test_solver_config_validation():
