@@ -124,15 +124,23 @@ class Consumer:
                 f"valuations and endowment must be equal-length vectors, got "
                 f"{v.shape} and {e.shape}"
             )
-        if not (np.all(np.isfinite(v)) and np.all(v > 0.0)):
+        # The smallest and the largest entry test sign and finiteness in one
+        # pass each (a NaN fails both comparisons); the initial values make an
+        # empty vector pass, as it passes the per-entry tests.
+        if not (0.0 < np.minimum.reduce(v, initial=np.inf)
+                and np.maximum.reduce(v, initial=-np.inf) < np.inf):
             raise InvalidInput("valuations must be finite and strictly positive")
-        if not (np.all(np.isfinite(e)) and np.all(e >= 0.0)):
+        if not (0.0 <= np.minimum.reduce(e, initial=np.inf)
+                and np.maximum.reduce(e, initial=-np.inf) < np.inf):
             raise InvalidInput("endowment must be finite and nonnegative")
         if self.utility == CES:
             if self.rho is None:
                 raise InvalidInput("CES utility requires rho")
-            if not (self.rho < 1.0 and self.rho != 0.0):
-                raise InvalidInput(f"CES rho must satisfy rho < 1 and rho != 0, got {self.rho}")
+            # rho = -inf would make sigma 0: demand budget / sum(p) whatever
+            # the valuations; a NaN fails the comparisons too.
+            if not (-math.inf < self.rho < 1.0 and self.rho != 0.0):
+                raise InvalidInput(
+                    f"CES rho must be finite with rho < 1 and rho != 0, got {self.rho}")
         elif self.utility in (COBB_DOUGLAS, LEONTIEF):
             if self.rho is not None:
                 raise InvalidInput(f"{self.utility} does not take rho")

@@ -12,6 +12,12 @@ platforms and independent of generation order:
 * draw g   = the g-th raw 64-bit word of that stream, mapped to [0, 1) via
   (raw >> 11) * 2**-53, then scaled to the documented range.
 
+Each generate_economy and initial_prices call owns one Philox generator and
+points it at each stream in turn through its documented state (key words
+[seed, field], counter words [0, 0, 0, consumer], an empty buffer), which
+gives the words of a fresh Philox(key=..., counter=...) for that stream. No
+generator is shared between calls, so concurrent calls cannot interleave.
+
 Endowments are drawn per consumer-good from Unif(1e-6, 1) and column-scaled
 so each good's aggregate supply equals supply_total. Valuations are
 Unif(0, 1), redrawn (at draw index attempt * n_goods + good) while below
@@ -21,6 +27,7 @@ complements. Initial prices are Unif(1, 10), normalized into the price space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -44,14 +51,34 @@ KIND_ORDER = (COBB_DOUGLAS, LEONTIEF, CES_SUBSTITUTES, CES_COMPLEMENTS)
 _MIN_VALUATION = 1e-12
 
 
+def _words(bitgen: np.random.Philox, seed: int, field: int, consumer: int, count: int,
+           offset: int = 0) -> np.ndarray:
+    """Raw words offset .. offset+count-1 of the stream keyed by (seed, field, consumer).
+
+    bitgen is re-keyed for the stream: key words [seed, field] are the key
+    field * 2**64 + seed, counter words [0, 0, 0, consumer] the counter
+    consumer * 2**192, and buffer_pos 4 empties the buffer, so the words are
+    those of a fresh Philox(key=..., counter=...).
+    """
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"key": [int(seed), int(field)], "counter": [0, 0, 0, int(consumer)]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen.random_raw(offset + count)[offset:]
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Raw words mapped to [0, 1) by (raw >> 11) * 2**-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
 def _uniforms(seed: int, field: int, consumer: int, count: int, offset: int = 0) -> np.ndarray:
     """Draws offset .. offset+count-1 of the stream keyed by (seed, field, consumer)."""
-    bitgen = np.random.Philox(
-        key=(int(field) << 64) | int(seed),
-        counter=int(consumer) << 192,
-    )
-    raw = bitgen.random_raw(offset + count)[offset:]
-    return (raw >> np.uint64(11)) * 2.0**-53
+    return _unit(_words(np.random.Philox(), seed, field, consumer, count, offset))
 
 
 def _check_seed(seed) -> None:
@@ -75,8 +102,11 @@ class GenSpec:
         _check_seed(self.seed)
         if self.n_consumers < 1 or self.n_goods < 1:
             raise InvalidInput("n_consumers and n_goods must be positive")
-        if not (self.supply_total > 0.0):
-            raise InvalidInput(f"supply_total must be positive, got {self.supply_total}")
+        # 0 < supply_total < inf fails for NaN too; an infinite supply makes
+        # every endowment NaN.
+        if not (0.0 < self.supply_total < math.inf):
+            raise InvalidInput(
+                f"supply_total must be positive and finite, got {self.supply_total}")
         unknown = set(self.mix) - set(KIND_ORDER)
         if unknown:
             raise InvalidInput(f"unknown utility kinds in mix: {sorted(unknown)}")
@@ -103,12 +133,13 @@ class GenSpec:
         return kinds
 
 
-def _valuations(seed: int, consumer: int, n_goods: int) -> np.ndarray:
-    v = _uniforms(seed, FIELD_VALUATION, consumer, n_goods)
+def _valuations(bitgen: np.random.Philox, seed: int, consumer: int, n_goods: int) -> np.ndarray:
+    v = _unit(_words(bitgen, seed, FIELD_VALUATION, consumer, n_goods))
     attempt = 0
-    while np.any(v < _MIN_VALUATION):
+    while np.minimum.reduce(v) < _MIN_VALUATION:
         attempt += 1
-        fresh = _uniforms(seed, FIELD_VALUATION, consumer, n_goods, offset=attempt * n_goods)
+        fresh = _unit(_words(bitgen, seed, FIELD_VALUATION, consumer, n_goods,
+                             offset=attempt * n_goods))
         bad = v < _MIN_VALUATION
         v[bad] = fresh[bad]
     return v
@@ -117,20 +148,23 @@ def _valuations(seed: int, consumer: int, n_goods: int) -> np.ndarray:
 def generate_economy(spec: GenSpec) -> ExchangeEconomy:
     """Build the economy the spec describes; identical spec, identical economy."""
     m, n = spec.n_consumers, spec.n_goods
-    raw = np.stack(
-        [1e-6 + (1.0 - 1e-6) * _uniforms(spec.seed, FIELD_ENDOWMENT, c, n) for c in range(m)]
-    )
+    bitgen = np.random.Philox()
+    raw = np.stack([_unit(_words(bitgen, spec.seed, FIELD_ENDOWMENT, c, n)) for c in range(m)])
+    # 1e-6 + (1 - 1e-6) * u, in place: the same products and sums, and no
+    # second (m, n) temporary at the peak.
+    raw *= 1.0 - 1e-6
+    raw += 1e-6
     endowments = spec.supply_total * raw / raw.sum(axis=0, keepdims=True)
 
     consumers = []
     for c, kind in enumerate(spec.kind_assignment()):
-        valuations = _valuations(spec.seed, c, n)
+        valuations = _valuations(bitgen, spec.seed, c, n)
         if kind == COBB_DOUGLAS:
             consumers.append(Consumer(COBB_DOUGLAS, valuations, endowments[c]))
         elif kind == LEONTIEF:
             consumers.append(Consumer(LEONTIEF, valuations, endowments[c]))
         else:
-            u = float(_uniforms(spec.seed, FIELD_RHO, c, 1)[0])
+            u = float(_unit(_words(bitgen, spec.seed, FIELD_RHO, c, 1))[0])
             if kind == CES_SUBSTITUTES:
                 rho = 0.6 + 0.3 * u
             else:

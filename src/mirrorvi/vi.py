@@ -347,9 +347,13 @@ def minty_certificate(
     simplex: flat Dirichlet) and returns the largest violation together with
     the violating point, or None when no sampled point gives a positive value.
     All points are drawn in one generator call, which gives the same points as
-    drawing them one at a time. Each point is still evaluated on its own: an
-    operator is defined on single points, and a stack of points given to one
-    such as `lambda x: A @ x` would come back as wrong rows without an error.
+    drawing them one at a time. A batched problem evaluates the whole sample
+    in one evaluate_many call and takes every value through one row dot each,
+    equal to the per-point values bit for bit; any other operator is
+    evaluated one point at a time, since a stack of points given to one such
+    as `lambda x: A @ x` would come back as wrong rows without an error. The
+    witness is the first point with the largest value; a NaN value (an
+    overflowing dot) is never the largest.
     """
     cand = np.asarray(candidate, dtype=float)
     if not problem.set.contains(cand):
@@ -362,13 +366,15 @@ def minty_certificate(
         points = rng.uniform(space.lo, space.hi, (samples, space.n))
     else:
         points = rng.dirichlet(np.ones(space.n), samples)
-    max_violation = -np.inf
-    worst = 0
-    for i, x in enumerate(points):
-        value = float(problem.evaluate(x).dot(cand - x))
-        if value > max_violation:
-            max_violation = value
-            worst = i
+    if problem.batched:
+        values = _row_dots(problem.evaluate_many(points), cand - points)
+    else:
+        values = np.array([problem.evaluate(x).dot(cand - x) for x in points])
+    # argmax takes the first maximum, as a loop keeping strict improvements
+    # from -inf does, once a NaN, which such a loop never keeps, is -inf.
+    values[np.isnan(values)] = -np.inf
+    worst = int(np.argmax(values))
+    max_violation = float(values[worst])
     return max_violation, (points[worst].copy() if max_violation > 0.0 else None)
 
 

@@ -322,8 +322,9 @@ def test_sweep_rows_match_reference_text(tmp_path, monkeypatch):
     "option, message",
     [(["--iters", "0"], "horizon must be >= 1, got 0"),
      (["--record-every", "0"], "record_every must be >= 1, got 0"),
-     (["--mix", "leontief=2"], "mix proportions must sum to 1, got 2.0")],
-    ids=["iters", "record_every", "mix"])
+     (["--mix", "leontief=2"], "mix proportions must sum to 1, got 2.0"),
+     (["--supply-total", "inf"], "supply_total must be positive and finite, got inf")],
+    ids=["iters", "record_every", "mix", "supply_total"])
 def test_sweep_rejects_shared_options_once_before_any_file(tmp_path, capsys, option, message):
     # An option every seed shares is one error, exit 1, before the output
     # directory exists; not a failed row per seed and exit 2.
@@ -367,6 +368,35 @@ def test_malformed_economy_file_is_a_user_error(tmp_path):
     (tmp_path / "garbled.json").write_text("{not json")
     assert main(["economy", "--file", str(tmp_path / "garbled.json")]) == 1
     assert main(["sweep", "--seeds", "0,a", "--out-dir", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_economy_supply_total_must_be_positive_and_finite(tmp_path, capsys, value):
+    # An infinite supply made every endowment NaN, which the consumer check
+    # reported as a bad endowment; now the option itself is the one error.
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "r.json"
+    argv = ["economy", "--consumers", "3", "--goods", "2", "--iters", "5",
+            "--supply-total", value, "--csv", str(csv_path), "--json", str(json_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: supply_total must be positive and finite, got {float(value)}\n")
+    assert not csv_path.exists() and not json_path.exists()
+
+
+def test_economy_file_ces_rho_must_be_finite(tmp_path, capsys):
+    # rho = -inf (JSON -Infinity) gives sigma = 0: every good's demand would be
+    # budget / sum(p), whatever the valuations.
+    path = tmp_path / "economy.json"
+    consumer = {"utility": "ces", "valuations": [1.0, 2.0], "endowment": [1.0, 2.0],
+                "rho": float("-inf")}
+    path.write_text(json.dumps({"n_goods": 2, "consumers": [consumer]}))
+    assert "-Infinity" in path.read_text()
+    with pytest.raises(InvalidInput, match="CES rho must be finite"):
+        load_economy_file(str(path))
+    files = ["--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")]
+    assert main(["economy", "--file", str(path)] + files) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("n_goods", [2.5, 2.0, True, "2", None])

@@ -79,6 +79,58 @@ def test_consumer_validation():
         Consumer(COBB_DOUGLAS, v, np.array([1.0, 1.0, 1.0]))
 
 
+def _per_entry_consumer_error(v: np.ndarray, e: np.ndarray) -> str | None:
+    """The consumer's vector checks as per-entry tests: the reference."""
+    if not (np.all(np.isfinite(v)) and np.all(v > 0.0)):
+        return "valuations must be finite and strictly positive"
+    if not (np.all(np.isfinite(e)) and np.all(e >= 0.0)):
+        return "endowment must be finite and nonnegative"
+    return None
+
+
+CHECK_VECTORS = [
+    [], [1.0], [0.0], [-0.0], [-1.0], [np.nan], [np.inf], [-np.inf], [5e-324], [1e308],
+    [1.0, np.nan], [np.nan, -1.0], [1.0, -0.0], [-0.0, 0.0], [0.5, 0.0], [np.inf, np.inf],
+    [-np.inf, np.inf], [2.0, -5e-324], [1.0, 2.0, 3.0], [0.0, 1.0, np.inf],
+]
+
+
+def test_consumer_vector_checks_match_per_entry_tests():
+    # The two reductions per vector accept and reject exactly what the
+    # per-entry tests do, with the same message: NaN, +-inf, negatives,
+    # -0.0 (a valid endowment, not a valid valuation) and empty vectors.
+    checked = 0
+    for v in CHECK_VECTORS:
+        for e in CHECK_VECTORS:
+            if len(v) != len(e):
+                continue
+            v_arr, e_arr = np.array(v, dtype=float), np.array(e, dtype=float)
+            expected = _per_entry_consumer_error(v_arr, e_arr)
+            for utility in (COBB_DOUGLAS, LEONTIEF):
+                if expected is None:
+                    Consumer(utility, v_arr, e_arr)
+                else:
+                    with pytest.raises(InvalidInput, match=f"^{expected}$"):
+                        Consumer(utility, v_arr, e_arr)
+                checked += 1
+    assert checked == 2 * sum(
+        1 for v in CHECK_VECTORS for e in CHECK_VECTORS if len(v) == len(e))
+    # The grid holds each kind of case on both sides.
+    Consumer(LEONTIEF, np.empty(0), np.empty(0))
+    Consumer(LEONTIEF, np.array([1.0]), np.array([-0.0]))
+    with pytest.raises(InvalidInput, match="valuations"):
+        Consumer(LEONTIEF, np.array([-0.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("rho", [-np.inf, np.inf, np.nan])
+def test_ces_rho_must_be_finite(rho):
+    # rho = -inf gives sigma = 0: demand budget / sum(p) for every good,
+    # whatever the valuations.
+    with pytest.raises(InvalidInput, match="CES rho must be finite"):
+        Consumer(CES, np.array([1.0, 2.0]), np.array([1.0, 1.0]), rho=rho)
+    Consumer(CES, np.array([1.0, 2.0]), np.array([1.0, 1.0]), rho=-1e300)
+
+
 def test_economy_validation():
     c = Consumer(COBB_DOUGLAS, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(InvalidInput):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,8 @@ from mirrorvi import (
     simplex,
     unit_box,
 )
-from mirrorvi.gen import FIELD_PRICE, FIELD_VALUATION, _uniforms
+import mirrorvi.gen as gen_module
+from mirrorvi.gen import FIELD_PRICE, FIELD_VALUATION, _uniforms, _words
 
 MIX_QUARTERS = {
     COBB_DOUGLAS: 0.25,
@@ -38,8 +43,9 @@ def test_spec_validation():
         GenSpec(seed=0, n_consumers=0, n_goods=3, mix={COBB_DOUGLAS: 1.0})
     with pytest.raises(InvalidInput):
         GenSpec(seed=0, n_consumers=4, n_goods=0, mix={COBB_DOUGLAS: 1.0})
-    with pytest.raises(InvalidInput):
-        GenSpec(seed=0, supply_total=0.0, **good)
+    for supply_total in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidInput, match="supply_total must be positive and finite"):
+            GenSpec(seed=0, supply_total=supply_total, **good)
     with pytest.raises(InvalidInput):
         GenSpec(seed=0, n_consumers=4, n_goods=3, mix={"linear": 1.0})
     with pytest.raises(InvalidInput):
@@ -162,3 +168,80 @@ def test_counter_stream_regression():
         _uniforms(0, FIELD_VALUATION, 2, 4)[1:],
         _uniforms(0, FIELD_VALUATION, 2, 3, offset=1),
     )
+
+
+def test_rekeyed_words_equal_a_fresh_generator():
+    # One generator re-keyed through its state gives, stream after stream,
+    # the words of a fresh Philox(key=field * 2**64 + seed,
+    # counter=consumer * 2**192) for that stream.
+    bitgen = np.random.Philox()
+    for seed in (0, 1, 2**63, 2**64 - 1):
+        for field in (1, 2, 3, 4):
+            for consumer in (0, 1, 499, 2**20):
+                for count in (1, 3, 4, 5, 50):
+                    for offset in (0, 1, 4, 50):
+                        fresh = np.random.Philox(key=(field << 64) | seed,
+                                                 counter=consumer << 192)
+                        expected = fresh.random_raw(offset + count)[offset:]
+                        got = _words(bitgen, seed, field, consumer, count, offset)
+                        assert got.tobytes() == expected.tobytes()
+
+
+def _economy_digest(economy) -> str:
+    digest = hashlib.sha256()
+    for consumer in economy.consumers:
+        digest.update(f"{consumer.utility}:{consumer.rho!r};".encode())
+        digest.update(consumer.valuations.tobytes())
+        digest.update(consumer.endowment.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (GenSpec(seed=0, n_consumers=50, n_goods=50, mix=MIX_QUARTERS), "010ce584c8cd7ff4"),
+    (GenSpec(seed=7, n_consumers=50, n_goods=50, mix=MIX_QUARTERS, supply_total=2.5),
+     "8a31639f7f24893b"),
+    (GenSpec(seed=0, n_consumers=500, n_goods=500, mix={LEONTIEF: 1.0}), "e5c4699885354d50"),
+], ids=["mixed50", "mixed50_seed7", "leontief500"])
+def test_generated_economy_digest_is_frozen(spec, digest):
+    # Digests of the utilities, rho reprs, valuations and endowments taken
+    # when every stream had a Philox generator of its own.
+    assert _economy_digest(generate_economy(spec)) == digest
+
+
+def test_valuation_redraws_are_frozen(monkeypatch):
+    # A minimum of 0.5 redraws about half of every consumer's valuations, for
+    # several attempts, at draw indices attempt * n_goods + good.
+    monkeypatch.setattr(gen_module, "_MIN_VALUATION", 0.5)
+    economy = generate_economy(GenSpec(seed=3, n_consumers=12, n_goods=7, mix=MIX_QUARTERS))
+    assert _economy_digest(economy) == "8aac09ffcc40cf89"
+
+
+def test_initial_prices_are_frozen():
+    raw = initial_prices(5, unit_box(50)).tobytes()
+    raw += initial_prices(2**64 - 1, simplex(7)).tobytes()
+    assert hashlib.sha256(raw).hexdigest()[:16] == "e9fd699ba903d1d8"
+
+
+def test_concurrent_generation_equals_serial():
+    # Every call owns its generator, so threads switching every few
+    # microseconds in the middle of re-keying still get the serial economies.
+    specs = [GenSpec(seed=s, n_consumers=12, n_goods=6, mix=MIX_QUARTERS) for s in range(4)]
+    serial = [_economy_digest(generate_economy(spec)) for spec in specs]
+    results: dict[int, list[str]] = {}
+
+    def work(worker: int) -> None:
+        results[worker] = [_economy_digest(generate_economy(spec))
+                           for _ in range(5) for spec in specs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {w: serial * 5 for w in range(4)}

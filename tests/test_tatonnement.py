@@ -443,7 +443,7 @@ class CountingEconomy:
 )
 @pytest.mark.parametrize(
     "space, post_evals",
-    [(simplex(3), 256), (box(np.full(3, 0.1), np.ones(3)), 0)],
+    [(simplex(3), 1), (box(np.full(3, 0.1), np.ones(3)), 0)],
     ids=["simplex", "box"],
 )
 def test_run_spends_only_solve_certificate_and_minty_evaluations(
@@ -451,7 +451,7 @@ def test_run_spends_only_solve_certificate_and_minty_evaluations(
 ):
     # The residual series and the certificate come from the solve's own
     # evaluations; after the solve a run evaluates Z only at the Minty sample
-    # points, on the simplex.
+    # points, on the simplex, as one stack of 256 points.
     economy = CountingEconomy(ScarfEconomy())
     runner(economy, space, EUC, 0.05, 300, START)
     assert economy.calls == solve_evals + post_evals
@@ -462,8 +462,8 @@ def test_solver_calls_scarf_excess_once_per_evaluation(monkeypatch):
     # The solver evaluates the Scarf operator through the class attribute
     # ScarfEconomy.excess, once per evaluation: the checks on its prices run
     # inside that call, not on a path around it. A counting wrapper on the
-    # class sees 2 evaluations per extragradient iteration and the 256 Minty
-    # points, on the simplex.
+    # class sees 2 evaluations per extragradient iteration and one stack of
+    # the 256 Minty points, on the simplex.
     calls = []
     original = ScarfEconomy.excess
 
@@ -473,7 +473,8 @@ def test_solver_calls_scarf_excess_once_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(ScarfEconomy, "excess", counting)
     run = mirror_extratatonnement(ScarfEconomy(), simplex(3), EUC, 0.05, 300, START)
-    assert len(calls) == 2 * 300 + 256
+    assert len(calls) == 2 * 300 + 1
+    assert calls[-1].shape == (256, 3)
     monkeypatch.undo()
     # The wrapper does not change the run.
     plain = mirror_extratatonnement(ScarfEconomy(), simplex(3), EUC, 0.05, 300, START)

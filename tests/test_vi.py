@@ -35,7 +35,7 @@ from mirrorvi import (
     unit_box,
 )
 from mirrorvi.kernels import _linear_max
-from mirrorvi.tatonnement import _solve_run
+from mirrorvi.tatonnement import _price_problem, _solve_run
 from mirrorvi.vi import DEGENERATE_STEP_TOL, _residuals
 
 EUC = squared_euclidean()
@@ -503,6 +503,112 @@ def test_minty_certificate_evaluates_each_sample_once(space):
     op = CountingOperator(lambda p: -scarf_excess_demand(p))
     minty_certificate(VIProblem(space, op), CENTER3, 50, 0)
     assert op.calls == 50
+
+
+def _minty_loop(problem: VIProblem, candidate, samples: int, seed):
+    """Reference: the sample drawn as minty_certificate draws it, one point at a time."""
+    rng = np.random.default_rng(seed)
+    space = problem.set
+    if space.kind == "box":
+        points = rng.uniform(space.lo, space.hi, (samples, space.n))
+    else:
+        points = rng.dirichlet(np.ones(space.n), samples)
+    max_violation = -np.inf
+    worst = 0
+    for i, x in enumerate(points):
+        value = float(problem.evaluate(x).dot(candidate - x))
+        if value > max_violation:
+            max_violation = value
+            worst = i
+    return max_violation, (points[worst].copy() if max_violation > 0.0 else None)
+
+
+def _assert_same_minty(got, expected):
+    assert np.float64(got[0]).tobytes() == np.float64(expected[0]).tobytes()
+    if expected[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("space_kind", ["box", "simplex"])
+@pytest.mark.parametrize("seed, m, n", [(0, 10, 5), (1, 20, 8), (2, 6, 3)])
+@pytest.mark.parametrize("samples", [1, 7, 256])
+def test_minty_certificate_batched_equals_loop(space_kind, seed, m, n, samples):
+    # A batched problem evaluates the sample as one stack; value and witness
+    # equal the point-by-point loop's bit for bit, at candidates with and
+    # without violations.
+    economy = generate_economy(GenSpec(seed=seed, n_consumers=m, n_goods=n, mix={
+        "cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25, "ces_complements": 0.25,
+    }))
+    space = unit_box(n) if space_kind == "box" else simplex(n)
+    batched = _price_problem(economy, space)
+    counting = CountingOperator(batched.operator)
+    counted = VIProblem(space, counting, batched=True)
+    looped = VIProblem(space, batched.operator)
+    ramp = np.linspace(0.1, 0.9, n)
+    if space_kind == "box":
+        candidates = [np.zeros(n), ramp]
+    else:
+        candidates = [np.full(n, 1.0 / n), ramp / ramp.sum()]
+    for cand in candidates:
+        expected = _minty_loop(looped, cand, samples, seed)
+        _assert_same_minty(minty_certificate(batched, cand, samples, seed), expected)
+        _assert_same_minty(minty_certificate(looped, cand, samples, seed), expected)
+        calls = counting.calls
+        _assert_same_minty(minty_certificate(counted, cand, samples, seed), expected)
+        assert counting.calls == calls + 1
+
+
+def test_minty_certificate_batched_keeps_the_frozen_scarf_violation():
+    problem = VIProblem(simplex(3), lambda p: -scarf_excess_demand(p), batched=True)
+    violation, witness = minty_certificate(problem, CENTER3, 1000, 0)
+    assert violation == 0.31690080410173926
+    _assert_same_minty((violation, witness),
+                       _minty_loop(scarf_problem(simplex(3)), CENTER3, 1000, 0))
+
+
+def _overflowing_operator(x):
+    # Huge alternating rows where x_0 > 1: their 16-term dots overflow, to
+    # NaN where partial sums reach +inf and -inf, or to +-inf; small rows elsewhere.
+    row = np.resize(np.array([1.0, -1.0]), 16)
+    return np.where(np.asarray(x)[..., :1] > 1.0, 1.5e308, 0.5) * row
+
+
+@pytest.mark.parametrize("seed, samples, largest", [(0, 64, "finite"), (1, 64, "inf"),
+                                                     (0, 1, "nan")])
+def test_minty_certificate_nan_is_never_the_largest(seed, samples, largest):
+    # In the loop a NaN value never passes `value > max_violation`; the
+    # stacked values give the same result, and a NaN comes before the witness.
+    space = box(np.zeros(16), np.full(16, 4.0))
+    cand = np.full(16, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _minty_loop(VIProblem(space, _overflowing_operator), cand, samples, seed)
+        got = minty_certificate(VIProblem(space, _overflowing_operator, batched=True),
+                                cand, samples, seed)
+        looped = minty_certificate(VIProblem(space, _overflowing_operator), cand, samples, seed)
+        points = np.random.default_rng(seed).uniform(space.lo, space.hi, (samples, 16))
+        values = np.array([_overflowing_operator(x).dot(cand - x) for x in points])
+    _assert_same_minty(got, expected)
+    _assert_same_minty(looped, expected)
+    assert np.isnan(values[0])
+    if largest == "nan":
+        assert got == (-np.inf, None)
+    else:
+        assert np.isfinite(got[0]) == (largest == "finite") and got[0] > 0.0
+        assert got[1].tobytes() == points[np.flatnonzero(values == got[0])[0]].tobytes()
+
+
+def test_minty_certificate_ties_keep_the_first_point():
+    # A zero operator ties every value at zero; the first point is kept, with
+    # its zero's sign, and there is no witness.
+    space = box(np.full(3, -1.0), np.ones(3))
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))  # noqa: E731
+    expected = _minty_loop(VIProblem(space, zero), np.zeros(3), 50, 4)
+    for batched in (False, True):
+        _assert_same_minty(
+            minty_certificate(VIProblem(space, zero, batched=batched), np.zeros(3), 50, 4),
+            expected)
 
 
 @pytest.mark.parametrize("record_every, expected", [(1, 31), (3, 30)])
