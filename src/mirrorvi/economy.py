@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import EvaluationError, InvalidInput, Unsupported
+from .kernels import _row_dots
 
 COBB_DOUGLAS = "cobb_douglas"
 LEONTIEF = "leontief"
@@ -29,12 +30,10 @@ DEFAULT_PRICE_FLOOR = 1e-8
 #: Largest brute-force demand grid resolution we evaluate.
 MAX_ORACLE_RESOLUTION = 401
 
-#: Demand-matrix entries (price rows x consumers x goods) that one block of
-#: price rows of a batched evaluation covers across its consumer groups.
-BATCH_ENTRIES = 1 << 20
-
-#: Demand-matrix entries (price rows x consumers x goods) that one row block
-#: of a consumer group holds: 256 KB of float64, which fits in a typical L2.
+#: Demand-matrix entries (price rows x consumers x goods) that one block
+#: holds: 256 KB of float64, which fits in a typical L2. A stack of prices is
+#: evaluated in blocks of price rows of about this size, and a consumer group
+#: that does not fit streams through blocks of its consumer rows of this size.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -373,15 +372,15 @@ class ExchangeEconomy:
 
         p is a price vector, or a (k, n) stack of price vectors that gives one
         demand row per price row; each row equals the demand at that row
-        alone, bit for bit.
+        alone, bit for bit. A stack is evaluated in blocks of price rows whose
+        demand matrix holds at most _BLOCK_ENTRIES entries, or one row at a
+        time when a single row's matrix is larger.
         """
         prices = np.maximum(_as_prices(p, self.n_goods, batch=True), self.price_floor)
         if prices.ndim == 1:
             total = self._total_demand(prices)
         else:
-            # A long stack is evaluated in blocks of price rows, so the
-            # per-consumer vectors of one call stay near BATCH_ENTRIES / n.
-            step = max(1, BATCH_ENTRIES // (len(self.consumers) * self.n_goods))
+            step = max(1, _BLOCK_ENTRIES // (len(self.consumers) * self.n_goods))
             total = np.empty_like(prices)
             for start in range(0, len(prices), step):
                 total[start:start + step] = self._total_demand(prices[start:start + step])
@@ -396,27 +395,15 @@ class ExchangeEconomy:
         """Sum of capped demand over consumers, one consumer group at a time.
 
         When the whole demand matrix fits in _BLOCK_ENTRIES entries, every
-        group fills its own rows of one buffer, one np.minimum caps it, and
-        each group's rows are summed on their own, in group order. Otherwise
-        a group of at most _BLOCK_ENTRIES entries is one block: its matrix is
-        filled, capped and summed whole, and a larger group is streamed
-        through _streamed_sum. With n = 1 numpy sums a column pairwise, not
-        row after row, so a one-good group is always one block.
+        group fills its own rows of one buffer (_buffered_demand). Otherwise
+        each group's column sum comes from _streamed_sum, in group order; a
+        group that fits in one block is a single pass of its loop.
         """
         if len(self.consumers) * prices.size <= _BLOCK_ENTRIES:
             return self._buffered_demand(prices)
         total = np.zeros(prices.shape)
-        n = prices.shape[-1]
         for group in self._groups:
-            vectors = group.price_vectors(prices)
-            m = len(group.valuations)
-            if n == 1 or m * prices.size <= _BLOCK_ENTRIES:
-                block = group.fill(vectors, 0, m)
-                if self._cap is not None:
-                    np.minimum(block, self._cap, out=block)
-                total += np.add.reduce(block, axis=-2)
-            else:
-                total += self._streamed_sum(group, vectors, prices)
+            total += self._streamed_sum(group, group.price_vectors(prices), prices)
         return total
 
     def _buffered_demand(self, prices: np.ndarray) -> np.ndarray:
@@ -450,11 +437,12 @@ class ExchangeEconomy:
         Each block of consumer rows goes into one reused buffer of about
         _BLOCK_ENTRIES entries, whose row 0 holds the running column sum, so
         the rows are still added one after another in their order: what
-        sum(axis=-2) does over the whole matrix when n >= 2. The cap is
-        skipped when cap_is_slack proves it a no-op.
+        sum(axis=-2) does over the whole matrix when n >= 2. With n = 1 numpy
+        sums a column pairwise instead, so a one-good group is one block of
+        all its rows. The cap is skipped when cap_is_slack proves it a no-op.
         """
         m = len(group.valuations)
-        rows = max(1, _BLOCK_ENTRIES // prices.size)
+        rows = m if prices.shape[-1] == 1 else min(m, max(1, _BLOCK_ENTRIES // prices.size))
         buffer = np.empty(prices.shape[:-1] + (1 + rows, prices.shape[-1]))
         capped = self._cap is not None and not group.cap_is_slack(vectors, self._cap)
         column_sum = None
@@ -590,19 +578,19 @@ def check_wgs_sample(economy, pairs: int, seed) -> int:
     return int(np.sum(drop > 1e-9))
 
 
-def _sample_pair_block(economy, pairs: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, 2, n) sampled prices (p, q) and their excess demands, one call.
+def _sample_pair_block(economy, pairs: int, seed) -> tuple[np.ndarray, ...]:
+    """Sampled prices p, q and their excess demands Z(p), Z(q), from one call.
 
-    Each pair's p and q are drawn one after the other, so the block is the
-    same stream as drawing p, then q, pair by pair. The excess rows are made
-    contiguous because the samplers decide their counts with per-row dot
-    products, and BLAS sums a strided vector in another order.
+    Each is a C-ordered (pairs, n) array. Each pair's p and q are drawn one
+    after the other, so the block is the same stream as drawing p, then q,
+    pair by pair. The arrays are made contiguous because the samplers decide
+    their counts with _row_dots, one dot per row, and BLAS sums a strided
+    vector in another order.
     """
     _check_pairs(pairs)
-    n = economy.n_goods
-    prices = _sample_prices(np.random.default_rng(seed), n, 2 * pairs).reshape(pairs, 2, n)
-    z = np.ascontiguousarray(economy.excess(prices.reshape(2 * pairs, n)))
-    return prices, z.reshape(pairs, 2, n)
+    prices = _sample_prices(np.random.default_rng(seed), economy.n_goods, 2 * pairs)
+    z = economy.excess(prices)
+    return tuple(np.ascontiguousarray(a) for a in (prices[0::2], prices[1::2], z[0::2], z[1::2]))
 
 
 def check_warp_sample(economy, pairs: int, seed) -> int:
@@ -613,13 +601,11 @@ def check_warp_sample(economy, pairs: int, seed) -> int:
     yet <Z(p), q> <= <Z(p), p>. All 2 * pairs price vectors are evaluated in
     one call.
     """
-    violations = 0
-    for (p, q), (zp, zq) in zip(*_sample_pair_block(economy, pairs, seed)):
-        if np.array_equal(zp, zq):
-            continue
-        if zq.dot(p) <= zq.dot(q) and zp.dot(q) <= zp.dot(p):
-            violations += 1
-    return violations
+    p, q, zp, zq = _sample_pair_block(economy, pairs, seed)
+    violations = ((zp != zq).any(axis=1)
+                  & (_row_dots(zq, p) <= _row_dots(zq, q))
+                  & (_row_dots(zp, q) <= _row_dots(zp, p)))
+    return int(np.count_nonzero(violations))
 
 
 def check_lsd_sample(economy, pairs: int, seed) -> int:
@@ -627,11 +613,8 @@ def check_lsd_sample(economy, pairs: int, seed) -> int:
 
     All 2 * pairs price vectors are evaluated in one call.
     """
-    violations = 0
-    for (p, q), (zp, zq) in zip(*_sample_pair_block(economy, pairs, seed)):
-        if float((zq - zp).dot(q - p)) > 1e-9:
-            violations += 1
-    return violations
+    p, q, zp, zq = _sample_pair_block(economy, pairs, seed)
+    return int(np.count_nonzero(_row_dots(zq - zp, q - p) > 1e-9))
 
 
 #: Relative perturbation sizes for two-point elasticity sampling.
@@ -645,7 +628,7 @@ def elasticity_bound_estimate(economy, pairs: int, seed) -> float:
     multiplicatively by 1 +/- delta for delta in ELASTICITY_DELTAS. Components
     with zero baseline demand are skipped. Aggregate supply is constant, so
     its elasticity contributes zero. Each base point and its 4n perturbations
-    are evaluated together; base points go in blocks of about BATCH_ENTRIES
+    are evaluated together; base points go in blocks of about _BLOCK_ENTRIES
     price entries, so a small economy needs one demand call and a large one
     never holds all pairs * (1 + 4n) * n entries at once.
     """
@@ -658,7 +641,7 @@ def elasticity_bound_estimate(economy, pairs: int, seed) -> float:
     deltas = np.array([delta for _, delta, _ in moves])
     rows = 1 + len(moves)
     eps_hat = 0.0
-    step = max(1, BATCH_ENTRIES // (rows * n))
+    step = max(1, _BLOCK_ENTRIES // (rows * n))
     for start in range(0, pairs, step):
         block = base_prices[start:start + step]
         # prices[i, 0] is base point i; prices[i, 1 + j] perturbs its

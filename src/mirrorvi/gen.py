@@ -100,6 +100,10 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
+        # A bool or a float is not a size, though a bool compares as one.
+        for size in (self.n_consumers, self.n_goods):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise InvalidInput(f"n_consumers and n_goods must be integers, got {size!r}")
         if self.n_consumers < 1 or self.n_goods < 1:
             raise InvalidInput("n_consumers and n_goods must be positive")
         # 0 < supply_total < inf fails for NaN too; an infinite supply makes
@@ -111,6 +115,9 @@ class GenSpec:
         if unknown:
             raise InvalidInput(f"unknown utility kinds in mix: {sorted(unknown)}")
         props = np.array([float(self.mix.get(kind, 0.0)) for kind in KIND_ORDER])
+        # A NaN passes both tests below, and kind_assignment cannot floor it.
+        if not np.isfinite(props).all():
+            raise InvalidInput(f"mix proportions must be finite, got {dict(self.mix)}")
         if np.any(props < 0.0):
             raise InvalidInput("mix proportions must be nonnegative")
         if abs(props.sum() - 1.0) > 1e-12:

@@ -139,27 +139,25 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
     the simplex) because the modulus is only needed along iterate paths, which
     the floor/projection keep away from the boundary blow-up of Z. The pairs
     (x, y) are drawn x first, then y, and all divergences come from one
-    stacked call. The pairs with a nondegenerate divergence are evaluated as
-    two stacks, their xs and then their ys, when the problem is batched, and
-    otherwise pair by pair, at x and then at y. Both give the same value bit
-    for bit: a batched operator's rows equal its single-point values, and
-    each row's norm is taken as a dot product, as numpy's vector norm does.
+    stacked call. The pairs with a nondegenerate divergence are evaluated in
+    one evaluate_many call on the interleaved stack x_0, y_0, x_1, y_1, ...,
+    so an operator that is not batched sees the points in the order of a
+    pair-by-pair loop. Each row's norm is taken as a dot product, as numpy's
+    vector norm does, so the value equals that loop's bit for bit.
     """
     if pairs < 1:
         raise InvalidInput(f"pairs must be >= 1, got {pairs}")
     rng = np.random.default_rng(seed)
     points = _interior_samples(rng, problem.set, 2 * pairs)
-    xs, ys = points[0::2], points[1::2]
-    divergences = bregman_divergence(kernel, xs, ys)
+    divergences = bregman_divergence(kernel, points[0::2], points[1::2])
     eligible = np.flatnonzero(divergences > 1e-16)
     if eligible.size == 0:
         return 0.0
-    if problem.batched:
-        d = problem.evaluate_many(xs[eligible]) - problem.evaluate_many(ys[eligible])
-        deltas = np.sqrt(_row_dots(d, d))
-    else:
-        deltas = np.array([np.linalg.norm(problem.evaluate(xs[i]) - problem.evaluate(ys[i]))
-                           for i in eligible])
+    # Rows 2i and 2i + 1 of the stack are the i-th eligible pair's x and y.
+    stack = points.reshape(pairs, 2, -1)[eligible].reshape(2 * eligible.size, -1)
+    values = problem.evaluate_many(stack)
+    d = values[0::2] - values[1::2]
+    deltas = np.sqrt(_row_dots(d, d))
     return float(np.max(deltas / np.sqrt(2.0 * divergences[eligible])))
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InsufficientData, InvalidInput, Unsupported
+from .errors import EvaluationError, InsufficientData, InvalidInput
 from .kernels import (
     BOX,
     SIMPLEX,
@@ -47,7 +47,7 @@ class VIProblem:
     evaluate_many then evaluates a whole stack in one call. The declaration
     is the operator's promise: an undeclared one such as `lambda x: A @ x`
     would return wrong rows, without an error, if it were handed a square
-    stack, so the library evaluates it one point at a time.
+    stack, so evaluate_many hands it one point at a time.
     """
 
     set: FeasibleSet
@@ -63,18 +63,24 @@ class VIProblem:
         return out
 
     def evaluate_many(self, xs) -> np.ndarray:
-        """F at every row of a (k, n) stack in one operator call, with checks.
+        """F at every row of a (k, n) stack, as a C-ordered (k, n) float array.
 
-        Only a batched operator can be given a stack (Unsupported otherwise);
-        its value must have shape (k, n) and be finite (EvaluationError), and
-        is returned as a C-ordered float array, so each row is contiguous.
+        This is the one place that decides how a stack is evaluated. A batched
+        operator gets the whole stack in one call, and its value must have
+        shape (k, n) and be finite (EvaluationError). Any other operator is
+        never handed a stack: each row goes through evaluate, in row order,
+        and is written into the result. Either way each row is contiguous and
+        equals evaluate at that point bit for bit.
         """
-        if not self.batched:
-            raise Unsupported(f"operator {self.operator_label!r} is not declared batched")
         points = np.asarray(xs, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.set.n:
             raise InvalidInput(
                 f"points must be a (k, {self.set.n}) stack, got shape {points.shape}")
+        if not self.batched:
+            out = np.empty(points.shape)
+            for i, x in enumerate(points):
+                out[i] = self.evaluate(x)
+            return out
         out = np.asarray(self.operator(points), dtype=float, order="C")
         if out.shape != points.shape or not np.isfinite(out).all():
             self._reject(out, points.shape)
@@ -347,12 +353,10 @@ def minty_certificate(
     simplex: flat Dirichlet) and returns the largest violation together with
     the violating point, or None when no sampled point gives a positive value.
     All points are drawn in one generator call, which gives the same points as
-    drawing them one at a time. A batched problem evaluates the whole sample
-    in one evaluate_many call and takes every value through one row dot each,
-    equal to the per-point values bit for bit; any other operator is
-    evaluated one point at a time, since a stack of points given to one such
-    as `lambda x: A @ x` would come back as wrong rows without an error. The
-    witness is the first point with the largest value; a NaN value (an
+    drawing them one at a time, and evaluated in one evaluate_many call; each
+    value goes through one row dot, equal to the per-point dot bit for bit
+    but for the sign of a zero when n = 1 (a length-1 dot is the bare
+    product, which a row dot adds to +0.0). The witness is the first point with the largest value; a NaN value (an
     overflowing dot) is never the largest.
     """
     cand = np.asarray(candidate, dtype=float)
@@ -366,10 +370,7 @@ def minty_certificate(
         points = rng.uniform(space.lo, space.hi, (samples, space.n))
     else:
         points = rng.dirichlet(np.ones(space.n), samples)
-    if problem.batched:
-        values = _row_dots(problem.evaluate_many(points), cand - points)
-    else:
-        values = np.array([problem.evaluate(x).dot(cand - x) for x in points])
+    values = _row_dots(problem.evaluate_many(points), cand - points)
     # argmax takes the first maximum, as a loop keeping strict improvements
     # from -inf does, once a NaN, which such a loop never keeps, is -inf.
     values[np.isnan(values)] = -np.inf

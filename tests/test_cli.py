@@ -383,6 +383,32 @@ def test_economy_supply_total_must_be_positive_and_finite(tmp_path, capsys, valu
     assert not csv_path.exists() and not json_path.exists()
 
 
+@pytest.mark.parametrize("mix", ["leontief=nan", "leontief=nan,cobb_douglas=1",
+                                 "leontief=inf"])
+def test_economy_mix_must_be_finite(tmp_path, capsys, mix):
+    # A NaN proportion ended in a ValueError traceback from the generator.
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "r.json"
+    argv = ["economy", "--consumers", "3", "--goods", "2", "--iters", "5", "--mix", mix,
+            "--csv", str(csv_path), "--json", str(json_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mix proportions must be finite") and err.count("\n") == 1
+    assert not csv_path.exists() and not json_path.exists()
+
+
+@pytest.mark.parametrize("mix", ["leontief=nan", "leontief=inf"])
+def test_sweep_mix_must_be_finite_before_any_file(tmp_path, capsys, mix):
+    # The sweep created its empty --out-dir, then ended in a ValueError
+    # traceback on the first seed.
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--seeds", "0", "--consumers", "3", "--goods", "2", "--iters", "5",
+            "--mix", mix, "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mix proportions must be finite") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_economy_file_ces_rho_must_be_finite(tmp_path, capsys):
     # rho = -inf (JSON -Infinity) gives sigma = 0: every good's demand would be
     # budget / sum(p), whatever the valuations.

@@ -516,6 +516,42 @@ def test_law_of_supply_and_demand_counts():
     assert check_lsd_sample(ScarfEconomy(), 64, 0) > 0
 
 
+def reference_pair_counts(economy, pairs: int, seed) -> tuple[int, int]:
+    """(WARP, LSD) violation counts, one pair at a time: each price drawn
+    p, then q, evaluated alone, and tested with vector dots."""
+    rng = np.random.default_rng(seed)
+    warp = lsd = 0
+    for _ in range(pairs):
+        p, q = rng.uniform(0.1, 1.0, (2, economy.n_goods))
+        zp, zq = economy.excess(p), economy.excess(q)
+        if not np.array_equal(zp, zq) and zq.dot(p) <= zq.dot(q) and zp.dot(q) <= zp.dot(p):
+            warp += 1
+        if float((zq - zp).dot(q - p)) > 1e-9:
+            lsd += 1
+    return warp, lsd
+
+
+def test_pair_samplers_match_the_per_pair_loop():
+    # WARP and LSD count over the whole pair block with row dots; each count
+    # equals the loop's, pair by pair, on economies that do violate both.
+    mixes = [{"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
+              "ces_complements": 0.25},
+             {"ces_complements": 1.0},
+             {"leontief": 0.5, "ces_substitutes": 0.5}]
+    economies = [ScarfEconomy(), cobb_douglas_pair()] + [
+        generate_economy(GenSpec(seed=seed, n_consumers=n, n_goods=n, mix=mix))
+        for n in (3, 5, 50) for mix in mixes for seed in range(3)]
+    totals = np.zeros(2, dtype=int)
+    for economy in economies:
+        for pairs, seed in ((64, 0), (17, 5)):
+            expected = reference_pair_counts(economy, pairs, seed)
+            assert (check_warp_sample(economy, pairs, seed),
+                    check_lsd_sample(economy, pairs, seed)) == expected
+            totals += expected
+    assert (totals > 0).all()
+    assert check_warp_sample(ScarfEconomy(), 0, 0) == check_lsd_sample(ScarfEconomy(), 0, 0) == 0
+
+
 def test_elasticity_bound_estimate_deterministic_and_bounded():
     economy = ExchangeEconomy(
         [Consumer(COBB_DOUGLAS, np.array([1.0, 1.0]), np.array([1.0, 1.0]))],
@@ -728,6 +764,22 @@ def test_buffered_excess_peak_temporaries():
     assert peaks[1] <= 8 * 2.5 * m * n * 8
 
 
+def test_probe_stack_peak_temporaries():
+    # The step-size probe's stack is 64 price rows (32 pairs). On a 50 x 50
+    # mixed economy a stack is evaluated in buffered blocks of 13 rows, each
+    # within _BLOCK_ENTRIES, so one call holds one block's buffer and CES
+    # workspace, not a 64-row matrix per group. Measured 28.6 matrices
+    # (571,720 bytes) against 40.5 (809,232 bytes) when a stack was blocked
+    # by 2^20 entries and each group streamed all 64 rows at once.
+    m = n = 50
+    mix = {"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
+           "ces_complements": 0.25}
+    economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=mix))
+    prices = np.random.default_rng(15).uniform(0.1, 1.0, (64, n))
+    (peak,) = excess_peaks(economy, (prices,))
+    assert peak <= 32 * m * n * 8
+
+
 def excess_peaks(economy, price_sets) -> list[int]:
     """Peak bytes that tracemalloc sees during one warm excess call per price set."""
     for p in price_sets:
@@ -796,14 +848,14 @@ def test_batch_overflow_names_the_row():
 
 
 def test_blocked_batches_match_one_block(monkeypatch):
-    # A long stack is evaluated in blocks of BATCH_ENTRIES demand-matrix (and,
+    # A long stack is evaluated in blocks of _BLOCK_ENTRIES demand-matrix (and,
     # for elasticities, price) entries; the block size must not change a value.
     economy = random_economy(np.random.default_rng(17), cap_factor=1.0)
     m, n = len(economy.consumers), economy.n_goods
     prices = np.random.default_rng(18).uniform(0.0, 1.0, (25, n))
     whole = economy.excess(prices)
     elasticity = elasticity_bound_estimate(economy, 6, 0)
-    monkeypatch.setattr(economy_module, "BATCH_ENTRIES", 3 * m * n)
+    monkeypatch.setattr(economy_module, "_BLOCK_ENTRIES", 3 * m * n)
     np.testing.assert_array_equal(economy.excess(prices), whole)
     assert elasticity_bound_estimate(economy, 6, 0) == elasticity
     overflow = ExchangeEconomy(

@@ -33,6 +33,36 @@ MIX_QUARTERS = {
 }
 
 
+@pytest.mark.parametrize("mix", [{LEONTIEF: float("nan")},
+                                 {LEONTIEF: float("nan"), COBB_DOUGLAS: 1.0},
+                                 {LEONTIEF: float("inf")},
+                                 {LEONTIEF: float("inf"), COBB_DOUGLAS: float("-inf")}])
+def test_spec_rejects_mix_proportions_that_are_not_finite(mix):
+    # A NaN passed the sign and sum tests, then kind_assignment could not
+    # floor it and raised a bare ValueError.
+    with pytest.raises(InvalidInput, match="mix proportions must be finite"):
+        GenSpec(seed=0, n_consumers=4, n_goods=3, mix=mix)
+
+
+@pytest.mark.parametrize("size", [2.5, 4.0, True, np.float64(4.0), np.bool_(True), "4"])
+@pytest.mark.parametrize("field", ["n_consumers", "n_goods"])
+def test_spec_rejects_sizes_that_are_not_integers(field, size):
+    # A float size was accepted, and generate_economy then raised a bare
+    # TypeError from range; a bool is not a size either.
+    sizes = dict(n_consumers=4, n_goods=3)
+    sizes[field] = size
+    with pytest.raises(InvalidInput, match="n_consumers and n_goods must be integers"):
+        GenSpec(seed=0, mix={COBB_DOUGLAS: 1.0}, **sizes)
+
+
+def test_spec_takes_numpy_integer_sizes():
+    spec = GenSpec(seed=0, n_consumers=np.int64(4), n_goods=np.int32(3),
+                   mix={COBB_DOUGLAS: 1.0})
+    plain = GenSpec(seed=0, n_consumers=4, n_goods=3, mix={COBB_DOUGLAS: 1.0})
+    np.testing.assert_array_equal(generate_economy(spec).excess(np.ones(3)),
+                                  generate_economy(plain).excess(np.ones(3)))
+
+
 def test_spec_validation():
     good = dict(n_consumers=4, n_goods=3, mix={COBB_DOUGLAS: 1.0})
     with pytest.raises(InvalidInput):

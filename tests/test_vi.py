@@ -14,7 +14,6 @@ from mirrorvi import (
     InvalidInput,
     RunTrace,
     SolverConfig,
-    Unsupported,
     VIProblem,
     box,
     bregman_divergence,
@@ -97,13 +96,25 @@ def test_evaluate_many_checks_the_stack_contract():
                               (lambda p: np.where(p > 0.9, np.nan, p), "non-finite")]:
         with pytest.raises(EvaluationError, match=message):
             VIProblem(space, operator, batched=True).evaluate_many(stack)
-    # Points that are not a (k, n) stack are the caller's fault, and an
-    # undeclared operator is never handed a stack.
+    # Points that are not a (k, n) stack are the caller's fault.
     for bad in (stack[0], stack[:, :2], stack[None]):
         with pytest.raises(InvalidInput):
             problem.evaluate_many(bad)
-    with pytest.raises(Unsupported):
-        VIProblem(space, lambda p: -scarf_excess_demand(p)).evaluate_many(stack)
+    # An undeclared operator is never handed a stack: it sees each row as a
+    # point, once and in row order, and each row of the result is evaluate's.
+    seen = []
+
+    def pointwise(p):
+        seen.append(p.copy())
+        return -scarf_excess_demand(p)
+
+    undeclared = VIProblem(space, pointwise)
+    values = undeclared.evaluate_many(stack)
+    assert [p.ndim for p in seen] == [1, 1, 1]
+    assert np.array(seen).tobytes() == stack.tobytes()
+    assert values.shape == (3, 3) and values.flags.c_contiguous
+    for x, row in zip(stack, values):
+        assert row.tobytes() == undeclared.evaluate(x).tobytes()
 
 
 def test_solver_config_rejects_a_stop_gap_that_is_not_finite_and_nonnegative():
