@@ -76,15 +76,11 @@ def _unit(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def _uniforms(seed: int, field: int, consumer: int, count: int, offset: int = 0) -> np.ndarray:
-    """Draws offset .. offset+count-1 of the stream keyed by (seed, field, consumer)."""
-    return _unit(_words(np.random.Philox(), seed, field, consumer, count, offset))
-
-
 def _check_seed(seed) -> None:
     # The key is field * 2**64 + seed, so a seed outside [0, 2**64) would
-    # alias another seed's stream (or fail inside numpy when negative).
-    if not (0 <= int(seed) < 2**64):
+    # alias another seed's stream (or fail inside numpy when negative). A bool
+    # or a float is not a seed, though int() would make one of it.
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
@@ -188,7 +184,7 @@ def initial_prices(seed: int, space: FeasibleSet) -> np.ndarray:
     normalization harmless. The seed must lie in [0, 2**64), as for GenSpec.
     """
     _check_seed(seed)
-    raw = 1.0 + 9.0 * _uniforms(seed, FIELD_PRICE, 0, space.n)
+    raw = 1.0 + 9.0 * _unit(_words(np.random.Philox(), seed, FIELD_PRICE, 0, space.n))
     if space.kind == BOX:
         return np.clip(raw / raw.max(), space.lo, space.hi)
     return raw / raw.sum()

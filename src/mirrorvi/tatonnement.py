@@ -22,11 +22,14 @@ from .kernels import (
     _row_dots,
     bregman_divergence,
 )
+from . import vi
 from .vi import (
     RunTrace,
     SolverConfig,
     VIProblem,
+    _modulus_samples,
     _residuals,
+    _step_bound,
     minty_certificate,
     mirror_extragradient_solve,
     mirror_gradient_solve,
@@ -138,40 +141,37 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
     Sampling is interior-biased (Beta(2,2) per box coordinate; Dirichlet(2) on
     the simplex) because the modulus is only needed along iterate paths, which
     the floor/projection keep away from the boundary blow-up of Z. The pairs
-    (x, y) are drawn x first, then y, and all divergences come from one
-    stacked call. The pairs with a nondegenerate divergence are evaluated in
-    one evaluate_many call on the interleaved stack x_0, y_0, x_1, y_1, ...,
-    so an operator that is not batched sees the points in the order of a
-    pair-by-pair loop. Each row's norm is taken as a dot product, as numpy's
-    vector norm does, so the value equals that loop's bit for bit.
+    (x, y) are drawn x first, then y, as one interleaved stack x_0, y_0, x_1,
+    y_1, ..., and all divergences come from one stacked call. Unless every
+    pair is degenerate (no evaluation then, and the value 0), the stack is
+    evaluated in one evaluate_many call, so an operator that is not batched
+    sees the points in the order of a pair-by-pair loop. Each row's norm is
+    taken as a dot product, as numpy's vector norm does, and the value is the
+    largest of vi._modulus_samples, the trace's own samples, so it equals a
+    loop that skips the degenerate pairs bit for bit.
     """
     if pairs < 1:
         raise InvalidInput(f"pairs must be >= 1, got {pairs}")
     rng = np.random.default_rng(seed)
     points = _interior_samples(rng, problem.set, 2 * pairs)
     divergences = bregman_divergence(kernel, points[0::2], points[1::2])
-    eligible = np.flatnonzero(divergences > 1e-16)
-    if eligible.size == 0:
+    # The cutoff is read from vi when called, so the trace and the probe share it.
+    if not (divergences > vi.DEGENERATE_STEP_TOL).any():
         return 0.0
-    # Rows 2i and 2i + 1 of the stack are the i-th eligible pair's x and y.
-    stack = points.reshape(pairs, 2, -1)[eligible].reshape(2 * eligible.size, -1)
-    values = problem.evaluate_many(stack)
+    values = problem.evaluate_many(points)
     d = values[0::2] - values[1::2]
-    deltas = np.sqrt(_row_dots(d, d))
-    return float(np.max(deltas / np.sqrt(2.0 * divergences[eligible])))
+    return float(np.max(_modulus_samples(np.sqrt(_row_dots(d, d)), divergences)))
 
 
 def auto_step_size(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, seed=0) -> float:
-    """Probe the modulus and return eta = 1 / (2 * sqrt(2) * L_hat).
+    """Probe the modulus and return eta = _step_bound(L_hat) = 1 / (2 * sqrt(2) * L_hat).
 
     A constant operator probes to zero; any step works then, so 1.0 is
     returned. Runs started this way should enable modulus backoff, which
     halves the step if the path reveals a larger modulus than the probe.
     """
     modulus = probe_modulus(problem, kernel, pairs, seed)
-    if modulus == 0.0:
-        return 1.0
-    return 1.0 / (2.0 * np.sqrt(2.0) * modulus)
+    return 1.0 if modulus == 0.0 else _step_bound(modulus)
 
 
 def _normalized(x) -> np.ndarray | None:

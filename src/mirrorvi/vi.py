@@ -37,6 +37,26 @@ MIRROR_GRADIENT = "mirror_gradient"
 MIRROR_EXTRAGRADIENT = "mirror_extragradient"
 
 
+def _step_bound(x: float) -> float:
+    """1 / (2 * sqrt(2) * x): the step-size premise 2 * eta <= 1/(sqrt(2) * L)
+    at equality. For a modulus x it is the largest step; for a step x it is
+    the largest modulus that step admits."""
+    return 1.0 / (2.0 * math.sqrt(2.0) * x)
+
+
+def _modulus_samples(deltas: np.ndarray, divergences: np.ndarray) -> np.ndarray:
+    """The modulus samples ||F(x') - F(x)|| / sqrt(2 D_h(x', x)), row by row.
+
+    A row with D_h <= DEGENERATE_STEP_TOL samples 0 (a zero step carries no
+    continuity information), and the square root is taken only above it,
+    since an entropy divergence can round slightly below zero.
+    """
+    eligible = divergences > DEGENERATE_STEP_TOL
+    samples = np.zeros(divergences.size)
+    samples[eligible] = deltas[eligible] / np.sqrt(2.0 * divergences[eligible])
+    return samples
+
+
 @dataclass(frozen=True)
 class VIProblem:
     """A variational inequality (set, F) with a single-valued operator.
@@ -103,7 +123,7 @@ class SolverConfig:
     eta must be positive with a finite effective Euclidean step 2 * eta, and
     stop_gap, when given, finite and >= 0. With
     modulus_backoff enabled, the step size is halved whenever a recorded
-    iteration's modulus sample exceeds 1/(2 * sqrt(2) * current step): the
+    iteration's modulus sample exceeds _step_bound(current step): the
     effective Euclidean step is twice eta, so this keeps the run within the
     pathwise step-size condition 2 * eta <= 1/(sqrt(2) * L). Only then does
     the loop take a record's divergence and sample itself, and only with
@@ -147,11 +167,11 @@ class RunTrace:
     operator_deltas ||F(x_{k+0.5}) - F(x_k)|| and keeps the F(x_{k+0.5})
     rows; the other values are computed after it, each equal to the
     per-record vector call bit for bit: the three residuals from one stacked
-    _residuals call over those rows, and divergences D_h(x_{k+0.5}, x_k) and
-    modulus_samples from one stacked bregman_divergence call over
-    half_points and points; a record with D_h <= DEGENERATE_STEP_TOL has
-    sample 0. The best record is best_position; best_index and best_iterate
-    are its k and x_{k+0.5}.
+    _residuals call over those rows, divergences D_h(x_{k+0.5}, x_k) from one
+    stacked bregman_divergence call over half_points and points, and
+    modulus_samples from _modulus_samples over the deltas and divergences
+    (a record with D_h <= DEGENERATE_STEP_TOL has sample 0). The best record
+    is best_position; best_index and best_iterate are its k and x_{k+0.5}.
     """
 
     method: str
@@ -275,12 +295,11 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
                 converged = True
                 break
             if backoff:
-                # The same divergence and sample the trace records after the loop.
+                # The same divergence and sample the trace records after the
+                # loop, tested against the largest modulus this step admits.
                 div = _divergence(kernel, x_half, x)
                 sample = delta / math.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
-                if sample > 1.0 / (2.0 * math.sqrt(2.0) * eta):
-                    # The effective Euclidean step is 2*eta, so the step-size
-                    # premise 2*eta <= 1/(sqrt(2)*L) caps the modulus at this value.
+                if sample > _step_bound(eta):
                     eta *= 0.5
         x = x_next
         fx = None if extragradient else f_half
@@ -290,12 +309,8 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     delta_rows = np.array(deltas)
     gaps, complementarity, infeasibility = _residuals(space, half_rows, np.array(half_values))
     # Every record's divergence in one stacked call, each row equal to the
-    # vector call; the square root is taken only where the sample is defined,
-    # since an entropy divergence can round slightly below zero.
+    # vector call.
     divergences = bregman_divergence(kernel, half_rows, x_rows)
-    eligible = divergences > DEGENERATE_STEP_TOL
-    samples = np.zeros(divergences.size)
-    samples[eligible] = delta_rows[eligible] / np.sqrt(2.0 * divergences[eligible])
     return RunTrace(
         method=MIRROR_EXTRAGRADIENT if extragradient else MIRROR_GRADIENT,
         indices=np.array(indices),
@@ -304,7 +319,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         gaps=gaps,
         divergences=divergences,
         operator_deltas=delta_rows,
-        modulus_samples=samples,
+        modulus_samples=_modulus_samples(delta_rows, divergences),
         wall_time=time.perf_counter() - start,
         elapsed=np.array(elapsed),
         converged=converged,
@@ -382,9 +397,9 @@ def minty_certificate(
 def pathwise_modulus(trace: RunTrace) -> float:
     """Largest observed ||F(x_{k+0.5}) - F(x_k)|| / sqrt(2 D_h(x_{k+0.5}, x_k)).
 
-    This is the largest recorded modulus sample: iterations with D_h <= 1e-16
-    record 0 (a zero step carries no continuity information), so 0 is returned
-    when no iteration is eligible.
+    This is the largest recorded modulus sample: iterations with
+    D_h <= DEGENERATE_STEP_TOL record 0 (a zero step carries no continuity
+    information), so 0 is returned when no iteration is eligible.
     """
     return float(np.max(trace.modulus_samples, initial=0.0))
 

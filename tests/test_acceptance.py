@@ -7,7 +7,6 @@ kept as a strict xfail documenting the actual boundary-orbit behavior.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -233,10 +232,6 @@ def test_criterion_09_desk_scale_mixed_economies():
         assert np.isfinite(pathwise_modulus(run.trace))
 
 
-@pytest.mark.skipif(
-    not os.environ.get("MIRRORVI_LONG_TESTS"),
-    reason="full-scale smoke run; set MIRRORVI_LONG_TESTS=1 to enable",
-)
 def test_criterion_09_full_scale_smoke():
     economy = generate_economy(
         GenSpec(seed=0, n_consumers=500, n_goods=500, mix={LEONTIEF: 1.0})

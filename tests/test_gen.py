@@ -23,7 +23,7 @@ from mirrorvi import (
     unit_box,
 )
 import mirrorvi.gen as gen_module
-from mirrorvi.gen import FIELD_PRICE, FIELD_VALUATION, _uniforms, _words
+from mirrorvi.gen import FIELD_PRICE, FIELD_VALUATION, _unit, _words
 
 MIX_QUARTERS = {
     COBB_DOUGLAS: 0.25,
@@ -186,17 +186,36 @@ def test_initial_prices_rejects_seeds_outside_64_bits():
             initial_prices(seed, simplex(3))
 
 
+@pytest.mark.parametrize("seed", [2.7, 2.0, np.float64(2.0), True, False, np.bool_(True), "2"])
+def test_seeds_must_be_integers(seed):
+    # int() took these as other seeds: 2.7 built seed 2's economy and prices,
+    # and True acted as seed 1, while a report's config_echo would show 2.7.
+    with pytest.raises(InvalidInput, match="seed must be a 64-bit unsigned integer"):
+        GenSpec(seed=seed, n_consumers=4, n_goods=3, mix={COBB_DOUGLAS: 1.0})
+    with pytest.raises(InvalidInput, match="seed must be a 64-bit unsigned integer"):
+        initial_prices(seed, simplex(3))
+
+
+@pytest.mark.parametrize("typed", [np.uint64(2**64 - 1), np.uint64(2), np.int64(2), np.int32(2)])
+def test_numpy_integer_seeds_are_the_plain_seeds(typed):
+    seed = int(typed)
+    assert initial_prices(typed, simplex(3)).tobytes() == initial_prices(seed, simplex(3)).tobytes()
+    spec = dict(n_consumers=4, n_goods=3, mix=MIX_QUARTERS)
+    assert np.array_equal(generate_economy(GenSpec(seed=typed, **spec)).excess(np.ones(3)),
+                          generate_economy(GenSpec(seed=seed, **spec)).excess(np.ones(3)))
+
+
 def test_counter_stream_regression():
     # Frozen draws pin the (key, counter, draw-index) addressing: any change
     # to the stream layout silently regenerates every documented experiment.
     np.testing.assert_allclose(
-        _uniforms(0, FIELD_PRICE, 0, 3),
+        _unit(_words(np.random.Philox(), 0, FIELD_PRICE, 0, 3)),
         [0.4291563450602872, 0.6443840681728986, 0.4839306937685306],
         rtol=1e-15,
     )
     np.testing.assert_array_equal(
-        _uniforms(0, FIELD_VALUATION, 2, 4)[1:],
-        _uniforms(0, FIELD_VALUATION, 2, 3, offset=1),
+        _unit(_words(np.random.Philox(), 0, FIELD_VALUATION, 2, 4))[1:],
+        _unit(_words(np.random.Philox(), 0, FIELD_VALUATION, 2, 3, offset=1)),
     )
 
 

@@ -18,12 +18,14 @@ from mirrorvi import (
     GenSpec,
     InvalidInput,
     ScarfEconomy,
+    SolverConfig,
     VIProblem,
     auto_step_size,
     bregman_divergence,
     box,
     equilibrium_certificate,
     generate_economy,
+    mirror_extragradient_solve,
     mirror_extratatonnement,
     mirror_tatonnement,
     negative_entropy,
@@ -35,7 +37,8 @@ from mirrorvi import (
     squared_euclidean,
     unit_box,
 )
-from mirrorvi.tatonnement import _price_problem
+import mirrorvi.vi as vi_module
+from mirrorvi.tatonnement import _interior_samples, _price_problem
 
 EUC = squared_euclidean()
 ENT = negative_entropy()
@@ -386,6 +389,45 @@ def test_probe_without_a_nondegenerate_pair_evaluates_nothing():
     counting = CountingEconomy(RecipeEconomy(lambda p: np.zeros(p.shape), 1))
     assert probe_modulus(_price_problem(counting, simplex(1)), EUC, 8) == 0.0
     assert counting.calls == 0
+
+
+def test_probe_and_trace_share_the_degenerate_step_cutoff(monkeypatch):
+    # With the cutoff above every divergence, the probe finds no pair to
+    # evaluate and every recorded sample of a solve is 0.
+    counting = CountingEconomy(ScarfEconomy())
+    problem = _price_problem(counting, simplex(3))
+    config = SolverConfig(eta=0.05, horizon=20, kernel=EUC)
+    assert pathwise_modulus(mirror_extragradient_solve(problem, config, START)) > 0.0
+    monkeypatch.setattr(vi_module, "DEGENERATE_STEP_TOL", np.inf)
+    counting.calls = 0
+    assert probe_modulus(problem, EUC) == 0.0
+    assert counting.calls == 0
+    trace = mirror_extragradient_solve(problem, config, START)
+    assert trace.divergences.max() > 0.0
+    assert not trace.modulus_samples.any()
+
+
+def test_probe_evaluates_every_point_it_draws():
+    # On a box 1e-7 wide only 21 of the 32 pairs are above the cutoff; the
+    # probe still evaluates all 64 points, in draw order, and its value is
+    # that of the loop that skips the other 11 pairs.
+    space = box(np.array([0.0]), np.array([1e-7]))
+    seen = []
+
+    def operator(x):
+        seen.append(x.copy())
+        return np.exp(1e7 * x)
+
+    points = _interior_samples(np.random.default_rng(0), space, 64)
+    eligible = bregman_divergence(EUC, points[0::2], points[1::2]) > vi_module.DEGENERATE_STEP_TOL
+    assert eligible.sum() == 21
+    problem = VIProblem(space, operator)
+    got = probe_modulus(problem, EUC, 32, 0)
+    assert len(seen) == 64
+    assert np.array(seen).tobytes() == points.tobytes()
+    expected = _reference_probe_modulus(problem, EUC, 32, 0)
+    assert got > 0.0
+    assert struct.pack("d", got) == struct.pack("d", expected)
 
 
 def test_auto_step_plumbing_and_validation():
