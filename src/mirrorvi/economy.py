@@ -57,7 +57,7 @@ def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
 
 
 def _check_price_floor(floor: float) -> None:
-    """An economy's price floor must be > 0 (a NaN fails too)."""
+    """A price floor must be > 0 (a NaN fails too)."""
     if not (floor > 0.0):
         raise InvalidInput(f"price_floor must be positive, got {floor}")
 
@@ -72,38 +72,6 @@ def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
     if prices.ndim == 1:
         return matrix.dot(prices)
     return np.matmul(matrix, prices[..., None])[..., 0]
-
-
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along axis, for finite a; a itself is not modified.
-
-    The max entries are taken out of the sum and counted instead, so the sum
-    of the other terms goes through log1p: the same arithmetic as
-    scipy.special.logsumexp, whose results this reproduces bit for bit.
-    """
-    return np.squeeze(_logsumexp_inplace(np.array(a, dtype=float), axis), axis=axis)
-
-
-def _logsumexp_inplace(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """_logsumexp with the reduced axis kept, overwriting a, a float array."""
-    # ufunc.reduce is what the max and sum methods call, minus a Python frame.
-    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
-    is_max = a == a_max
-    a -= a_max
-    a[is_max] = -np.inf
-    np.exp(a, out=a)
-    s = np.add.reduce(a, axis=axis, keepdims=True)
-    if np.count_nonzero(is_max) == a_max.size:
-        # Every finite row has a maximum, so as many as there are rows means
-        # one per row: m = 1, where s / m and + log(m) change no bit.
-        np.log1p(s, out=s)
-    else:
-        m = np.add.reduce(is_max, axis=axis, keepdims=True, dtype=float)
-        s /= m
-        np.log1p(s, out=s)
-        s += np.log(m)
-    s += a_max
-    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +126,16 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
 
     Evaluates the consumer as a one-row group, with the same closed forms as
     an exchange economy. A zero budget returns the zero bundle. When cap is
-    given, each coordinate is clipped at cap_j.
+    given (a scalar or n entries, each >= 0), each coordinate is clipped at
+    cap_j.
     """
+    _check_price_floor(floor)
+    if cap is not None:
+        cap = np.asarray(cap, dtype=float)
+        # A NaN fails the comparison.
+        if cap.shape not in ((), (consumer.n_goods,)) or not (cap >= 0.0).all():
+            raise InvalidInput(
+                f"cap must be a scalar or {consumer.n_goods} entries, each >= 0, got {cap}")
     prices = np.maximum(_as_prices(p, consumer.n_goods), floor)
     if float(prices.dot(consumer.endowment)) == 0.0:
         return np.zeros(consumer.n_goods)
@@ -211,6 +187,7 @@ def demand_oracle(consumer: Consumer, p, resolution: int, floor: float = DEFAULT
         raise Unsupported(
             f"demand_oracle supports resolution <= {MAX_ORACLE_RESOLUTION}, got {resolution}"
         )
+    _check_price_floor(floor)
     prices = np.maximum(_as_prices(p, n), floor)
     budget = float(prices.dot(consumer.endowment))
     if budget == 0.0:
@@ -230,11 +207,17 @@ def demand_oracle(consumer: Consumer, p, resolution: int, floor: float = DEFAULT
 class _ConsumerGroup:
     """Consumers of one utility family, stacked for vectorized evaluation.
 
-    CES (sigma = 1/(1-rho)) is evaluated entirely in log space so elasticities
-    of substitution up to ~1000 survive double precision. The price-free
+    CES (sigma = 1/(1-rho)) demand is b_i exp(w_ij - M_i) / (S_i p_j) with
+    the exponent w_ij = (1 - sigma_i) log p_j + sigma_i log v_ij, its row
+    maximum M_i and the row sum S_i of the shifted exponentials. Every shifted
+    exponent is <= 0, so nothing overflows, and each S_i lies in [1, n], so
+    nothing divides by zero: elasticities of substitution up to ~1000 survive
+    double precision with no guard. Each row is normalized by its own computed
+    sum, so p . x_i = b_i holds to a few roundings per good. The price-free
     constants are computed once, when the group is built: the Cobb-Douglas
-    budget shares, the CES log valuations, and the column maxima of the
-    Leontief valuations or Cobb-Douglas shares that cap_is_slack bounds with.
+    budget shares, the CES sigma_i log v_ij and 1 - sigma_i, and the column
+    maxima of the Leontief valuations or Cobb-Douglas shares that cap_is_slack
+    bounds with.
 
     Demand is produced in two steps: price_vectors computes the per-consumer
     vectors over the whole group (the budget and Leontief gemvs are never
@@ -250,15 +233,19 @@ class _ConsumerGroup:
     endowments: np.ndarray  # (m, n)
     sigmas: np.ndarray | None = None  # (m,) for CES
     weights: np.ndarray | None = field(init=False, repr=False)  # (m, n) for Cobb-Douglas
-    log_valuations: np.ndarray | None = field(init=False, repr=False)  # (m, n) for CES
+    sigma_log_valuations: np.ndarray | None = field(init=False, repr=False)  # (m, n) for CES
+    one_minus_sigmas: np.ndarray | None = field(init=False, repr=False)  # (m, 1) for CES
     column_max: np.ndarray | None = field(init=False, repr=False)  # (n,), None for CES
 
     def __post_init__(self) -> None:
         v = self.valuations
         weights = v / v.sum(axis=1, keepdims=True) if self.utility == COBB_DOUGLAS else None
         column_max = {COBB_DOUGLAS: weights, LEONTIEF: v}.get(self.utility)
+        ces = self.utility == CES
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "log_valuations", np.log(v) if self.utility == CES else None)
+        object.__setattr__(
+            self, "sigma_log_valuations", self.sigmas[:, None] * np.log(v) if ces else None)
+        object.__setattr__(self, "one_minus_sigmas", 1.0 - self.sigmas[:, None] if ces else None)
         object.__setattr__(
             self, "column_max", None if column_max is None else column_max.max(axis=0)
         )
@@ -274,18 +261,19 @@ class _ConsumerGroup:
             ),
         )
 
-    def price_vectors(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def price_vectors(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray | tuple | None]:
         """(per consumer, per good) vectors that fill needs at floored prices.
 
         Cobb-Douglas: (budgets, 1/p); Leontief: (budgets / (V . p), None);
-        CES: (budgets, log p). For a (k, n) price stack each has a leading k.
+        CES: (budgets, (log p, 1/p)). For a (k, n) price stack each has a
+        leading k.
         """
         budgets = _matvec(self.endowments, prices)
         if self.utility == COBB_DOUGLAS:
             return budgets, 1.0 / prices
         if self.utility == LEONTIEF:
             return budgets / _matvec(self.valuations, prices), None
-        return budgets, np.log(prices)
+        return budgets, (np.log(prices), 1.0 / prices)
 
     def fill(self, vectors, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         """Uncapped demand of members start:stop, (..., stop - start, n).
@@ -300,12 +288,15 @@ class _ConsumerGroup:
         elif self.utility == LEONTIEF:
             out = np.multiply(self.valuations[start:stop], column, out=out)
         else:
-            log_p = per_good[..., None, :]
-            out = np.subtract(self.log_valuations[start:stop], log_p, out=out)
-            out *= self.sigmas[start:stop, None]
-            out -= _logsumexp_inplace(out + log_p, axis=-1)
+            log_p, inv_p = per_good
+            out = np.multiply(self.one_minus_sigmas[start:stop], log_p[..., None, :], out=out)
+            out += self.sigma_log_valuations[start:stop]
+            # ufunc.reduce is what the max and sum methods call, minus a Python frame.
+            out -= np.maximum.reduce(out, axis=-1, keepdims=True)
             np.exp(out, out=out)
-            out *= column
+            scale = np.add.reduce(out, axis=-1, keepdims=True)
+            out *= np.divide(column, scale, out=scale)
+            out *= inv_p[..., None, :]
         return out
 
     def cap_is_slack(self, vectors, cap: np.ndarray) -> bool:
@@ -343,6 +334,9 @@ class ExchangeEconomy:
         consumers = tuple(self.consumers)
         if not consumers:
             raise InvalidInput("an economy needs at least one consumer")
+        # A bool or a float is not a size, though a bool compares as one.
+        if isinstance(self.n_goods, bool) or not isinstance(self.n_goods, (int, np.integer)):
+            raise InvalidInput(f"n_goods must be an integer, got {self.n_goods!r}")
         if self.n_goods < 1:
             raise InvalidInput(f"n_goods must be >= 1, got {self.n_goods}")
         for c in consumers:
@@ -363,6 +357,8 @@ class ExchangeEconomy:
                 groups.append(_ConsumerGroup.stack(kind, members))
         cap = self.demand_cap_factor * supply if np.isfinite(self.demand_cap_factor) else None
         object.__setattr__(self, "consumers", consumers)
+        # A numpy integer would wrap in the block-size arithmetic.
+        object.__setattr__(self, "n_goods", int(self.n_goods))
         object.__setattr__(self, "aggregate_supply", supply)
         object.__setattr__(self, "_groups", tuple(groups))
         object.__setattr__(self, "_cap", cap)
@@ -475,15 +471,16 @@ def scarf_excess_demand(p, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
 
     p is a 3-vector, or a (k, 3) stack that gives one excess-demand row per
     price row. Prices are checked like an exchange economy's: finite and
-    nonnegative.
+    nonnegative, and the floor must be positive.
     """
+    _check_price_floor(floor)
     if type(p) is np.ndarray and p.shape == (3,) and p.dtype == np.float64:
         # A single float vector is checked and floored on its Python floats,
         # which do the same IEEE operations as numpy scalars at a fraction of
         # the call cost. 0 <= q < inf fails for exactly the entries that
         # _as_prices rejects (a NaN fails both comparisons), which then
-        # raises its message below; q if q > floor else floor is
-        # np.maximum(q, floor), which keeps the floor on ties and NaN floors.
+        # raises its message below; for such q and a positive floor,
+        # q if q > floor else floor is np.maximum(q, floor).
         q1, q2, q3 = p.tolist()
         if 0.0 <= q1 < math.inf and 0.0 <= q2 < math.inf and 0.0 <= q3 < math.inf:
             return _scarf_rows(q1 if q1 > floor else floor, q2 if q2 > floor else floor,

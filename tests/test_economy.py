@@ -32,7 +32,6 @@ from mirrorvi import (
     scarf_excess_demand,
 )
 import mirrorvi.economy as economy_module
-from mirrorvi.economy import _logsumexp
 
 RHO_CHOICES = (-8.0, -1.5, 0.5, 0.9)
 
@@ -146,6 +145,49 @@ def test_economy_validation():
         ExchangeEconomy([zero_good], n_goods=2)
 
 
+@pytest.mark.parametrize("n_goods", [2.0, True, np.float64(2.0), "2", None])
+def test_economy_n_goods_must_be_an_integer(n_goods):
+    # 2.0 used to build an economy whose excess raised a bare TypeError, and
+    # True passed as one good.
+    c = Consumer(COBB_DOUGLAS, np.array([1.0]), np.array([1.0]))
+    with pytest.raises(InvalidInput, match="n_goods must be an integer"):
+        ExchangeEconomy([c], n_goods=n_goods)
+
+
+def test_economy_n_goods_may_be_a_numpy_integer():
+    # It is stored as an int: a uint8 used to overflow in the block-size
+    # arithmetic of a stacked call.
+    c = Consumer(COBB_DOUGLAS, np.array([1.0]), np.array([1.0]))
+    for good in (np.int64(1), np.uint8(1)):
+        economy = ExchangeEconomy([c], n_goods=good)
+        assert type(economy.n_goods) is int
+        np.testing.assert_array_equal(economy.excess(np.ones((3, 1))), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("floor", [0.0, -0.0, -1e-8, float("nan")])
+def test_demand_functions_reject_a_floor_that_is_not_positive(floor):
+    # A zero floor made scarf_excess_demand divide by zero and demand_oracle
+    # return inf; a NaN floor made Scarf excess NaN.
+    c = Consumer(COBB_DOUGLAS, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+    p = np.array([0.0, 1.0])
+    calls = [lambda: scarf_excess_demand(np.array([0.0, 0.0, 1.0]), floor=floor),
+             lambda: scarf_excess_demand(np.ones((2, 3)), floor=floor),
+             lambda: demand_oracle(c, p, 10, floor=floor),
+             lambda: consumer_demand(c, p, floor=floor)]
+    for call in calls:
+        with pytest.raises(InvalidInput, match="price_floor must be positive"):
+            call()
+
+
+@pytest.mark.parametrize("cap", [np.nan, -1.0, [1.0, np.nan], [1.0, -0.5], [1.0, 1.0, 1.0],
+                                 np.ones((1, 2))])
+def test_consumer_demand_rejects_a_bad_cap(cap):
+    # A NaN cap returned NaN demand and a negative one negative demand.
+    c = Consumer(COBB_DOUGLAS, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(InvalidInput, match="cap must be"):
+        consumer_demand(c, np.array([0.5, 1.0]), cap=cap)
+
+
 def test_price_validation():
     c = Consumer(COBB_DOUGLAS, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(InvalidInput):
@@ -197,6 +239,9 @@ def test_demand_cap_clips_coordinates():
     assert free[0] > 3.0
     capped = consumer_demand(c, p, cap=np.array([3.0, 3.0]))
     np.testing.assert_allclose(capped, np.minimum(free, 3.0))
+    # A cap is a scalar or one entry per good, each >= 0.
+    for cap in (3.0, [3.0, 50.0], np.inf, 0.0, -0.0):
+        np.testing.assert_array_equal(consumer_demand(c, p, cap=cap), np.minimum(free, cap))
 
 
 def test_zero_budget_returns_zero_bundle():
@@ -334,20 +379,23 @@ def test_scarf_excess_demand_rows_match_single_calls():
 def test_scarf_single_vector_equals_stack_row(floor):
     # A float 3-vector is checked and floored on its Python floats; each
     # value must equal the (1, 3) stack row, which goes through _as_prices
-    # and np.maximum, as bytes so that the sign of a zero counts too.
+    # and np.maximum, as bytes so that the sign of a zero counts too. A floor
+    # that is not positive is rejected on both paths, as by an economy.
     cases = [np.ones(3), np.array([-0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]),
              np.array([1e-9, 0.5, 2e-8]), np.array([1e-8, 1e-8, 0.3]),
              np.array([0.5, 0.5, 0.5]), np.array([1e-300, 1.0, 1e300]),
-             np.array([1e-12, 3e5, 7.0])]
-    if floor > 0.0:
-        cases += [np.zeros(3), np.array([-0.0, -0.0, 0.0])]
+             np.array([1e-12, 3e5, 7.0]), np.zeros(3), np.array([-0.0, -0.0, 0.0])]
     for p in cases:
+        if not floor > 0.0:
+            for prices in (p, p[None, :]):
+                with pytest.raises(InvalidInput, match="price_floor must be positive"):
+                    scarf_excess_demand(prices, floor)
+            continue
         expected = scarf_excess_demand(p[None, :], floor)[0]
         got = scarf_excess_demand(p, floor)
         assert got.shape == (3,) and got.dtype == np.float64
         assert got.tobytes() == expected.tobytes(), p
-        if floor > 0.0:  # an economy's floor must be positive
-            assert ScarfEconomy(floor).excess(p).tobytes() == expected.tobytes()
+        assert ScarfEconomy(floor).excess(p).tobytes() == expected.tobytes()
 
 
 def test_scarf_single_vector_checks_like_as_prices():
@@ -600,27 +648,6 @@ def test_bregman_continuity_bound_certifies_local_steps():
         assert lhs <= rhs + 1e-12
 
 
-def test_logsumexp_matches_scipy_bit_for_bit():
-    # The CES demand used scipy.special.logsumexp; its numpy replacement must
-    # reproduce it exactly, ties in the row maximum included.
-    scipy_special = pytest.importorskip("scipy.special")
-    rng = np.random.default_rng(12)
-    for i in range(300):
-        a = rng.normal(size=(12, 50)) * rng.uniform(0.1, 50.0)
-        if i % 2:
-            a = np.round(a, 1)
-            a[:, :4] = a[:, :1]
-        np.testing.assert_array_equal(_logsumexp(a, axis=1), scipy_special.logsumexp(a, axis=1))
-        assert _logsumexp(a[0]) == scipy_special.logsumexp(a[0])
-
-
-def test_logsumexp_leaves_its_argument_unchanged():
-    a = np.random.default_rng(13).normal(size=(6, 9))
-    before = a.copy()
-    _logsumexp(a, axis=1)
-    np.testing.assert_array_equal(a, before)
-
-
 def _reference_logsumexp(a, axis):
     a_max = a.max(axis=axis, keepdims=True)
     is_max = a == a_max
@@ -629,28 +656,100 @@ def _reference_logsumexp(a, axis):
     return np.squeeze(np.log1p(s / m) + np.log(m) + a_max, axis=axis)
 
 
-def test_logsumexp_matches_reference_bit_for_bit():
-    # Rows with one maximum skip the count of maxima; rows with tied maxima
-    # keep it. Either way every result equals the reference's bytes: all rows
-    # untied, all tied, a mix, one column, a vector and stacks of rows.
-    rng = np.random.default_rng(17)
-    for i in range(200):
-        k, n = int(rng.integers(1, 9)), int(rng.integers(1, 40))
-        a = rng.normal(size=(3, k, n)) * rng.uniform(0.1, 50.0)
-        if i % 4 == 1 and n > 1:
-            a[..., 1] = a.max(axis=-1)  # every row tied
-        elif i % 4 == 2 and n > 1:
-            a[:, ::2, -1] = a[:, ::2].max(axis=-1)  # some rows tied
-        elif i % 4 == 3:
-            a = np.round(a, 0)  # ties by rounding, per row at random
-        expected = _reference_logsumexp(a, axis=-1)
-        assert _logsumexp(a, axis=-1).tobytes() == expected.tobytes()
-        assert _logsumexp(a[0], axis=1).tobytes() == expected[0].tobytes()
-        assert _logsumexp(a[0].T, axis=0).tobytes() == expected[0].tobytes()
-        assert _logsumexp(a[0, 0]).tobytes() == expected[0, 0].tobytes()
-        column = a[0, :, :1]
-        assert (_logsumexp(column, axis=1).tobytes()
-                == _reference_logsumexp(column, axis=1).tobytes())
+def log_space_ces_demand(group, prices) -> np.ndarray:
+    """The earlier CES closed form, b_i exp(t_ij - LSE_i(t + log p)), as a reference.
+
+    t_ij = sigma_i (log v_ij - log p_j); the log-sum-exp takes the maxima out
+    of the sum and counts them, as scipy.special.logsumexp does.
+    """
+    budgets = group.endowments.dot(prices)
+    log_p = np.log(prices)
+    t = group.sigmas[:, None] * (np.log(group.valuations) - log_p)
+    lse = _reference_logsumexp(t + log_p, axis=1)
+    return budgets[:, None] * np.exp(t - lse[:, None])
+
+
+#: Elasticities of substitution from near-Leontief to near-linear.
+CES_SIGMAS = (1e-6, 1.0 / 1001.0, 0.5, 2.5, 10.0, 1000.0)
+
+#: Unit roundoff of float64 and its smallest subnormal.
+UNIT_ROUNDOFF = 2.0**-53
+SMALLEST_SUBNORMAL = 2.0**-1074
+
+
+def ces_grid():
+    """(group, floored (k, n) price stack) for each n in 1..60, one consumer per sigma.
+
+    Prices run from 1e-9 to 1e3, with zeros; both go to the default floor.
+    """
+    rng = np.random.default_rng(31)
+    for n in range(1, 61):
+        consumers = [Consumer(CES, 10.0 ** rng.uniform(-2.0, 1.0, n),
+                              rng.uniform(0.0, 1.0, n) + 0.05, rho=1.0 - 1.0 / sigma)
+                     for sigma in CES_SIGMAS]
+        prices = 10.0 ** rng.uniform(-9.0, 3.0, (4, n))
+        prices[1, rng.random(n) < 0.4] = 0.0
+        prices[2] = 1.0
+        floored = np.maximum(prices, economy_module.DEFAULT_PRICE_FLOOR)
+        yield economy_module._ConsumerGroup.stack(CES, consumers), floored
+
+
+def test_ces_demand_within_derived_bound_of_log_space_form():
+    # Both forms approximate x_ij = b_i exp(w_ij) / (p_j sum_k exp(w_ik)),
+    # w_ij = (1 - s_i) log p_j + s_i log v_ij, from the same log p, log v, s
+    # and b. Take u the unit roundoff, numpy's exp, log and log1p to 1 ulp
+    # (2u), and L_i = max_j (s_i |log v_ij| + (s_i + 1) |log p_j|), which
+    # bounds |w|, |t|, |1 - s_i| |log p_j| + s_i |log v_ij| and |LSE| - log n.
+    # - Shifted form: w is off by at most 3uL (three roundings) and w - M by
+    #   2uL more; M itself cancels in the ratio, whose two exponentials
+    #   double the error: 10uL. Then two exp calls (4u), the row sum
+    #   (gamma_n) and the four scalings b / S, x (b / S), 1 / p, x (1 / p).
+    # - Log-space form: t is off by 2uL and t + log p by 3uL, so its LSE is
+    #   too; the log-sum-exp's shift (2uL, through its exp terms) and its
+    #   addition of the maximum (uL) make 6uL, plus gamma_n + (3 + 6 log n)u
+    #   for its exp, sum, division, log1p and log m; t - LSE rounds once
+    #   more (2uL): 10uL + gamma_n + (3 + 6 log n)u. Then exp and x b (3u).
+    # exp turns the summed exponent errors into expm1 of them; the other
+    # roundings add gamma_n + 11u. That relative bound r holds against the
+    # exact demand, and so r / (1 - r) holds against the reference. An
+    # entry that underflows is off by a few subnormals, scaled afterwards by
+    # at most 1 + b_i + b_i / p_j.
+    u = UNIT_ROUNDOFF
+    worst = 0.0
+    for group, prices in ces_grid():
+        n = prices.shape[1]
+        gamma_n = n * u / (1.0 - n * u)
+        sigmas = group.sigmas[:, None]
+        stack = group.fill(group.price_vectors(prices), 0, len(sigmas))
+        for p, x in zip(prices, stack):
+            reference = log_space_ces_demand(group, p)
+            magnitude = (sigmas * np.abs(np.log(group.valuations))
+                         + (sigmas + 1.0) * np.abs(np.log(p))).max(axis=1, keepdims=True)
+            relative = np.expm1(20.0 * u * magnitude + gamma_n + (3.0 + 6.0 * np.log(n)) * u)
+            relative += gamma_n + 11.0 * u
+            budgets = group.endowments.dot(p)[:, None]
+            underflow = 8.0 * SMALLEST_SUBNORMAL * (1.0 + budgets + budgets / p)
+            bound = relative / (1.0 - relative) * reference + underflow
+            assert (np.abs(x - reference) <= bound).all(), (n, p)
+            worst = max(worst, float((np.abs(x - reference) / bound).max()))
+            np.testing.assert_array_equal(x, group.fill(group.price_vectors(p), 0, len(sigmas)))
+    # The bound is not vacuous: some entries come within a small factor of it.
+    assert worst > 1e-3
+
+
+def test_ces_budget_identity():
+    # Each row is normalized by its own computed sum S: with x_ij =
+    # e_j (b / S) (1 / p_j) (1 + theta_j), |theta_j| <= gamma_4, and S =
+    # sum_j e_j (1 + phi_j), |phi_j| <= gamma_{n-1}, the exact p . x_i is
+    # b_i (1 + O(gamma_4 + gamma_{n-1})), and the dot that checks it adds
+    # gamma_n: (2n + 3)u to first order, 2n + 4 with the higher orders. The
+    # earlier log-space form was off by 2.5e-12 relative at sigma = 1000.
+    for group, prices in ces_grid():
+        n = prices.shape[1]
+        budgets, _ = vectors = group.price_vectors(prices)
+        stack = group.fill(vectors, 0, len(group.sigmas))
+        for p, b, x in zip(prices, budgets, stack):
+            assert (np.abs(x.dot(p) - b) <= (2 * n + 4) * UNIT_ROUNDOFF * b).all(), (n, p)
 
 
 def reference_excess(economy, p) -> np.ndarray:
@@ -675,10 +774,10 @@ def reference_excess(economy, p) -> np.ndarray:
         elif kind == LEONTIEF:
             matrix = valuations * (budgets / valuations.dot(prices))[:, None]
         else:
-            sigmas = np.array([1.0 / (1.0 - c.rho) for c in members])
-            t = sigmas[:, None] * (np.log(valuations) - np.log(prices)[None, :])
-            lse = _reference_logsumexp(t + np.log(prices)[None, :], axis=1)
-            matrix = budgets[:, None] * np.exp(t - lse[:, None])
+            sigmas = np.array([1.0 / (1.0 - c.rho) for c in members])[:, None]
+            w = (1.0 - sigmas) * np.log(prices) + sigmas * np.log(valuations)
+            e = np.exp(w - w.max(axis=1, keepdims=True))
+            matrix = e * (budgets[:, None] / e.sum(axis=1, keepdims=True)) * (1.0 / prices)
         if np.isfinite(economy.demand_cap_factor):
             matrix = np.minimum(matrix, cap[None, :])
         total += matrix.sum(axis=0)
@@ -727,17 +826,17 @@ def test_excess_matches_reference_bit_for_bit(monkeypatch, family, cap_factor):
     [
         ({"leontief": 1.0}, 1.5),
         ({"cobb_douglas": 1.0}, 1.5),
-        # CES holds its matrix, the log-sum-exp workspace and that sum's mask:
-        # measured 2.36 matrices for one price vector, 17.5 for eight.
+        # CES holds its block and two per-row columns (the row maxima and
+        # sums): measured 1.25 matrices for one price vector and 1.33 for
+        # eight, against 1.97 and 2.05 with a log-sum-exp workspace and mask.
         ({"ces_substitutes": 0.5, "ces_complements": 0.5}, 2.6),
     ],
 )
 def test_excess_peak_temporaries(mix, bound):
     # numpy reports its data buffers to tracemalloc; one evaluation should
-    # hold about one (m, n) matrix per group (CES also needs its log-sum-exp
-    # workspace), not a second capped copy. Each mix is one 200 x 200 group,
-    # which streams in blocks of 163 consumer rows for one price vector and of
-    # 20 rows for the eight-row stack.
+    # hold about one (m, n) matrix per group, not a second capped copy. Each
+    # mix is one 200 x 200 group, which streams in blocks of 163 consumer rows
+    # for one price vector and of 20 rows for the eight-row stack.
     m = n = 200
     economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=mix))
     prices = np.random.default_rng(15).uniform(0.1, 1.0, (8, n))
@@ -750,8 +849,8 @@ def test_excess_peak_temporaries(mix, bound):
 def test_buffered_excess_peak_temporaries():
     # A 50 x 50 mixed economy fits in one block, so its groups fill one
     # shared buffer: one evaluation holds that (m, n) buffer, the CES group's
-    # log-sum-exp workspace and mask, and the vectors. Measured 2.25 matrices
-    # for one price vector and 18.7 for an eight-row stack.
+    # per-row maxima and sums, and the vectors. Measured 2.18 matrices for
+    # one price vector and 17.9 for an eight-row stack.
     m = n = 50
     mix = {"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
            "ces_complements": 0.25}
@@ -767,10 +866,11 @@ def test_buffered_excess_peak_temporaries():
 def test_probe_stack_peak_temporaries():
     # The step-size probe's stack is 64 price rows (32 pairs). On a 50 x 50
     # mixed economy a stack is evaluated in buffered blocks of 13 rows, each
-    # within _BLOCK_ENTRIES, so one call holds one block's buffer and CES
-    # workspace, not a 64-row matrix per group. Measured 28.6 matrices
-    # (571,720 bytes) against 40.5 (809,232 bytes) when a stack was blocked
-    # by 2^20 entries and each group streamed all 64 rows at once.
+    # within _BLOCK_ENTRIES, so one call holds one block's buffer, not a
+    # 64-row matrix per group. Measured 25.5 matrices (509,672 bytes), 28.6
+    # (571,968 bytes) while CES demand kept a log-sum-exp workspace, and 40.5
+    # (809,232 bytes) when a stack was blocked by 2^20 entries and each group
+    # streamed all 64 rows at once.
     m = n = 50
     mix = {"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
            "ces_complements": 0.25}
@@ -898,14 +998,10 @@ def reference_group_demand(group, prices) -> np.ndarray:
     if group.utility == LEONTIEF:
         ratios = budgets / economy_module._matvec(group.valuations, prices)
         return group.valuations * ratios[..., :, None]
-    log_p = np.log(prices)[..., None, :]
-    t = group.log_valuations - log_p
-    t *= group.sigmas[:, None]
-    lse = _reference_logsumexp(t + log_p, axis=-1)
-    t -= lse[..., None]
-    np.exp(t, out=t)
-    t *= budgets[..., None]
-    return t
+    sigmas = group.sigmas[:, None]
+    w = (1.0 - sigmas) * np.log(prices)[..., None, :] + sigmas * np.log(group.valuations)
+    e = np.exp(w - w.max(axis=-1, keepdims=True))
+    return e * (budgets[..., None] / e.sum(axis=-1, keepdims=True)) * (1.0 / prices)[..., None, :]
 
 
 def reference_group_demand_sum(economy, p) -> np.ndarray:
