@@ -32,8 +32,9 @@ MAX_ORACLE_RESOLUTION = 401
 
 #: Demand-matrix entries (price rows x consumers x goods) that one block
 #: holds: 256 KB of float64, which fits in a typical L2. A stack of prices is
-#: evaluated in blocks of price rows of about this size, and a consumer group
-#: that does not fit streams through blocks of its consumer rows of this size.
+#: evaluated in blocks of price rows of about this size, and a CES group, or a
+#: group whose cap binds, that does not fit streams through blocks of its
+#: consumer rows of this size.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -219,13 +220,15 @@ class _ConsumerGroup:
     maxima of the Leontief valuations or Cobb-Douglas shares that cap_is_slack
     bounds with.
 
-    Demand is produced in two steps: price_vectors computes the per-consumer
-    vectors over the whole group (the budget and Leontief gemvs are never
-    split, since a gemv over some rows can round differently), then fill
-    writes any block of rows, in place into a buffer when one is given. Every
-    product is the same IEEE operation as in the textbook form, so the results
-    are identical, and each row of a price stack gives what that row alone
-    gives.
+    Demand starts from price_vectors, the per-consumer vectors over the whole
+    group (the budget and Leontief gemvs are never split, since a gemv over
+    some rows can round differently). fill then writes any block of demand
+    rows, in place into a buffer when one is given; every product is the same
+    IEEE operation as in the textbook form, so the entries are identical, and
+    each row of a price stack gives what that row alone gives. A Leontief or
+    Cobb-Douglas group whose cap is absent or slack needs no entries: its
+    column sum is one matrix-vector product (column_sum), which rounds in
+    BLAS order rather than row by row.
     """
 
     utility: str
@@ -298,6 +301,19 @@ class _ConsumerGroup:
             out *= np.divide(column, scale, out=scale)
             out *= inv_p[..., None, :]
         return out
+
+    def column_sum(self, vectors) -> np.ndarray:
+        """Uncapped column sum of a Leontief or Cobb-Douglas group's demand.
+
+        Leontief: V^T r with r_i = b_i / (V p)_i; Cobb-Douglas: (W^T b) / p.
+        One matrix-vector product over a transposed view (no stored copy),
+        summed in BLAS order: within 2 gamma_{m+1} of the row-by-row sum of the
+        filled entries, every term being nonnegative.
+        """
+        per_consumer, per_good = vectors
+        if self.utility == LEONTIEF:
+            return _matvec(self.valuations.T, per_consumer)
+        return _matvec(self.weights.T, per_consumer) * per_good
 
     def cap_is_slack(self, vectors, cap: np.ndarray) -> bool:
         """True when an O(n) bound proves that no demand entry exceeds cap.
@@ -428,24 +444,29 @@ class ExchangeEconomy:
         return total
 
     def _streamed_sum(self, group: _ConsumerGroup, vectors, prices: np.ndarray) -> np.ndarray:
-        """A group's capped column sum, filled, capped and added block by block.
+        """A group's capped column sum.
 
-        Each block of consumer rows goes into one reused buffer of about
-        _BLOCK_ENTRIES entries, whose row 0 holds the running column sum, so
-        the rows are still added one after another in their order: what
-        sum(axis=-2) does over the whole matrix when n >= 2. With n = 1 numpy
-        sums a column pairwise instead, so a one-good group is one block of
-        all its rows. The cap is skipped when cap_is_slack proves it a no-op.
+        A Leontief or Cobb-Douglas group whose cap is absent, or proved a
+        no-op by cap_is_slack, is one matrix-vector product (column_sum),
+        rounded in BLAS order. CES groups and caps that bind are filled,
+        capped and added block by block: each block of consumer rows goes into
+        one reused buffer of about _BLOCK_ENTRIES entries, whose row 0 holds
+        the running column sum, so the rows are still added one after another
+        in their order, which is what sum(axis=-2) does over the whole matrix
+        when n >= 2. With n = 1 numpy sums a column pairwise instead, so a
+        one-good group is one block of all its rows.
         """
+        if group.utility != CES and (
+                self._cap is None or group.cap_is_slack(vectors, self._cap)):
+            return group.column_sum(vectors)
         m = len(group.valuations)
         rows = m if prices.shape[-1] == 1 else min(m, max(1, _BLOCK_ENTRIES // prices.size))
         buffer = np.empty(prices.shape[:-1] + (1 + rows, prices.shape[-1]))
-        capped = self._cap is not None and not group.cap_is_slack(vectors, self._cap)
         column_sum = None
         for start in range(0, m, rows):
             stop = min(start + rows, m)
             block = group.fill(vectors, start, stop, buffer[..., 1:1 + stop - start, :])
-            if capped:
+            if self._cap is not None:
                 np.minimum(block, self._cap, out=block)
             if column_sum is None:
                 column_sum = np.add.reduce(block, axis=-2)
