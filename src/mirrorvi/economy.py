@@ -32,10 +32,14 @@ MAX_ORACLE_RESOLUTION = 401
 
 #: Demand-matrix entries (price rows x consumers x goods) that one block
 #: holds: 256 KB of float64, which fits in a typical L2. A stack of prices is
-#: evaluated in blocks of price rows of about this size, and a CES group, or a
-#: group whose cap binds, that does not fit streams through blocks of its
-#: consumer rows of this size.
+#: evaluated in blocks of price rows of about this size, and an economy whose
+#: demand matrix does not fit streams its CES groups, and its groups whose
+#: cap binds, through blocks of consumer rows of this size.
 _BLOCK_ENTRIES = 1 << 15
+
+#: Utility families in group order: an exchange economy stacks its consumers'
+#: arrays family by family, each family's consumers in their own order.
+_FAMILIES = (COBB_DOUGLAS, LEONTIEF, CES)
 
 
 def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
@@ -73,6 +77,23 @@ def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
     if prices.ndim == 1:
         return matrix.dot(prices)
     return np.matmul(matrix, prices[..., None])[..., 0]
+
+
+def _shared_vectors(endowments: np.ndarray, prices: np.ndarray, families) -> tuple:
+    """What the demand of every family needs at floored prices, one call each.
+
+    The budgets E . p of every row of endowments, 1/p when a Cobb-Douglas or
+    CES consumer is among families, and log p when a CES one is (None
+    otherwise). Each group takes its rows of the budgets.
+    """
+    inv_p = 1.0 / prices if COBB_DOUGLAS in families or CES in families else None
+    return _matvec(endowments, prices), inv_p, np.log(prices) if CES in families else None
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only in place; views taken afterwards are read-only too."""
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +229,10 @@ def demand_oracle(consumer: Consumer, p, resolution: int, floor: float = DEFAULT
 class _ConsumerGroup:
     """Consumers of one utility family, stacked for vectorized evaluation.
 
+    In an exchange economy the valuations and endowments are views of the
+    group's rows (rows) of the economy's stacked arrays, not copies; a group
+    stacked on its own holds its own arrays.
+
     CES (sigma = 1/(1-rho)) demand is b_i exp(w_ij - M_i) / (S_i p_j) with
     the exponent w_ij = (1 - sigma_i) log p_j + sigma_i log v_ij, its row
     maximum M_i and the row sum S_i of the shifted exponentials. Every shifted
@@ -221,11 +246,12 @@ class _ConsumerGroup:
     bounds with.
 
     Demand starts from price_vectors, the per-consumer vectors over the whole
-    group (the budget and Leontief gemvs are never split, since a gemv over
-    some rows can round differently). fill then writes any block of demand
-    rows, in place into a buffer when one is given; every product is the same
-    IEEE operation as in the textbook form, so the entries are identical, and
-    each row of a price stack gives what that row alone gives. A Leontief or
+    group, taken from the economy's shared budgets, 1/p and log p (the budget
+    and Leontief gemvs are never split into row blocks, since a gemv over some
+    rows can round differently). fill then writes any block of demand rows, in
+    place into a buffer when one is given; every product is the same IEEE
+    operation as in the textbook form, so the entries are identical, and each
+    row of a price stack gives what that row alone gives. A Leontief or
     Cobb-Douglas group whose cap is absent or slack needs no entries: its
     column sum is one matrix-vector product (column_sum), which rounds in
     BLAS order rather than row by row.
@@ -234,6 +260,7 @@ class _ConsumerGroup:
     utility: str
     valuations: np.ndarray  # (m, n)
     endowments: np.ndarray  # (m, n)
+    rows: slice  # the group's rows of its economy's stacked arrays
     sigmas: np.ndarray | None = None  # (m,) for CES
     weights: np.ndarray | None = field(init=False, repr=False)  # (m, n) for Cobb-Douglas
     sigma_log_valuations: np.ndarray | None = field(init=False, repr=False)  # (m, n) for CES
@@ -254,29 +281,39 @@ class _ConsumerGroup:
         )
 
     @classmethod
-    def stack(cls, utility: str, members: Sequence[Consumer]) -> _ConsumerGroup:
-        return cls(
-            utility=utility,
-            valuations=np.array([c.valuations for c in members]),
-            endowments=np.array([c.endowment for c in members]),
-            sigmas=(
-                np.array([1.0 / (1.0 - c.rho) for c in members]) if utility == CES else None
-            ),
-        )
+    def stack(cls, utility: str, members: Sequence[Consumer], valuations: np.ndarray | None = None,
+              endowments: np.ndarray | None = None, rows: slice = slice(None)) -> _ConsumerGroup:
+        """The group of members, in their order.
 
-    def price_vectors(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray | tuple | None]:
+        valuations and endowments, when given, are the members' rows (rows) of
+        an economy's stacked arrays; otherwise the group stacks its own.
+        """
+        if valuations is None:
+            valuations = np.array([c.valuations for c in members])
+            endowments = np.array([c.endowment for c in members])
+        sigmas = np.array([1.0 / (1.0 - c.rho) for c in members]) if utility == CES else None
+        return cls(utility, valuations, endowments, rows, sigmas)
+
+    def price_vectors(self, prices: np.ndarray,
+                      shared: tuple | None = None) -> tuple[np.ndarray, np.ndarray | tuple | None]:
         """(per consumer, per good) vectors that fill needs at floored prices.
 
-        Cobb-Douglas: (budgets, 1/p); Leontief: (budgets / (V . p), None);
-        CES: (budgets, (log p, 1/p)). For a (k, n) price stack each has a
-        leading k.
+        shared is the economy's _shared_vectors, over all its consumers, of
+        which the group takes its rows of the budgets; without it the group
+        computes its own. Cobb-Douglas: (budgets, 1/p); Leontief: (budgets /
+        (V . p), None); CES: (budgets, (log p, 1/p)). For a (k, n) price stack
+        each has a leading k.
         """
-        budgets = _matvec(self.endowments, prices)
+        if shared is None:
+            budgets, inv_p, log_p = _shared_vectors(self.endowments, prices, (self.utility,))
+        else:
+            budgets, inv_p, log_p = shared
+            budgets = budgets[..., self.rows]
         if self.utility == COBB_DOUGLAS:
-            return budgets, 1.0 / prices
+            return budgets, inv_p
         if self.utility == LEONTIEF:
             return budgets / _matvec(self.valuations, prices), None
-        return budgets, (np.log(prices), 1.0 / prices)
+        return budgets, (log_p, inv_p)
 
     def fill(self, vectors, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         """Uncapped demand of members start:stop, (..., stop - start, n).
@@ -336,14 +373,23 @@ class _ConsumerGroup:
 
 @dataclass(frozen=True, eq=False)
 class ExchangeEconomy:
-    """An exchange economy: consumers, aggregate supply, cap, and price floor."""
+    """An exchange economy: consumers, aggregate supply, cap, and price floor.
+
+    The consumers' valuations and endowments are stacked once, in group order
+    (_FAMILIES), and each consumer group views its rows. These arrays, the cap
+    and aggregate_supply are read-only, since every later evaluation reads
+    them.
+    """
 
     consumers: Sequence[Consumer]
     n_goods: int
     demand_cap_factor: float = 1.0
     price_floor: float = DEFAULT_PRICE_FLOOR
     aggregate_supply: np.ndarray = field(init=False, repr=False)
+    _valuations: np.ndarray = field(init=False, repr=False)  # (m, n), in group order
+    _endowments: np.ndarray = field(init=False, repr=False)  # (m, n), in group order
     _groups: tuple[_ConsumerGroup, ...] = field(init=False, repr=False)
+    _families: frozenset[str] = field(init=False, repr=False)  # the groups' utilities
     _cap: np.ndarray | None = field(init=False, repr=False)  # None when uncapped
 
     def __post_init__(self) -> None:
@@ -366,18 +412,27 @@ class ExchangeEconomy:
         supply = np.sum([c.endowment for c in consumers], axis=0)
         if not np.all(supply > 0.0):
             raise InvalidInput("every good needs a strictly positive aggregate endowment")
-        groups = []
-        for kind in (COBB_DOUGLAS, LEONTIEF, CES):
-            members = [c for c in consumers if c.utility == kind]
-            if members:
-                groups.append(_ConsumerGroup.stack(kind, members))
+        # A stable sort keeps each family's consumers in their own order.
+        ordered = sorted(consumers, key=lambda c: _FAMILIES.index(c.utility))
+        valuations = _read_only(np.array([c.valuations for c in ordered]))
+        endowments = _read_only(np.array([c.endowment for c in ordered]))
+        groups, start = [], 0
+        for kind, members in itertools.groupby(ordered, key=lambda c: c.utility):
+            members = list(members)
+            rows = slice(start, start + len(members))
+            groups.append(_ConsumerGroup.stack(kind, members, valuations[rows], endowments[rows],
+                                               rows))
+            start = rows.stop
         cap = self.demand_cap_factor * supply if np.isfinite(self.demand_cap_factor) else None
         object.__setattr__(self, "consumers", consumers)
         # A numpy integer would wrap in the block-size arithmetic.
         object.__setattr__(self, "n_goods", int(self.n_goods))
-        object.__setattr__(self, "aggregate_supply", supply)
+        object.__setattr__(self, "aggregate_supply", _read_only(supply))
+        object.__setattr__(self, "_valuations", valuations)
+        object.__setattr__(self, "_endowments", endowments)
         object.__setattr__(self, "_groups", tuple(groups))
-        object.__setattr__(self, "_cap", cap)
+        object.__setattr__(self, "_families", frozenset(group.utility for group in groups))
+        object.__setattr__(self, "_cap", None if cap is None else _read_only(cap))
 
     def demand(self, p) -> np.ndarray:
         """Aggregate (capped) demand at floored prices.
@@ -404,76 +459,79 @@ class ExchangeEconomy:
         return total
 
     def _total_demand(self, prices: np.ndarray) -> np.ndarray:
-        """Sum of capped demand over consumers, one consumer group at a time.
+        """Sum of capped demand over consumers, in one pass over their rows.
 
-        When the whole demand matrix fits in _BLOCK_ENTRIES entries, every
-        group fills its own rows of one buffer (_buffered_demand). Otherwise
-        each group's column sum comes from _streamed_sum, in group order; a
-        group that fits in one block is a single pass of its loop.
+        The budgets of every consumer, 1/p and log p are one call each
+        (_shared_vectors), and each group takes its rows of the budgets. When
+        the whole demand matrix fits in _BLOCK_ENTRIES entries, or there is
+        one good, every group fills its rows of one buffer (_buffered_demand).
+        Otherwise _streamed_sum carries one running column sum through the
+        groups. Both add the consumer rows one after another in group order,
+        so wherever every group fills they agree bit for bit.
         """
-        if len(self.consumers) * prices.size <= _BLOCK_ENTRIES:
-            return self._buffered_demand(prices)
-        total = np.zeros(prices.shape)
-        for group in self._groups:
-            total += self._streamed_sum(group, group.price_vectors(prices), prices)
-        return total
+        shared = _shared_vectors(self._endowments, prices, self._families)
+        if len(self.consumers) * prices.size <= _BLOCK_ENTRIES or prices.shape[-1] == 1:
+            return self._buffered_demand(shared, prices)
+        return self._streamed_sum(shared, prices)
 
-    def _buffered_demand(self, prices: np.ndarray) -> np.ndarray:
-        """_total_demand's one-buffer path, bit for bit the per-group sums.
+    def _buffered_demand(self, shared: tuple, prices: np.ndarray) -> np.ndarray:
+        """_total_demand's one-buffer path: one fill per group, one cap, one sum.
 
-        Each group keeps its own vectors and its own np.add.reduce over its
-        rows, as a matrix of its own would: np.add.reduceat, or one gemv for
-        the budgets of all groups, can round differently. The total starts
-        from the first group's sum, not from zeros: 0.0 + x is x for every x
-        but -0.0, and a column sums to -0.0 only if every budget is zero,
-        which a positive aggregate supply rules out.
+        Each group fills its rows of one (..., m, n) buffer in group order,
+        one np.minimum caps the whole buffer, and one np.add.reduce sums its
+        consumer rows. For n >= 2 the reduction adds the rows one after
+        another in their order; for n = 1 numpy sums the column pairwise,
+        which is why a one-good economy always takes this path.
         """
-        buffer = np.empty(prices.shape[:-1] + (len(self.consumers), prices.shape[-1]))
-        blocks = []
-        start = 0
+        buffer = np.empty(prices.shape[:-1] + self._valuations.shape)
         for group in self._groups:
-            stop = start + len(group.valuations)
-            blocks.append(group.fill(group.price_vectors(prices), 0, stop - start,
-                                     buffer[..., start:stop, :]))
-            start = stop
+            group.fill(group.price_vectors(prices, shared), 0, len(group.valuations),
+                       buffer[..., group.rows, :])
         if self._cap is not None:
             np.minimum(buffer, self._cap, out=buffer)
-        total = np.add.reduce(blocks[0], axis=-2)
-        for block in blocks[1:]:
-            total += np.add.reduce(block, axis=-2)
-        return total
+        return np.add.reduce(buffer, axis=-2)
 
-    def _streamed_sum(self, group: _ConsumerGroup, vectors, prices: np.ndarray) -> np.ndarray:
-        """A group's capped column sum.
+    def _streamed_sum(self, shared: tuple, prices: np.ndarray) -> np.ndarray:
+        """_total_demand's streamed path: one running column sum over the groups.
 
         A Leontief or Cobb-Douglas group whose cap is absent, or proved a
         no-op by cap_is_slack, is one matrix-vector product (column_sum),
-        rounded in BLAS order. CES groups and caps that bind are filled,
-        capped and added block by block: each block of consumer rows goes into
-        one reused buffer of about _BLOCK_ENTRIES entries, whose row 0 holds
-        the running column sum, so the rows are still added one after another
-        in their order, which is what sum(axis=-2) does over the whole matrix
-        when n >= 2. With n = 1 numpy sums a column pairwise instead, so a
-        one-good group is one block of all its rows.
+        rounded in BLAS order and added to the running sum. CES groups and
+        caps that bind are filled, capped and added block by block: each block
+        of consumer rows goes into one reused buffer of about _BLOCK_ENTRIES
+        entries, whose row 0 holds the running column sum, so the rows are
+        added one after another in group order, as the one-buffer path's
+        reduction adds them when n >= 2.
         """
-        if group.utility != CES and (
-                self._cap is None or group.cap_is_slack(vectors, self._cap)):
-            return group.column_sum(vectors)
-        m = len(group.valuations)
-        rows = m if prices.shape[-1] == 1 else min(m, max(1, _BLOCK_ENTRIES // prices.size))
-        buffer = np.empty(prices.shape[:-1] + (1 + rows, prices.shape[-1]))
-        column_sum = None
-        for start in range(0, m, rows):
-            stop = min(start + rows, m)
-            block = group.fill(vectors, start, stop, buffer[..., 1:1 + stop - start, :])
-            if self._cap is not None:
-                np.minimum(block, self._cap, out=block)
-            if column_sum is None:
-                column_sum = np.add.reduce(block, axis=-2)
-            else:
-                buffer[..., 0, :] = column_sum
-                np.add.reduce(buffer[..., :1 + stop - start, :], axis=-2, out=column_sum)
-        return column_sum
+        cap = self._cap
+        plan = []  # (group, its vectors, whether it sums in closed form)
+        filled = 0  # consumers in the largest group that fills
+        for group in self._groups:
+            vectors = group.price_vectors(prices, shared)
+            slack = group.utility != CES and (cap is None or group.cap_is_slack(vectors, cap))
+            plan.append((group, vectors, slack))
+            if not slack:
+                filled = max(filled, len(group.valuations))
+        rows = min(filled, max(1, _BLOCK_ENTRIES // prices.size))
+        buffer = np.empty(prices.shape[:-1] + (1 + rows, prices.shape[-1])) if filled else None
+        total = None
+        for group, vectors, slack in plan:
+            if slack:
+                column_sum = group.column_sum(vectors)
+                total = column_sum if total is None else np.add(total, column_sum, out=total)
+                continue
+            m = len(group.valuations)
+            for start in range(0, m, rows):
+                stop = min(start + rows, m)
+                block = group.fill(vectors, start, stop, buffer[..., 1:1 + stop - start, :])
+                if cap is not None:
+                    np.minimum(block, cap, out=block)
+                if total is None:
+                    total = np.add.reduce(block, axis=-2)
+                else:
+                    buffer[..., 0, :] = total
+                    np.add.reduce(buffer[..., :1 + stop - start, :], axis=-2, out=total)
+        return total
 
     def excess(self, p) -> np.ndarray:
         """Aggregate demand minus aggregate supply, for a price vector or a (k, n) stack."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,10 @@ from mirrorvi import (
 import mirrorvi.economy as economy_module
 
 RHO_CHOICES = (-8.0, -1.5, 0.5, 0.9)
+
+#: The four-way mix of `mirrorvi sweep` and criterion 09.
+DESK_MIX = {"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
+            "ces_complements": 0.25}
 
 
 def random_consumer(rng, n: int) -> Consumer:
@@ -752,50 +757,71 @@ def test_ces_budget_identity():
             assert (np.abs(x.dot(p) - b) <= (2 * n + 4) * UNIT_ROUNDOFF * b).all(), (n, p)
 
 
+def in_group_order(economy) -> list[Consumer]:
+    """The economy's consumers family by family, each family in its own order."""
+    return [c for kind in (COBB_DOUGLAS, LEONTIEF, CES)
+            for c in economy.consumers if c.utility == kind]
+
+
+def stacked_budgets(economy, prices) -> np.ndarray:
+    """Every consumer's budget, from one product over the endowments stacked
+    in group order, for a price vector or a (k, n) stack."""
+    endowments = np.array([c.endowment for c in in_group_order(economy)])
+    return economy_module._matvec(endowments, prices)
+
+
 def reference_demand(economy, p) -> np.ndarray:
     """Aggregate demand as the textbook per-consumer sum: plain expressions,
     one fresh array per step.
 
-    Wherever the economy fills demand matrices (one matrix per consumer group,
-    finished in place, with the price-free constants kept from construction)
-    it must agree with this bit for bit.
+    The budgets come from one product over the endowments stacked in group
+    order, and every consumer's capped row goes into one sum in group order:
+    sum(axis=0) adds the rows one after another when n >= 2 and pairwise when
+    n = 1. Wherever the economy fills its demand matrix (in one buffer, or in
+    blocks that carry one running sum, with the price-free constants kept
+    from construction) it must agree with this bit for bit.
     """
     prices = np.maximum(np.asarray(p, dtype=float), economy.price_floor)
     cap = economy.demand_cap_factor * economy.aggregate_supply
-    total = np.zeros(economy.n_goods)
+    budgets = stacked_budgets(economy, prices)
+    matrices = []
     for kind in (COBB_DOUGLAS, LEONTIEF, CES):
         members = [c for c in economy.consumers if c.utility == kind]
         if not members:
             continue
         valuations = np.array([c.valuations for c in members])
-        budgets = np.array([c.endowment for c in members]).dot(prices)
+        b, budgets = budgets[:len(members)], budgets[len(members):]
         if kind == COBB_DOUGLAS:
             weights = valuations / valuations.sum(axis=1, keepdims=True)
-            matrix = weights * np.outer(budgets, 1.0 / prices)
+            matrix = weights * np.outer(b, 1.0 / prices)
         elif kind == LEONTIEF:
-            matrix = valuations * (budgets / valuations.dot(prices))[:, None]
+            matrix = valuations * (b / valuations.dot(prices))[:, None]
         else:
             sigmas = np.array([1.0 / (1.0 - c.rho) for c in members])[:, None]
             w = (1.0 - sigmas) * np.log(prices) + sigmas * np.log(valuations)
             e = np.exp(w - w.max(axis=1, keepdims=True))
-            matrix = e * (budgets[:, None] / e.sum(axis=1, keepdims=True)) * (1.0 / prices)
-        if np.isfinite(economy.demand_cap_factor):
-            matrix = np.minimum(matrix, cap[None, :])
-        total += matrix.sum(axis=0)
-    return total
+            matrix = e * (b[:, None] / e.sum(axis=1, keepdims=True)) * (1.0 / prices)
+        matrices.append(matrix)
+    matrix = np.concatenate(matrices)
+    if np.isfinite(economy.demand_cap_factor):
+        matrix = np.minimum(matrix, cap[None, :])
+    return matrix.sum(axis=0)
 
 
 def sums_in_closed_form(economy, p) -> bool:
     """Whether demand at one price vector sums some group as one matrix-vector
-    product: a streamed evaluation (the demand matrix exceeds _BLOCK_ENTRIES)
-    with a Leontief or Cobb-Douglas group whose cap is absent or proved slack.
+    product: a streamed evaluation (the demand matrix exceeds _BLOCK_ENTRIES
+    and there are at least two goods) with a Leontief or Cobb-Douglas group
+    whose cap is absent or proved slack.
     """
-    if len(economy.consumers) * economy.n_goods <= economy_module._BLOCK_ENTRIES:
+    if (len(economy.consumers) * economy.n_goods <= economy_module._BLOCK_ENTRIES
+            or economy.n_goods == 1):
         return False
     prices = np.maximum(p, economy.price_floor)
+    shared = economy_module._shared_vectors(economy._endowments, prices, economy._families)
     return any(
-        group.utility != CES and (
-            economy._cap is None or group.cap_is_slack(group.price_vectors(prices), economy._cap))
+        group.utility != CES and (economy._cap is None or group.cap_is_slack(
+            group.price_vectors(prices, shared), economy._cap))
         for group in economy._groups
     )
 
@@ -806,22 +832,20 @@ def closed_form_tolerance(economy) -> float:
     Every term is nonnegative, and within a group both sides start from the
     same vectors (b, r = b / (V p) and q = 1 / p, from the same calls). With u
     the unit roundoff and gamma_k = k u / (1 - k u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 3 and Lemma 3.3):
+    Stability of Numerical Algorithms, section 3 and Lemma 3.3), take as
+    terms the exact products behind the M consumer rows of a column:
     - a textbook entry fl(V_ij r_i) or fl(fl(b_i q_j) W_ij) rounds at most
-      twice and its column sum m - 1 times more, in any order: within
-      gamma_{m+1} of the exact sum s_j of the exact products;
-    - the closed form V^T r, or (W^T b) q, is one dot product of m terms
-      (gamma_m, whatever order or fused operations BLAS uses) and at most
-      one more product: gamma_{m+1} of the same s_j;
-    - a group that fills (CES, or a cap that binds) gives the same sum on
-      both sides, within gamma_{m+1} of its exact sum as well;
-    - the G group sums go into a zero total in the same order on both sides,
-      which adds gamma_G.
-    So each side is within gamma_K T of the exact total T, K = m + 1 + G with
-    m the largest group, and |demand - reference| <= 2 gamma_K T <=
-    2 gamma_K / (1 - gamma_K) reference.
+      twice, and so does each term of the closed form V^T r, or (W^T b) q,
+      one dot product and at most one more product;
+    - a group that fills (CES, or a cap that binds) gives the same entries
+      on both sides;
+    - each side adds a column's M terms in some tree of additions (one
+      running sum over the rows, a BLAS dot, or both), so no term passes
+      through more than M - 1 of them.
+    So each side is within gamma_K T of the exact total T, K = M + 1, and
+    |demand - reference| <= 2 gamma_K T <= 2 gamma_K / (1 - gamma_K) reference.
     """
-    k = max(len(group.valuations) for group in economy._groups) + 1 + len(economy._groups)
+    k = len(economy.consumers) + 1
     gamma = k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
     return 2.0 * gamma / (1.0 - gamma)
 
@@ -918,12 +942,11 @@ def test_excess_peak_temporaries(mix, bound):
 def test_buffered_excess_peak_temporaries():
     # A 50 x 50 mixed economy fits in one block, so its groups fill one
     # shared buffer: one evaluation holds that (m, n) buffer, the CES group's
-    # per-row maxima and sums, and the vectors. Measured 2.18 matrices for
-    # one price vector and 17.9 for an eight-row stack.
+    # per-row maxima and sums, and the vectors. Measured 2.19 matrices for
+    # one price vector and 18.0 for an eight-row stack (2.18 and 17.9 while
+    # each group took its own budget product and sum).
     m = n = 50
-    mix = {"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
-           "ces_complements": 0.25}
-    economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=mix))
+    economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=DESK_MIX))
     assert len(economy._groups) == 3
     prices = np.random.default_rng(15).uniform(0.1, 1.0, (8, n))
     assert 8 * m * n <= economy_module._BLOCK_ENTRIES
@@ -936,17 +959,100 @@ def test_probe_stack_peak_temporaries():
     # The step-size probe's stack is 64 price rows (32 pairs). On a 50 x 50
     # mixed economy a stack is evaluated in buffered blocks of 13 rows, each
     # within _BLOCK_ENTRIES, so one call holds one block's buffer, not a
-    # 64-row matrix per group. Measured 25.5 matrices (509,672 bytes), 28.6
+    # 64-row matrix per group. Measured 25.9 matrices (517,816 bytes), 25.5
+    # (509,672 bytes) while each group took its own budget product, 28.6
     # (571,968 bytes) while CES demand kept a log-sum-exp workspace, and 40.5
     # (809,232 bytes) when a stack was blocked by 2^20 entries and each group
     # streamed all 64 rows at once.
     m = n = 50
-    mix = {"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
-           "ces_complements": 0.25}
-    economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=mix))
+    economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=DESK_MIX))
     prices = np.random.default_rng(15).uniform(0.1, 1.0, (64, n))
     (peak,) = excess_peaks(economy, (prices,))
     assert peak <= 32 * m * n * 8
+
+
+@pytest.mark.parametrize("m,n", [(10, 5), (50, 50), (40, 1)])
+def test_buffered_and_streamed_paths_agree_when_every_group_fills(monkeypatch, m, n):
+    # A cap at 2% of supply binds in the Leontief and Cobb-Douglas groups, so
+    # with the CES groups every group fills, on both paths. Both add the
+    # consumer rows one after another in group order (pairwise when n = 1,
+    # where the economy always fills one buffer), so they agree bit for bit
+    # with each other, with the textbook sum and row by row with a stack.
+    economy = generate_economy(GenSpec(seed=4, n_consumers=m, n_goods=n, mix=DESK_MIX))
+    capped_at(economy, 0.02 * economy.aggregate_supply)
+    assert len(economy._groups) == 3
+    prices = 10.0 ** np.random.default_rng(5).uniform(-3.0, 1.0, (8, n))
+    buffered = economy.demand(prices)
+    other_orders_differ = 0
+    for p, row in zip(prices, buffered):
+        np.testing.assert_array_equal(row, economy.demand(p))
+        matrix = reference_matrix(economy, p)
+        np.testing.assert_array_equal(row, matrix.sum(axis=0))
+        # The rules the paths must not fall back to: a sum per group added
+        # up afterwards, and, for one good, one running sum.
+        per_group = sum(matrix[group.rows].sum(axis=0) for group in economy._groups)
+        running = functools.reduce(np.add, matrix)
+        other_orders_differ += not np.array_equal(row, per_group if n > 1 else running)
+    assert other_orders_differ
+    # Blocks of three consumer rows stream every group, one price row at a time.
+    monkeypatch.setattr(economy_module, "_BLOCK_ENTRIES", 3 * n)
+    assert not any(sums_in_closed_form(economy, p) for p in prices)
+    np.testing.assert_array_equal(economy.demand(prices), buffered)
+    for p, row in zip(prices, buffered):
+        np.testing.assert_array_equal(economy.demand(p), row)
+
+
+def test_groups_view_the_stacked_arrays():
+    # The economy stacks its consumers' valuations and endowments once, in
+    # group order, and each group holds views of its rows. Building a 50 x 50
+    # mixed economy then keeps those two matrices, the Cobb-Douglas shares
+    # and the CES sigma log v (one row per member of those groups), and about
+    # 6 KB of vectors and objects: measured 60,851 bytes retained and 81,521
+    # at the peak, which adds the supply's stacked endowments (60,088 and
+    # 80,280 when each group stacked its own copies, with fewer array and
+    # slice objects). A copy of the stacked endowments would add 20,000 bytes.
+    m = n = 50
+    consumers = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=DESK_MIX)).consumers
+    ExchangeEconomy(consumers, n_goods=n)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        economy = ExchangeEconomy(consumers, n_goods=n)
+        retained, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    ordered = in_group_order(economy)
+    np.testing.assert_array_equal(economy._valuations, [c.valuations for c in ordered])
+    np.testing.assert_array_equal(economy._endowments, [c.endowment for c in ordered])
+    for group in economy._groups:
+        assert np.shares_memory(group.valuations, economy._valuations)
+        assert np.shares_memory(group.endowments, economy._endowments)
+        np.testing.assert_array_equal(group.valuations, economy._valuations[group.rows])
+        np.testing.assert_array_equal(group.endowments, economy._endowments[group.rows])
+    shared_rows = 2 * m + sum(len(group.valuations) for group in economy._groups
+                              if group.utility != LEONTIEF)
+    assert retained <= shared_rows * n * 8 + 10240
+    assert peak <= retained + m * n * 8 + 4096
+
+
+def test_economy_arrays_are_read_only():
+    # Every evaluation reads the stacked arrays, the cap and the supply, and
+    # the groups share the stacked arrays' memory: writing to any of them
+    # raises instead of changing every later excess.
+    economy = generate_economy(GenSpec(seed=0, n_consumers=10, n_goods=5, mix=DESK_MIX))
+    p = np.random.default_rng(6).uniform(0.1, 1.0, 5)
+    before = economy.excess(p)
+    with pytest.raises(ValueError, match="read-only"):
+        economy.aggregate_supply *= 2
+    arrays = [economy._cap, economy._valuations, economy._endowments]
+    arrays += [a for group in economy._groups for a in (group.valuations, group.endowments)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    np.testing.assert_array_equal(economy.excess(p), before)
 
 
 def excess_peaks(economy, price_sets) -> list[int]:
@@ -1073,12 +1179,14 @@ def family_economy(rng, family: str, m: int, n: int, cap_factor: float) -> Excha
     return ExchangeEconomy(consumers, n_goods=n, demand_cap_factor=cap_factor)
 
 
-def reference_group_demand(group, prices) -> np.ndarray:
+def reference_group_demand(group, prices, budgets=None) -> np.ndarray:
     """A group's uncapped demand as one (m, n) matrix, or (k, m, n) for a stack.
 
-    The closed forms as they were before rows were streamed in blocks.
+    The closed forms as they were before rows were streamed in blocks. The
+    budgets are the group's own product unless given.
     """
-    budgets = economy_module._matvec(group.endowments, prices)
+    if budgets is None:
+        budgets = economy_module._matvec(group.endowments, prices)
     if group.utility == COBB_DOUGLAS:
         x = budgets[..., :, None] * (1.0 / prices)[..., None, :]
         x *= group.weights
@@ -1092,16 +1200,22 @@ def reference_group_demand(group, prices) -> np.ndarray:
     return e * (budgets[..., None] / e.sum(axis=-1, keepdims=True)) * (1.0 / prices)[..., None, :]
 
 
-def reference_group_demand_sum(economy, p) -> np.ndarray:
-    """Aggregate demand with one capped matrix per group, summed with sum(axis=-2)."""
+def reference_matrix(economy, p) -> np.ndarray:
+    """Capped demand of every consumer, one row each in group order, from the
+    groups' closed forms; the budgets come from one product over the stacked
+    endowments."""
     prices = np.maximum(np.asarray(p, dtype=float), economy.price_floor)
-    total = np.zeros(prices.shape)
-    for group in economy._groups:
-        matrix = reference_group_demand(group, prices)
-        if economy._cap is not None:
-            matrix = np.minimum(matrix, economy._cap)
-        total += matrix.sum(axis=-2)
-    return total
+    budgets = stacked_budgets(economy, prices)
+    matrix = np.concatenate([reference_group_demand(group, prices, budgets[..., group.rows])
+                             for group in economy._groups], axis=-2)
+    if economy._cap is not None:
+        matrix = np.minimum(matrix, economy._cap)
+    return matrix
+
+
+def reference_group_demand_sum(economy, p) -> np.ndarray:
+    """Aggregate demand: reference_matrix summed with sum(axis=-2)."""
+    return reference_matrix(economy, p).sum(axis=-2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
@@ -1109,8 +1223,10 @@ def reference_group_demand_sum(economy, p) -> np.ndarray:
 def test_row_blocks_match_one_matrix_per_group(monkeypatch, family, n):
     # A block of BLOCK_ROWS * n entries holds BLOCK_ROWS consumer rows for a
     # price vector and BLOCK_ROWS // k for a (k, n) stack, so the larger groups
-    # below stream through many blocks (an n = 1 group is always one block).
-    # Groups that sum in closed form are checked row by row within the bound.
+    # below stream through many blocks. A one-good economy always fills one
+    # buffer, so with n = 1 nothing sums in closed form and every row is
+    # checked bit for bit. Groups that sum in closed form are checked row by
+    # row within the bound.
     monkeypatch.setattr(economy_module, "_BLOCK_ENTRIES", BLOCK_ROWS * n)
     rng = np.random.default_rng(22 + n)
     worst = 0.0
@@ -1127,7 +1243,7 @@ def test_row_blocks_match_one_matrix_per_group(monkeypatch, family, n):
                            np.atleast_2d(reference_group_demand_sum(economy, p)))
                 for q, demand, reference in rows:
                     worst = max(worst, assert_textbook_sum(economy, q, demand, reference))
-    assert worst > 1e-2 or family == CES
+    assert worst > 1e-2 or family == CES or n == 1
 
 
 def test_streamed_stack_rows_with_binding_and_slack_caps():
