@@ -82,12 +82,25 @@ def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
 def _shared_vectors(endowments: np.ndarray, prices: np.ndarray, families) -> tuple:
     """What the demand of every family needs at floored prices, one call each.
 
-    The budgets E . p of every row of endowments, 1/p when a Cobb-Douglas or
-    CES consumer is among families, and log p when a CES one is (None
-    otherwise). Each group takes its rows of the budgets.
+    The budgets E . p of every row of endowments, 1/p when a Cobb-Douglas
+    consumer is among families, and log p when a CES one is (None otherwise).
+    Each group takes its rows of the budgets.
     """
-    inv_p = 1.0 / prices if COBB_DOUGLAS in families or CES in families else None
+    inv_p = 1.0 / prices if COBB_DOUGLAS in families else None
     return _matvec(endowments, prices), inv_p, np.log(prices) if CES in families else None
+
+
+def _spend(rows: np.ndarray, prices: np.ndarray, budgets: np.ndarray) -> None:
+    """Scale each direction row d_i in place to its demand b_i d_i / (d_i . p).
+
+    rows is (..., m, n), prices (..., n) and budgets (..., m). Each cost
+    d_i . p is one dot per row through matmul, as kernels._row_dots takes it,
+    so a row's cost, and with it the row, never depends on which other rows
+    share the call (a matrix-vector product can round a row differently by
+    its place in the matrix).
+    """
+    cost = np.matmul(rows[..., None, :], prices[..., None, :, None])[..., 0, 0]
+    rows *= np.divide(budgets, cost, out=cost)[..., None]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -162,7 +175,8 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
     if float(prices.dot(consumer.endowment)) == 0.0:
         return np.zeros(consumer.n_goods)
     group = _ConsumerGroup.stack(consumer.utility, [consumer])
-    x = group.fill(group.price_vectors(prices), 0, 1)[0]
+    shared = _shared_vectors(group.endowments, prices, (consumer.utility,))
+    x = group.fill(shared, prices, 0, 1)[0]
     if not np.all(np.isfinite(x)):
         raise EvaluationError(f"demand overflow for {consumer.utility} consumer at p={prices}")
     if cap is not None:
@@ -233,56 +247,61 @@ class _ConsumerGroup:
     group's rows (rows) of the economy's stacked arrays, not copies; a group
     stacked on its own holds its own arrays.
 
-    CES (sigma = 1/(1-rho)) demand is b_i exp(w_ij - M_i) / (S_i p_j) with
-    the exponent w_ij = (1 - sigma_i) log p_j + sigma_i log v_ij, its row
-    maximum M_i and the row sum S_i of the shifted exponentials. Every shifted
-    exponent is <= 0, so nothing overflows, and each S_i lies in [1, n], so
-    nothing divides by zero: elasticities of substitution up to ~1000 survive
-    double precision with no guard. Each row is normalized by its own computed
-    sum, so p . x_i = b_i holds to a few roundings per good. The price-free
-    constants are computed once, when the group is built: the Cobb-Douglas
-    budget shares, the CES sigma_i log v_ij and 1 - sigma_i, and the column
-    maxima of the Leontief valuations or Cobb-Douglas shares that cap_is_slack
-    bounds with.
+    Every consumer spends its whole budget b_i, so each family's demand is
+    x_i = b_i d_i / (d_i . p) for a direction d_i(p): Leontief v_i, CES
+    (sigma = 1/(1-rho)) exp(t_ij - max_k t_ik) with t_ij = sigma_i log v_ij -
+    sigma_i log p_j, and Cobb-Douglas w_i / p, whose cost d_i . p is exactly
+    1. Cobb-Douglas rows keep their closed form fl(fl(b_i q_j) w_ij), q = 1/p.
+    Leontief and CES rows are written as directions (directions) and scaled
+    by _spend: one dot per row for the cost, b_i / cost_i, one scaling. Every
+    CES exponent is <= 0, so nothing overflows, and a row's largest direction
+    entry is exp(0) = 1, so its cost is at least that good's floored price:
+    no cost is zero, and elasticities of substitution from near 0 to ~1000
+    need no guard. Each row is scaled by its own computed cost, so
+    p . x_i = b_i holds to about 2n + 2 roundings. The price-free constants
+    are computed once, when the group is built: the Cobb-Douglas budget
+    shares, the CES sigma_i log v_ij, and the column maxima of the Leontief
+    valuations or Cobb-Douglas shares that cap_is_slack bounds with.
 
-    Demand starts from price_vectors, the per-consumer vectors over the whole
-    group, taken from the economy's shared budgets, 1/p and log p (the budget
-    and Leontief gemvs are never split into row blocks, since a gemv over some
-    rows can round differently). fill then writes any block of demand rows, in
-    place into a buffer when one is given; every product is the same IEEE
-    operation as in the textbook form, so the entries are identical, and each
-    row of a price stack gives what that row alone gives. A Leontief or
-    Cobb-Douglas group whose cap is absent or slack needs no entries: its
-    column sum is one matrix-vector product (column_sum), which rounds in
-    BLAS order rather than row by row.
+    Demand starts from shared, the _shared_vectors of the rows that the
+    group's rows index: its economy's stacked endowments, or its own when it
+    stands alone (the budget gemv is never split into row blocks, since a
+    gemv over some rows can round differently). fill then writes the demand
+    of any block of rows, in place into a buffer when one is given; each row
+    depends only on its own consumer, budget and price row, so a row of a
+    block, of the whole group or of a price stack is the same, bit for bit. A
+    Leontief or Cobb-Douglas group whose cap is absent or slack needs no
+    entries: its column sum is one matrix-vector product (column_sum, from
+    sum_vectors), which rounds in BLAS order rather than row by row.
     """
 
     utility: str
     valuations: np.ndarray  # (m, n)
     endowments: np.ndarray  # (m, n)
-    rows: slice  # the group's rows of its economy's stacked arrays
+    rows: slice  # the group's rows of its economy's stacked arrays, or all of its own
     sigmas: np.ndarray | None = None  # (m,) for CES
     weights: np.ndarray | None = field(init=False, repr=False)  # (m, n) for Cobb-Douglas
     sigma_log_valuations: np.ndarray | None = field(init=False, repr=False)  # (m, n) for CES
-    one_minus_sigmas: np.ndarray | None = field(init=False, repr=False)  # (m, 1) for CES
     column_max: np.ndarray | None = field(init=False, repr=False)  # (n,), None for CES
 
     def __post_init__(self) -> None:
         v = self.valuations
         weights = v / v.sum(axis=1, keepdims=True) if self.utility == COBB_DOUGLAS else None
         column_max = {COBB_DOUGLAS: weights, LEONTIEF: v}.get(self.utility)
-        ces = self.utility == CES
+        sigma_log_valuations = None
+        if self.utility == CES:
+            # In place: one (m, n) array while the group is built, not two.
+            sigma_log_valuations = np.log(v)
+            sigma_log_valuations *= self.sigmas[:, None]
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(
-            self, "sigma_log_valuations", self.sigmas[:, None] * np.log(v) if ces else None)
-        object.__setattr__(self, "one_minus_sigmas", 1.0 - self.sigmas[:, None] if ces else None)
+        object.__setattr__(self, "sigma_log_valuations", sigma_log_valuations)
         object.__setattr__(
             self, "column_max", None if column_max is None else column_max.max(axis=0)
         )
 
     @classmethod
     def stack(cls, utility: str, members: Sequence[Consumer], valuations: np.ndarray | None = None,
-              endowments: np.ndarray | None = None, rows: slice = slice(None)) -> _ConsumerGroup:
+              endowments: np.ndarray | None = None, rows: slice | None = None) -> _ConsumerGroup:
         """The group of members, in their order.
 
         valuations and endowments, when given, are the members' rows (rows) of
@@ -291,61 +310,64 @@ class _ConsumerGroup:
         if valuations is None:
             valuations = np.array([c.valuations for c in members])
             endowments = np.array([c.endowment for c in members])
+            rows = slice(0, len(members))
         sigmas = np.array([1.0 / (1.0 - c.rho) for c in members]) if utility == CES else None
         return cls(utility, valuations, endowments, rows, sigmas)
 
-    def price_vectors(self, prices: np.ndarray,
-                      shared: tuple | None = None) -> tuple[np.ndarray, np.ndarray | tuple | None]:
-        """(per consumer, per good) vectors that fill needs at floored prices.
+    def directions(self, shared: tuple, start: int, stop: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Rows start:stop before _spend: Cobb-Douglas demand, which needs no
+        scaling, or the Leontief or CES directions, (..., stop - start, n).
 
-        shared is the economy's _shared_vectors, over all its consumers, of
-        which the group takes its rows of the budgets; without it the group
-        computes its own. Cobb-Douglas: (budgets, 1/p); Leontief: (budgets /
-        (V . p), None); CES: (budgets, (log p, 1/p)). For a (k, n) price stack
-        each has a leading k.
+        shared is the (budgets, 1/p, log p) of _shared_vectors. The rows are
+        written into out when given, and into a fresh array otherwise.
         """
-        if shared is None:
-            budgets, inv_p, log_p = _shared_vectors(self.endowments, prices, (self.utility,))
-        else:
-            budgets, inv_p, log_p = shared
-            budgets = budgets[..., self.rows]
+        budgets, inv_p, log_p = shared
+        if out is None:
+            out = np.empty(budgets.shape[:-1] + (stop - start, self.valuations.shape[1]))
         if self.utility == COBB_DOUGLAS:
-            return budgets, inv_p
-        if self.utility == LEONTIEF:
-            return budgets / _matvec(self.valuations, prices), None
-        return budgets, (log_p, inv_p)
+            first = self.rows.start
+            np.multiply(budgets[..., first + start:first + stop, None], inv_p[..., None, :], out=out)
+            out *= self.weights[start:stop]
+        elif self.utility == LEONTIEF:
+            out[...] = self.valuations[start:stop]
+        else:
+            np.multiply(self.sigmas[start:stop, None], log_p[..., None, :], out=out)
+            np.subtract(self.sigma_log_valuations[start:stop], out, out=out)
+            # ufunc.reduce is what the max method calls, minus a Python frame.
+            out -= np.maximum.reduce(out, axis=-1, keepdims=True)
+            np.exp(out, out=out)
+        return out
 
-    def fill(self, vectors, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    def fill(self, shared: tuple, prices: np.ndarray, start: int, stop: int,
+             out: np.ndarray | None = None) -> np.ndarray:
         """Uncapped demand of members start:stop, (..., stop - start, n).
 
         It is written into out when given, and into a fresh array otherwise.
         """
-        per_consumer, per_good = vectors
-        column = per_consumer[..., start:stop, None]
-        if self.utility == COBB_DOUGLAS:
-            out = np.multiply(column, per_good[..., None, :], out=out)
-            out *= self.weights[start:stop]
-        elif self.utility == LEONTIEF:
-            out = np.multiply(self.valuations[start:stop], column, out=out)
-        else:
-            log_p, inv_p = per_good
-            out = np.multiply(self.one_minus_sigmas[start:stop], log_p[..., None, :], out=out)
-            out += self.sigma_log_valuations[start:stop]
-            # ufunc.reduce is what the max and sum methods call, minus a Python frame.
-            out -= np.maximum.reduce(out, axis=-1, keepdims=True)
-            np.exp(out, out=out)
-            scale = np.add.reduce(out, axis=-1, keepdims=True)
-            out *= np.divide(column, scale, out=scale)
-            out *= inv_p[..., None, :]
+        out = self.directions(shared, start, stop, out)
+        if self.utility != COBB_DOUGLAS:
+            first = self.rows.start
+            _spend(out, prices, shared[0][..., first + start:first + stop])
         return out
+
+    def sum_vectors(self, shared: tuple, prices: np.ndarray) -> tuple:
+        """A Leontief or Cobb-Douglas group's (per consumer, per good) factors
+        for column_sum and cap_is_slack: (b / (V p), None), with V p one gemv
+        over the group, or (b, 1/p), b the group's budgets in shared."""
+        budgets = shared[0][..., self.rows]
+        if self.utility == LEONTIEF:
+            return budgets / _matvec(self.valuations, prices), None
+        return budgets, shared[1]
 
     def column_sum(self, vectors) -> np.ndarray:
         """Uncapped column sum of a Leontief or Cobb-Douglas group's demand.
 
-        Leontief: V^T r with r_i = b_i / (V p)_i; Cobb-Douglas: (W^T b) / p.
-        One matrix-vector product over a transposed view (no stored copy),
-        summed in BLAS order: within 2 gamma_{m+1} of the row-by-row sum of the
-        filled entries, every term being nonnegative.
+        vectors are sum_vectors. Leontief: V^T r with r_i = b_i / (V p)_i;
+        Cobb-Douglas: (W^T b) / p. One matrix-vector product over a transposed
+        view (no stored copy), summed in BLAS order; every term is
+        nonnegative, so it stays within a few roundings per term of the
+        row-by-row sum of the filled entries.
         """
         per_consumer, per_good = vectors
         if self.utility == LEONTIEF:
@@ -353,13 +375,14 @@ class _ConsumerGroup:
         return _matvec(self.weights.T, per_consumer) * per_good
 
     def cap_is_slack(self, vectors, cap: np.ndarray) -> bool:
-        """True when an O(n) bound proves that no demand entry exceeds cap.
+        """True when an O(n) bound proves that no term of column_sum exceeds cap.
 
-        Each Leontief entry is fl(V_ij * r_i) and each Cobb-Douglas entry
-        fl(fl(b_i * q_j) * W_ij), all factors nonnegative. IEEE rounding is
-        monotone, so putting each factor's maximum in its place bounds every
-        entry, and when the bound is within cap, capping changes nothing. A NaN
-        factor fails the comparison. CES has no such bound and always caps.
+        vectors are sum_vectors. Each Leontief term is fl(V_ij * r_i) and each
+        Cobb-Douglas term fl(fl(b_i * q_j) * W_ij), all factors nonnegative.
+        IEEE rounding is monotone, so putting each factor's maximum in its
+        place bounds every term, and when the bound is within cap, capping
+        them changes nothing. A NaN factor fails the comparison. CES has no
+        such bound and always caps.
         """
         if self.column_max is None:
             return False
@@ -390,6 +413,7 @@ class ExchangeEconomy:
     _endowments: np.ndarray = field(init=False, repr=False)  # (m, n), in group order
     _groups: tuple[_ConsumerGroup, ...] = field(init=False, repr=False)
     _families: frozenset[str] = field(init=False, repr=False)  # the groups' utilities
+    _spent: slice | None = field(init=False, repr=False)  # Leontief and CES rows, None if none
     _cap: np.ndarray | None = field(init=False, repr=False)  # None when uncapped
 
     def __post_init__(self) -> None:
@@ -409,13 +433,13 @@ class ExchangeEconomy:
         if not (self.demand_cap_factor >= 1.0):
             raise InvalidInput(f"demand_cap_factor must be >= 1, got {self.demand_cap_factor}")
         _check_price_floor(self.price_floor)
-        supply = np.sum([c.endowment for c in consumers], axis=0)
-        if not np.all(supply > 0.0):
-            raise InvalidInput("every good needs a strictly positive aggregate endowment")
         # A stable sort keeps each family's consumers in their own order.
         ordered = sorted(consumers, key=lambda c: _FAMILIES.index(c.utility))
         valuations = _read_only(np.array([c.valuations for c in ordered]))
         endowments = _read_only(np.array([c.endowment for c in ordered]))
+        supply = np.add.reduce(endowments, axis=0)
+        if not np.all(supply > 0.0):
+            raise InvalidInput("every good needs a strictly positive aggregate endowment")
         groups, start = [], 0
         for kind, members in itertools.groupby(ordered, key=lambda c: c.utility):
             members = list(members)
@@ -432,6 +456,8 @@ class ExchangeEconomy:
         object.__setattr__(self, "_endowments", endowments)
         object.__setattr__(self, "_groups", tuple(groups))
         object.__setattr__(self, "_families", frozenset(group.utility for group in groups))
+        spent = groups[0].rows.stop if groups[0].utility == COBB_DOUGLAS else 0
+        object.__setattr__(self, "_spent", slice(spent, None) if spent < start else None)
         object.__setattr__(self, "_cap", None if cap is None else _read_only(cap))
 
     def demand(self, p) -> np.ndarray:
@@ -466,8 +492,9 @@ class ExchangeEconomy:
         the whole demand matrix fits in _BLOCK_ENTRIES entries, or there is
         one good, every group fills its rows of one buffer (_buffered_demand).
         Otherwise _streamed_sum carries one running column sum through the
-        groups. Both add the consumer rows one after another in group order,
-        so wherever every group fills they agree bit for bit.
+        groups. Both scale each Leontief and CES row by its own cost and add
+        the consumer rows one after another in group order, so wherever every
+        group fills they agree bit for bit.
         """
         shared = _shared_vectors(self._endowments, prices, self._families)
         if len(self.consumers) * prices.size <= _BLOCK_ENTRIES or prices.shape[-1] == 1:
@@ -475,18 +502,23 @@ class ExchangeEconomy:
         return self._streamed_sum(shared, prices)
 
     def _buffered_demand(self, shared: tuple, prices: np.ndarray) -> np.ndarray:
-        """_total_demand's one-buffer path: one fill per group, one cap, one sum.
+        """_total_demand's one-buffer path: one pass per group, one scaling,
+        one cap, one sum.
 
-        Each group fills its rows of one (..., m, n) buffer in group order,
-        one np.minimum caps the whole buffer, and one np.add.reduce sums its
-        consumer rows. For n >= 2 the reduction adds the rows one after
-        another in their order; for n = 1 numpy sums the column pairwise,
-        which is why a one-good economy always takes this path.
+        Each group writes its rows of one (..., m, n) buffer in group order:
+        Cobb-Douglas demand, then the Leontief and CES directions. Those
+        directions are the buffer's last rows (_spent), and one _spend scales
+        them all, each by its own row's cost. One np.minimum caps the whole
+        buffer, and one np.add.reduce sums its consumer rows. For n >= 2 the
+        reduction adds the rows one after another in their order; for n = 1
+        numpy sums the column pairwise, which is why a one-good economy always
+        takes this path.
         """
         buffer = np.empty(prices.shape[:-1] + self._valuations.shape)
         for group in self._groups:
-            group.fill(group.price_vectors(prices, shared), 0, len(group.valuations),
-                       buffer[..., group.rows, :])
+            group.directions(shared, 0, len(group.valuations), buffer[..., group.rows, :])
+        if self._spent is not None:
+            _spend(buffer[..., self._spent, :], prices, shared[0][..., self._spent])
         if self._cap is not None:
             np.minimum(buffer, self._cap, out=buffer)
         return np.add.reduce(buffer, axis=-2)
@@ -499,31 +531,37 @@ class ExchangeEconomy:
         rounded in BLAS order and added to the running sum. CES groups and
         caps that bind are filled, capped and added block by block: each block
         of consumer rows goes into one reused buffer of about _BLOCK_ENTRIES
-        entries, whose row 0 holds the running column sum, so the rows are
-        added one after another in group order, as the one-buffer path's
-        reduction adds them when n >= 2.
+        entries, whose row 0 holds the running column sum; a block of Leontief
+        or CES rows is scaled by one _spend, each row by its own cost, so its
+        rows equal the one-buffer path's. The rows are added one after another
+        in group order, as the one-buffer path's reduction adds them when
+        n >= 2.
         """
         cap = self._cap
-        plan = []  # (group, its vectors, whether it sums in closed form)
+        plan = []  # (group, its column-sum vectors if it sums in closed form)
         filled = 0  # consumers in the largest group that fills
         for group in self._groups:
-            vectors = group.price_vectors(prices, shared)
-            slack = group.utility != CES and (cap is None or group.cap_is_slack(vectors, cap))
-            plan.append((group, vectors, slack))
-            if not slack:
+            sums = None
+            if group.utility != CES:
+                sums = group.sum_vectors(shared, prices)
+                if cap is not None and not group.cap_is_slack(sums, cap):
+                    sums = None
+            plan.append((group, sums))
+            if sums is None:
                 filled = max(filled, len(group.valuations))
         rows = min(filled, max(1, _BLOCK_ENTRIES // prices.size))
         buffer = np.empty(prices.shape[:-1] + (1 + rows, prices.shape[-1])) if filled else None
         total = None
-        for group, vectors, slack in plan:
-            if slack:
-                column_sum = group.column_sum(vectors)
+        for group, sums in plan:
+            if sums is not None:
+                column_sum = group.column_sum(sums)
                 total = column_sum if total is None else np.add(total, column_sum, out=total)
                 continue
             m = len(group.valuations)
             for start in range(0, m, rows):
                 stop = min(start + rows, m)
-                block = group.fill(vectors, start, stop, buffer[..., 1:1 + stop - start, :])
+                block = group.fill(shared, prices, start, stop,
+                                   buffer[..., 1:1 + stop - start, :])
                 if cap is not None:
                     np.minimum(block, cap, out=block)
                 if total is None:

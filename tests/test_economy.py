@@ -226,15 +226,68 @@ def test_ces_demand_oracle():
     )
 
 
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def budget_identity_bound(utility: str, n: int) -> float:
+    """Relative bound on |p . x_i - b_i| for a row of n goods, p . x_i taken
+    with one more dot, from the budget b_i and floored prices p the demand used.
+
+    - Leontief and CES: x_ij = fl(d_ij r_i), r_i = fl(b_i / c_i), and the cost
+      c_i = fl(d_i . p) is within gamma_n of the exact d_i . p for whatever
+      direction d_i was computed (every term is nonnegative). The check's dot
+      gives r_i sum_j d_ij p_j (1 + theta_j), |theta_j| <= gamma_{n+1} with
+      the scaling's rounding, so p . x_i / b_i lies within
+      (1 + u)(1 + gamma_{n+1}) / (1 - gamma_n) of 1: (2n + 2)u to first order.
+    - Cobb-Douglas: x_ij = fl(fl(b_i q_j) w_ij), q_j = fl(1 / p_j), w_ij =
+      fl(v_ij / S_i) and S_i = fl(sum_j v_ij) within gamma_{n-1}: four
+      roundings per term and the check's gamma_n over, gamma_{n-1} under.
+    """
+    u = UNIT_ROUNDOFF
+    if utility == COBB_DOUGLAS:
+        return (1.0 + gamma(n + 4)) / (1.0 - gamma(n - 1)) - 1.0
+    return (1.0 + u) * (1.0 + gamma(n + 1)) / (1.0 - gamma(n)) - 1.0
+
+
+def budget_underflow(n: int, p: np.ndarray, b) -> np.ndarray:
+    """What terms below the normal range add to |p . x_i - b_i|, absolutely.
+
+    A demand entry x_ij and each product of the check's dot that fall below
+    it are off by at most half a subnormal: n (1 + max p) half subnormals in
+    all. CES cost terms that do change the cost, which is at least the
+    smallest price, by at most n half subnormals. A Leontief cost term
+    v_ij p_j is never that small at the valuations and floored prices tested
+    here.
+    """
+    return n * SMALLEST_SUBNORMAL * (1.0 + p.max() + b / p.min())
+
+
 def test_budget_identity_uncapped():
+    # Each row spends its budget to a few roundings per good, for
+    # elasticities of substitution from 1e-6 to 1000, valuations from 1e-12
+    # to 1e6 and prices from 1e-9 to 1e3, zeros included (they go to the
+    # floor). The budget is the consumer's own product, as consumer_demand
+    # takes it.
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        consumer = random_consumer(rng, n)
-        p = rng.uniform(0.1, 1.0, n)
+    for k in range(600):
+        n = int(rng.integers(1, 60))
+        utility = (COBB_DOUGLAS, LEONTIEF, CES)[k % 3]
+        sigma = float(rng.choice(CES_SIGMAS))
+        consumer = Consumer(utility, 10.0 ** rng.uniform(-12.0, 6.0, n),
+                            rng.uniform(0.0, 1.0, n) + 0.05,
+                            rho=1.0 - 1.0 / sigma if utility == CES else None)
+        p = 10.0 ** rng.uniform(-9.0, 3.0, n)
+        if k % 2:
+            p[rng.random(n) < 0.4] = 0.0
         x = consumer_demand(consumer, p)
-        budget = p.dot(consumer.endowment)
-        assert abs(p.dot(x) - budget) <= 1e-9 * (1.0 + budget)
+        assert np.isfinite(x).all()
+        floored = np.maximum(p, economy_module.DEFAULT_PRICE_FLOOR)
+        budget = economy_module._matvec(consumer.endowment[None, :], floored)[0]
+        bound = budget_identity_bound(utility, n) * budget + budget_underflow(n, floored, budget)
+        assert abs(floored.dot(x) - budget) <= bound, (utility, n, sigma)
 
 
 def test_demand_cap_clips_coordinates():
@@ -682,14 +735,21 @@ UNIT_ROUNDOFF = 2.0**-53
 SMALLEST_SUBNORMAL = 2.0**-1074
 
 
+def own_shared(group, prices) -> tuple:
+    """The _shared_vectors of a group's own endowments: what a group that
+    stands alone, or the only group of its economy, evaluates from."""
+    return economy_module._shared_vectors(group.endowments, prices, (group.utility,))
+
+
 def ces_grid():
     """(group, floored (k, n) price stack) for each n in 1..60, one consumer per sigma.
 
-    Prices run from 1e-9 to 1e3, with zeros; both go to the default floor.
+    Valuations run from 1e-12 to 1e6, prices from 1e-9 to 1e3, with zeros;
+    prices below the default floor go to it.
     """
     rng = np.random.default_rng(31)
     for n in range(1, 61):
-        consumers = [Consumer(CES, 10.0 ** rng.uniform(-2.0, 1.0, n),
+        consumers = [Consumer(CES, 10.0 ** rng.uniform(-12.0, 6.0, n),
                               rng.uniform(0.0, 1.0, n) + 0.05, rho=1.0 - 1.0 / sigma)
                      for sigma in CES_SIGMAS]
         prices = 10.0 ** rng.uniform(-9.0, 3.0, (4, n))
@@ -700,61 +760,68 @@ def ces_grid():
 
 
 def test_ces_demand_within_derived_bound_of_log_space_form():
-    # Both forms approximate x_ij = b_i exp(w_ij) / (p_j sum_k exp(w_ik)),
-    # w_ij = (1 - s_i) log p_j + s_i log v_ij, from the same log p, log v, s
-    # and b. Take u the unit roundoff, numpy's exp, log and log1p to 1 ulp
-    # (2u), and L_i = max_j (s_i |log v_ij| + (s_i + 1) |log p_j|), which
-    # bounds |w|, |t|, |1 - s_i| |log p_j| + s_i |log v_ij| and |LSE| - log n.
-    # - Shifted form: w is off by at most 3uL (three roundings) and w - M by
-    #   2uL more; M itself cancels in the ratio, whose two exponentials
-    #   double the error: 10uL. Then two exp calls (4u), the row sum
-    #   (gamma_n) and the four scalings b / S, x (b / S), 1 / p, x (1 / p).
+    # Both forms approximate x_ij = b_i exp(t_ij) / sum_k exp(t_ik) p_k,
+    # t_ij = s_i (log v_ij - log p_j), from the same log p, log v, s and b.
+    # Take u the unit roundoff, numpy's exp, log and log1p to 1 ulp (2u), and
+    # L_i = max_j (s_i |log v_ij| + (s_i + 1) |log p_j|), which bounds |t|,
+    # |t + log p|, s_i (|log v_ij| + |log p_j|) and |LSE| - log n.
+    # - Direct form: s log v and s log p are each off by 3u times their size
+    #   (the log, the product) and their difference rounds once, so t is off
+    #   by 4uL, and t - M by 2uL more; the row maximum M cancels in the ratio,
+    #   whose numerator and cost terms both carry the error: 12uL. Then the
+    #   exp calls (2u in the numerator, 2u in each cost term), the cost's dot
+    #   (gamma_n), b / cost and the scaling (2u).
     # - Log-space form: t is off by 2uL and t + log p by 3uL, so its LSE is
     #   too; the log-sum-exp's shift (2uL, through its exp terms) and its
     #   addition of the maximum (uL) make 6uL, plus gamma_n + (3 + 6 log n)u
     #   for its exp, sum, division, log1p and log m; t - LSE rounds once
     #   more (2uL): 10uL + gamma_n + (3 + 6 log n)u. Then exp and x b (3u).
     # exp turns the summed exponent errors into expm1 of them; the other
-    # roundings add gamma_n + 11u. That relative bound r holds against the
-    # exact demand, and so r / (1 - r) holds against the reference. An
-    # entry that underflows is off by a few subnormals, scaled afterwards by
-    # at most 1 + b_i + b_i / p_j.
+    # roundings add gamma_n + 9u. That relative bound r holds against the
+    # exact demand, and so r / (1 - r) holds against the reference. An entry
+    # that underflows is off by a few subnormals: a direction entry scaled by
+    # b_i / cost_i <= b_i / min p, the reference's scaled by b_i, and the
+    # entries of a cost whose terms underflow move by n subnormals relative
+    # to a cost of at least min p, times an entry of at most b_i / min p.
     u = UNIT_ROUNDOFF
     worst = 0.0
     for group, prices in ces_grid():
         n = prices.shape[1]
-        gamma_n = n * u / (1.0 - n * u)
+        gamma_n = gamma(n)
         sigmas = group.sigmas[:, None]
-        stack = group.fill(group.price_vectors(prices), 0, len(sigmas))
+        stack = group.fill(own_shared(group, prices), prices, 0, len(sigmas))
         for p, x in zip(prices, stack):
             reference = log_space_ces_demand(group, p)
             magnitude = (sigmas * np.abs(np.log(group.valuations))
                          + (sigmas + 1.0) * np.abs(np.log(p))).max(axis=1, keepdims=True)
-            relative = np.expm1(20.0 * u * magnitude + gamma_n + (3.0 + 6.0 * np.log(n)) * u)
-            relative += gamma_n + 11.0 * u
+            relative = np.expm1(22.0 * u * magnitude + gamma_n + (3.0 + 6.0 * np.log(n)) * u)
+            relative += gamma_n + 9.0 * u
             budgets = group.endowments.dot(p)[:, None]
-            underflow = 8.0 * SMALLEST_SUBNORMAL * (1.0 + budgets + budgets / p)
+            scale = budgets / p.min()
+            underflow = 8.0 * SMALLEST_SUBNORMAL * (1.0 + budgets + scale * (1.0 + n / p.min()))
             bound = relative / (1.0 - relative) * reference + underflow
             assert (np.abs(x - reference) <= bound).all(), (n, p)
             worst = max(worst, float((np.abs(x - reference) / bound).max()))
-            np.testing.assert_array_equal(x, group.fill(group.price_vectors(p), 0, len(sigmas)))
+            np.testing.assert_array_equal(x, group.fill(own_shared(group, p), p, 0, len(sigmas)))
     # The bound is not vacuous: some entries come within a small factor of it.
     assert worst > 1e-3
 
 
 def test_ces_budget_identity():
-    # Each row is normalized by its own computed sum S: with x_ij =
-    # e_j (b / S) (1 / p_j) (1 + theta_j), |theta_j| <= gamma_4, and S =
-    # sum_j e_j (1 + phi_j), |phi_j| <= gamma_{n-1}, the exact p . x_i is
-    # b_i (1 + O(gamma_4 + gamma_{n-1})), and the dot that checks it adds
-    # gamma_n: (2n + 3)u to first order, 2n + 4 with the higher orders. The
-    # earlier log-space form was off by 2.5e-12 relative at sigma = 1000.
+    # Each row is scaled by its own computed cost, so p . x_i = b_i holds to
+    # budget_identity_bound, (2n + 2)u to first order, for every sigma in
+    # CES_SIGMAS (1e-6 to 1000), valuations from 1e-12 to 1e6 and prices from
+    # 1e-9 to 1e3 with zeros. The log-space form was off by 2.5e-12 relative
+    # at sigma = 1000.
     for group, prices in ces_grid():
         n = prices.shape[1]
-        budgets, _ = vectors = group.price_vectors(prices)
-        stack = group.fill(vectors, 0, len(group.sigmas))
+        shared = own_shared(group, prices)
+        budgets = shared[0]
+        stack = group.fill(shared, prices, 0, len(group.sigmas))
+        assert np.isfinite(stack).all()
         for p, b, x in zip(prices, budgets, stack):
-            assert (np.abs(x.dot(p) - b) <= (2 * n + 4) * UNIT_ROUNDOFF * b).all(), (n, p)
+            bound = budget_identity_bound(CES, n) * b + budget_underflow(n, p, b)
+            assert (np.abs(x.dot(p) - b) <= bound).all(), (n, p)
 
 
 def in_group_order(economy) -> list[Consumer]:
@@ -770,11 +837,25 @@ def stacked_budgets(economy, prices) -> np.ndarray:
     return economy_module._matvec(endowments, prices)
 
 
+def row_costs(directions, prices) -> np.ndarray:
+    """d_i . p for each row of directions, one vector dot each, for a price
+    vector or, row by row, a (k, n) stack (directions (m, n) or (k, m, n)).
+    A matrix-vector product can round a row differently by its place in the
+    matrix; a row's own dot cannot."""
+    if prices.ndim == 2:
+        directions = np.broadcast_to(directions, prices.shape[:1] + directions.shape[-2:])
+        return np.array([row_costs(d, q) for d, q in zip(directions, prices)])
+    return np.array([d.dot(prices) for d in directions])
+
+
 def reference_demand(economy, p) -> np.ndarray:
     """Aggregate demand as the textbook per-consumer sum: plain expressions,
     one fresh array per step.
 
-    The budgets come from one product over the endowments stacked in group
+    Cobb-Douglas rows are b_i w_i / p; a Leontief or CES row is its
+    direction d_i (v_i, or exp(t_i - max t_i) with t_ij = s_i log v_ij -
+    s_i log p_j) times b_i / (d_i . p), each cost its own row's dot. The
+    budgets come from one product over the endowments stacked in group
     order, and every consumer's capped row goes into one sum in group order:
     sum(axis=0) adds the rows one after another when n >= 2 and pairwise when
     n = 1. Wherever the economy fills its demand matrix (in one buffer, or in
@@ -794,13 +875,14 @@ def reference_demand(economy, p) -> np.ndarray:
         if kind == COBB_DOUGLAS:
             weights = valuations / valuations.sum(axis=1, keepdims=True)
             matrix = weights * np.outer(b, 1.0 / prices)
-        elif kind == LEONTIEF:
-            matrix = valuations * (b / valuations.dot(prices))[:, None]
         else:
-            sigmas = np.array([1.0 / (1.0 - c.rho) for c in members])[:, None]
-            w = (1.0 - sigmas) * np.log(prices) + sigmas * np.log(valuations)
-            e = np.exp(w - w.max(axis=1, keepdims=True))
-            matrix = e * (b[:, None] / e.sum(axis=1, keepdims=True)) * (1.0 / prices)
+            if kind == LEONTIEF:
+                directions = valuations
+            else:
+                sigmas = np.array([1.0 / (1.0 - c.rho) for c in members])[:, None]
+                t = sigmas * np.log(valuations) - sigmas * np.log(prices)
+                directions = np.exp(t - t.max(axis=1, keepdims=True))
+            matrix = directions * (b / row_costs(directions, prices))[:, None]
         matrices.append(matrix)
     matrix = np.concatenate(matrices)
     if np.isfinite(economy.demand_cap_factor):
@@ -821,7 +903,7 @@ def sums_in_closed_form(economy, p) -> bool:
     shared = economy_module._shared_vectors(economy._endowments, prices, economy._families)
     return any(
         group.utility != CES and (economy._cap is None or group.cap_is_slack(
-            group.price_vectors(prices, shared), economy._cap))
+            group.sum_vectors(shared, prices), economy._cap))
         for group in economy._groups
     )
 
@@ -829,25 +911,32 @@ def sums_in_closed_form(economy, p) -> bool:
 def closed_form_tolerance(economy) -> float:
     """Relative bound on |demand - textbook sum| when groups sum in BLAS order.
 
-    Every term is nonnegative, and within a group both sides start from the
-    same vectors (b, r = b / (V p) and q = 1 / p, from the same calls). With u
-    the unit roundoff and gamma_k = k u / (1 - k u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 3 and Lemma 3.3), take as
-    terms the exact products behind the M consumer rows of a column:
-    - a textbook entry fl(V_ij r_i) or fl(fl(b_i q_j) W_ij) rounds at most
-      twice, and so does each term of the closed form V^T r, or (W^T b) q,
-      one dot product and at most one more product;
+    Every term is nonnegative, and both sides take the same budgets b and
+    q = 1 / p, from the same calls. With u the unit roundoff and gamma_k =
+    k u / (1 - k u) (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3 and Lemma 3.3), take as terms the exact products behind the M
+    consumer rows of a column:
+    - a textbook Cobb-Douglas entry fl(fl(b_i q_j) W_ij) rounds twice, and so
+      does each term of the closed form (W^T b) q, one dot product and one
+      more product;
+    - a Leontief term is V_ij b_i / (v_i . p). The textbook entry takes the
+      cost from its row's own dot, the closed form V^T r from the gemv V p:
+      each within gamma_n of v_i . p, every term being nonnegative. Then
+      b_i / cost and the product with V_ij round once each, so on either
+      side the term is within (1 + u)^2 / (1 - gamma_n) of its exact value;
     - a group that fills (CES, or a cap that binds) gives the same entries
       on both sides;
     - each side adds a column's M terms in some tree of additions (one
       running sum over the rows, a BLAS dot, or both), so no term passes
       through more than M - 1 of them.
-    So each side is within gamma_K T of the exact total T, K = M + 1, and
-    |demand - reference| <= 2 gamma_K T <= 2 gamma_K / (1 - gamma_K) reference.
+    So each side is within e T of the exact total T, e = gamma_{M+1} without
+    a Leontief group and (1 + gamma_{M+1}) / (1 - gamma_n) - 1 with one, and
+    |demand - reference| <= 2 e T <= 2 e / (1 - e) reference.
     """
-    k = len(economy.consumers) + 1
-    gamma = k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
-    return 2.0 * gamma / (1.0 - gamma)
+    e = gamma(len(economy.consumers) + 1)
+    if LEONTIEF in economy._families:
+        e = (1.0 + e) / (1.0 - gamma(economy.n_goods)) - 1.0
+    return 2.0 * e / (1.0 - e)
 
 
 def assert_textbook_sum(economy, p, demand, reference) -> float:
@@ -920,7 +1009,7 @@ def test_excess_matches_reference_bit_for_bit(monkeypatch, family, cap_factor):
         ({"leontief": 1.0}, 1.5),
         ({"cobb_douglas": 1.0}, 1.5),
         # CES holds its block and two per-row columns (the row maxima and
-        # sums): measured 1.25 matrices for one price vector and 1.33 for
+        # costs): measured 1.24 matrices for one price vector and 1.32 for
         # eight, against 1.97 and 2.05 with a log-sum-exp workspace and mask.
         ({"ces_substitutes": 0.5, "ces_complements": 0.5}, 2.6),
     ],
@@ -942,9 +1031,10 @@ def test_excess_peak_temporaries(mix, bound):
 def test_buffered_excess_peak_temporaries():
     # A 50 x 50 mixed economy fits in one block, so its groups fill one
     # shared buffer: one evaluation holds that (m, n) buffer, the CES group's
-    # per-row maxima and sums, and the vectors. Measured 2.19 matrices for
-    # one price vector and 18.0 for an eight-row stack (2.18 and 17.9 while
-    # each group took its own budget product and sum).
+    # per-row maxima, the Leontief and CES costs, and the vectors. Measured
+    # 2.18 matrices for one price vector and 18.2 for an eight-row stack
+    # (2.19 and 18.0 while CES rows were normalized by their row sums, 2.18
+    # and 17.9 while each group took its own budget product and sum).
     m = n = 50
     economy = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=DESK_MIX))
     assert len(economy._groups) == 3
@@ -959,7 +1049,8 @@ def test_probe_stack_peak_temporaries():
     # The step-size probe's stack is 64 price rows (32 pairs). On a 50 x 50
     # mixed economy a stack is evaluated in buffered blocks of 13 rows, each
     # within _BLOCK_ENTRIES, so one call holds one block's buffer, not a
-    # 64-row matrix per group. Measured 25.9 matrices (517,816 bytes), 25.5
+    # 64-row matrix per group. Measured 25.8 matrices (516,336 bytes), 25.9
+    # (517,816 bytes) while CES rows were normalized by their row sums, 25.5
     # (509,672 bytes) while each group took its own budget product, 28.6
     # (571,968 bytes) while CES demand kept a log-sum-exp workspace, and 40.5
     # (809,232 bytes) when a stack was blocked by 2^20 entries and each group
@@ -1002,15 +1093,70 @@ def test_buffered_and_streamed_paths_agree_when_every_group_fills(monkeypatch, m
         np.testing.assert_array_equal(economy.demand(p), row)
 
 
+@pytest.mark.parametrize("n", [7, 50])
+def test_row_cost_does_not_depend_on_grouping(monkeypatch, n):
+    # Each Leontief and CES row is scaled by its own cost d_i . p, one dot per
+    # row, so its uncapped demand is the same bit for bit wherever it is
+    # computed: among the one-buffer path's rows, in streamed blocks that
+    # split each group, in any row of a (k, n) price stack, and alone in
+    # consumer_demand. One matrix-vector product over the rows would round
+    # some costs by their place in the matrix. _spend is wrapped to see the
+    # rows it scales. Every consumer owns one good, so every budget is one
+    # rounded product, the same from any budget product; a tiny cap binds,
+    # so the Leontief rows fill on the streamed path too.
+    rng = np.random.default_rng(40 + n)
+    consumers = []
+    for i in range(60):
+        kind = (COBB_DOUGLAS, LEONTIEF, CES)[i % 3]
+        sigma = float(rng.choice(CES_SIGMAS))
+        endowment = np.zeros(n)
+        endowment[i % n] = rng.uniform(0.05, 1.0)
+        consumers.append(Consumer(kind, 10.0 ** rng.uniform(-3.0, 3.0, n), endowment,
+                                  rho=1.0 - 1.0 / sigma if kind == CES else None))
+    economy = ExchangeEconomy(consumers, n_goods=n)
+    capped_at(economy, 1e-6 * economy.aggregate_supply)
+    spent = [c for c in in_group_order(economy) if c.utility != COBB_DOUGLAS]
+    prices = 10.0 ** rng.uniform(-9.0, 3.0, (6, n))
+    prices[1, rng.random(n) < 0.4] = 0.0
+    prices[2] = 1.0
+    scaled = []
+    spend = economy_module._spend
+
+    def spy(rows, prices, budgets):
+        spend(rows, prices, budgets)
+        scaled.append(rows.copy())
+
+    monkeypatch.setattr(economy_module, "_spend", spy)
+    economy.demand(prices)
+    (stack,) = scaled
+    assert stack.shape == (len(prices), len(spent), n)
+    for p, rows in zip(prices, stack):
+        scaled.clear()
+        economy.demand(p)
+        np.testing.assert_array_equal(scaled, [rows])
+        scaled.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(economy_module, "_BLOCK_ENTRIES", 3 * n)
+            assert not sums_in_closed_form(economy, p)
+            economy.demand(p)
+        assert len(scaled) == 14
+        np.testing.assert_array_equal(np.concatenate(scaled), rows)
+        np.testing.assert_array_equal([consumer_demand(c, p) for c in spent], rows)
+
+
 def test_groups_view_the_stacked_arrays():
     # The economy stacks its consumers' valuations and endowments once, in
     # group order, and each group holds views of its rows. Building a 50 x 50
     # mixed economy then keeps those two matrices, the Cobb-Douglas shares
     # and the CES sigma log v (one row per member of those groups), and about
-    # 6 KB of vectors and objects: measured 60,851 bytes retained and 81,521
-    # at the peak, which adds the supply's stacked endowments (60,088 and
-    # 80,280 when each group stacked its own copies, with fewer array and
-    # slice objects). A copy of the stacked endowments would add 20,000 bytes.
+    # 6 KB of vectors and objects. The supply sums the stacked endowments,
+    # and the CES group scales its log v in place, so the peak adds one
+    # transient of at most the largest group's matrix (numpy's buffer for the
+    # broadcast product over the 25 CES rows): measured 60,948 bytes retained
+    # and 71,450 at the peak, against 60,851 and 81,521 while the supply
+    # stacked the endowments once more and the CES group held log v and
+    # sigma log v at once. A copy of the stacked endowments would add 20,000
+    # bytes.
     m = n = 50
     consumers = generate_economy(GenSpec(seed=0, n_consumers=m, n_goods=n, mix=DESK_MIX)).consumers
     ExchangeEconomy(consumers, n_goods=n)
@@ -1035,7 +1181,8 @@ def test_groups_view_the_stacked_arrays():
     shared_rows = 2 * m + sum(len(group.valuations) for group in economy._groups
                               if group.utility != LEONTIEF)
     assert retained <= shared_rows * n * 8 + 10240
-    assert peak <= retained + m * n * 8 + 4096
+    largest = max(len(group.valuations) for group in economy._groups)
+    assert peak <= retained + largest * n * 8 + 4096
 
 
 def test_economy_arrays_are_read_only():
@@ -1182,8 +1329,10 @@ def family_economy(rng, family: str, m: int, n: int, cap_factor: float) -> Excha
 def reference_group_demand(group, prices, budgets=None) -> np.ndarray:
     """A group's uncapped demand as one (m, n) matrix, or (k, m, n) for a stack.
 
-    The closed forms as they were before rows were streamed in blocks. The
-    budgets are the group's own product unless given.
+    The closed forms as plain expressions over the whole group: Cobb-Douglas
+    b_i w_i / p, and a Leontief or CES direction times b_i / (d_i . p), each
+    cost its own row's dot. The budgets are the group's own product unless
+    given.
     """
     if budgets is None:
         budgets = economy_module._matvec(group.endowments, prices)
@@ -1192,12 +1341,12 @@ def reference_group_demand(group, prices, budgets=None) -> np.ndarray:
         x *= group.weights
         return x
     if group.utility == LEONTIEF:
-        ratios = budgets / economy_module._matvec(group.valuations, prices)
-        return group.valuations * ratios[..., :, None]
-    sigmas = group.sigmas[:, None]
-    w = (1.0 - sigmas) * np.log(prices)[..., None, :] + sigmas * np.log(group.valuations)
-    e = np.exp(w - w.max(axis=-1, keepdims=True))
-    return e * (budgets[..., None] / e.sum(axis=-1, keepdims=True)) * (1.0 / prices)[..., None, :]
+        directions = group.valuations
+    else:
+        sigmas = group.sigmas[:, None]
+        t = sigmas * np.log(group.valuations) - sigmas * np.log(prices)[..., None, :]
+        directions = np.exp(t - t.max(axis=-1, keepdims=True))
+    return directions * (budgets / row_costs(directions, prices))[..., :, None]
 
 
 def reference_matrix(economy, p) -> np.ndarray:
@@ -1264,7 +1413,8 @@ def test_streamed_stack_rows_with_binding_and_slack_caps():
         np.testing.assert_array_equal(row, economy.demand(p))
         reference = reference_group_demand_sum(economy, p)
         if sums_in_closed_form(economy, p):
-            np.testing.assert_array_equal(row, group.column_sum(group.price_vectors(p)))
+            np.testing.assert_array_equal(
+                row, group.column_sum(group.sum_vectors(own_shared(group, p), p)))
             assert_textbook_sum(economy, p, row, reference)
         else:
             np.testing.assert_array_equal(row, reference)
@@ -1317,13 +1467,18 @@ def test_slack_cap_proof_at_its_bound(monkeypatch, family):
             bound = group.valuations.max(axis=0) * ratios.max()
         else:
             bound = group.endowments.dot(p).max() * (1.0 / p) * group.weights.max(axis=0)
-        vectors = group.price_vectors(p)
+        vectors = group.sum_vectors(own_shared(group, p), p)
         assert group.cap_is_slack(vectors, bound)
         for j in range(n):
             below = bound.copy()
             below[j] = np.nextafter(bound[j], 0.0)
             assert not group.cap_is_slack(vectors, below)
+        # The terms the proof bounds are the closed form's, for Leontief V_ij
+        # times the ratio from the gemv V p; here the textbook entries, whose
+        # costs are row dots, stay within it too.
         matrix = reference_group_demand(group, p)
+        terms = group.valuations * ratios[:, None] if family == LEONTIEF else matrix
+        assert (terms <= bound).all()
         assert (matrix <= bound).all()
         # A cap at the bound is skipped: the group sums in closed form, as
         # with no cap, within the bound of the textbook sum.
