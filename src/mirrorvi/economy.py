@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInput, Unsupported
+from .errors import EvaluationError, InvalidInput, Unsupported, check_integer
 from .kernels import _row_dots
 
 COBB_DOUGLAS = "cobb_douglas"
@@ -160,9 +160,9 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
     """Closed-form Marshallian demand at prices p with budget p . endowment.
 
     Evaluates the consumer as a one-row group, with the same closed forms as
-    an exchange economy. A zero budget returns the zero bundle. When cap is
-    given (a scalar or n entries, each >= 0), each coordinate is clipped at
-    cap_j.
+    an exchange economy; a zero budget gives the zero bundle, as it does
+    there. When cap is given (a scalar or n entries, each >= 0), each
+    coordinate is clipped at cap_j.
     """
     _check_price_floor(floor)
     if cap is not None:
@@ -172,11 +172,11 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
             raise InvalidInput(
                 f"cap must be a scalar or {consumer.n_goods} entries, each >= 0, got {cap}")
     prices = np.maximum(_as_prices(p, consumer.n_goods), floor)
-    if float(prices.dot(consumer.endowment)) == 0.0:
-        return np.zeros(consumer.n_goods)
     group = _ConsumerGroup.stack(consumer.utility, [consumer])
-    shared = _shared_vectors(group.endowments, prices, (consumer.utility,))
-    x = group.fill(shared, prices, 0, 1)[0]
+    budgets, inv_p, log_p = _shared_vectors(group.endowments, prices, (consumer.utility,))
+    # A one-good budget is a bare product, -0.0 for a -0.0 endowment; + 0.0
+    # makes it the +0.0 of an economy's budget product and changes no other.
+    x = group.fill((budgets + 0.0, inv_p, log_p), prices, 0, 1)[0]
     if not np.all(np.isfinite(x)):
         raise EvaluationError(f"demand overflow for {consumer.utility} consumer at p={prices}")
     if cap is not None:
@@ -261,7 +261,7 @@ class _ConsumerGroup:
     p . x_i = b_i holds to about 2n + 2 roundings. The price-free constants
     are computed once, when the group is built: the Cobb-Douglas budget
     shares, the CES sigma_i log v_ij, and the column maxima of the Leontief
-    valuations or Cobb-Douglas shares that cap_is_slack bounds with.
+    valuations or Cobb-Douglas shares that slack_sum bounds with.
 
     Demand starts from shared, the _shared_vectors of the rows that the
     group's rows index: its economy's stacked endowments, or its own when it
@@ -270,9 +270,10 @@ class _ConsumerGroup:
     of any block of rows, in place into a buffer when one is given; each row
     depends only on its own consumer, budget and price row, so a row of a
     block, of the whole group or of a price stack is the same, bit for bit. A
-    Leontief or Cobb-Douglas group whose cap is absent or slack needs no
-    entries: its column sum is one matrix-vector product (column_sum, from
-    sum_vectors), which rounds in BLAS order rather than row by row.
+    Leontief or Cobb-Douglas group whose cap is absent or proved slack needs
+    no entries: slack_sum gives its column sum as one matrix-vector product,
+    which rounds in BLAS order rather than row by row, and gives None for any
+    group that must fill.
     """
 
     utility: str
@@ -351,47 +352,36 @@ class _ConsumerGroup:
             _spend(out, prices, shared[0][..., first + start:first + stop])
         return out
 
-    def sum_vectors(self, shared: tuple, prices: np.ndarray) -> tuple:
-        """A Leontief or Cobb-Douglas group's (per consumer, per good) factors
-        for column_sum and cap_is_slack: (b / (V p), None), with V p one gemv
-        over the group, or (b, 1/p), b the group's budgets in shared."""
+    def slack_sum(self, shared: tuple, prices: np.ndarray,
+                  cap: np.ndarray | None) -> np.ndarray | None:
+        """The group's column sum as one matrix-vector product, or None when
+        the group must fill: always for CES, and when cap is given and an O(n)
+        bound cannot prove it slack.
+
+        shared is the (budgets, 1/p, log p) of _shared_vectors. Leontief:
+        V^T r with r_i = b_i / (V p)_i, V p one gemv over the group;
+        Cobb-Douglas: (W^T b) q with q = 1/p. One matrix-vector product over a
+        transposed view (no stored copy), summed in BLAS order; every term is
+        nonnegative, so it stays within a few roundings per term of the
+        row-by-row sum of the filled entries. Each term is fl(V_ij r_i) or
+        fl(fl(b_i q_j) W_ij), all factors nonnegative; IEEE rounding is
+        monotone, so putting each factor's maximum in its place bounds every
+        term, and when that bound is within cap, capping changes nothing. A
+        NaN factor fails the comparison.
+        """
+        if self.utility == CES:
+            return None
         budgets = shared[0][..., self.rows]
         if self.utility == LEONTIEF:
-            return budgets / _matvec(self.valuations, prices), None
-        return budgets, shared[1]
-
-    def column_sum(self, vectors) -> np.ndarray:
-        """Uncapped column sum of a Leontief or Cobb-Douglas group's demand.
-
-        vectors are sum_vectors. Leontief: V^T r with r_i = b_i / (V p)_i;
-        Cobb-Douglas: (W^T b) / p. One matrix-vector product over a transposed
-        view (no stored copy), summed in BLAS order; every term is
-        nonnegative, so it stays within a few roundings per term of the
-        row-by-row sum of the filled entries.
-        """
-        per_consumer, per_good = vectors
-        if self.utility == LEONTIEF:
-            return _matvec(self.valuations.T, per_consumer)
-        return _matvec(self.weights.T, per_consumer) * per_good
-
-    def cap_is_slack(self, vectors, cap: np.ndarray) -> bool:
-        """True when an O(n) bound proves that no term of column_sum exceeds cap.
-
-        vectors are sum_vectors. Each Leontief term is fl(V_ij * r_i) and each
-        Cobb-Douglas term fl(fl(b_i * q_j) * W_ij), all factors nonnegative.
-        IEEE rounding is monotone, so putting each factor's maximum in its
-        place bounds every term, and when the bound is within cap, capping
-        them changes nothing. A NaN factor fails the comparison. CES has no
-        such bound and always caps.
-        """
-        if self.column_max is None:
-            return False
-        per_consumer, per_good = vectors
-        bound = per_consumer.max(axis=-1, keepdims=True)
-        if self.utility == COBB_DOUGLAS:
-            bound = bound * per_good
-        bound = bound * self.column_max
-        return bool((bound <= cap).all())
+            ratios = budgets / _matvec(self.valuations, prices)
+            if cap is None or (ratios.max(axis=-1, keepdims=True) * self.column_max <= cap).all():
+                return _matvec(self.valuations.T, ratios)
+            return None
+        inv_p = shared[1]
+        if cap is None or (budgets.max(axis=-1, keepdims=True) * inv_p * self.column_max
+                           <= cap).all():
+            return _matvec(self.weights.T, budgets) * inv_p
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,9 +410,7 @@ class ExchangeEconomy:
         consumers = tuple(self.consumers)
         if not consumers:
             raise InvalidInput("an economy needs at least one consumer")
-        # A bool or a float is not a size, though a bool compares as one.
-        if isinstance(self.n_goods, bool) or not isinstance(self.n_goods, (int, np.integer)):
-            raise InvalidInput(f"n_goods must be an integer, got {self.n_goods!r}")
+        check_integer(self.n_goods, "n_goods must be an integer")
         if self.n_goods < 1:
             raise InvalidInput(f"n_goods must be >= 1, got {self.n_goods}")
         for c in consumers:
@@ -524,39 +512,30 @@ class ExchangeEconomy:
         return np.add.reduce(buffer, axis=-2)
 
     def _streamed_sum(self, shared: tuple, prices: np.ndarray) -> np.ndarray:
-        """_total_demand's streamed path: one running column sum over the groups.
+        """_total_demand's streamed path: one running column sum, one pass
+        over the groups in group order.
 
-        A Leontief or Cobb-Douglas group whose cap is absent, or proved a
-        no-op by cap_is_slack, is one matrix-vector product (column_sum),
-        rounded in BLAS order and added to the running sum. CES groups and
-        caps that bind are filled, capped and added block by block: each block
-        of consumer rows goes into one reused buffer of about _BLOCK_ENTRIES
-        entries, whose row 0 holds the running column sum; a block of Leontief
-        or CES rows is scaled by one _spend, each row by its own cost, so its
-        rows equal the one-buffer path's. The rows are added one after another
-        in group order, as the one-buffer path's reduction adds them when
-        n >= 2.
+        A group whose slack_sum is not None (Leontief or Cobb-Douglas, cap
+        absent or proved slack) adds that one matrix-vector product, rounded
+        in BLAS order. Every other group is filled, capped and added block by
+        block: each block of consumer rows goes into one buffer, allocated at
+        the first group that fills with at most one block of rows (about
+        _BLOCK_ENTRIES entries, fewer when fewer consumers are left), whose
+        row 0 holds the running column sum; a block of Leontief or CES rows is
+        scaled by one _spend, each row by its own cost, so its rows equal the
+        one-buffer path's. The rows are added one after another in group
+        order, as the one-buffer path's reduction adds them when n >= 2.
         """
-        cap = self._cap
-        plan = []  # (group, its column-sum vectors if it sums in closed form)
-        filled = 0  # consumers in the largest group that fills
+        cap, total, buffer = self._cap, None, None
+        rows = max(1, _BLOCK_ENTRIES // prices.size)
         for group in self._groups:
-            sums = None
-            if group.utility != CES:
-                sums = group.sum_vectors(shared, prices)
-                if cap is not None and not group.cap_is_slack(sums, cap):
-                    sums = None
-            plan.append((group, sums))
-            if sums is None:
-                filled = max(filled, len(group.valuations))
-        rows = min(filled, max(1, _BLOCK_ENTRIES // prices.size))
-        buffer = np.empty(prices.shape[:-1] + (1 + rows, prices.shape[-1])) if filled else None
-        total = None
-        for group, sums in plan:
-            if sums is not None:
-                column_sum = group.column_sum(sums)
+            column_sum = group.slack_sum(shared, prices, cap)
+            if column_sum is not None:
                 total = column_sum if total is None else np.add(total, column_sum, out=total)
                 continue
+            if buffer is None:
+                rows = min(rows, len(self._valuations) - group.rows.start)
+                buffer = np.empty(prices.shape[:-1] + (1 + rows, prices.shape[-1]))
             m = len(group.valuations)
             for start in range(0, m, rows):
                 stop = min(start + rows, m)
@@ -663,6 +642,7 @@ def _sample_prices(rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
 
 
 def _check_pairs(pairs: int) -> None:
+    check_integer(pairs, "the number of sampled pairs must be an integer")
     if pairs < 0:
         raise InvalidInput(f"the number of sampled pairs must be >= 0, got {pairs}")
 
@@ -779,6 +759,7 @@ def bregman_continuity_bound(economy, p, elasticity: float | None = None,
     one value serves every kernel. When elasticity is not given it is
     estimated via elasticity_bound_estimate(economy, pairs, seed).
     """
+    _check_pairs(pairs)
     prices = _as_prices(p, economy.n_goods)
     total = prices.sum()
     if abs(total - 1.0) > 1e-9:

@@ -1,4 +1,6 @@
-"""Error types shared across the library."""
+"""Error types, and the integer check, shared across the library."""
+
+import numpy as np
 
 
 class MirrorVIError(Exception):
@@ -23,3 +25,13 @@ class InsufficientData(MirrorVIError, ValueError):
 
 class DegenerateSolution(MirrorVIError, ArithmeticError):
     """The run landed on the trivial all-zero price vector."""
+
+
+def check_integer(value, message: str) -> None:
+    """Raise InvalidInput(message) unless value is an int or a numpy integer.
+
+    A bool is not a count or a size, though it compares as one, and a float
+    would run a loop a fractional number of times or fail inside numpy.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{message}, got {value!r}")

@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .economy import CES, COBB_DOUGLAS, LEONTIEF, Consumer, ExchangeEconomy
-from .errors import InvalidInput
+from .errors import InvalidInput, check_integer
 from .kernels import BOX, FeasibleSet
 
 FIELD_ENDOWMENT = 1
@@ -80,7 +80,8 @@ def _check_seed(seed) -> None:
     # The key is field * 2**64 + seed, so a seed outside [0, 2**64) would
     # alias another seed's stream (or fail inside numpy when negative). A bool
     # or a float is not a seed, though int() would make one of it.
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    check_integer(seed, "seed must be a 64-bit unsigned integer")
+    if not 0 <= seed < 2**64:
         raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
@@ -96,10 +97,8 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
-        # A bool or a float is not a size, though a bool compares as one.
         for size in (self.n_consumers, self.n_goods):
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-                raise InvalidInput(f"n_consumers and n_goods must be integers, got {size!r}")
+            check_integer(size, "n_consumers and n_goods must be integers")
         if self.n_consumers < 1 or self.n_goods < 1:
             raise InvalidInput("n_consumers and n_goods must be positive")
         # 0 < supply_total < inf fails for NaN too; an infinite supply makes

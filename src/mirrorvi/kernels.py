@@ -82,13 +82,15 @@ class FeasibleSet:
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x) -> bool:
+        """Whether x is a finite point of the set, within MEMBERSHIP_TOL."""
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.n,) or not np.isfinite(arr).all():
             return False
         if self.kind == BOX:
-            return bool((arr >= self.lo - tol).all() and (arr <= self.hi + tol).all())
-        return bool((arr >= -tol).all() and abs(arr.sum() - 1.0) <= tol)
+            return bool((arr >= self.lo - MEMBERSHIP_TOL).all()
+                        and (arr <= self.hi + MEMBERSHIP_TOL).all())
+        return bool((arr >= -MEMBERSHIP_TOL).all() and abs(arr.sum() - 1.0) <= MEMBERSHIP_TOL)
 
 
 def box(lo, hi) -> FeasibleSet:

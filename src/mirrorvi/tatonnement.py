@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSolution, InvalidInput
+from .errors import DegenerateSolution, InvalidInput, check_integer
 from .kernels import (
     BOX,
     SIMPLEX,
@@ -150,6 +150,7 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
     largest of vi._modulus_samples, the trace's own samples, so it equals a
     loop that skips the degenerate pairs bit for bit.
     """
+    check_integer(pairs, "pairs must be an integer")
     if pairs < 1:
         raise InvalidInput(f"pairs must be >= 1, got {pairs}")
     rng = np.random.default_rng(seed)

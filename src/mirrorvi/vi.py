@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InsufficientData, InvalidInput
+from .errors import EvaluationError, InsufficientData, InvalidInput, check_integer
 from .kernels import (
     BOX,
     SIMPLEX,
@@ -144,6 +144,8 @@ class SolverConfig:
         if not (0.0 < self.eta and 2.0 * self.eta < math.inf):
             raise InvalidInput(
                 f"eta must be positive with a finite effective step 2*eta, got {self.eta}")
+        check_integer(self.horizon, "horizon must be an integer")
+        check_integer(self.record_every, "record_every must be an integer")
         if self.horizon < 1:
             raise InvalidInput(f"horizon must be >= 1, got {self.horizon}")
         if self.record_every < 1:
@@ -377,6 +379,7 @@ def minty_certificate(
     cand = np.asarray(candidate, dtype=float)
     if not problem.set.contains(cand):
         raise InvalidInput("candidate lies outside the feasible set")
+    check_integer(samples, "samples must be an integer")
     if samples < 1:
         raise InvalidInput(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -305,6 +306,24 @@ def test_demand_cap_clips_coordinates():
 def test_zero_budget_returns_zero_bundle():
     c = Consumer(LEONTIEF, np.array([1.0, 2.0]), np.array([0.0, 0.0]))
     np.testing.assert_array_equal(consumer_demand(c, np.array([1.0, 1.0])), [0.0, 0.0])
+    # Every family's closed form gives the +0.0 bundle for an endowment of
+    # +0.0 or -0.0, with and without a cap, bit for bit the consumer's row in
+    # an economy, whose budgets are one product over all of its consumers.
+    for (utility, rho), zero, n in itertools.product(
+            [(COBB_DOUGLAS, None), (LEONTIEF, None), (CES, 0.5), (CES, -3.0)],
+            (0.0, -0.0), (1, 2, 7)):
+        c = Consumer(utility, np.arange(1.0, n + 1.0), np.full(n, zero), rho=rho)
+        other = Consumer(utility, np.full(n, 2.0), np.ones(n), rho=rho)
+        p = np.linspace(0.5, 2.0, n)
+        for cap_factor in (np.inf, 1.0):
+            economy = ExchangeEconomy([c, other], n_goods=n, demand_cap_factor=cap_factor)
+            (group,) = economy._groups
+            shared = economy_module._shared_vectors(economy._endowments, p, economy._families)
+            row = group.fill(shared, p, 0, 1)[0]
+            if economy._cap is not None:
+                row = np.minimum(row, economy._cap)
+            x = consumer_demand(c, p, cap=economy._cap)
+            assert x.tobytes() == row.tobytes() == np.zeros(n).tobytes(), (utility, zero, n)
 
 
 def test_demand_oracle_matches_closed_form():
@@ -901,11 +920,8 @@ def sums_in_closed_form(economy, p) -> bool:
         return False
     prices = np.maximum(p, economy.price_floor)
     shared = economy_module._shared_vectors(economy._endowments, prices, economy._families)
-    return any(
-        group.utility != CES and (economy._cap is None or group.cap_is_slack(
-            group.sum_vectors(shared, prices), economy._cap))
-        for group in economy._groups
-    )
+    return any(group.slack_sum(shared, prices, economy._cap) is not None
+               for group in economy._groups)
 
 
 def closed_form_tolerance(economy) -> float:
@@ -1413,8 +1429,7 @@ def test_streamed_stack_rows_with_binding_and_slack_caps():
         np.testing.assert_array_equal(row, economy.demand(p))
         reference = reference_group_demand_sum(economy, p)
         if sums_in_closed_form(economy, p):
-            np.testing.assert_array_equal(
-                row, group.column_sum(group.sum_vectors(own_shared(group, p), p)))
+            np.testing.assert_array_equal(row, group.slack_sum(own_shared(group, p), p, None))
             assert_textbook_sum(economy, p, row, reference)
         else:
             np.testing.assert_array_equal(row, reference)
@@ -1447,6 +1462,35 @@ def test_streamed_stack_rows_with_binding_and_slack_caps():
     assert differs
 
 
+@pytest.mark.parametrize("cap_factor", [2.5, np.inf])
+def test_slack_sums_join_the_running_total_in_group_order(monkeypatch, cap_factor):
+    # A streamed mixed economy whose Cobb-Douglas and Leontief groups sum in
+    # closed form and whose CES group fills in several blocks. The running
+    # total takes, in group order, the Cobb-Douglas sum (W^T b) q, the
+    # Leontief sum V^T (b / (V p)), then each capped CES row in turn; adding
+    # the closed-form sums at any other place rounds differently.
+    n, m = 6, 3 * BLOCK_ROWS + 1
+    monkeypatch.setattr(economy_module, "_BLOCK_ENTRIES", BLOCK_ROWS * n)
+    economy = family_economy(np.random.default_rng(26), "mixed", m, n, cap_factor)
+    cobb_douglas, leontief, ces = economy._groups
+    differs = 0
+    for p in np.random.default_rng(27).uniform(0.1, 1.0, (8, n)):
+        shared = economy_module._shared_vectors(economy._endowments, p, economy._families)
+        assert all(group.slack_sum(shared, p, economy._cap) is not None
+                   for group in (cobb_douglas, leontief))
+        budgets = economy._endowments.dot(p)
+        sums = [cobb_douglas.weights.T.dot(budgets[cobb_douglas.rows]) * (1.0 / p),
+                leontief.valuations.T.dot(budgets[leontief.rows] / leontief.valuations.dot(p))]
+        rows = reference_group_demand(ces, p, budgets[ces.rows])
+        if economy._cap is not None:
+            rows = np.minimum(rows, economy._cap)
+        total = functools.reduce(np.add, sums + list(rows))
+        np.testing.assert_array_equal(economy.demand(p), total)
+        differs += not np.array_equal(total, functools.reduce(np.add, list(rows) + sums))
+    # Some price vector tells the group order from the filled rows first.
+    assert differs
+
+
 def capped_at(economy, cap) -> ExchangeEconomy:
     """The economy with its cap vector replaced, to put the cap on an exact value."""
     object.__setattr__(economy, "_cap", np.array(cap, dtype=float))
@@ -1467,12 +1511,12 @@ def test_slack_cap_proof_at_its_bound(monkeypatch, family):
             bound = group.valuations.max(axis=0) * ratios.max()
         else:
             bound = group.endowments.dot(p).max() * (1.0 / p) * group.weights.max(axis=0)
-        vectors = group.sum_vectors(own_shared(group, p), p)
-        assert group.cap_is_slack(vectors, bound)
+        shared = own_shared(group, p)
+        assert group.slack_sum(shared, p, bound) is not None
         for j in range(n):
             below = bound.copy()
             below[j] = np.nextafter(bound[j], 0.0)
-            assert not group.cap_is_slack(vectors, below)
+            assert group.slack_sum(shared, p, below) is None
         # The terms the proof bounds are the closed form's, for Leontief V_ij
         # times the ratio from the gemv V p; here the textbook entries, whose
         # costs are row dots, stay within it too.
@@ -1484,7 +1528,7 @@ def test_slack_cap_proof_at_its_bound(monkeypatch, family):
         # with no cap, within the bound of the textbook sum.
         capped_at(economy, bound)
         assert sums_in_closed_form(economy, p)
-        np.testing.assert_array_equal(economy.demand(p), group.column_sum(vectors))
+        np.testing.assert_array_equal(economy.demand(p), group.slack_sum(shared, p, None))
         assert_textbook_sum(economy, p, economy.demand(p), matrix.sum(axis=0))
         # A cap between the two largest entries of a column binds on the
         # largest alone, which the proof must not skip.

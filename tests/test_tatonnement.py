@@ -21,13 +21,19 @@ from mirrorvi import (
     SolverConfig,
     VIProblem,
     auto_step_size,
+    bregman_continuity_bound,
     bregman_divergence,
     box,
+    check_lsd_sample,
+    check_warp_sample,
+    check_wgs_sample,
+    elasticity_bound_estimate,
     equilibrium_certificate,
     generate_economy,
     mirror_extragradient_solve,
     mirror_extratatonnement,
     mirror_tatonnement,
+    minty_certificate,
     negative_entropy,
     pathwise_modulus,
     probe_modulus,
@@ -438,6 +444,37 @@ def test_auto_step_plumbing_and_validation():
     assert run.eta == expected
     with pytest.raises(InvalidInput):
         mirror_extratatonnement(ScarfEconomy(), simplex(3), EUC, "fast", 10, START)
+
+
+COUNTED_CALLS = {
+    "horizon": lambda economy, problem, count: SolverConfig(eta=0.1, horizon=count, kernel=EUC),
+    "record_every": lambda economy, problem, count: SolverConfig(
+        eta=0.1, horizon=5, kernel=EUC, record_every=count),
+    "probe_modulus": lambda economy, problem, count: probe_modulus(problem, EUC, count),
+    "minty_certificate": lambda economy, problem, count: minty_certificate(
+        problem, CENTER, count, 0),
+    "check_warp_sample": lambda economy, problem, count: check_warp_sample(economy, count, 0),
+    "check_wgs_sample": lambda economy, problem, count: check_wgs_sample(economy, count, 0),
+    "check_lsd_sample": lambda economy, problem, count: check_lsd_sample(economy, count, 0),
+    "elasticity_bound_estimate": lambda economy, problem, count: elasticity_bound_estimate(
+        economy, count, 0),
+    "bregman_continuity_bound": lambda economy, problem, count: bregman_continuity_bound(
+        economy, CENTER, 1.0, pairs=count),
+}
+
+
+@pytest.mark.parametrize("call", sorted(COUNTED_CALLS))
+def test_a_count_must_be_an_integer(call):
+    # A bool compares as a count and a float loops a fractional number of
+    # times (record_every=2.5 would record only k = 0) or fails inside numpy
+    # with a TypeError; each is InvalidInput. A numpy integer is a count.
+    economy = generate_economy(GenSpec(seed=5, n_consumers=4, n_goods=3,
+                                       mix={"cobb_douglas": 0.5, "ces_substitutes": 0.5}))
+    problem = _price_problem(economy, simplex(3))
+    for count in (True, False, 2.5, 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            COUNTED_CALLS[call](economy, problem, count)
+    COUNTED_CALLS[call](economy, problem, np.int64(2))
 
 
 def test_price_run_surface():
