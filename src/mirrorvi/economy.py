@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInput, Unsupported, check_integer
+from .errors import EvaluationError, InvalidInput, Unsupported, check_integer, check_seed
 from .kernels import _row_dots
 
 COBB_DOUGLAS = "cobb_douglas"
@@ -214,11 +214,15 @@ def demand_oracle(consumer: Consumer, p, resolution: int, floor: float = DEFAULT
     """Brute-force demand: best utility over a grid of budget-exhausting bundles.
 
     Budget shares run over the simplex grid {k/resolution}, converted to
-    quantities x_j = share_j * budget / p_j. Small dimensions only.
+    quantities x_j = share_j * budget / p_j. Small dimensions only; resolution
+    is an integer >= 1.
     """
     n = consumer.n_goods
     if n > 3:
         raise Unsupported(f"demand_oracle supports at most 3 goods, got {n}")
+    check_integer(resolution, "resolution must be an integer")
+    if resolution < 1:
+        raise InvalidInput(f"resolution must be >= 1, got {resolution}")
     if resolution > MAX_ORACLE_RESOLUTION:
         raise Unsupported(
             f"demand_oracle supports resolution <= {MAX_ORACLE_RESOLUTION}, got {resolution}"
@@ -641,10 +645,12 @@ def _sample_prices(rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
     return rng.uniform(0.1, 1.0, (rows, n))
 
 
-def _check_pairs(pairs: int) -> None:
+def _check_sampling(pairs: int, seed) -> None:
+    """Check a sampler's pair count and its seed, whether or not it draws."""
     check_integer(pairs, "the number of sampled pairs must be an integer")
     if pairs < 0:
         raise InvalidInput(f"the number of sampled pairs must be >= 0, got {pairs}")
+    check_seed(seed)
 
 
 def check_wgs_sample(economy, pairs: int, seed) -> int:
@@ -654,7 +660,7 @@ def check_wgs_sample(economy, pairs: int, seed) -> int:
     good whose excess demand drops by more than 1e-9 counts as a violation.
     All 2 * pairs price vectors are evaluated in one call.
     """
-    _check_pairs(pairs)
+    _check_sampling(pairs, seed)
     rng = np.random.default_rng(seed)
     n = economy.n_goods
     # Rows 2i and 2i + 1 are the i-th sample p and its raise q. The draws of
@@ -681,7 +687,7 @@ def _sample_pair_block(economy, pairs: int, seed) -> tuple[np.ndarray, ...]:
     their counts with _row_dots, one dot per row, and BLAS sums a strided
     vector in another order.
     """
-    _check_pairs(pairs)
+    _check_sampling(pairs, seed)
     prices = _sample_prices(np.random.default_rng(seed), economy.n_goods, 2 * pairs)
     z = economy.excess(prices)
     return tuple(np.ascontiguousarray(a) for a in (prices[0::2], prices[1::2], z[0::2], z[1::2]))
@@ -726,7 +732,7 @@ def elasticity_bound_estimate(economy, pairs: int, seed) -> float:
     price entries, so a small economy needs one demand call and a large one
     never holds all pairs * (1 + 4n) * n entries at once.
     """
-    _check_pairs(pairs)
+    _check_sampling(pairs, seed)
     n = economy.n_goods
     base_prices = _sample_prices(np.random.default_rng(seed), n, pairs)
     moves = list(itertools.product(range(n), ELASTICITY_DELTAS, (1.0, -1.0)))
@@ -759,7 +765,7 @@ def bregman_continuity_bound(economy, p, elasticity: float | None = None,
     one value serves every kernel. When elasticity is not given it is
     estimated via elasticity_bound_estimate(economy, pairs, seed).
     """
-    _check_pairs(pairs)
+    _check_sampling(pairs, seed)
     prices = _as_prices(p, economy.n_goods)
     total = prices.sum()
     if abs(total - 1.0) > 1e-9:

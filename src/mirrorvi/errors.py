@@ -1,4 +1,4 @@
-"""Error types, and the integer check, shared across the library."""
+"""Error types, and the integer and seed checks, shared across the library."""
 
 import numpy as np
 
@@ -35,3 +35,16 @@ def check_integer(value, message: str) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInput(f"{message}, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidInput unless seed is an integer in [0, 2**64).
+
+    The generator's Philox key is field * 2**64 + seed, so a seed outside the
+    range would alias another seed's stream (or fail inside numpy when
+    negative). A bool or a float is not a seed, though int() would make one
+    of it. Every seeded entry point applies this one rule.
+    """
+    check_integer(seed, "seed must be a 64-bit unsigned integer")
+    if not 0 <= seed < 2**64:
+        raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {seed}")

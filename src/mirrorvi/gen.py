@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .economy import CES, COBB_DOUGLAS, LEONTIEF, Consumer, ExchangeEconomy
-from .errors import InvalidInput, check_integer
+from .errors import InvalidInput, check_integer, check_seed
 from .kernels import BOX, FeasibleSet
 
 FIELD_ENDOWMENT = 1
@@ -76,15 +76,6 @@ def _unit(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def _check_seed(seed) -> None:
-    # The key is field * 2**64 + seed, so a seed outside [0, 2**64) would
-    # alias another seed's stream (or fail inside numpy when negative). A bool
-    # or a float is not a seed, though int() would make one of it.
-    check_integer(seed, "seed must be a 64-bit unsigned integer")
-    if not 0 <= seed < 2**64:
-        raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {seed}")
-
-
 @dataclass(frozen=True)
 class GenSpec:
     """Recipe for one random economy: seed, sizes, utility mix, supply scale."""
@@ -96,7 +87,7 @@ class GenSpec:
     supply_total: float = 10.0
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
+        check_seed(self.seed)
         for size in (self.n_consumers, self.n_goods):
             check_integer(size, "n_consumers and n_goods must be integers")
         if self.n_consumers < 1 or self.n_goods < 1:
@@ -182,7 +173,7 @@ def initial_prices(seed: int, space: FeasibleSet) -> np.ndarray:
     simplex divides by the sum. Homogeneity of excess demand makes the
     normalization harmless. The seed must lie in [0, 2**64), as for GenSpec.
     """
-    _check_seed(seed)
+    check_seed(seed)
     raw = 1.0 + 9.0 * _unit(_words(np.random.Philox(), seed, FIELD_PRICE, 0, space.n))
     if space.kind == BOX:
         return np.clip(raw / raw.max(), space.lo, space.hi)

@@ -8,11 +8,12 @@ has a closed form on these sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInput
+from .errors import EvaluationError, InvalidInput, check_integer
 
 #: Absolute tolerance for set-membership checks everywhere in the library.
 MEMBERSHIP_TOL = 1e-12
@@ -93,26 +94,33 @@ class FeasibleSet:
         return bool((arr >= -MEMBERSHIP_TOL).all() and abs(arr.sum() - 1.0) <= MEMBERSHIP_TOL)
 
 
+def _check_dimension(n, name: str) -> None:
+    check_integer(n, f"{name} dimension must be an integer")
+    if n < 1:
+        raise InvalidInput(f"{name} dimension must be >= 1, got {n}")
+
+
 def box(lo, hi) -> FeasibleSet:
-    """Box {x : lo <= x <= hi} with lo_j < hi_j in every coordinate."""
+    """Box {x : lo <= x <= hi} with at least one coordinate and lo_j < hi_j in each."""
     lo_arr = _require_finite(_as_vector(lo, "lo"), "lo")
     hi_arr = _require_finite(_as_vector(hi, "hi"), "hi")
     if lo_arr.shape != hi_arr.shape:
         raise InvalidInput("lo and hi must have the same length")
+    _check_dimension(lo_arr.size, "box")
     if not np.all(lo_arr < hi_arr):
         raise InvalidInput("box requires lo_j < hi_j in every coordinate")
     return FeasibleSet(BOX, lo_arr.size, lo_arr, hi_arr)
 
 
 def unit_box(n: int) -> FeasibleSet:
-    """[0, 1]^n."""
+    """[0, 1]^n for an integer n >= 1."""
+    _check_dimension(n, "box")
     return box(np.zeros(n), np.ones(n))
 
 
 def simplex(n: int) -> FeasibleSet:
-    """Unit simplex {p >= 0 : sum p = 1} in dimension n >= 1."""
-    if n < 1:
-        raise InvalidInput(f"simplex dimension must be >= 1, got {n}")
+    """Unit simplex {p >= 0 : sum p = 1} in an integer dimension n >= 1."""
+    _check_dimension(n, "simplex")
     return FeasibleSet(SIMPLEX, int(n))
 
 
@@ -212,7 +220,8 @@ def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.nda
 def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
           g: np.ndarray) -> np.ndarray:
     """mirror_step without its checks: x0 must lie in the set, g be finite and
-    both be float vectors of the set's dimension."""
+    both be float vectors of the set's dimension. A simplex step whose target
+    overflows raises EvaluationError."""
     if kernel.kind == EUCLIDEAN:
         target = x0 - (2.0 * eta) * g
         if space.kind == BOX:
@@ -227,7 +236,11 @@ def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
     if space.kind == SIMPLEX:
         w = np.log(np.maximum(x0, nu))
         w -= (2.0 * eta) * g
-        w -= np.maximum.reduce(w)
+        top = np.maximum.reduce(w)
+        # An overflowed step makes top infinite, and w - top NaN.
+        if not -math.inf < top < math.inf:
+            raise EvaluationError("entropy step overflowed on the simplex")
+        w -= top
         np.exp(w, out=w)
         w /= np.add.reduce(w)
         if np.minimum.reduce(w) < nu:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSolution, InvalidInput, check_integer
+from .errors import DegenerateSolution, InvalidInput, check_integer, check_seed
 from .kernels import (
     BOX,
     SIMPLEX,
@@ -111,10 +111,13 @@ def scale_to_equilibrium(p) -> np.ndarray:
 
     Degree-0 homogeneity makes every positive multiple of an equilibrium an
     equilibrium; the all-zero vector is the trivial solution and is reported
-    as DegenerateSolution instead of scaled.
+    as DegenerateSolution instead of scaled. A non-finite p is InvalidInput.
     """
     arr = np.asarray(p, dtype=float)
     peak = float(np.max(np.abs(arr)))
+    # A NaN or an infinity makes peak NaN or inf, which fails the comparison.
+    if not peak < math.inf:
+        raise InvalidInput("p must be finite")
     if peak == 0.0:
         raise DegenerateSolution("cannot normalize the all-zero price vector")
     return arr / peak
@@ -153,6 +156,7 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
     check_integer(pairs, "pairs must be an integer")
     if pairs < 1:
         raise InvalidInput(f"pairs must be >= 1, got {pairs}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     points = _interior_samples(rng, problem.set, 2 * pairs)
     divergences = bregman_divergence(kernel, points[0::2], points[1::2])
@@ -206,6 +210,9 @@ def _solve_run(problem: VIProblem, kernel: Kernel, eta, horizon: int, x0, *,
 def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
          extragradient: bool, stop_gap: float | None, record_every: int, seed) -> PriceRun:
     """Solve (space, -Z); the certificate is read from the best iterate's record."""
+    # seed feeds the step-size probe and the simplex Minty check; it is
+    # checked even when the run uses neither.
+    check_seed(seed)
     problem = _price_problem(economy, space)
     trace, eta_used = _solve_run(problem, kernel, eta, horizon, p0, extragradient=extragradient,
                                  stop_gap=stop_gap, record_every=record_every, seed=seed)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InsufficientData, InvalidInput, check_integer
+from .errors import EvaluationError, InsufficientData, InvalidInput, check_integer, check_seed
 from .kernels import (
     BOX,
     SIMPLEX,
@@ -165,15 +165,18 @@ class RunTrace:
     x_{k+0.5}) triples from the three. gaps, complementarity |<F, x>| and
     infeasibility max(-min_j F_j, 0) hold one value per record at x_{k+0.5}:
     for F = -Z they are the certificate's gap, Walras and feasibility
-    residuals, with no further evaluation of F. The loop takes
-    operator_deltas ||F(x_{k+0.5}) - F(x_k)|| and keeps the F(x_{k+0.5})
-    rows; the other values are computed after it, each equal to the
-    per-record vector call bit for bit: the three residuals from one stacked
-    _residuals call over those rows, divergences D_h(x_{k+0.5}, x_k) from one
-    stacked bregman_divergence call over half_points and points, and
-    modulus_samples from _modulus_samples over the deltas and divergences
-    (a record with D_h <= DEGENERATE_STEP_TOL has sample 0). The best record
-    is best_position; best_index and best_iterate are its k and x_{k+0.5}.
+    residuals, with no further evaluation of F. The loop keeps one tuple per
+    record, (k, x_k, x_{k+0.5}, F(x_{k+0.5}), ||F(x_{k+0.5}) - F(x_k)||, t_k),
+    and unzips them once after it into indices, points, half_points, the
+    F(x_{k+0.5}) rows, operator_deltas and elapsed (t_k, seconds since the
+    start). The other values are computed from those arrays, each equal to
+    the per-record vector call bit for bit: the three residuals from one
+    stacked _residuals call over the F rows, divergences D_h(x_{k+0.5}, x_k)
+    from one stacked bregman_divergence call over half_points and points,
+    and modulus_samples from _modulus_samples over the deltas and
+    divergences (a record with D_h <= DEGENERATE_STEP_TOL has sample 0).
+    The best record is best_position; best_index and best_iterate are its k
+    and x_{k+0.5}.
     """
 
     method: str
@@ -256,12 +259,8 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         raise InvalidInput("x0 lies outside the feasible set")
 
     start = time.perf_counter()
-    indices: list[int] = []
-    points: list[np.ndarray] = []
-    half_points: list[np.ndarray] = []
-    half_values: list[np.ndarray] = []
-    deltas: list[float] = []
-    elapsed: list[float] = []
+    # (k, x_k, x_{k+0.5}, F(x_{k+0.5}), ||F(x_{k+0.5}) - F(x_k)||, t_k) per record.
+    records: list[tuple] = []
     converged = False
     eta = config.eta
     # F at the current iterate when the previous iteration already computed it
@@ -287,12 +286,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
             # the one recorded.
             d = f_half - fx
             delta = math.sqrt(d.dot(d))
-            indices.append(k)
-            points.append(x)
-            half_points.append(x_half)
-            half_values.append(f_half)
-            deltas.append(delta)
-            elapsed.append(time.perf_counter() - start)
+            records.append((k, x, x_half, f_half, delta, time.perf_counter() - start))
             if stop_gap is not None and _residuals(space, x_half, f_half)[0] <= stop_gap:
                 converged = True
                 break
@@ -306,16 +300,14 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         x = x_next
         fx = None if extragradient else f_half
 
-    x_rows = np.array(points)
-    half_rows = np.array(half_points)
-    delta_rows = np.array(deltas)
-    gaps, complementarity, infeasibility = _residuals(space, half_rows, np.array(half_values))
+    indices, x_rows, half_rows, half_values, delta_rows, elapsed = map(np.array, zip(*records))
+    gaps, complementarity, infeasibility = _residuals(space, half_rows, half_values)
     # Every record's divergence in one stacked call, each row equal to the
     # vector call.
     divergences = bregman_divergence(kernel, half_rows, x_rows)
     return RunTrace(
         method=MIRROR_EXTRAGRADIENT if extragradient else MIRROR_GRADIENT,
-        indices=np.array(indices),
+        indices=indices,
         points=x_rows,
         half_points=half_rows,
         gaps=gaps,
@@ -323,7 +315,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         operator_deltas=delta_rows,
         modulus_samples=_modulus_samples(delta_rows, divergences),
         wall_time=time.perf_counter() - start,
-        elapsed=np.array(elapsed),
+        elapsed=elapsed,
         converged=converged,
         final_eta=eta,
         complementarity=complementarity,
@@ -382,6 +374,7 @@ def minty_certificate(
     check_integer(samples, "samples must be an integer")
     if samples < 1:
         raise InvalidInput(f"samples must be >= 1, got {samples}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     space = problem.set
     if space.kind == BOX:

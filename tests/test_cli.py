@@ -358,6 +358,20 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["economy", "--file", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["scarf", "--eta", "abc"], "eta must be a number or 'auto', got 'abc'"),
+     (["economy", "--mix", "leontief"], "mix entries look like kind=proportion, got 'leontief'"),
+     (["economy", "--mix", "leontief=half"], "bad proportion in mix entry 'leontief=half'")],
+    ids=["eta", "mix_entry", "mix_proportion"])
+def test_malformed_option_text_is_one_error_line(tmp_path, capsys, argv, message):
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "r.json"
+    assert main(argv + ["--csv", str(csv_path), "--json", str(json_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+    assert not csv_path.exists() and not json_path.exists()
+
+
 def test_malformed_economy_file_is_a_user_error(tmp_path):
     # Schema errors in --file and non-integer --seeds exit 1 as user errors.
     bad = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,42 @@ def test_economy_n_goods_may_be_a_numpy_integer():
         economy = ExchangeEconomy([c], n_goods=good)
         assert type(economy.n_goods) is int
         np.testing.assert_array_equal(economy.excess(np.ones((3, 1))), np.zeros((3, 1)))
+
+
+ONE_GOOD = Consumer(COBB_DOUGLAS, np.array([1.0]), np.array([1.0]))
+TWO_GOODS = Consumer(COBB_DOUGLAS, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+
+ECONOMY_REJECTIONS = {
+    "n_goods_zero": (lambda: ExchangeEconomy([ONE_GOOD], n_goods=0),
+                     InvalidInput, "n_goods must be >= 1, got 0"),
+    "demand_overflow": (
+        lambda: consumer_demand(Consumer(COBB_DOUGLAS, np.ones(2), np.full(2, 1e308)),
+                                np.array([1.0, 1e-10])),
+        EvaluationError, "demand overflow for cobb_douglas consumer"),
+    "oracle_resolution_zero": (lambda: demand_oracle(TWO_GOODS, np.ones(2), 0),
+                               InvalidInput, "resolution must be >= 1, got 0"),
+    "oracle_resolution_negative": (lambda: demand_oracle(TWO_GOODS, np.ones(2), -1),
+                                   InvalidInput, "resolution must be >= 1, got -1"),
+    "oracle_resolution_bool": (lambda: demand_oracle(TWO_GOODS, np.ones(2), True),
+                               InvalidInput, "resolution must be an integer, got True"),
+    "oracle_resolution_float": (lambda: demand_oracle(TWO_GOODS, np.ones(2), 2.5),
+                                InvalidInput, "resolution must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ECONOMY_REJECTIONS))
+def test_economy_entry_points_reject_bad_input(case):
+    # demand_oracle with resolution 0 divided by zero and returned zeros, -1
+    # returned zeros, True acted as 1 and 2.5 raised a bare TypeError.
+    call, error, message = ECONOMY_REJECTIONS[case]
+    with np.errstate(over="ignore"), pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_demand_oracle_of_a_zero_budget_is_the_zero_bundle():
+    broke = Consumer(COBB_DOUGLAS, np.ones(2), np.zeros(2))
+    np.testing.assert_array_equal(demand_oracle(broke, np.ones(2), 4), np.zeros(2))
+    np.testing.assert_array_equal(consumer_demand(broke, np.ones(2)), np.zeros(2))
 
 
 @pytest.mark.parametrize("floor", [0.0, -0.0, -1e-8, float("nan")])

@@ -1,6 +1,8 @@
 """Tests for kernel functions, feasible sets, Bregman divergences, and mirror steps."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,15 @@ from mirrorvi import (
     EUCLIDEAN,
     MEMBERSHIP_TOL,
     SIMPLEX,
+    EvaluationError,
     InvalidInput,
+    Kernel,
+    SolverConfig,
+    VIProblem,
     bregman_divergence,
     box,
     linear_max,
+    mirror_extragradient_solve,
     mirror_step,
     negative_entropy,
     simplex,
@@ -491,3 +498,59 @@ def test_euclidean_box_step_matches_clip_bit_for_bit(n):
             for eta, g in ((0.5, np.zeros(n)), (float(rng.uniform(0.01, 2.0)), rng.normal(size=n))):
                 expected = np.clip(x0 - (2.0 * eta) * g, space.lo, space.hi)
                 assert _prox(space, euc, eta, x0, g).tobytes() == expected.tobytes()
+
+
+CENTER3 = np.ones(3) / 3.0
+
+KERNEL_REJECTIONS = {
+    "vector_shape": (lambda: box(np.zeros((1, 2)), np.ones((1, 2))),
+                     "lo must be a one-dimensional vector, got shape (1, 2)"),
+    "kernel_kind": (lambda: Kernel("manhattan"), "unknown kernel kind 'manhattan'"),
+    "kernel_floor": (lambda: negative_entropy(floor=1.0), "kernel floor must be in (0, 1), got 1.0"),
+    "box_lengths": (lambda: box(np.zeros(2), np.ones(3)), "lo and hi must have the same length"),
+    "box_empty": (lambda: box([], []), "box dimension must be >= 1, got 0"),
+    "unit_box_zero": (lambda: unit_box(0), "box dimension must be >= 1, got 0"),
+    "unit_box_negative": (lambda: unit_box(-1), "box dimension must be >= 1, got -1"),
+    "unit_box_float": (lambda: unit_box(2.5), "box dimension must be an integer, got 2.5"),
+    "simplex_float": (lambda: simplex(2.5), "simplex dimension must be an integer, got 2.5"),
+    "simplex_bool": (lambda: simplex(True), "simplex dimension must be an integer, got True"),
+    "mirror_step_eta": (lambda: mirror_step(simplex(3), squared_euclidean(), 0.0, CENTER3, CENTER3),
+                        "eta must be positive, got 0.0"),
+    "mirror_step_dimensions": (
+        lambda: mirror_step(simplex(3), squared_euclidean(), 0.1, CENTER3, np.ones(2)),
+        "x0 and g must match the set dimension"),
+    "mirror_step_x0": (lambda: mirror_step(simplex(3), squared_euclidean(), 0.1, np.ones(3),
+                                           np.ones(3)),
+                       "x0 lies outside the feasible set"),
+    "linear_max_dimensions": (lambda: linear_max(simplex(3), np.ones(2)),
+                              "c must match the set dimension"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_REJECTIONS))
+def test_kernel_entry_points_reject_bad_input(case):
+    # simplex(2.5) built a 2-dimensional simplex and simplex(True) a
+    # 1-dimensional one; unit_box(2.5) raised a bare TypeError; unit_box(0)
+    # and box([], []) built sets whose gap raised a bare ValueError.
+    call, message = KERNEL_REJECTIONS[case]
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("kernel", [squared_euclidean(), negative_entropy()],
+                         ids=[EUCLIDEAN, ENTROPY])
+@pytest.mark.parametrize("direction", [(1.0, 1.0, 1.0), (1.0, 0.0, -1.0)],
+                         ids=["constant", "mixed"])
+def test_an_overflowing_simplex_step_is_an_evaluation_error(kernel, direction):
+    # 2 * eta * g overflows to +-inf. The entropy step took the infinite
+    # maximum out of the log-weights and returned NaN prices, which a solve
+    # carried to the horizon (then InvalidInput from the trace's divergences)
+    # or handed to the operator; both kernels now fail at the step.
+    g = 1e300 * np.array(direction)
+    problem = VIProblem(simplex(3), lambda x: g)
+    config = SolverConfig(eta=1e300, horizon=5, kernel=kernel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError, match="simplex"):
+            mirror_step(simplex(3), kernel, 1e300, CENTER3, g)
+        with pytest.raises(EvaluationError, match="simplex"):
+            mirror_extragradient_solve(problem, config, CENTER3)

@@ -276,6 +276,10 @@ def test_scale_to_equilibrium_oracles():
     )
     with pytest.raises(DegenerateSolution):
         scale_to_equilibrium(np.zeros(3))
+    # A NaN made every coordinate NaN, and an infinity gave [nan, 0].
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]):
+        with pytest.raises(InvalidInput, match="p must be finite"):
+            scale_to_equilibrium(np.array(bad))
 
 
 def test_recommended_step_size_formula():
@@ -475,6 +479,41 @@ def test_a_count_must_be_an_integer(call):
         with pytest.raises(InvalidInput, match="must be an integer"):
             COUNTED_CALLS[call](economy, problem, count)
     COUNTED_CALLS[call](economy, problem, np.int64(2))
+
+
+SEEDED_CALLS = {
+    "minty_certificate": lambda economy, problem, seed: minty_certificate(
+        problem, CENTER, 8, seed),
+    "probe_modulus": lambda economy, problem, seed: probe_modulus(problem, EUC, 4, seed),
+    "auto_step_size": lambda economy, problem, seed: auto_step_size(problem, EUC, 4, seed),
+    "check_wgs_sample": lambda economy, problem, seed: check_wgs_sample(economy, 4, seed),
+    "check_warp_sample": lambda economy, problem, seed: check_warp_sample(economy, 4, seed),
+    "check_lsd_sample": lambda economy, problem, seed: check_lsd_sample(economy, 4, seed),
+    "elasticity_bound_estimate": lambda economy, problem, seed: elasticity_bound_estimate(
+        economy, 2, seed),
+    # With an elasticity given, and with a fixed step on a box, the call
+    # draws nothing; the seed is checked all the same.
+    "bregman_continuity_bound": lambda economy, problem, seed: bregman_continuity_bound(
+        economy, CENTER, 1.0, seed=seed),
+    "mirror_extratatonnement": lambda economy, problem, seed: mirror_extratatonnement(
+        economy, unit_box(3), EUC, 0.1, 2, START, seed=seed),
+    "mirror_tatonnement": lambda economy, problem, seed: mirror_tatonnement(
+        economy, unit_box(3), EUC, 0.1, 2, START, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2.5, 1.0, True], ids=repr)
+@pytest.mark.parametrize("call", sorted(SEEDED_CALLS))
+def test_a_seed_follows_the_generator_rule(call, seed):
+    # These handed the seed to numpy: -1 raised a bare ValueError, 2.5 and
+    # 1.0 a bare TypeError, True drew seed 1's points, and 2**64 drew points
+    # that GenSpec and initial_prices refuse to key.
+    economy = generate_economy(GenSpec(seed=5, n_consumers=4, n_goods=3,
+                                       mix={"cobb_douglas": 0.5, "ces_substitutes": 0.5}))
+    problem = _price_problem(economy, simplex(3))
+    with pytest.raises(InvalidInput, match="seed must be a 64-bit unsigned integer"):
+        SEEDED_CALLS[call](economy, problem, seed)
+    SEEDED_CALLS[call](economy, problem, np.uint64(2**64 - 1))
 
 
 def test_price_run_surface():
