@@ -27,6 +27,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .economy import Consumer, ExchangeEconomy, ScarfEconomy
 from .errors import InsufficientData, InvalidInput, MirrorVIError
@@ -170,7 +171,7 @@ def _generator_options(consumers, goods, mix):
         click.option("--goods", "n_goods", type=int, default=goods, show_default=True,
                      help="Generator: number of goods."),
         click.option("--mix", "mix_text", default=mix, show_default=True,
-                     help=f"Generator: utility mix, e.g. '{DEFAULT_MIX}'."),
+                     help="Generator: utility mix, comma-separated kind=proportion entries."),
         click.option("--supply-total", type=float, default=10.0, show_default=True,
                      help="Generator: aggregate supply per good."),
     )
@@ -320,7 +321,7 @@ def load_economy_file(path: str) -> ExchangeEconomy:
 @cli.command("economy")
 @click.option("--file", "file_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Economy definition JSON (mutually exclusive with the generator options).")
-@_generator_options(consumers=None, goods=None, mix=None)
+@_generator_options(consumers=10, goods=5, mix=DEFAULT_MIX)
 @_price_options("box")
 @_solver_options(iters=10000)
 @_run_options("economy")
@@ -328,13 +329,15 @@ def economy_cmd(file_path, n_consumers, n_goods, mix_text, supply_total, space_n
                 **opts) -> int:
     """Price adjustment on a JSON-defined or generated exchange economy."""
     if file_path is not None:
-        if any(opt is not None for opt in (n_consumers, n_goods, mix_text)):
+        # A generator option given with --file, even at its default value, is an error.
+        ctx = click.get_current_context()
+        if any(ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+               for name in ("n_consumers", "n_goods", "mix_text", "supply_total")):
             raise click.UsageError("--file and the generator options are mutually exclusive")
         economy, source = load_economy_file(file_path), {"file": file_path}
     else:
-        economy, source = _generated(
-            seed, 10 if n_consumers is None else n_consumers, 5 if n_goods is None else n_goods,
-            _parse_mix(DEFAULT_MIX if mix_text is None else mix_text), supply_total)
+        economy, source = _generated(seed, n_consumers, n_goods, _parse_mix(mix_text),
+                                     supply_total)
     space = unit_box(economy.n_goods) if space_name == "box" else simplex(economy.n_goods)
     echo = {"command": "economy", "space": space_name, **source}
     return _run_prices(economy, space, echo, seed=seed, **opts)[1]
@@ -452,10 +455,7 @@ def main(argv=None) -> int:
         return 1
     except click.Abort:
         return 1
-    except MirrorVIError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (MirrorVIError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return result if isinstance(result, int) else 0

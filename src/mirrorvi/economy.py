@@ -94,12 +94,12 @@ def _spend(rows: np.ndarray, prices: np.ndarray, budgets: np.ndarray) -> None:
     """Scale each direction row d_i in place to its demand b_i d_i / (d_i . p).
 
     rows is (..., m, n), prices (..., n) and budgets (..., m). Each cost
-    d_i . p is one dot per row through matmul, as kernels._row_dots takes it,
-    so a row's cost, and with it the row, never depends on which other rows
-    share the call (a matrix-vector product can round a row differently by
-    its place in the matrix).
+    d_i . p is one kernels._row_dots dot per row, the prices broadcast over
+    the rows, so a row's cost, and with it the row, never depends on which
+    other rows share the call (a matrix-vector product can round a row
+    differently by its place in the matrix).
     """
-    cost = np.matmul(rows[..., None, :], prices[..., None, :, None])[..., 0, 0]
+    cost = _row_dots(rows, prices[..., None, :])
     rows *= np.divide(budgets, cost, out=cost)[..., None]
 
 
@@ -528,14 +528,18 @@ class ExchangeEconomy:
         row 0 holds the running column sum; a block of Leontief or CES rows is
         scaled by one _spend, each row by its own cost, so its rows equal the
         one-buffer path's. The rows are added one after another in group
-        order, as the one-buffer path's reduction adds them when n >= 2.
+        order, as the one-buffer path's reduction adds them when n >= 2. The
+        sum starts from +0.0, which adds exactly to every value but -0.0, and
+        a column sums to -0.0 only if every consumer demands -0.0 of it,
+        which needs every budget zero and so no supply, which construction
+        rejects.
         """
-        cap, total, buffer = self._cap, None, None
+        cap, total, buffer = self._cap, np.zeros(prices.shape), None
         rows = max(1, _BLOCK_ENTRIES // prices.size)
         for group in self._groups:
             column_sum = group.slack_sum(shared, prices, cap)
             if column_sum is not None:
-                total = column_sum if total is None else np.add(total, column_sum, out=total)
+                np.add(total, column_sum, out=total)
                 continue
             if buffer is None:
                 rows = min(rows, len(self._valuations) - group.rows.start)
@@ -547,11 +551,8 @@ class ExchangeEconomy:
                                    buffer[..., 1:1 + stop - start, :])
                 if cap is not None:
                     np.minimum(block, cap, out=block)
-                if total is None:
-                    total = np.add.reduce(block, axis=-2)
-                else:
-                    buffer[..., 0, :] = total
-                    np.add.reduce(buffer[..., :1 + stop - start, :], axis=-2, out=total)
+                buffer[..., 0, :] = total
+                np.add.reduce(buffer[..., :1 + stop - start, :], axis=-2, out=total)
         return total
 
     def excess(self, p) -> np.ndarray:

@@ -151,11 +151,13 @@ def _as_points(x, name: str) -> np.ndarray:
 def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
     """bregman_divergence without its checks: x and y must be finite C-ordered
     float arrays of one shape, a vector (giving a numpy float) or a (k, n)
-    stack (giving k values)."""
+    stack (giving k values). A vector is the one-row case: both kernels
+    reduce along the last axis only, so a row's value never depends on the
+    rows beside it."""
     if kernel.kind == EUCLIDEAN:
         d = x - y
         # A sum of squares along the axis would round differently from d.dot(d).
-        return 0.5 * (d.dot(d) if d.ndim == 1 else _row_dots(d, d))
+        return 0.5 * _row_dots(d, d)
     # xf*log(xf/yf) - xf + yf, in place in two arrays; the buffer of xf takes
     # yf again for the last addition. Each row sums along the last axis
     # pairwise, as a vector's sum does.
@@ -171,9 +173,16 @@ def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i . b_i for each row of two C-ordered (k, n) stacks, each equal to the
-    vector's a_i.dot(b_i) bit for bit: matmul runs one dot per row."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    """a_i . b_i along the last axis, with the leading axes broadcast.
+
+    Two vectors give a 0-d value, two C-ordered (k, n) stacks k values, and
+    (..., m, n) rows against (..., 1, n) prices one value per row. matmul
+    runs one dot per row, so each equals the vector's a_i.dot(b_i) bit for
+    bit, except that a length-1 row adds its product to +0.0 where a
+    length-1 vector dot is the bare product (they differ in the sign of a
+    zero only).
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def simplex_projection(v) -> np.ndarray:
@@ -199,14 +208,23 @@ def _project_simplex(arr: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_step(eta) -> None:
+    """The step-size rule of mirror_step and SolverConfig: 0 < eta, with the
+    effective Euclidean step 2 * eta finite (so NaN and inf fail too)."""
+    if not eta > 0.0:
+        raise InvalidInput(f"eta must be positive, got {eta}")
+    if not 2.0 * eta < math.inf:
+        raise InvalidInput(f"eta must have a finite effective step 2*eta, got {eta}")
+
+
 def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.ndarray:
     """argmin_{x in space} <g, x> + (1/(2*eta)) * D_h(x, x0), in closed form.
 
     With the canonical divergence the Euclidean step moves by 2*eta*g before
-    projecting, so the effective Euclidean step size is 2*eta.
+    projecting, so the effective Euclidean step size is 2*eta, which must be
+    finite.
     """
-    if not (eta > 0.0):
-        raise InvalidInput(f"eta must be positive, got {eta}")
+    _check_step(eta)
     x0_arr = _as_vector(x0, "x0")
     g_arr = _as_vector(g, "g")
     if x0_arr.shape != g_arr.shape or x0_arr.size != space.n:

@@ -19,6 +19,7 @@ from .kernels import (
     SIMPLEX,
     FeasibleSet,
     Kernel,
+    _as_vector,
     _row_dots,
     bregman_divergence,
 )
@@ -103,7 +104,7 @@ def equilibrium_certificate(economy, p_hat, space: FeasibleSet) -> EquilibriumCe
         raise InvalidInput("p_hat lies outside the price space")
     neg_z = _price_problem(economy, space).evaluate(prices)
     gap_value, walras, feasibility = _residuals(space, prices, neg_z)
-    return EquilibriumCertificate(feasibility, walras, gap_value)
+    return EquilibriumCertificate(float(feasibility), float(walras), float(gap_value))
 
 
 def scale_to_equilibrium(p) -> np.ndarray:
@@ -111,9 +112,12 @@ def scale_to_equilibrium(p) -> np.ndarray:
 
     Degree-0 homogeneity makes every positive multiple of an equilibrium an
     equilibrium; the all-zero vector is the trivial solution and is reported
-    as DegenerateSolution instead of scaled. A non-finite p is InvalidInput.
+    as DegenerateSolution instead of scaled. A p that is not a nonempty
+    finite vector is InvalidInput.
     """
-    arr = np.asarray(p, dtype=float)
+    arr = _as_vector(p, "p")
+    if arr.size == 0:
+        raise InvalidInput("p must be a nonempty vector")
     peak = float(np.max(np.abs(arr)))
     # A NaN or an infinity makes peak NaN or inf, which fails the comparison.
     if not peak < math.inf:
@@ -124,9 +128,16 @@ def scale_to_equilibrium(p) -> np.ndarray:
 
 
 def recommended_step_size(n_goods: int, elasticity_bound: float, demand_bound: float) -> float:
-    """Simplex-mode step size 1 / (2 * sqrt(2) * n * elasticity * demand bound)."""
-    if not all(0.0 < v < math.inf for v in (n_goods, elasticity_bound, demand_bound)):
-        raise InvalidInput("recommended_step_size needs positive finite arguments")
+    """Simplex-mode step size 1 / (2 * sqrt(2) * n * elasticity * demand bound).
+
+    n_goods is an integer >= 1 and both bounds are positive and finite
+    (InvalidInput otherwise).
+    """
+    check_integer(n_goods, "n_goods must be an integer")
+    if n_goods < 1:
+        raise InvalidInput(f"n_goods must be >= 1, got {n_goods}")
+    if not all(0.0 < v < math.inf for v in (elasticity_bound, demand_bound)):
+        raise InvalidInput("recommended_step_size needs positive finite bounds")
     return 1.0 / (2.0 * np.sqrt(2.0) * n_goods * elasticity_bound * demand_bound)
 
 

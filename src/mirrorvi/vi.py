@@ -21,8 +21,8 @@ from .kernels import (
     SIMPLEX,
     FeasibleSet,
     Kernel,
+    _check_step,
     _divergence,
-    _linear_max,
     _prox,
     _row_dots,
     bregman_divergence,
@@ -44,17 +44,16 @@ def _step_bound(x: float) -> float:
     return 1.0 / (2.0 * math.sqrt(2.0) * x)
 
 
-def _modulus_samples(deltas: np.ndarray, divergences: np.ndarray) -> np.ndarray:
-    """The modulus samples ||F(x') - F(x)|| / sqrt(2 D_h(x', x)), row by row.
+def _modulus_samples(deltas, divergences) -> np.ndarray:
+    """The modulus samples ||F(x') - F(x)|| / sqrt(2 D_h(x', x)), entry by entry.
 
-    A row with D_h <= DEGENERATE_STEP_TOL samples 0 (a zero step carries no
+    One delta and one divergence give one 0-d sample, arrays of k give k. An
+    entry with D_h <= DEGENERATE_STEP_TOL samples 0 (a zero step carries no
     continuity information), and the square root is taken only above it,
     since an entropy divergence can round slightly below zero.
     """
     eligible = divergences > DEGENERATE_STEP_TOL
-    samples = np.zeros(divergences.size)
-    samples[eligible] = deltas[eligible] / np.sqrt(2.0 * divergences[eligible])
-    return samples
+    return np.where(eligible, deltas / np.sqrt(2.0 * np.where(eligible, divergences, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,8 @@ class SolverConfig:
     the loop take a record's divergence and sample itself, and only with
     stop_gap set does it take a record's gap, for the stop test; the trace's
     residuals, divergences and samples are computed in stacked calls after
-    the loop, equal to the loop's own values bit for bit.
+    the loop by the same routines, so they equal the loop's own values bit
+    for bit.
     """
 
     eta: float
@@ -140,10 +140,7 @@ class SolverConfig:
     modulus_backoff: bool = False
 
     def __post_init__(self) -> None:
-        # 0 < eta, and the effective step 2*eta finite (so NaN and inf fail too).
-        if not (0.0 < self.eta and 2.0 * self.eta < math.inf):
-            raise InvalidInput(
-                f"eta must be positive with a finite effective step 2*eta, got {self.eta}")
+        _check_step(self.eta)
         check_integer(self.horizon, "horizon must be an integer")
         check_integer(self.record_every, "record_every must be an integer")
         if self.horizon < 1:
@@ -170,7 +167,7 @@ class RunTrace:
     and unzips them once after it into indices, points, half_points, the
     F(x_{k+0.5}) rows, operator_deltas and elapsed (t_k, seconds since the
     start). The other values are computed from those arrays, each equal to
-    the per-record vector call bit for bit: the three residuals from one
+    the per-record call bit for bit: the three residuals from one
     stacked _residuals call over the F rows, divergences D_h(x_{k+0.5}, x_k)
     from one stacked bregman_divergence call over half_points and points,
     and modulus_samples from _modulus_samples over the deltas and
@@ -220,27 +217,25 @@ class RunTrace:
 def _residuals(space: FeasibleSet, x: np.ndarray, fx: np.ndarray):
     """Strong gap, |<F(x), x>| and max(-min_j F_j(x), 0) from a checked fx = F(x).
 
-    For vectors x and fx it returns three floats. For C-ordered (k, n) stacks
-    it returns three arrays of k values, each equal to the vector call at
-    that row bit for bit: the row dots go through kernels._row_dots, one
-    matmul dot per row, and the minimum is taken along each row. On the
-    simplex the support value max_y <-F(x), y> is -min_j F_j(x); it equals
-    linear_max's value up to the sign of a zero minimum, which could differ
-    only if F had zeros of both signs there (-Z has no +0.0 entries).
+    For vectors x and fx it returns three 0-d values, which float() takes to
+    three floats. For C-ordered (k, n) stacks it returns three arrays of k
+    values. A vector is the one-row case: the minimum is taken along the
+    last axis and the row dots go through kernels._row_dots, one matmul dot
+    per row, so each row of a stack equals the vector call at that row bit
+    for bit. On the box the support value max_y <-F(x), y> is the row dot
+    of -F(x) with its maximizing corner, as linear_max takes it; on the
+    simplex it is -min_j F_j(x), which equals linear_max's value up to the
+    sign of a zero minimum, and that could differ only if F had zeros of
+    both signs there (-Z has no +0.0 entries).
     """
-    if x.ndim == 1:
-        lowest = float(fx.min())
-        value = -lowest if space.kind == SIMPLEX else _linear_max(space, -fx)[0]
-        inner = float(fx.dot(x))
-        return inner + value, abs(inner), max(-lowest, 0.0)
-    lowest = np.minimum.reduce(fx, axis=1)
+    lowest = np.minimum.reduce(fx, axis=-1)
     if space.kind == SIMPLEX:
         value = -lowest
     else:
         c = -fx
         value = _row_dots(c, np.where(c > 0.0, space.hi, space.lo))
     inner = _row_dots(fx, x)
-    # max(a, 0.0) keeps a unless 0.0 > a, so a zero keeps its sign as in the vector call.
+    # max(a, 0.0) keeps a unless 0.0 > a, so a zero keeps its sign as max() does.
     neg = -lowest
     return inner + value, np.abs(inner), np.where(0.0 > neg, 0.0, neg)
 
@@ -291,11 +286,9 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
                 converged = True
                 break
             if backoff:
-                # The same divergence and sample the trace records after the
-                # loop, tested against the largest modulus this step admits.
-                div = _divergence(kernel, x_half, x)
-                sample = delta / math.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
-                if sample > _step_bound(eta):
+                # The sample the trace records after the loop, tested against
+                # the largest modulus this step admits.
+                if _modulus_samples(delta, _divergence(kernel, x_half, x)) > _step_bound(eta):
                     eta *= 0.5
         x = x_next
         fx = None if extragradient else f_half
@@ -345,7 +338,7 @@ def gap(problem: VIProblem, x_hat) -> float:
     x = np.asarray(x_hat, dtype=float)
     if not problem.set.contains(x):
         raise InvalidInput("x_hat lies outside the feasible set")
-    return _residuals(problem.set, x, problem.evaluate(x))[0]
+    return float(_residuals(problem.set, x, problem.evaluate(x))[0])
 
 
 def is_epsilon_strong(problem: VIProblem, x_hat, eps: float) -> bool:

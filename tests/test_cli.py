@@ -188,10 +188,30 @@ def test_economy_file_mode(tmp_path):
     assert report["config_echo"]["file"] == str(economy_path)
 
 
-def test_economy_file_and_generator_flags_conflict(tmp_path):
+def test_economy_file_and_generator_flags_conflict(tmp_path, capsys):
     economy_path = tmp_path / "economy.json"
     write_zero_excess_economy(economy_path)
     assert main(["economy", "--file", str(economy_path), "--consumers", "5"]) == 1
+    # Only --consumers, --goods and --mix defaulted to None, so --file ran and
+    # exited 0 with --supply-total given; an option given at its default value
+    # (--consumers 10) is rejected too.
+    files = ["--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")]
+    for option in (["--consumers", "10"], ["--goods", "2"], ["--mix", "leontief=1"],
+                   ["--supply-total", "3"]):
+        capsys.readouterr()
+        argv = ["economy", "--file", str(economy_path), "--iters", "50"] + option + files
+        assert main(argv) == 1, option
+        assert capsys.readouterr().err == (
+            "error: --file and the generator options are mutually exclusive\n")
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_economy_help_shows_the_generator_defaults(capsys):
+    with pytest.raises(SystemExit):
+        cli_module.cli.main(["economy", "--help"], standalone_mode=True)
+    shown = " ".join(capsys.readouterr().out.split())
+    for default in ("[default: 10]", "[default: 5]", "[default: 10.0]"):
+        assert default in shown
 
 
 def test_vi_example_rotation(tmp_path):

@@ -516,6 +516,13 @@ KERNEL_REJECTIONS = {
     "simplex_bool": (lambda: simplex(True), "simplex dimension must be an integer, got True"),
     "mirror_step_eta": (lambda: mirror_step(simplex(3), squared_euclidean(), 0.0, CENTER3, CENTER3),
                         "eta must be positive, got 0.0"),
+    # An infinite eta passed the positivity test and returned [nan, 0.].
+    "mirror_step_eta_inf": (
+        lambda: mirror_step(unit_box(2), squared_euclidean(), np.inf, [0.5, 0.5], [0.0, 1.0]),
+        "eta must have a finite effective step 2*eta, got inf"),
+    "mirror_step_eta_nan": (
+        lambda: mirror_step(unit_box(2), squared_euclidean(), np.nan, [0.5, 0.5], [0.0, 1.0]),
+        "eta must be positive, got nan"),
     "mirror_step_dimensions": (
         lambda: mirror_step(simplex(3), squared_euclidean(), 0.1, CENTER3, np.ones(2)),
         "x0 and g must match the set dimension"),

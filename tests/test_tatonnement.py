@@ -280,6 +280,12 @@ def test_scale_to_equilibrium_oracles():
     for bad in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]):
         with pytest.raises(InvalidInput, match="p must be finite"):
             scale_to_equilibrium(np.array(bad))
+    # An empty p raised a bare ValueError, and a (2, 2) one was scaled by its
+    # overall peak.
+    with pytest.raises(InvalidInput, match="p must be a nonempty vector"):
+        scale_to_equilibrium([])
+    with pytest.raises(InvalidInput, match="p must be a one-dimensional vector"):
+        scale_to_equilibrium([[0.2, 0.4], [0.1, 0.8]])
 
 
 def test_recommended_step_size_formula():
@@ -298,6 +304,10 @@ def test_recommended_step_size_formula():
                 (3, np.inf, 1.0), (3, 1.0, np.nan)]:
         with pytest.raises(InvalidInput):
             recommended_step_size(*bad)
+    # A fractional or boolean good count gave a step (0.1414 and 0.3536).
+    for n_goods in (2.5, True):
+        with pytest.raises(InvalidInput, match="n_goods must be an integer"):
+            recommended_step_size(n_goods, 1.0, 1.0)
 
 
 def test_probe_modulus_and_auto_step():
