@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInput, Unsupported, check_integer, check_seed
+from .errors import EvaluationError, InvalidInput, Unsupported, check_count, check_seed
 from .kernels import _row_dots
 
 COBB_DOUGLAS = "cobb_douglas"
@@ -220,9 +220,7 @@ def demand_oracle(consumer: Consumer, p, resolution: int, floor: float = DEFAULT
     n = consumer.n_goods
     if n > 3:
         raise Unsupported(f"demand_oracle supports at most 3 goods, got {n}")
-    check_integer(resolution, "resolution must be an integer")
-    if resolution < 1:
-        raise InvalidInput(f"resolution must be >= 1, got {resolution}")
+    check_count(resolution, "resolution")
     if resolution > MAX_ORACLE_RESOLUTION:
         raise Unsupported(
             f"demand_oracle supports resolution <= {MAX_ORACLE_RESOLUTION}, got {resolution}"
@@ -414,9 +412,7 @@ class ExchangeEconomy:
         consumers = tuple(self.consumers)
         if not consumers:
             raise InvalidInput("an economy needs at least one consumer")
-        check_integer(self.n_goods, "n_goods must be an integer")
-        if self.n_goods < 1:
-            raise InvalidInput(f"n_goods must be >= 1, got {self.n_goods}")
+        check_count(self.n_goods, "n_goods")
         for c in consumers:
             if c.n_goods != self.n_goods:
                 raise InvalidInput(
@@ -627,9 +623,13 @@ class ScarfEconomy:
 
 
 def check_homogeneity(economy, p, lam: float) -> float:
-    """Max absolute deviation ||Z(lam * p) - Z(p)||_inf (0 for degree-0 Z)."""
-    if not (lam > 0.0):
-        raise InvalidInput(f"lambda must be positive, got {lam}")
+    """Max absolute deviation ||Z(lam * p) - Z(p)||_inf (0 for degree-0 Z).
+
+    lam must be positive and finite, so that an infinite lam is reported as
+    such and not as non-finite scaled prices.
+    """
+    if not (0.0 < lam < math.inf):
+        raise InvalidInput(f"lambda must be positive and finite, got {lam}")
     prices = _as_prices(p, economy.n_goods)
     scaled, base = economy.excess(np.array([lam * prices, prices]))
     return float(np.max(np.abs(scaled - base)))
@@ -648,9 +648,7 @@ def _sample_prices(rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
 
 def _check_sampling(pairs: int, seed) -> None:
     """Check a sampler's pair count and its seed, whether or not it draws."""
-    check_integer(pairs, "the number of sampled pairs must be an integer")
-    if pairs < 0:
-        raise InvalidInput(f"the number of sampled pairs must be >= 0, got {pairs}")
+    check_count(pairs, "the number of sampled pairs", least=0)
     check_seed(seed)
 
 
@@ -764,9 +762,13 @@ def bregman_continuity_bound(economy, p, elasticity: float | None = None,
     Certifies 0.5 * ||Z(p) - Z(p')||^2 <= bound^2 * D_h(p', p) for any
     1-strongly-convex kernel: the divergence dominates 0.5 * ||p - p'||^2, so
     one value serves every kernel. When elasticity is not given it is
-    estimated via elasticity_bound_estimate(economy, pairs, seed).
+    estimated via elasticity_bound_estimate(economy, pairs, seed); a given
+    one must be finite and >= 0, as an estimate is.
     """
     _check_sampling(pairs, seed)
+    # 0 <= elasticity < inf fails for NaN too, which would make the bound NaN.
+    if elasticity is not None and not (0.0 <= elasticity < math.inf):
+        raise InvalidInput(f"elasticity must be finite and >= 0, got {elasticity}")
     prices = _as_prices(p, economy.n_goods)
     total = prices.sum()
     if abs(total - 1.0) > 1e-9:

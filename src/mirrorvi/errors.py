@@ -1,4 +1,4 @@
-"""Error types, and the integer and seed checks, shared across the library."""
+"""Error types, and the integer, count and seed checks, shared across the library."""
 
 import numpy as np
 
@@ -35,6 +35,19 @@ def check_integer(value, message: str) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInput(f"{message}, got {value!r}")
+
+
+def check_count(value, name: str, least: int = 1) -> None:
+    """Raise InvalidInput unless value is an integer (as check_integer) >= least.
+
+    Every count and size argument of the library (set dimensions, horizons,
+    sample and pair counts, grid resolutions, numbers of goods) applies this
+    one rule, so each reads "<name> must be an integer, got ..." or
+    "<name> must be >= <least>, got ...".
+    """
+    check_integer(value, f"{name} must be an integer")
+    if value < least:
+        raise InvalidInput(f"{name} must be >= {least}, got {value}")
 
 
 def check_seed(seed) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInput, check_integer
+from .errors import EvaluationError, InvalidInput, check_count
 
 #: Absolute tolerance for set-membership checks everywhere in the library.
 MEMBERSHIP_TOL = 1e-12
@@ -94,10 +94,17 @@ class FeasibleSet:
         return bool((arr >= -MEMBERSHIP_TOL).all() and abs(arr.sum() - 1.0) <= MEMBERSHIP_TOL)
 
 
-def _check_dimension(n, name: str) -> None:
-    check_integer(n, f"{name} dimension must be an integer")
-    if n < 1:
-        raise InvalidInput(f"{name} dimension must be >= 1, got {n}")
+def _point(space: FeasibleSet, x, name: str) -> np.ndarray:
+    """x as a float array, or InvalidInput("<name> lies outside the feasible set").
+
+    Every entry point that takes a point of a set (a start, a candidate, a
+    point to certify) applies this one rule: a finite vector of the set's
+    dimension that FeasibleSet.contains accepts.
+    """
+    arr = np.asarray(x, dtype=float)
+    if not space.contains(arr):
+        raise InvalidInput(f"{name} lies outside the feasible set")
+    return arr
 
 
 def box(lo, hi) -> FeasibleSet:
@@ -106,7 +113,7 @@ def box(lo, hi) -> FeasibleSet:
     hi_arr = _require_finite(_as_vector(hi, "hi"), "hi")
     if lo_arr.shape != hi_arr.shape:
         raise InvalidInput("lo and hi must have the same length")
-    _check_dimension(lo_arr.size, "box")
+    check_count(lo_arr.size, "box dimension")
     if not np.all(lo_arr < hi_arr):
         raise InvalidInput("box requires lo_j < hi_j in every coordinate")
     return FeasibleSet(BOX, lo_arr.size, lo_arr, hi_arr)
@@ -114,13 +121,13 @@ def box(lo, hi) -> FeasibleSet:
 
 def unit_box(n: int) -> FeasibleSet:
     """[0, 1]^n for an integer n >= 1."""
-    _check_dimension(n, "box")
+    check_count(n, "box dimension")
     return box(np.zeros(n), np.ones(n))
 
 
 def simplex(n: int) -> FeasibleSet:
     """Unit simplex {p >= 0 : sum p = 1} in an integer dimension n >= 1."""
-    _check_dimension(n, "simplex")
+    check_count(n, "simplex dimension")
     return FeasibleSet(SIMPLEX, int(n))
 
 
@@ -186,8 +193,13 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def simplex_projection(v) -> np.ndarray:
-    """Euclidean projection onto the unit simplex via sort-and-threshold."""
-    return _project_simplex(_require_finite(_as_vector(v, "v"), "v"))
+    """Euclidean projection onto the unit simplex via sort-and-threshold.
+
+    v must be a nonempty finite vector; an empty one fails as simplex(0) does.
+    """
+    arr = _require_finite(_as_vector(v, "v"), "v")
+    check_count(arr.size, "simplex dimension")
+    return _project_simplex(arr)
 
 
 def _project_simplex(arr: np.ndarray) -> np.ndarray:
@@ -230,9 +242,7 @@ def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.nda
     if x0_arr.shape != g_arr.shape or x0_arr.size != space.n:
         raise InvalidInput("x0 and g must match the set dimension")
     _require_finite(g_arr, "g")
-    if not space.contains(x0_arr):
-        raise InvalidInput("x0 lies outside the feasible set")
-    return _prox(space, kernel, eta, x0_arr, g_arr)
+    return _prox(space, kernel, eta, _point(space, x0_arr, "x0"), g_arr)
 
 
 def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
@@ -274,16 +284,15 @@ def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
 
 
 def linear_max(space: FeasibleSet, c) -> tuple[float, np.ndarray]:
-    """max_{x in space} <c, x> with its argmax (ties broken to the lowest index)."""
-    c_arr = _require_finite(_as_vector(c, "c"), "c")
-    if c_arr.size != space.n:
+    """max_{x in space} <c, x> with its argmax (ties broken to the lowest index).
+
+    c must be a finite vector of the set's dimension. The solver's gap does
+    not call it: vi._residuals takes the same support value for a whole
+    stack of points at once.
+    """
+    c = _require_finite(_as_vector(c, "c"), "c")
+    if c.size != space.n:
         raise InvalidInput("c must match the set dimension")
-    return _linear_max(space, c_arr)
-
-
-def _linear_max(space: FeasibleSet, c: np.ndarray) -> tuple[float, np.ndarray]:
-    """linear_max without its checks: c must be a finite float vector of the
-    set's dimension."""
     if space.kind == BOX:
         argmax = np.where(c > 0.0, space.hi, space.lo)
         return float(c.dot(argmax)), argmax

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSolution, InvalidInput, check_integer, check_seed
+from .errors import DegenerateSolution, InvalidInput, check_count, check_seed
 from .kernels import (
     BOX,
     SIMPLEX,
     FeasibleSet,
     Kernel,
     _as_vector,
+    _point,
     _row_dots,
     bregman_divergence,
 )
@@ -99,9 +100,7 @@ def _price_problem(economy, space: FeasibleSet) -> VIProblem:
 
 def equilibrium_certificate(economy, p_hat, space: FeasibleSet) -> EquilibriumCertificate:
     """Evaluate Z once at p_hat and fill all certificate fields; a bad Z is EvaluationError."""
-    prices = np.asarray(p_hat, dtype=float)
-    if not space.contains(prices):
-        raise InvalidInput("p_hat lies outside the price space")
+    prices = _point(space, p_hat, "p_hat")
     neg_z = _price_problem(economy, space).evaluate(prices)
     gap_value, walras, feasibility = _residuals(space, prices, neg_z)
     return EquilibriumCertificate(float(feasibility), float(walras), float(gap_value))
@@ -133,9 +132,7 @@ def recommended_step_size(n_goods: int, elasticity_bound: float, demand_bound: f
     n_goods is an integer >= 1 and both bounds are positive and finite
     (InvalidInput otherwise).
     """
-    check_integer(n_goods, "n_goods must be an integer")
-    if n_goods < 1:
-        raise InvalidInput(f"n_goods must be >= 1, got {n_goods}")
+    check_count(n_goods, "n_goods")
     if not all(0.0 < v < math.inf for v in (elasticity_bound, demand_bound)):
         raise InvalidInput("recommended_step_size needs positive finite bounds")
     return 1.0 / (2.0 * np.sqrt(2.0) * n_goods * elasticity_bound * demand_bound)
@@ -164,9 +161,7 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
     largest of vi._modulus_samples, the trace's own samples, so it equals a
     loop that skips the degenerate pairs bit for bit.
     """
-    check_integer(pairs, "pairs must be an integer")
-    if pairs < 1:
-        raise InvalidInput(f"pairs must be >= 1, got {pairs}")
+    check_count(pairs, "pairs")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     points = _interior_samples(rng, problem.set, 2 * pairs)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InsufficientData, InvalidInput, check_integer, check_seed
+from .errors import EvaluationError, InsufficientData, InvalidInput, check_count, check_seed
 from .kernels import (
     BOX,
     SIMPLEX,
@@ -23,6 +23,7 @@ from .kernels import (
     Kernel,
     _check_step,
     _divergence,
+    _point,
     _prox,
     _row_dots,
     bregman_divergence,
@@ -119,12 +120,12 @@ class VIProblem:
 class SolverConfig:
     """Step size, horizon, kernel, and recording/stopping options for a run.
 
-    eta must be positive with a finite effective Euclidean step 2 * eta, and
-    stop_gap, when given, finite and >= 0. With
-    modulus_backoff enabled, the step size is halved whenever a recorded
-    iteration's modulus sample exceeds _step_bound(current step): the
-    effective Euclidean step is twice eta, so this keeps the run within the
-    pathwise step-size condition 2 * eta <= 1/(sqrt(2) * L). Only then does
+    eta must be positive with a finite effective Euclidean step 2 * eta,
+    horizon and record_every counts >= 1 by errors.check_count, and stop_gap,
+    when given, finite and >= 0. With modulus_backoff enabled, the step size
+    is halved whenever a recorded iteration's modulus sample exceeds
+    _step_bound(current step): the effective Euclidean step is twice eta, so
+    this keeps the run within the pathwise step-size condition 2 * eta <= 1/(sqrt(2) * L). Only then does
     the loop take a record's divergence and sample itself, and only with
     stop_gap set does it take a record's gap, for the stop test; the trace's
     residuals, divergences and samples are computed in stacked calls after
@@ -141,12 +142,8 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         _check_step(self.eta)
-        check_integer(self.horizon, "horizon must be an integer")
-        check_integer(self.record_every, "record_every must be an integer")
-        if self.horizon < 1:
-            raise InvalidInput(f"horizon must be >= 1, got {self.horizon}")
-        if self.record_every < 1:
-            raise InvalidInput(f"record_every must be >= 1, got {self.record_every}")
+        check_count(self.horizon, "horizon")
+        check_count(self.record_every, "record_every")
         # 0 <= stop_gap < inf fails for NaN too, which would never stop a run.
         if self.stop_gap is not None and not (0.0 <= self.stop_gap < math.inf):
             raise InvalidInput(f"stop_gap must be finite and >= 0, got {self.stop_gap}")
@@ -249,9 +246,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     record_every = config.record_every
     stop_gap = config.stop_gap
     backoff = config.modulus_backoff
-    x = np.asarray(x0, dtype=float)
-    if not space.contains(x):
-        raise InvalidInput("x0 lies outside the feasible set")
+    x = _point(space, x0, "x0")
 
     start = time.perf_counter()
     # (k, x_k, x_{k+0.5}, F(x_{k+0.5}), ||F(x_{k+0.5}) - F(x_k)||, t_k) per record.
@@ -335,9 +330,7 @@ def gap(problem: VIProblem, x_hat) -> float:
 
     Nonnegative up to floating error; a strong solution gives a value at 0.
     """
-    x = np.asarray(x_hat, dtype=float)
-    if not problem.set.contains(x):
-        raise InvalidInput("x_hat lies outside the feasible set")
+    x = _point(problem.set, x_hat, "x_hat")
     return float(_residuals(problem.set, x, problem.evaluate(x))[0])
 
 
@@ -361,12 +354,8 @@ def minty_certificate(
     product, which a row dot adds to +0.0). The witness is the first point with the largest value; a NaN value (an
     overflowing dot) is never the largest.
     """
-    cand = np.asarray(candidate, dtype=float)
-    if not problem.set.contains(cand):
-        raise InvalidInput("candidate lies outside the feasible set")
-    check_integer(samples, "samples must be an integer")
-    if samples < 1:
-        raise InvalidInput(f"samples must be >= 1, got {samples}")
+    cand = _point(problem.set, candidate, "candidate")
+    check_count(samples, "samples")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     space = problem.set

@@ -189,6 +189,24 @@ ECONOMY_REJECTIONS = {
                                InvalidInput, "resolution must be an integer, got True"),
     "oracle_resolution_float": (lambda: demand_oracle(TWO_GOODS, np.ones(2), 2.5),
                                 InvalidInput, "resolution must be an integer, got 2.5"),
+    # A NaN, negative or infinite elasticity gave a NaN, negative or infinite
+    # bound.
+    "continuity_elasticity_nan": (
+        lambda: bregman_continuity_bound(ExchangeEconomy([TWO_GOODS], 2), [0.5, 0.5],
+                                         elasticity=np.nan),
+        InvalidInput, "elasticity must be finite and >= 0, got nan"),
+    "continuity_elasticity_negative": (
+        lambda: bregman_continuity_bound(ExchangeEconomy([TWO_GOODS], 2), [0.5, 0.5],
+                                         elasticity=-1.0),
+        InvalidInput, "elasticity must be finite and >= 0, got -1.0"),
+    "continuity_elasticity_inf": (
+        lambda: bregman_continuity_bound(ExchangeEconomy([TWO_GOODS], 2), [0.5, 0.5],
+                                         elasticity=np.inf),
+        InvalidInput, "elasticity must be finite and >= 0, got inf"),
+    # An infinite lambda failed as "prices must be finite", blaming the prices.
+    "homogeneity_lambda_inf": (
+        lambda: check_homogeneity(ExchangeEconomy([TWO_GOODS], 2), [0.5, 0.5], np.inf),
+        InvalidInput, "lambda must be positive and finite, got inf"),
 }
 
 

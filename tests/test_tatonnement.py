@@ -27,11 +27,14 @@ from mirrorvi import (
     check_lsd_sample,
     check_warp_sample,
     check_wgs_sample,
+    demand_oracle,
     elasticity_bound_estimate,
     equilibrium_certificate,
+    gap,
     generate_economy,
     mirror_extragradient_solve,
     mirror_extratatonnement,
+    mirror_step,
     mirror_tatonnement,
     minty_certificate,
     negative_entropy,
@@ -50,6 +53,7 @@ EUC = squared_euclidean()
 ENT = negative_entropy()
 CENTER = np.ones(3) / 3.0
 START = np.array([0.5, 0.3, 0.2])
+TWO_GOODS = Consumer(COBB_DOUGLAS, np.ones(2), np.ones(2))
 
 
 class RecipeEconomy:
@@ -474,6 +478,34 @@ COUNTED_CALLS = {
         economy, count, 0),
     "bregman_continuity_bound": lambda economy, problem, count: bregman_continuity_bound(
         economy, CENTER, 1.0, pairs=count),
+    "recommended_step_size": lambda economy, problem, count: recommended_step_size(
+        count, 1.0, 1.0),
+    "demand_oracle": lambda economy, problem, count: demand_oracle(TWO_GOODS, np.ones(2), count),
+    "ExchangeEconomy": lambda economy, problem, count: ExchangeEconomy([TWO_GOODS],
+                                                                       n_goods=count),
+    "unit_box": lambda economy, problem, count: unit_box(count),
+    "simplex": lambda economy, problem, count: simplex(count),
+}
+
+#: The name and the least value that each counted call's message gives. A
+#: box's dimension is the length of its bounds, and simplex_projection's that
+#: of its vector, so neither takes a count argument; test_kernels.py checks
+#: their messages.
+COUNT_RULES = {
+    "horizon": ("horizon", 1),
+    "record_every": ("record_every", 1),
+    "probe_modulus": ("pairs", 1),
+    "minty_certificate": ("samples", 1),
+    "check_warp_sample": ("the number of sampled pairs", 0),
+    "check_wgs_sample": ("the number of sampled pairs", 0),
+    "check_lsd_sample": ("the number of sampled pairs", 0),
+    "elasticity_bound_estimate": ("the number of sampled pairs", 0),
+    "bregman_continuity_bound": ("the number of sampled pairs", 0),
+    "recommended_step_size": ("n_goods", 1),
+    "demand_oracle": ("resolution", 1),
+    "ExchangeEconomy": ("n_goods", 1),
+    "unit_box": ("box dimension", 1),
+    "simplex": ("simplex dimension", 1),
 }
 
 
@@ -489,6 +521,39 @@ def test_a_count_must_be_an_integer(call):
         with pytest.raises(InvalidInput, match="must be an integer"):
             COUNTED_CALLS[call](economy, problem, count)
     COUNTED_CALLS[call](economy, problem, np.int64(2))
+
+
+@pytest.mark.parametrize("call", sorted(COUNTED_CALLS))
+def test_a_count_below_its_least_names_it(call):
+    # Every count goes through errors.check_count, which names the argument
+    # and its least value in one message.
+    economy = generate_economy(GenSpec(seed=5, n_consumers=4, n_goods=3,
+                                       mix={"cobb_douglas": 0.5, "ces_substitutes": 0.5}))
+    problem = _price_problem(economy, simplex(3))
+    name, least = COUNT_RULES[call]
+    with pytest.raises(InvalidInput, match=f"^{name} must be >= {least}, got {least - 1}$"):
+        COUNTED_CALLS[call](economy, problem, least - 1)
+
+
+OUTSIDE = np.array([0.5, 0.5, 0.5])
+
+POINT_CALLS = {
+    "x0": lambda problem: mirror_extragradient_solve(
+        problem, SolverConfig(eta=0.1, horizon=2, kernel=EUC), OUTSIDE),
+    "x_hat": lambda problem: gap(problem, OUTSIDE),
+    "candidate": lambda problem: minty_certificate(problem, OUTSIDE, 4, 0),
+    "p_hat": lambda problem: equilibrium_certificate(ScarfEconomy(), OUTSIDE, simplex(3)),
+    "mirror_step": lambda problem: mirror_step(simplex(3), EUC, 0.1, OUTSIDE, np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(POINT_CALLS))
+def test_a_point_outside_its_set_is_named(call):
+    # Every point of a set enters through kernels._point. p_hat's message
+    # said "the price space" where the others said "the feasible set".
+    name = "x0" if call == "mirror_step" else call
+    with pytest.raises(InvalidInput, match=f"^{name} lies outside the feasible set$"):
+        POINT_CALLS[call](_price_problem(ScarfEconomy(), simplex(3)))
 
 
 SEEDED_CALLS = {

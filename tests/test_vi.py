@@ -20,6 +20,7 @@ from mirrorvi import (
     gap,
     generate_economy,
     is_epsilon_strong,
+    linear_max,
     minty_certificate,
     mirror_extragradient_solve,
     mirror_gradient_solve,
@@ -33,7 +34,6 @@ from mirrorvi import (
     squared_euclidean,
     unit_box,
 )
-from mirrorvi.kernels import _linear_max
 from mirrorvi.tatonnement import _price_problem, _solve_run
 from mirrorvi.vi import DEGENERATE_STEP_TOL, _residuals
 
@@ -704,7 +704,7 @@ def test_record_values_match_reference_bit_for_bit(problem, eta, record_every, k
         f_half = problem.evaluate(x_half)
         div = bregman_divergence(kernel, x_half, x)
         delta = float(np.linalg.norm(f_half - fx))
-        value, _ = _linear_max(space, -f_half)
+        value, _ = linear_max(space, -f_half)
         inner = float(f_half.dot(x_half))
         sample = delta / np.sqrt(2.0 * div) if div > DEGENERATE_STEP_TOL else 0.0
         recorded = [trace.divergences[i], trace.operator_deltas[i], trace.gaps[i],
