@@ -32,14 +32,7 @@ from click.core import ParameterSource
 from .economy import Consumer, ExchangeEconomy, ScarfEconomy
 from .errors import InsufficientData, InvalidInput, MirrorVIError
 from .gen import GenSpec, generate_economy, initial_prices
-from .kernels import (
-    FeasibleSet,
-    box,
-    negative_entropy,
-    simplex,
-    squared_euclidean,
-    unit_box,
-)
+from .kernels import FeasibleSet, Kernel, box, simplex, unit_box
 from .tatonnement import (
     PriceRun,
     _normalized,
@@ -66,16 +59,14 @@ DEFAULT_MIX = "cobb_douglas=0.25,leontief=0.25,ces_substitutes=0.25,ces_compleme
 
 
 def _parse_eta(ctx, param, text: str):
-    """The --eta callback: 'auto' or a positive number."""
+    """The --eta callback: 'auto' or a number. SolverConfig, which every run
+    builds before it writes a file, checks the number with the library's rule."""
     if text == "auto":
         return "auto"
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise click.BadParameter(f"eta must be a number or 'auto', got {text!r}")
-    if value <= 0.0:
-        raise click.BadParameter(f"eta must be positive, got {value}")
-    return value
 
 
 def _check_tolerance(ctx, param, value):
@@ -104,10 +95,6 @@ def _parse_mix(text: str) -> dict[str, float]:
         except ValueError:
             raise click.BadParameter(f"bad proportion in mix entry {item!r}")
     return mix
-
-
-def _kernel_for(name: str):
-    return squared_euclidean() if name == "euclidean" else negative_entropy()
 
 
 def _options(*options):
@@ -163,14 +150,14 @@ def _price_options(space: str):
     )
 
 
-def _generator_options(consumers, goods, mix):
+def _generator_options(consumers, goods):
     """--consumers, --goods, --mix and --supply-total: the economy generator's options."""
     return _options(
         click.option("--consumers", "n_consumers", type=int, default=consumers,
                      show_default=True, help="Generator: number of consumers."),
         click.option("--goods", "n_goods", type=int, default=goods, show_default=True,
                      help="Generator: number of goods."),
-        click.option("--mix", "mix_text", default=mix, show_default=True,
+        click.option("--mix", "mix_text", default=DEFAULT_MIX, show_default=True,
                      help="Generator: utility mix, comma-separated kind=proportion entries."),
         click.option("--supply-total", type=float, default=10.0, show_default=True,
                      help="Generator: aggregate supply per good."),
@@ -250,7 +237,7 @@ def _run_prices(economy, space: FeasibleSet, echo: dict, *, method: str = "extra
     stop = None if no_stop else (eps if stop_gap is None else stop_gap)
     runner = mirror_extratatonnement if method == "extragradient" else mirror_tatonnement
     run = runner(
-        economy, space, _kernel_for(kernel_name), eta, iters, p0,
+        economy, space, Kernel(kernel_name), eta, iters, p0,
         stop_gap=stop, record_every=record_every, seed=seed,
     )
     config_echo = _echo(dict(echo, p0=[float(v) for v in p0]), run.eta, method=method,
@@ -321,7 +308,7 @@ def load_economy_file(path: str) -> ExchangeEconomy:
 @cli.command("economy")
 @click.option("--file", "file_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Economy definition JSON (mutually exclusive with the generator options).")
-@_generator_options(consumers=10, goods=5, mix=DEFAULT_MIX)
+@_generator_options(consumers=10, goods=5)
 @_price_options("box")
 @_solver_options(iters=10000)
 @_run_options("economy")
@@ -374,7 +361,7 @@ def vi_example_cmd(name, lo_text, hi_text, x0_text, method, kernel_name, eta, it
     hi = _parse_vector(hi_text) if hi_text else np.array(example["hi"])
     x0 = _parse_vector(x0_text) if x0_text else np.array(example["x0"])
     problem = VIProblem(set=box(lo, hi), operator=example["operator"](), operator_label=name)
-    trace, eta_used = _solve_run(problem, _kernel_for(kernel_name), eta, iters, x0,
+    trace, eta_used = _solve_run(problem, Kernel(kernel_name), eta, iters, x0,
                                  extragradient=method == "extragradient", stop_gap=stop_gap,
                                  record_every=record_every, seed=seed)
     best_gap = float(trace.gaps[trace.best_position])
@@ -395,7 +382,7 @@ def vi_example_cmd(name, lo_text, hi_text, x0_text, method, kernel_name, eta, it
 @cli.command("sweep")
 @click.option("--seeds", "seeds_text", required=True,
               help="Comma-separated list of generator seeds.")
-@_generator_options(consumers=50, goods=50, mix=DEFAULT_MIX)
+@_generator_options(consumers=50, goods=50)
 @_space_option("box")
 @_solver_options(iters=50000, record_every=10)
 @click.option("--out-dir", default="sweep_out", show_default=True)
@@ -415,7 +402,7 @@ def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_na
     GenSpec(seed=0, n_consumers=n_consumers, n_goods=n_goods, mix=mix,
             supply_total=supply_total)
     SolverConfig(eta=1.0 if opts["eta"] == "auto" else opts["eta"], horizon=opts["iters"],
-                 kernel=_kernel_for(opts["kernel_name"]), record_every=opts["record_every"])
+                 kernel=Kernel(opts["kernel_name"]), record_every=opts["record_every"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["seed,n_consumers,n_goods,converged,iters_to_eps,pathwise_L_max"]

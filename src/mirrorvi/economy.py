@@ -79,17 +79,6 @@ def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
     return np.matmul(matrix, prices[..., None])[..., 0]
 
 
-def _shared_vectors(endowments: np.ndarray, prices: np.ndarray, families) -> tuple:
-    """What the demand of every family needs at floored prices, one call each.
-
-    The budgets E . p of every row of endowments, 1/p when a Cobb-Douglas
-    consumer is among families, and log p when a CES one is (None otherwise).
-    Each group takes its rows of the budgets.
-    """
-    inv_p = 1.0 / prices if COBB_DOUGLAS in families else None
-    return _matvec(endowments, prices), inv_p, np.log(prices) if CES in families else None
-
-
 def _spend(rows: np.ndarray, prices: np.ndarray, budgets: np.ndarray) -> None:
     """Scale each direction row d_i in place to its demand b_i d_i / (d_i . p).
 
@@ -173,10 +162,9 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
                 f"cap must be a scalar or {consumer.n_goods} entries, each >= 0, got {cap}")
     prices = np.maximum(_as_prices(p, consumer.n_goods), floor)
     group = _ConsumerGroup.stack(consumer.utility, [consumer])
-    budgets, inv_p, log_p = _shared_vectors(group.endowments, prices, (consumer.utility,))
     # A one-good budget is a bare product, -0.0 for a -0.0 endowment; + 0.0
     # makes it the +0.0 of an economy's budget product and changes no other.
-    x = group.fill((budgets + 0.0, inv_p, log_p), prices, 0, 1)[0]
+    x = group.fill(_matvec(group.endowments, prices) + 0.0, prices, 0, 1)[0]
     if not np.all(np.isfinite(x)):
         raise EvaluationError(f"demand overflow for {consumer.utility} consumer at p={prices}")
     if cap is not None:
@@ -261,46 +249,35 @@ class _ConsumerGroup:
     no cost is zero, and elasticities of substitution from near 0 to ~1000
     need no guard. Each row is scaled by its own computed cost, so
     p . x_i = b_i holds to about 2n + 2 roundings. The price-free constants
-    are computed once, when the group is built: the Cobb-Douglas budget
-    shares, the CES sigma_i log v_ij, and the column maxima of the Leontief
-    valuations or Cobb-Douglas shares that slack_sum bounds with.
+    are computed once, by stack, the one place that builds a group: the
+    Cobb-Douglas budget shares, the CES sigma_i log v_ij, and the column
+    maxima of the Leontief valuations or Cobb-Douglas shares that slack_sum
+    bounds with.
 
-    Demand starts from shared, the _shared_vectors of the rows that the
-    group's rows index: its economy's stacked endowments, or its own when it
-    stands alone (the budget gemv is never split into row blocks, since a
-    gemv over some rows can round differently). fill then writes the demand
-    of any block of rows, in place into a buffer when one is given; each row
-    depends only on its own consumer, budget and price row, so a row of a
-    block, of the whole group or of a price stack is the same, bit for bit. A
-    Leontief or Cobb-Douglas group whose cap is absent or proved slack needs
-    no entries: slack_sum gives its column sum as one matrix-vector product,
-    which rounds in BLAS order rather than row by row, and gives None for any
-    group that must fill.
+    Demand takes two inputs: the floored prices, and budgets, the product
+    E . p over the rows that the group's rows index, of its economy's stacked
+    endowments or of its own when it stands alone (the budget gemv is never
+    split into row blocks, since a gemv over some rows can round
+    differently). Each family computes the price vector it needs, 1/p for
+    Cobb-Douglas and log p for CES; an economy has one group per family, so
+    that is once per evaluation unless the group streams in blocks. fill then
+    writes the demand of any block of rows, in place into a buffer when one
+    is given; each row depends only on its own consumer, budget and price
+    row, so a row of a block, of the whole group or of a price stack is the
+    same, bit for bit. A Leontief or Cobb-Douglas group whose cap is absent
+    or proved slack needs no entries: slack_sum gives its column sum as one
+    matrix-vector product, which rounds in BLAS order rather than row by
+    row, and gives None for any group that must fill.
     """
 
     utility: str
     valuations: np.ndarray  # (m, n)
     endowments: np.ndarray  # (m, n)
     rows: slice  # the group's rows of its economy's stacked arrays, or all of its own
-    sigmas: np.ndarray | None = None  # (m,) for CES
-    weights: np.ndarray | None = field(init=False, repr=False)  # (m, n) for Cobb-Douglas
-    sigma_log_valuations: np.ndarray | None = field(init=False, repr=False)  # (m, n) for CES
-    column_max: np.ndarray | None = field(init=False, repr=False)  # (n,), None for CES
-
-    def __post_init__(self) -> None:
-        v = self.valuations
-        weights = v / v.sum(axis=1, keepdims=True) if self.utility == COBB_DOUGLAS else None
-        column_max = {COBB_DOUGLAS: weights, LEONTIEF: v}.get(self.utility)
-        sigma_log_valuations = None
-        if self.utility == CES:
-            # In place: one (m, n) array while the group is built, not two.
-            sigma_log_valuations = np.log(v)
-            sigma_log_valuations *= self.sigmas[:, None]
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "sigma_log_valuations", sigma_log_valuations)
-        object.__setattr__(
-            self, "column_max", None if column_max is None else column_max.max(axis=0)
-        )
+    sigmas: np.ndarray | None  # (m,) for CES
+    weights: np.ndarray | None  # (m, n) for Cobb-Douglas
+    sigma_log_valuations: np.ndarray | None  # (m, n) for CES
+    column_max: np.ndarray | None  # (n,), None for CES
 
     @classmethod
     def stack(cls, utility: str, members: Sequence[Consumer], valuations: np.ndarray | None = None,
@@ -314,53 +291,65 @@ class _ConsumerGroup:
             valuations = np.array([c.valuations for c in members])
             endowments = np.array([c.endowment for c in members])
             rows = slice(0, len(members))
-        sigmas = np.array([1.0 / (1.0 - c.rho) for c in members]) if utility == CES else None
-        return cls(utility, valuations, endowments, rows, sigmas)
+        sigmas = weights = sigma_log_valuations = None
+        if utility == CES:
+            sigmas = np.array([1.0 / (1.0 - c.rho) for c in members])
+            # In place: one (m, n) array while the group is built, not two.
+            sigma_log_valuations = np.log(valuations)
+            sigma_log_valuations *= sigmas[:, None]
+        elif utility == COBB_DOUGLAS:
+            weights = valuations / valuations.sum(axis=1, keepdims=True)
+        bounded = {COBB_DOUGLAS: weights, LEONTIEF: valuations}.get(utility)
+        column_max = None if bounded is None else bounded.max(axis=0)
+        return cls(utility, valuations, endowments, rows, sigmas, weights, sigma_log_valuations,
+                   column_max)
 
-    def directions(self, shared: tuple, start: int, stop: int,
+    def directions(self, budgets: np.ndarray, prices: np.ndarray, start: int, stop: int,
                    out: np.ndarray | None = None) -> np.ndarray:
         """Rows start:stop before _spend: Cobb-Douglas demand, which needs no
         scaling, or the Leontief or CES directions, (..., stop - start, n).
 
-        shared is the (budgets, 1/p, log p) of _shared_vectors. The rows are
-        written into out when given, and into a fresh array otherwise.
+        budgets are E . p over the rows that the group's rows index, at the
+        floored prices. The rows are written into out when given, and into a
+        fresh array otherwise.
         """
-        budgets, inv_p, log_p = shared
         if out is None:
             out = np.empty(budgets.shape[:-1] + (stop - start, self.valuations.shape[1]))
         if self.utility == COBB_DOUGLAS:
             first = self.rows.start
-            np.multiply(budgets[..., first + start:first + stop, None], inv_p[..., None, :], out=out)
+            np.multiply(budgets[..., first + start:first + stop, None],
+                        (1.0 / prices)[..., None, :], out=out)
             out *= self.weights[start:stop]
         elif self.utility == LEONTIEF:
             out[...] = self.valuations[start:stop]
         else:
-            np.multiply(self.sigmas[start:stop, None], log_p[..., None, :], out=out)
+            np.multiply(self.sigmas[start:stop, None], np.log(prices)[..., None, :], out=out)
             np.subtract(self.sigma_log_valuations[start:stop], out, out=out)
             # ufunc.reduce is what the max method calls, minus a Python frame.
             out -= np.maximum.reduce(out, axis=-1, keepdims=True)
             np.exp(out, out=out)
         return out
 
-    def fill(self, shared: tuple, prices: np.ndarray, start: int, stop: int,
+    def fill(self, budgets: np.ndarray, prices: np.ndarray, start: int, stop: int,
              out: np.ndarray | None = None) -> np.ndarray:
-        """Uncapped demand of members start:stop, (..., stop - start, n).
+        """Uncapped demand of members start:stop, (..., stop - start, n), from
+        the budgets and floored prices that directions takes.
 
         It is written into out when given, and into a fresh array otherwise.
         """
-        out = self.directions(shared, start, stop, out)
+        out = self.directions(budgets, prices, start, stop, out)
         if self.utility != COBB_DOUGLAS:
             first = self.rows.start
-            _spend(out, prices, shared[0][..., first + start:first + stop])
+            _spend(out, prices, budgets[..., first + start:first + stop])
         return out
 
-    def slack_sum(self, shared: tuple, prices: np.ndarray,
+    def slack_sum(self, budgets: np.ndarray, prices: np.ndarray,
                   cap: np.ndarray | None) -> np.ndarray | None:
         """The group's column sum as one matrix-vector product, or None when
         the group must fill: always for CES, and when cap is given and an O(n)
         bound cannot prove it slack.
 
-        shared is the (budgets, 1/p, log p) of _shared_vectors. Leontief:
+        budgets and prices are as directions takes them. Leontief:
         V^T r with r_i = b_i / (V p)_i, V p one gemv over the group;
         Cobb-Douglas: (W^T b) q with q = 1/p. One matrix-vector product over a
         transposed view (no stored copy), summed in BLAS order; every term is
@@ -373,13 +362,13 @@ class _ConsumerGroup:
         """
         if self.utility == CES:
             return None
-        budgets = shared[0][..., self.rows]
+        budgets = budgets[..., self.rows]
         if self.utility == LEONTIEF:
             ratios = budgets / _matvec(self.valuations, prices)
             if cap is None or (ratios.max(axis=-1, keepdims=True) * self.column_max <= cap).all():
                 return _matvec(self.valuations.T, ratios)
             return None
-        inv_p = shared[1]
+        inv_p = 1.0 / prices
         if cap is None or (budgets.max(axis=-1, keepdims=True) * inv_p * self.column_max
                            <= cap).all():
             return _matvec(self.weights.T, budgets) * inv_p
@@ -404,7 +393,6 @@ class ExchangeEconomy:
     _valuations: np.ndarray = field(init=False, repr=False)  # (m, n), in group order
     _endowments: np.ndarray = field(init=False, repr=False)  # (m, n), in group order
     _groups: tuple[_ConsumerGroup, ...] = field(init=False, repr=False)
-    _families: frozenset[str] = field(init=False, repr=False)  # the groups' utilities
     _spent: slice | None = field(init=False, repr=False)  # Leontief and CES rows, None if none
     _cap: np.ndarray | None = field(init=False, repr=False)  # None when uncapped
 
@@ -443,7 +431,6 @@ class ExchangeEconomy:
         object.__setattr__(self, "_valuations", valuations)
         object.__setattr__(self, "_endowments", endowments)
         object.__setattr__(self, "_groups", tuple(groups))
-        object.__setattr__(self, "_families", frozenset(group.utility for group in groups))
         spent = groups[0].rows.stop if groups[0].utility == COBB_DOUGLAS else 0
         object.__setattr__(self, "_spent", slice(spent, None) if spent < start else None)
         object.__setattr__(self, "_cap", None if cap is None else _read_only(cap))
@@ -475,21 +462,22 @@ class ExchangeEconomy:
     def _total_demand(self, prices: np.ndarray) -> np.ndarray:
         """Sum of capped demand over consumers, in one pass over their rows.
 
-        The budgets of every consumer, 1/p and log p are one call each
-        (_shared_vectors), and each group takes its rows of the budgets. When
-        the whole demand matrix fits in _BLOCK_ENTRIES entries, or there is
-        one good, every group fills its rows of one buffer (_buffered_demand).
-        Otherwise _streamed_sum carries one running column sum through the
-        groups. Both scale each Leontief and CES row by its own cost and add
+        The budgets of every consumer are one matrix-vector product, each
+        group takes its rows of them, and each family computes the price
+        vector it needs (_ConsumerGroup.directions). When the whole demand
+        matrix fits in _BLOCK_ENTRIES entries, or there is one good, every
+        group fills its rows of one buffer (_buffered_demand). Otherwise
+        _streamed_sum carries one running column sum through the groups.
+        Both scale each Leontief and CES row by its own cost and add
         the consumer rows one after another in group order, so wherever every
         group fills they agree bit for bit.
         """
-        shared = _shared_vectors(self._endowments, prices, self._families)
+        budgets = _matvec(self._endowments, prices)
         if len(self.consumers) * prices.size <= _BLOCK_ENTRIES or prices.shape[-1] == 1:
-            return self._buffered_demand(shared, prices)
-        return self._streamed_sum(shared, prices)
+            return self._buffered_demand(budgets, prices)
+        return self._streamed_sum(budgets, prices)
 
-    def _buffered_demand(self, shared: tuple, prices: np.ndarray) -> np.ndarray:
+    def _buffered_demand(self, budgets: np.ndarray, prices: np.ndarray) -> np.ndarray:
         """_total_demand's one-buffer path: one pass per group, one scaling,
         one cap, one sum.
 
@@ -504,14 +492,14 @@ class ExchangeEconomy:
         """
         buffer = np.empty(prices.shape[:-1] + self._valuations.shape)
         for group in self._groups:
-            group.directions(shared, 0, len(group.valuations), buffer[..., group.rows, :])
+            group.directions(budgets, prices, 0, len(group.valuations), buffer[..., group.rows, :])
         if self._spent is not None:
-            _spend(buffer[..., self._spent, :], prices, shared[0][..., self._spent])
+            _spend(buffer[..., self._spent, :], prices, budgets[..., self._spent])
         if self._cap is not None:
             np.minimum(buffer, self._cap, out=buffer)
         return np.add.reduce(buffer, axis=-2)
 
-    def _streamed_sum(self, shared: tuple, prices: np.ndarray) -> np.ndarray:
+    def _streamed_sum(self, budgets: np.ndarray, prices: np.ndarray) -> np.ndarray:
         """_total_demand's streamed path: one running column sum, one pass
         over the groups in group order.
 
@@ -533,7 +521,7 @@ class ExchangeEconomy:
         cap, total, buffer = self._cap, np.zeros(prices.shape), None
         rows = max(1, _BLOCK_ENTRIES // prices.size)
         for group in self._groups:
-            column_sum = group.slack_sum(shared, prices, cap)
+            column_sum = group.slack_sum(budgets, prices, cap)
             if column_sum is not None:
                 np.add(total, column_sum, out=total)
                 continue
@@ -543,7 +531,7 @@ class ExchangeEconomy:
             m = len(group.valuations)
             for start in range(0, m, rows):
                 stop = min(start + rows, m)
-                block = group.fill(shared, prices, start, stop,
+                block = group.fill(budgets, prices, start, stop,
                                    buffer[..., 1:1 + stop - start, :])
                 if cap is not None:
                     np.minimum(block, cap, out=block)
@@ -625,12 +613,18 @@ class ScarfEconomy:
 def check_homogeneity(economy, p, lam: float) -> float:
     """Max absolute deviation ||Z(lam * p) - Z(p)||_inf (0 for degree-0 Z).
 
-    lam must be positive and finite, so that an infinite lam is reported as
-    such and not as non-finite scaled prices.
+    lam must be positive and finite, and so must lam times the largest
+    price, so that a lam that overflows the scaled prices is reported as
+    such and not as non-finite prices.
     """
     if not (0.0 < lam < math.inf):
         raise InvalidInput(f"lambda must be positive and finite, got {lam}")
     prices = _as_prices(p, economy.n_goods)
+    # On Python floats, whose product overflows to inf without a warning.
+    largest = float(np.max(prices, initial=0.0))
+    if not (float(lam) * largest < math.inf):
+        raise InvalidInput(
+            f"lambda * p must be finite, got lambda {lam} and largest price {largest}")
     scaled, base = economy.excess(np.array([lam * prices, prices]))
     return float(np.max(np.abs(scaled - base)))
 

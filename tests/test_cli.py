@@ -343,8 +343,15 @@ def test_sweep_rows_match_reference_text(tmp_path, monkeypatch):
     [(["--iters", "0"], "horizon must be >= 1, got 0"),
      (["--record-every", "0"], "record_every must be >= 1, got 0"),
      (["--mix", "leontief=2"], "mix proportions must sum to 1, got 2.0"),
-     (["--supply-total", "inf"], "supply_total must be positive and finite, got inf")],
-    ids=["iters", "record_every", "mix", "supply_total"])
+     (["--supply-total", "inf"], "supply_total must be positive and finite, got inf"),
+     # --eta takes SolverConfig's one rule: a negative or zero eta was a
+     # click usage error with another message.
+     (["--eta", "-0.5"], "eta must be positive, got -0.5"),
+     (["--eta", "0"], "eta must be positive, got 0.0"),
+     (["--eta", "nan"], "eta must be positive, got nan"),
+     (["--eta", "inf"], "eta must have a finite effective step 2*eta, got inf")],
+    ids=["iters", "record_every", "mix", "supply_total", "eta_negative", "eta_zero", "eta_nan",
+         "eta_inf"])
 def test_sweep_rejects_shared_options_once_before_any_file(tmp_path, capsys, option, message):
     # An option every seed shares is one error, exit 1, before the output
     # directory exists; not a failed row per seed and exit 2.

@@ -207,6 +207,11 @@ ECONOMY_REJECTIONS = {
     "homogeneity_lambda_inf": (
         lambda: check_homogeneity(ExchangeEconomy([TWO_GOODS], 2), [0.5, 0.5], np.inf),
         InvalidInput, "lambda must be positive and finite, got inf"),
+    # A finite lambda that overflows lambda * p also failed as "prices must be
+    # finite", after a numpy overflow warning.
+    "homogeneity_lambda_overflow": (
+        lambda: check_homogeneity(ExchangeEconomy([TWO_GOODS], 2), [2.0, 1.0], 1e308),
+        InvalidInput, "lambda * p must be finite, got lambda 1e+308 and largest price 2.0"),
 }
 
 
@@ -373,8 +378,8 @@ def test_zero_budget_returns_zero_bundle():
         for cap_factor in (np.inf, 1.0):
             economy = ExchangeEconomy([c, other], n_goods=n, demand_cap_factor=cap_factor)
             (group,) = economy._groups
-            shared = economy_module._shared_vectors(economy._endowments, p, economy._families)
-            row = group.fill(shared, p, 0, 1)[0]
+            budgets = economy_module._matvec(economy._endowments, p)
+            row = group.fill(budgets, p, 0, 1)[0]
             if economy._cap is not None:
                 row = np.minimum(row, economy._cap)
             x = consumer_demand(c, p, cap=economy._cap)
@@ -809,10 +814,10 @@ UNIT_ROUNDOFF = 2.0**-53
 SMALLEST_SUBNORMAL = 2.0**-1074
 
 
-def own_shared(group, prices) -> tuple:
-    """The _shared_vectors of a group's own endowments: what a group that
-    stands alone, or the only group of its economy, evaluates from."""
-    return economy_module._shared_vectors(group.endowments, prices, (group.utility,))
+def own_budgets(group, prices) -> np.ndarray:
+    """The budgets of a group's own endowments: what a group that stands
+    alone, or the only group of its economy, evaluates from."""
+    return economy_module._matvec(group.endowments, prices)
 
 
 def ces_grid():
@@ -863,7 +868,7 @@ def test_ces_demand_within_derived_bound_of_log_space_form():
         n = prices.shape[1]
         gamma_n = gamma(n)
         sigmas = group.sigmas[:, None]
-        stack = group.fill(own_shared(group, prices), prices, 0, len(sigmas))
+        stack = group.fill(own_budgets(group, prices), prices, 0, len(sigmas))
         for p, x in zip(prices, stack):
             reference = log_space_ces_demand(group, p)
             magnitude = (sigmas * np.abs(np.log(group.valuations))
@@ -876,7 +881,7 @@ def test_ces_demand_within_derived_bound_of_log_space_form():
             bound = relative / (1.0 - relative) * reference + underflow
             assert (np.abs(x - reference) <= bound).all(), (n, p)
             worst = max(worst, float((np.abs(x - reference) / bound).max()))
-            np.testing.assert_array_equal(x, group.fill(own_shared(group, p), p, 0, len(sigmas)))
+            np.testing.assert_array_equal(x, group.fill(own_budgets(group, p), p, 0, len(sigmas)))
     # The bound is not vacuous: some entries come within a small factor of it.
     assert worst > 1e-3
 
@@ -889,9 +894,8 @@ def test_ces_budget_identity():
     # at sigma = 1000.
     for group, prices in ces_grid():
         n = prices.shape[1]
-        shared = own_shared(group, prices)
-        budgets = shared[0]
-        stack = group.fill(shared, prices, 0, len(group.sigmas))
+        budgets = own_budgets(group, prices)
+        stack = group.fill(budgets, prices, 0, len(group.sigmas))
         assert np.isfinite(stack).all()
         for p, b, x in zip(prices, budgets, stack):
             bound = budget_identity_bound(CES, n) * b + budget_underflow(n, p, b)
@@ -974,8 +978,8 @@ def sums_in_closed_form(economy, p) -> bool:
             or economy.n_goods == 1):
         return False
     prices = np.maximum(p, economy.price_floor)
-    shared = economy_module._shared_vectors(economy._endowments, prices, economy._families)
-    return any(group.slack_sum(shared, prices, economy._cap) is not None
+    budgets = economy_module._matvec(economy._endowments, prices)
+    return any(group.slack_sum(budgets, prices, economy._cap) is not None
                for group in economy._groups)
 
 
@@ -1005,7 +1009,7 @@ def closed_form_tolerance(economy) -> float:
     |demand - reference| <= 2 e T <= 2 e / (1 - e) reference.
     """
     e = gamma(len(economy.consumers) + 1)
-    if LEONTIEF in economy._families:
+    if any(group.utility == LEONTIEF for group in economy._groups):
         e = (1.0 + e) / (1.0 - gamma(economy.n_goods)) - 1.0
     return 2.0 * e / (1.0 - e)
 
@@ -1484,7 +1488,7 @@ def test_streamed_stack_rows_with_binding_and_slack_caps():
         np.testing.assert_array_equal(row, economy.demand(p))
         reference = reference_group_demand_sum(economy, p)
         if sums_in_closed_form(economy, p):
-            np.testing.assert_array_equal(row, group.slack_sum(own_shared(group, p), p, None))
+            np.testing.assert_array_equal(row, group.slack_sum(own_budgets(group, p), p, None))
             assert_textbook_sum(economy, p, row, reference)
         else:
             np.testing.assert_array_equal(row, reference)
@@ -1530,10 +1534,9 @@ def test_slack_sums_join_the_running_total_in_group_order(monkeypatch, cap_facto
     cobb_douglas, leontief, ces = economy._groups
     differs = 0
     for p in np.random.default_rng(27).uniform(0.1, 1.0, (8, n)):
-        shared = economy_module._shared_vectors(economy._endowments, p, economy._families)
-        assert all(group.slack_sum(shared, p, economy._cap) is not None
-                   for group in (cobb_douglas, leontief))
         budgets = economy._endowments.dot(p)
+        assert all(group.slack_sum(budgets, p, economy._cap) is not None
+                   for group in (cobb_douglas, leontief))
         sums = [cobb_douglas.weights.T.dot(budgets[cobb_douglas.rows]) * (1.0 / p),
                 leontief.valuations.T.dot(budgets[leontief.rows] / leontief.valuations.dot(p))]
         rows = reference_group_demand(ces, p, budgets[ces.rows])
@@ -1566,12 +1569,12 @@ def test_slack_cap_proof_at_its_bound(monkeypatch, family):
             bound = group.valuations.max(axis=0) * ratios.max()
         else:
             bound = group.endowments.dot(p).max() * (1.0 / p) * group.weights.max(axis=0)
-        shared = own_shared(group, p)
-        assert group.slack_sum(shared, p, bound) is not None
+        budgets = own_budgets(group, p)
+        assert group.slack_sum(budgets, p, bound) is not None
         for j in range(n):
             below = bound.copy()
             below[j] = np.nextafter(bound[j], 0.0)
-            assert group.slack_sum(shared, p, below) is None
+            assert group.slack_sum(budgets, p, below) is None
         # The terms the proof bounds are the closed form's, for Leontief V_ij
         # times the ratio from the gemv V p; here the textbook entries, whose
         # costs are row dots, stay within it too.
@@ -1583,7 +1586,7 @@ def test_slack_cap_proof_at_its_bound(monkeypatch, family):
         # with no cap, within the bound of the textbook sum.
         capped_at(economy, bound)
         assert sums_in_closed_form(economy, p)
-        np.testing.assert_array_equal(economy.demand(p), group.slack_sum(shared, p, None))
+        np.testing.assert_array_equal(economy.demand(p), group.slack_sum(budgets, p, None))
         assert_textbook_sum(economy, p, economy.demand(p), matrix.sum(axis=0))
         # A cap between the two largest entries of a column binds on the
         # largest alone, which the proof must not skip.
