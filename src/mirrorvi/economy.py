@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import EvaluationError, InvalidInput, Unsupported, check_count, check_seed
-from .kernels import _row_dots
+from .kernels import _finite, _row_dots
 
 COBB_DOUGLAS = "cobb_douglas"
 LEONTIEF = "leontief"
@@ -43,18 +43,19 @@ _FAMILIES = (COBB_DOUGLAS, LEONTIEF, CES)
 
 
 def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
-    """Checked prices: a vector, or with batch=True also a (k, n) stack of rows."""
+    """Checked prices: a vector, or with batch=True also a (k, n) stack of rows.
+
+    Prices pass when their smallest entry is >= 0 and kernels._finite holds;
+    the messages are sorted out only when a price is bad.
+    """
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 and not (batch and arr.ndim == 2):
         shapes = "a vector or a (k, n) stack" if batch else "a one-dimensional vector"
         raise InvalidInput(f"prices must be {shapes}, got shape {arr.shape}")
     if n is not None and arr.shape[-1] != n:
         raise InvalidInput(f"expected {n} prices, got {arr.shape[-1]}")
-    # One pass each for the smallest and largest entry tests both finiteness
-    # and sign (a NaN fails both comparisons); the messages are sorted out
-    # only when a price is bad. ufunc.reduce is what min and max call.
-    if arr.size and not (0.0 <= np.minimum.reduce(arr, axis=None)
-                         and np.maximum.reduce(arr, axis=None) < np.inf):
+    # ufunc.reduce is what min calls, minus a Python frame.
+    if arr.size and not (0.0 <= np.minimum.reduce(arr, axis=None) and _finite(arr)):
         if not np.isfinite(arr).all():
             raise InvalidInput("prices must be finite")
         raise InvalidInput("prices must be nonnegative")
@@ -83,10 +84,10 @@ def _spend(rows: np.ndarray, prices: np.ndarray, budgets: np.ndarray) -> None:
     """Scale each direction row d_i in place to its demand b_i d_i / (d_i . p).
 
     rows is (..., m, n), prices (..., n) and budgets (..., m). Each cost
-    d_i . p is one kernels._row_dots dot per row, the prices broadcast over
-    the rows, so a row's cost, and with it the row, never depends on which
-    other rows share the call (a matrix-vector product can round a row
-    differently by its place in the matrix).
+    d_i . p is one np.vecdot dot per row (kernels._row_dots), the prices
+    broadcast over the rows, so a row's cost, and with it the row, never
+    depends on which other rows share the call (a matrix-vector product can
+    round a row differently by its place in the matrix).
     """
     cost = _row_dots(rows, prices[..., None, :])
     rows *= np.divide(budgets, cost, out=cost)[..., None]
@@ -165,7 +166,7 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
     # A one-good budget is a bare product, -0.0 for a -0.0 endowment; + 0.0
     # makes it the +0.0 of an economy's budget product and changes no other.
     x = group.fill(_matvec(group.endowments, prices) + 0.0, prices, 0, 1)[0]
-    if not np.all(np.isfinite(x)):
+    if not _finite(x):
         raise EvaluationError(f"demand overflow for {consumer.utility} consumer at p={prices}")
     if cap is not None:
         x = np.minimum(x, cap)
@@ -452,7 +453,7 @@ class ExchangeEconomy:
             total = np.empty_like(prices)
             for start in range(0, len(prices), step):
                 total[start:start + step] = self._total_demand(prices[start:start + step])
-        if not np.isfinite(total).all():
+        if not _finite(total):
             if total.ndim == 1:
                 raise EvaluationError(f"aggregate demand overflow at p={prices}")
             row = int(np.argmin(np.isfinite(total).all(axis=1)))

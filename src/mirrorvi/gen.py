@@ -35,7 +35,7 @@ import numpy as np
 
 from .economy import CES, COBB_DOUGLAS, LEONTIEF, Consumer, ExchangeEconomy
 from .errors import InvalidInput, check_integer, check_seed
-from .kernels import BOX, FeasibleSet
+from .kernels import BOX, FeasibleSet, _finite
 
 FIELD_ENDOWMENT = 1
 FIELD_VALUATION = 2
@@ -102,7 +102,7 @@ class GenSpec:
             raise InvalidInput(f"unknown utility kinds in mix: {sorted(unknown)}")
         props = np.array([float(self.mix.get(kind, 0.0)) for kind in KIND_ORDER])
         # A NaN passes both tests below, and kind_assignment cannot floor it.
-        if not np.isfinite(props).all():
+        if not _finite(props):
             raise InvalidInput(f"mix proportions must be finite, got {dict(self.mix)}")
         if np.any(props < 0.0):
             raise InvalidInput("mix proportions must be nonnegative")

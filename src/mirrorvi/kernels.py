@@ -32,8 +32,18 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array a is finite, as one BLAS dot.
+
+    An inf or NaN entry makes the sum of squares inf or NaN, so a finite sum
+    proves every entry finite; only a sum that overflows (an entry of about
+    1e154 or more) falls back to the entry-by-entry test.
+    """
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def _require_finite(arr: np.ndarray, name: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise InvalidInput(f"{name} must be finite")
     return arr
 
@@ -86,7 +96,7 @@ class FeasibleSet:
     def contains(self, x) -> bool:
         """Whether x is a finite point of the set, within MEMBERSHIP_TOL."""
         arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.n,) or not np.isfinite(arr).all():
+        if arr.shape != (self.n,) or not _finite(arr):
             return False
         if self.kind == BOX:
             return bool((arr >= self.lo - MEMBERSHIP_TOL).all()
@@ -182,14 +192,14 @@ def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i . b_i along the last axis, with the leading axes broadcast.
 
-    Two vectors give a 0-d value, two C-ordered (k, n) stacks k values, and
-    (..., m, n) rows against (..., 1, n) prices one value per row. matmul
-    runs one dot per row, so each equals the vector's a_i.dot(b_i) bit for
-    bit, except that a length-1 row adds its product to +0.0 where a
+    Two vectors give a scalar, two C-ordered (k, n) stacks k values, and
+    (..., m, n) rows against (..., 1, n) prices one value per row. np.vecdot
+    runs one BLAS dot per row, so each equals the vector's a_i.dot(b_i) bit
+    for bit, except that a length-1 row adds its product to +0.0 where a
     length-1 vector dot is the bare product (they differ in the sign of a
     zero only).
     """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def simplex_projection(v) -> np.ndarray:

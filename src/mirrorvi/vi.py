@@ -23,6 +23,7 @@ from .kernels import (
     Kernel,
     _check_step,
     _divergence,
+    _finite,
     _point,
     _prox,
     _row_dots,
@@ -76,9 +77,9 @@ class VIProblem:
     batched: bool = False
 
     def evaluate(self, x) -> np.ndarray:
-        """Evaluate F(x), checking shape and finiteness."""
+        """Evaluate F(x), checking its shape and that kernels._finite holds."""
         out = np.asarray(self.operator(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.set.n,) or not np.isfinite(out).all():
+        if out.shape != (self.set.n,) or not _finite(out):
             self._reject(out, (self.set.n,))
         return out
 
@@ -87,9 +88,9 @@ class VIProblem:
 
         This is the one place that decides how a stack is evaluated. A batched
         operator gets the whole stack in one call, and its value must have
-        shape (k, n) and be finite (EvaluationError). Any other operator is
-        never handed a stack: each row goes through evaluate, in row order,
-        and is written into the result. Either way each row is contiguous and
+        shape (k, n) and pass kernels._finite (EvaluationError). Any other
+        operator is never handed a stack: each row goes through evaluate, in
+        row order, and is written into the result. Either way each row is contiguous and
         equals evaluate at that point bit for bit.
         """
         points = np.asarray(xs, dtype=float)
@@ -102,7 +103,7 @@ class VIProblem:
                 out[i] = self.evaluate(x)
             return out
         out = np.asarray(self.operator(points), dtype=float, order="C")
-        if out.shape != points.shape or not np.isfinite(out).all():
+        if out.shape != points.shape or not _finite(out):
             self._reject(out, points.shape)
         return out
 
@@ -217,9 +218,9 @@ def _residuals(space: FeasibleSet, x: np.ndarray, fx: np.ndarray):
     For vectors x and fx it returns three 0-d values, which float() takes to
     three floats. For C-ordered (k, n) stacks it returns three arrays of k
     values. A vector is the one-row case: the minimum is taken along the
-    last axis and the row dots go through kernels._row_dots, one matmul dot
-    per row, so each row of a stack equals the vector call at that row bit
-    for bit. On the box the support value max_y <-F(x), y> is the row dot
+    last axis and the row dots go through kernels._row_dots, one np.vecdot
+    dot per row, so each row of a stack equals the vector call at that row
+    bit for bit. On the box the support value max_y <-F(x), y> is the row dot
     of -F(x) with its maximizing corner, as linear_max takes it; on the
     simplex it is -min_j F_j(x), which equals linear_max's value up to the
     sign of a zero minimum, and that could differ only if F had zeros of

@@ -1363,6 +1363,37 @@ def test_batch_overflow_names_the_row():
     assert np.all(np.isfinite(economy.excess(prices[:2])))
 
 
+def test_prices_and_demand_whose_squares_overflow_stay_finite():
+    # Prices and aggregate demand are checked by a sum of squares first. At a
+    # price of 1e200 both sums overflow, yet every entry is finite, and the
+    # uncapped demand of the other goods is about 1e200 too.
+    rng = np.random.default_rng(26)
+    consumers = [random_consumer(rng, 3) for _ in range(6)]
+    prices = np.array([[1e200, 0.5, 2.0], [0.5, 1e200, 1e200]])
+    for cap_factor in (1.0, np.inf):
+        economy = ExchangeEconomy(consumers, n_goods=3, demand_cap_factor=cap_factor)
+        stack = economy.excess(prices)
+        assert np.isfinite(stack).all()
+        for p, row in zip(prices, stack):
+            assert economy.excess(p).tobytes() == row.tobytes()
+        if cap_factor == np.inf:
+            assert np.max(np.abs(stack)) > 1e154
+
+
+def test_as_prices_messages_for_bad_entries():
+    # Non-finite entries are reported as such, negative entries as negative,
+    # and finite prices whose squares overflow pass.
+    for bad in ([np.inf, 1.0], [1.0, np.nan], [-np.inf, 1.0], [-1.0, np.nan],
+                [1e200, np.inf], [[1.0, 1.0], [np.nan, 1.0]]):
+        with pytest.raises(InvalidInput, match="^prices must be finite$"):
+            economy_module._as_prices(np.array(bad), 2, batch=True)
+    for bad in ([-1.0, 1.0], [1e200, -1e-300], [[1.0, 1.0], [-0.5, 1e200]]):
+        with pytest.raises(InvalidInput, match="^prices must be nonnegative$"):
+            economy_module._as_prices(np.array(bad), 2, batch=True)
+    huge = np.array([[1e200, 1.7e308], [0.0, -0.0]])
+    assert economy_module._as_prices(huge, 2, batch=True).tobytes() == huge.tobytes()
+
+
 def test_blocked_batches_match_one_block(monkeypatch):
     # A long stack is evaluated in blocks of _BLOCK_ENTRIES demand-matrix (and,
     # for elasticities, price) entries; the block size must not change a value.

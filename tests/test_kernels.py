@@ -28,7 +28,7 @@ from mirrorvi import (
     squared_euclidean,
     unit_box,
 )
-from mirrorvi.kernels import _project_simplex, _prox
+from mirrorvi.kernels import _finite, _project_simplex, _prox, _row_dots
 
 
 def test_kernel_factories():
@@ -561,3 +561,65 @@ def test_an_overflowing_simplex_step_is_an_evaluation_error(kernel, direction):
             mirror_step(simplex(3), kernel, 1e300, CENTER3, g)
         with pytest.raises(EvaluationError, match="simplex"):
             mirror_extragradient_solve(problem, config, CENTER3)
+
+
+FINITENESS_CASES = {
+    "empty": np.empty(0),
+    "empty_stack": np.empty((0, 3)),
+    "vector": np.array([0.5, -2.0, 3e-5]),
+    "stack": np.arange(12.0).reshape(3, 4) - 5.0,
+    "strided": (np.arange(12.0).reshape(3, 4) - 5.0)[:, ::2],
+    "plus_inf": np.array([1.0, np.inf, 2.0]),
+    "minus_inf": np.array([[1.0, 2.0], [-np.inf, 0.0]]),
+    "nan": np.array([0.0, np.nan]),
+    "inf_and_minus_inf": np.array([np.inf, -np.inf]),
+    "nan_in_stack": np.array([[1.0, 2.0], [3.0, np.nan]]),
+    "huge_and_nan": np.array([1e200, np.nan]),
+    "huge_and_inf": np.array([1e200, np.inf]),
+    "subnormals": np.array([5e-324, -5e-324, 2.2e-308]),
+    "negative_zero": np.array([-0.0, 0.0, -0.0]),
+    # Finite entries whose squares overflow: the sum of squares is inf, and
+    # only the entry-by-entry fallback gets them right.
+    "square_overflows": np.array([1e200, 1.0]),
+    "negative_square_overflows": np.array([[-1e200, 2.0], [3.0, 4.0]]),
+    "largest": np.array([1.7e308, -1.7e308]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINITENESS_CASES))
+def test_finite_agrees_with_the_entry_by_entry_test(case):
+    a = FINITENESS_CASES[case]
+    expected = bool(np.isfinite(a).all())
+    assert _finite(a) is expected
+    if "overflows" in case or case == "largest":
+        assert expected
+
+
+def _matmul_row_dots(a, b):
+    # The form _row_dots had before it was np.vecdot: one matmul dot per row.
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def test_row_dots_equal_the_matmul_form_bit_for_bit():
+    rng = np.random.default_rng(26)
+    pairs = []
+    for n in (1, 2, 5, 17, 50):
+        scale = 10.0 ** rng.uniform(-5.0, 4.0, (7, 1))
+        a = rng.normal(size=(7, n)) * scale
+        b = rng.normal(size=(7, n)) * scale[::-1]
+        a[::3, 0] = -0.0
+        b[1::3, -1] = -0.0
+        pairs.append((a, b))  # (k, n) stacks
+        pairs.append((a[2], b[2]))  # a vector pair
+        # (..., m, n) rows against (..., 1, n) prices
+        pairs.append((np.stack([a, a[::-1]]), b[:2, None, :]))
+        pairs.append((a, b[0][None, :]))  # rows against one price row
+    # Every product -0.0: a length-1 vector pair, length-1 rows and longer rows.
+    pairs.append((np.array([-0.0]), np.array([1.0])))
+    pairs.append((np.array([[-0.0], [0.0]]), np.array([[1.0], [-1.0]])))
+    pairs.append((np.full((2, 3), -0.0), np.ones((2, 3))))
+    for a, b in pairs:
+        got = np.asarray(_row_dots(a, b))
+        expected = np.asarray(_matmul_row_dots(a, b))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

@@ -82,6 +82,23 @@ def test_problem_evaluate_rejects_nonfinite():
         problem.evaluate(np.array([0.5]))
 
 
+def test_problem_evaluate_accepts_values_whose_squares_overflow():
+    # The value check tests a sum of squares first; a finite value whose
+    # squares overflow must still pass, and an inf beside it must not.
+    space = box(np.zeros(2), np.ones(2))
+    huge = np.array([1e200, -1e200])
+    x = np.full(2, 0.5)
+    assert VIProblem(space, lambda p: huge).evaluate(x).tobytes() == huge.tobytes()
+    stack = VIProblem(space, lambda p: np.tile(huge, (len(p), 1)), batched=True)
+    np.testing.assert_array_equal(stack.evaluate_many(np.array([x, x])), [huge, huge])
+    bad = np.array([1e200, np.inf])
+    with pytest.raises(EvaluationError, match="non-finite"):
+        VIProblem(space, lambda p: bad).evaluate(x)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        VIProblem(space, lambda p: np.tile(bad, (len(p), 1)), batched=True).evaluate_many(
+            np.array([x, x]))
+
+
 def test_evaluate_many_checks_the_stack_contract():
     space = simplex(3)
     stack = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], CENTER3])
