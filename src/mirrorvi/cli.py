@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from .economy import Consumer, ExchangeEconomy, ScarfEconomy
-from .errors import InsufficientData, InvalidInput, MirrorVIError
+from .errors import InsufficientData, InvalidInput, MirrorVIError, check_real
 from .gen import GenSpec, generate_economy, initial_prices
 from .kernels import FeasibleSet, Kernel, box, simplex, unit_box
 from .tatonnement import (
@@ -70,10 +69,13 @@ def _parse_eta(ctx, param, text: str):
 
 
 def _check_tolerance(ctx, param, value):
-    """The --eps and --stop-gap callback: a finite number >= 0, or no value."""
-    # 0 <= value < inf fails for NaN too, which no gap can pass.
-    if value is not None and not (0.0 <= value < math.inf):
-        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+    """The --eps and --stop-gap callback: no value, or one that errors.check_real
+    accepts, so a bad one is a bad option value before any file is written."""
+    if value is not None:
+        try:
+            check_real(value, param.name)
+        except InvalidInput as exc:
+            raise click.BadParameter(str(exc))
     return value
 
 
@@ -289,13 +291,11 @@ def load_economy_file(path: str) -> ExchangeEconomy:
                 entry["utility"],
                 np.asarray(entry["valuations"], dtype=float),
                 np.asarray(entry["endowment"], dtype=float),
-                None if entry.get("rho") is None else float(entry["rho"]),
+                entry.get("rho"),
             )
             for entry in data["consumers"]
         ]
-        kwargs = {
-            key: float(data[key]) for key in ("demand_cap_factor", "price_floor") if key in data
-        }
+        kwargs = {key: data[key] for key in ("demand_cap_factor", "price_floor") if key in data}
         n_goods = data["n_goods"]
         if isinstance(n_goods, bool) or not isinstance(n_goods, int):
             raise TypeError(f"n_goods must be an integer, got {n_goods!r}")

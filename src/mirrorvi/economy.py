@@ -17,7 +17,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInput, Unsupported, check_count, check_seed
+from .errors import (EvaluationError, InvalidInput, Unsupported, check_count, check_number,
+                     check_real, check_seed)
 from .kernels import _finite, _row_dots
 
 COBB_DOUGLAS = "cobb_douglas"
@@ -60,12 +61,6 @@ def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
             raise InvalidInput("prices must be finite")
         raise InvalidInput("prices must be nonnegative")
     return arr
-
-
-def _check_price_floor(floor: float) -> None:
-    """A price floor must be > 0 (a NaN fails too)."""
-    if not (floor > 0.0):
-        raise InvalidInput(f"price_floor must be positive, got {floor}")
 
 
 def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
@@ -128,6 +123,7 @@ class Consumer:
         if self.utility == CES:
             if self.rho is None:
                 raise InvalidInput("CES utility requires rho")
+            check_number(self.rho, "CES rho")
             # rho = -inf would make sigma 0: demand budget / sum(p) whatever
             # the valuations; a NaN fails the comparisons too.
             if not (-math.inf < self.rho < 1.0 and self.rho != 0.0):
@@ -154,7 +150,7 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
     there. When cap is given (a scalar or n entries, each >= 0), each
     coordinate is clipped at cap_j.
     """
-    _check_price_floor(floor)
+    check_real(floor, "price_floor", positive=True)
     if cap is not None:
         cap = np.asarray(cap, dtype=float)
         # A NaN fails the comparison.
@@ -214,7 +210,7 @@ def demand_oracle(consumer: Consumer, p, resolution: int, floor: float = DEFAULT
         raise Unsupported(
             f"demand_oracle supports resolution <= {MAX_ORACLE_RESOLUTION}, got {resolution}"
         )
-    _check_price_floor(floor)
+    check_real(floor, "price_floor", positive=True)
     prices = np.maximum(_as_prices(p, n), floor)
     budget = float(prices.dot(consumer.endowment))
     if budget == 0.0:
@@ -407,9 +403,10 @@ class ExchangeEconomy:
                 raise InvalidInput(
                     f"consumer dimension {c.n_goods} does not match n_goods {self.n_goods}"
                 )
+        check_number(self.demand_cap_factor, "demand_cap_factor")
         if not (self.demand_cap_factor >= 1.0):
             raise InvalidInput(f"demand_cap_factor must be >= 1, got {self.demand_cap_factor}")
-        _check_price_floor(self.price_floor)
+        check_real(self.price_floor, "price_floor", positive=True)
         # A stable sort keeps each family's consumers in their own order.
         ordered = sorted(consumers, key=lambda c: _FAMILIES.index(c.utility))
         valuations = _read_only(np.array([c.valuations for c in ordered]))
@@ -557,9 +554,14 @@ def scarf_excess_demand(p, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
 
     p is a 3-vector, or a (k, 3) stack that gives one excess-demand row per
     price row. Prices are checked like an exchange economy's: finite and
-    nonnegative, and the floor must be positive.
+    nonnegative, and the floor must be positive and finite.
     """
-    _check_price_floor(floor)
+    check_real(floor, "price_floor", positive=True)
+    return _scarf_excess(p, floor)
+
+
+def _scarf_excess(p, floor: float) -> np.ndarray:
+    """scarf_excess_demand with a floor already checked."""
     if type(p) is np.ndarray and p.shape == (3,) and p.dtype == np.float64:
         # A single float vector is checked and floored on its Python floats,
         # which do the same IEEE operations as numpy scalars at a fraction of
@@ -594,7 +596,7 @@ class ScarfEconomy:
     price_floor: float = DEFAULT_PRICE_FLOOR
 
     def __post_init__(self) -> None:
-        _check_price_floor(self.price_floor)
+        check_real(self.price_floor, "price_floor", positive=True)
 
     @property
     def n_goods(self) -> int:
@@ -605,7 +607,7 @@ class ScarfEconomy:
         return np.ones(3)
 
     def excess(self, p) -> np.ndarray:
-        return scarf_excess_demand(p, floor=self.price_floor)
+        return _scarf_excess(p, self.price_floor)
 
     def demand(self, p) -> np.ndarray:
         return self.excess(p) + self.aggregate_supply
@@ -618,8 +620,7 @@ def check_homogeneity(economy, p, lam: float) -> float:
     price, so that a lam that overflows the scaled prices is reported as
     such and not as non-finite prices.
     """
-    if not (0.0 < lam < math.inf):
-        raise InvalidInput(f"lambda must be positive and finite, got {lam}")
+    check_real(lam, "lambda", positive=True)
     prices = _as_prices(p, economy.n_goods)
     # On Python floats, whose product overflows to inf without a warning.
     largest = float(np.max(prices, initial=0.0))
@@ -761,9 +762,8 @@ def bregman_continuity_bound(economy, p, elasticity: float | None = None,
     one must be finite and >= 0, as an estimate is.
     """
     _check_sampling(pairs, seed)
-    # 0 <= elasticity < inf fails for NaN too, which would make the bound NaN.
-    if elasticity is not None and not (0.0 <= elasticity < math.inf):
-        raise InvalidInput(f"elasticity must be finite and >= 0, got {elasticity}")
+    if elasticity is not None:
+        check_real(elasticity, "elasticity")
     prices = _as_prices(p, economy.n_goods)
     total = prices.sum()
     if abs(total - 1.0) > 1e-9:

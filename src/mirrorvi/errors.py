@@ -1,4 +1,6 @@
-"""Error types, and the integer, count and seed checks, shared across the library."""
+"""Error types, and the integer, count, seed and real-number checks, shared across the library."""
+
+import math
 
 import numpy as np
 
@@ -61,3 +63,29 @@ def check_seed(seed) -> None:
     check_integer(seed, "seed must be a 64-bit unsigned integer")
     if not 0 <= seed < 2**64:
         raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def check_number(value, name: str) -> None:
+    """Raise InvalidInput unless value is an int, a float or a numpy integer or
+    floating scalar.
+
+    A bool is not a number here, though it compares as one, and a string or an
+    array is not a scalar. Scalars with a range of their own (eta, a kernel
+    floor, a cap factor, a CES rho) apply this test before their range test.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+
+
+def check_real(value, name: str, positive: bool = False) -> None:
+    """Raise InvalidInput unless value is a real number (as check_number) in
+    [0, inf), or in (0, inf) when positive; a NaN fails too.
+
+    Every price floor, tolerance, supply scale and bound of the library applies
+    this one rule, so each reads "<name> must be finite and >= 0, got ..." or
+    "<name> must be positive and finite, got ...".
+    """
+    check_number(value, name)
+    if not (0.0 < value if positive else 0.0 <= value) or not value < math.inf:
+        rule = "positive and finite" if positive else "finite and >= 0"
+        raise InvalidInput(f"{name} must be {rule}, got {value}")

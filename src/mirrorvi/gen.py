@@ -27,14 +27,13 @@ complements. Initial prices are Unif(1, 10), normalized into the price space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .economy import CES, COBB_DOUGLAS, LEONTIEF, Consumer, ExchangeEconomy
-from .errors import InvalidInput, check_integer, check_seed
+from .errors import InvalidInput, check_integer, check_real, check_seed
 from .kernels import BOX, FeasibleSet, _finite
 
 FIELD_ENDOWMENT = 1
@@ -92,11 +91,8 @@ class GenSpec:
             check_integer(size, "n_consumers and n_goods must be integers")
         if self.n_consumers < 1 or self.n_goods < 1:
             raise InvalidInput("n_consumers and n_goods must be positive")
-        # 0 < supply_total < inf fails for NaN too; an infinite supply makes
-        # every endowment NaN.
-        if not (0.0 < self.supply_total < math.inf):
-            raise InvalidInput(
-                f"supply_total must be positive and finite, got {self.supply_total}")
+        # An infinite supply would make every endowment NaN.
+        check_real(self.supply_total, "supply_total", positive=True)
         unknown = set(self.mix) - set(KIND_ORDER)
         if unknown:
             raise InvalidInput(f"unknown utility kinds in mix: {sorted(unknown)}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInput, check_count
+from .errors import EvaluationError, InvalidInput, check_count, check_number
 
 #: Absolute tolerance for set-membership checks everywhere in the library.
 MEMBERSHIP_TOL = 1e-12
@@ -26,9 +26,12 @@ SIMPLEX = "simplex"
 
 
 def _as_vector(x, name: str) -> np.ndarray:
+    """x as a finite float vector, or InvalidInput naming it."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise InvalidInput(f"{name} must be a one-dimensional vector, got shape {arr.shape}")
+    if not _finite(arr):
+        raise InvalidInput(f"{name} must be finite")
     return arr
 
 
@@ -40,12 +43,6 @@ def _finite(a: np.ndarray) -> bool:
     1e154 or more) falls back to the entry-by-entry test.
     """
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
-
-
-def _require_finite(arr: np.ndarray, name: str) -> np.ndarray:
-    if not _finite(arr):
-        raise InvalidInput(f"{name} must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -63,6 +60,7 @@ class Kernel:
     def __post_init__(self) -> None:
         if self.kind not in (EUCLIDEAN, ENTROPY):
             raise InvalidInput(f"unknown kernel kind {self.kind!r}")
+        check_number(self.floor, "kernel floor")
         if not (0.0 < self.floor < 1.0):
             raise InvalidInput(f"kernel floor must be in (0, 1), got {self.floor}")
 
@@ -119,8 +117,8 @@ def _point(space: FeasibleSet, x, name: str) -> np.ndarray:
 
 def box(lo, hi) -> FeasibleSet:
     """Box {x : lo <= x <= hi} with at least one coordinate and lo_j < hi_j in each."""
-    lo_arr = _require_finite(_as_vector(lo, "lo"), "lo")
-    hi_arr = _require_finite(_as_vector(hi, "hi"), "hi")
+    lo_arr = _as_vector(lo, "lo")
+    hi_arr = _as_vector(hi, "hi")
     if lo_arr.shape != hi_arr.shape:
         raise InvalidInput("lo and hi must have the same length")
     check_count(lo_arr.size, "box dimension")
@@ -148,8 +146,8 @@ def bregman_divergence(kernel: Kernel, x, y) -> float | np.ndarray:
     k row divergences D_h(x_i, y_i) as an array, each equal to the vector call
     bit for bit.
     """
-    x_arr = _require_finite(_as_points(x, "x"), "x")
-    y_arr = _require_finite(_as_points(y, "y"), "y")
+    x_arr = _as_points(x, "x")
+    y_arr = _as_points(y, "y")
     if x_arr.shape != y_arr.shape:
         raise InvalidInput(f"dimension mismatch: {x_arr.shape} vs {y_arr.shape}")
     div = _divergence(kernel, x_arr, y_arr)
@@ -157,11 +155,13 @@ def bregman_divergence(kernel: Kernel, x, y) -> float | np.ndarray:
 
 
 def _as_points(x, name: str) -> np.ndarray:
-    """A vector or a (k, n) stack of points, as C-ordered floats so that every
-    row is contiguous and reduces as a vector does."""
+    """A finite vector or (k, n) stack of points, as C-ordered floats so that
+    every row is contiguous and reduces as a vector does."""
     arr = np.asarray(x, dtype=float, order="C")
     if arr.ndim not in (1, 2):
         raise InvalidInput(f"{name} must be a vector or a (k, n) stack, got shape {arr.shape}")
+    if not _finite(arr):
+        raise InvalidInput(f"{name} must be finite")
     return arr
 
 
@@ -207,7 +207,7 @@ def simplex_projection(v) -> np.ndarray:
 
     v must be a nonempty finite vector; an empty one fails as simplex(0) does.
     """
-    arr = _require_finite(_as_vector(v, "v"), "v")
+    arr = _as_vector(v, "v")
     check_count(arr.size, "simplex dimension")
     return _project_simplex(arr)
 
@@ -231,8 +231,10 @@ def _project_simplex(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_step(eta) -> None:
-    """The step-size rule of mirror_step and SolverConfig: 0 < eta, with the
-    effective Euclidean step 2 * eta finite (so NaN and inf fail too)."""
+    """The step-size rule of mirror_step and SolverConfig: a real number
+    (errors.check_number) with 0 < eta and the effective Euclidean step
+    2 * eta finite (so NaN and inf fail too)."""
+    check_number(eta, "eta")
     if not eta > 0.0:
         raise InvalidInput(f"eta must be positive, got {eta}")
     if not 2.0 * eta < math.inf:
@@ -251,7 +253,6 @@ def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.nda
     g_arr = _as_vector(g, "g")
     if x0_arr.shape != g_arr.shape or x0_arr.size != space.n:
         raise InvalidInput("x0 and g must match the set dimension")
-    _require_finite(g_arr, "g")
     return _prox(space, kernel, eta, _point(space, x0_arr, "x0"), g_arr)
 
 
@@ -300,7 +301,7 @@ def linear_max(space: FeasibleSet, c) -> tuple[float, np.ndarray]:
     not call it: vi._residuals takes the same support value for a whole
     stack of points at once.
     """
-    c = _require_finite(_as_vector(c, "c"), "c")
+    c = _as_vector(c, "c")
     if c.size != space.n:
         raise InvalidInput("c must match the set dimension")
     if space.kind == BOX:

@@ -8,12 +8,11 @@ per-iteration equilibrium residuals, and a certificate at the best iterate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSolution, InvalidInput, check_count, check_seed
+from .errors import DegenerateSolution, InvalidInput, check_count, check_real, check_seed
 from .kernels import (
     BOX,
     SIMPLEX,
@@ -58,6 +57,8 @@ class EquilibriumCertificate:
     gap_value: float
 
     def passes(self, eps: float) -> bool:
+        """Both residuals <= eps, a tolerance finite and >= 0 (errors.check_real)."""
+        check_real(eps, "eps")
         return self.eps_feasibility <= eps and self.walras_residual <= eps
 
 
@@ -118,9 +119,6 @@ def scale_to_equilibrium(p) -> np.ndarray:
     if arr.size == 0:
         raise InvalidInput("p must be a nonempty vector")
     peak = float(np.max(np.abs(arr)))
-    # A NaN or an infinity makes peak NaN or inf, which fails the comparison.
-    if not peak < math.inf:
-        raise InvalidInput("p must be finite")
     if peak == 0.0:
         raise DegenerateSolution("cannot normalize the all-zero price vector")
     return arr / peak
@@ -130,11 +128,11 @@ def recommended_step_size(n_goods: int, elasticity_bound: float, demand_bound: f
     """Simplex-mode step size 1 / (2 * sqrt(2) * n * elasticity * demand bound).
 
     n_goods is an integer >= 1 and both bounds are positive and finite
-    (InvalidInput otherwise).
+    (InvalidInput naming the argument otherwise).
     """
     check_count(n_goods, "n_goods")
-    if not all(0.0 < v < math.inf for v in (elasticity_bound, demand_bound)):
-        raise InvalidInput("recommended_step_size needs positive finite bounds")
+    check_real(elasticity_bound, "elasticity_bound", positive=True)
+    check_real(demand_bound, "demand_bound", positive=True)
     return 1.0 / (2.0 * np.sqrt(2.0) * n_goods * elasticity_bound * demand_bound)
 
 

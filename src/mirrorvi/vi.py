@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, InsufficientData, InvalidInput, check_count, check_seed
+from .errors import EvaluationError, InsufficientData, InvalidInput, check_count, check_real, check_seed
 from .kernels import (
     BOX,
     SIMPLEX,
@@ -123,8 +123,8 @@ class SolverConfig:
 
     eta must be positive with a finite effective Euclidean step 2 * eta,
     horizon and record_every counts >= 1 by errors.check_count, and stop_gap,
-    when given, finite and >= 0. With modulus_backoff enabled, the step size
-    is halved whenever a recorded iteration's modulus sample exceeds
+    when given, finite and >= 0 by errors.check_real. With modulus_backoff
+    enabled, the step size is halved whenever a recorded iteration's modulus sample exceeds
     _step_bound(current step): the effective Euclidean step is twice eta, so
     this keeps the run within the pathwise step-size condition 2 * eta <= 1/(sqrt(2) * L). Only then does
     the loop take a record's divergence and sample itself, and only with
@@ -145,9 +145,9 @@ class SolverConfig:
         _check_step(self.eta)
         check_count(self.horizon, "horizon")
         check_count(self.record_every, "record_every")
-        # 0 <= stop_gap < inf fails for NaN too, which would never stop a run.
-        if self.stop_gap is not None and not (0.0 <= self.stop_gap < math.inf):
-            raise InvalidInput(f"stop_gap must be finite and >= 0, got {self.stop_gap}")
+        # A NaN stop_gap would never stop a run.
+        if self.stop_gap is not None:
+            check_real(self.stop_gap, "stop_gap")
 
 
 @dataclass
@@ -336,7 +336,11 @@ def gap(problem: VIProblem, x_hat) -> float:
 
 
 def is_epsilon_strong(problem: VIProblem, x_hat, eps: float) -> bool:
-    """True iff gap(problem, x_hat) <= eps (no flooring of small negatives)."""
+    """True iff gap(problem, x_hat) <= eps (no flooring of small negatives).
+
+    eps must be finite and >= 0 (errors.check_real).
+    """
+    check_real(eps, "eps")
     return gap(problem, x_hat) <= eps
 
 

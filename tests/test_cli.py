@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 
 import click
@@ -464,6 +465,41 @@ def test_economy_file_ces_rho_must_be_finite(tmp_path, capsys):
     assert main(["economy", "--file", str(path)] + files) == 1
     assert capsys.readouterr().err.count("\n") == 1
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("demand_cap_factor", True, "demand_cap_factor must be a real number, got True"),
+    ("demand_cap_factor", "2", "demand_cap_factor must be a real number, got '2'"),
+    ("price_floor", "0.5", "price_floor must be a real number, got '0.5'"),
+    ("price_floor", True, "price_floor must be a real number, got True"),
+    ("rho", "0.5", "CES rho must be a real number, got '0.5'"),
+    ("rho", True, "CES rho must be a real number, got True"),
+])
+def test_economy_file_numbers_must_be_json_numbers(tmp_path, capsys, field, value, message):
+    # float() made true a cap factor of 1.0 and "0.5" a floor or a rho; the
+    # loader now hands each value to the library unconverted, as n_goods is.
+    consumer = {"utility": "ces", "valuations": [1.0, 2.0], "endowment": [1.0, 2.0], "rho": 0.5}
+    data = {"n_goods": 2, "consumers": [consumer]}
+    (consumer if field == "rho" else data)[field] = value
+    path = tmp_path / "economy.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        load_economy_file(str(path))
+    files = ["--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")]
+    assert main(["economy", "--file", str(path)] + files) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("option, name", [("--eps", "eps"), ("--stop-gap", "stop_gap")])
+def test_tolerance_message_is_the_library_rule(tmp_path, capsys, option, name):
+    # The option repeated the rule in its own words ("must be a finite number
+    # >= 0, got nan"); it now reports errors.check_real's message.
+    argv = ["scarf", "--iters", "5", "--csv", str(tmp_path / "t.csv"),
+            "--json", str(tmp_path / "r.json"), option, "nan"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: Invalid value for '{option}': {name} must be finite and >= 0, got nan\n")
 
 
 @pytest.mark.parametrize("n_goods", [2.5, 2.0, True, "2", None])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from mirrorvi import (
     LEONTIEF,
     Consumer,
     DegenerateSolution,
+    EquilibriumCertificate,
     EvaluationError,
     ExchangeEconomy,
     GenSpec,
@@ -24,14 +26,17 @@ from mirrorvi import (
     bregman_continuity_bound,
     bregman_divergence,
     box,
+    check_homogeneity,
     check_lsd_sample,
     check_warp_sample,
     check_wgs_sample,
+    consumer_demand,
     demand_oracle,
     elasticity_bound_estimate,
     equilibrium_certificate,
     gap,
     generate_economy,
+    is_epsilon_strong,
     mirror_extragradient_solve,
     mirror_extratatonnement,
     mirror_step,
@@ -42,6 +47,7 @@ from mirrorvi import (
     probe_modulus,
     recommended_step_size,
     scale_to_equilibrium,
+    scarf_excess_demand,
     simplex,
     squared_euclidean,
     unit_box,
@@ -533,6 +539,95 @@ def test_a_count_below_its_least_names_it(call):
     name, least = COUNT_RULES[call]
     with pytest.raises(InvalidInput, match=f"^{name} must be >= {least}, got {least - 1}$"):
         COUNTED_CALLS[call](economy, problem, least - 1)
+
+
+#: Every call that takes a real scalar through errors.check_real, with the
+#: name its message gives and whether the value must be positive.
+REAL_CALLS = {
+    "stop_gap": lambda economy, x: SolverConfig(eta=0.1, horizon=5, kernel=EUC, stop_gap=x),
+    "check_homogeneity": lambda economy, x: check_homogeneity(economy, CENTER, x),
+    "bregman_continuity_bound": lambda economy, x: bregman_continuity_bound(economy, CENTER, x),
+    "supply_total": lambda economy, x: GenSpec(seed=0, n_consumers=2, n_goods=2,
+                                               mix={"cobb_douglas": 1.0}, supply_total=x),
+    "elasticity_bound": lambda economy, x: recommended_step_size(3, x, 1.0),
+    "demand_bound": lambda economy, x: recommended_step_size(3, 1.0, x),
+    "scarf_excess_demand": lambda economy, x: scarf_excess_demand(CENTER, floor=x),
+    "ScarfEconomy": lambda economy, x: ScarfEconomy(price_floor=x),
+    "demand_oracle": lambda economy, x: demand_oracle(TWO_GOODS, np.ones(2), 4, floor=x),
+    "consumer_demand": lambda economy, x: consumer_demand(TWO_GOODS, np.ones(2), floor=x),
+    "ExchangeEconomy": lambda economy, x: ExchangeEconomy([TWO_GOODS], n_goods=2,
+                                                          price_floor=x),
+    "passes": lambda economy, x: EquilibriumCertificate(0.0, 0.0, 0.0).passes(x),
+    "is_epsilon_strong": lambda economy, x: is_epsilon_strong(
+        _price_problem(economy, simplex(3)), CENTER, x),
+}
+
+REAL_RULES = {
+    "stop_gap": ("stop_gap", False),
+    "check_homogeneity": ("lambda", True),
+    "bregman_continuity_bound": ("elasticity", False),
+    "supply_total": ("supply_total", True),
+    "elasticity_bound": ("elasticity_bound", True),
+    "demand_bound": ("demand_bound", True),
+    "scarf_excess_demand": ("price_floor", True),
+    "ScarfEconomy": ("price_floor", True),
+    "demand_oracle": ("price_floor", True),
+    "consumer_demand": ("price_floor", True),
+    "ExchangeEconomy": ("price_floor", True),
+    "passes": ("eps", False),
+    "is_epsilon_strong": ("eps", False),
+}
+
+
+@pytest.mark.parametrize("call", sorted(REAL_CALLS))
+def test_a_real_scalar_follows_the_one_rule(call):
+    # Each of these had its own range test and none tested the type: True
+    # passed as 1, a string was a bare TypeError, an infinite price floor gave
+    # NaN or zero demand, and a NaN eps made passes and is_epsilon_strong
+    # return False.
+    economy = generate_economy(GenSpec(seed=5, n_consumers=4, n_goods=3,
+                                       mix={"cobb_douglas": 0.5, "ces_substitutes": 0.5}))
+    name, positive = REAL_RULES[call]
+    rule = "positive and finite" if positive else "finite and >= 0"
+    cases = [(True, "a real number", "True"), (np.True_, "a real number", "np.True_"),
+             ("0.1", "a real number", "'0.1'"), ([0.5], "a real number", "[0.5]"),
+             (np.nan, rule, "nan"), (np.inf, rule, "inf"), (-1.0, rule, "-1.0")]
+    if positive:
+        cases.append((0.0, rule, "0.0"))
+    for value, what, shown in cases:
+        message = f"{name} must be {what}, got {shown}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            REAL_CALLS[call](economy, value)
+    for value in (1, np.int64(1), np.float32(0.5), 0.25):
+        REAL_CALLS[call](economy, value)
+    if not positive:
+        REAL_CALLS[call](economy, 0.0)
+
+
+#: Scalars with a range of their own take errors.check_number's type test
+#: before it; their range messages are unchanged.
+NUMBER_CALLS = {
+    "eta": lambda x: SolverConfig(eta=x, horizon=5, kernel=EUC),
+    "mirror_step": lambda x: mirror_step(simplex(3), EUC, x, CENTER, np.zeros(3)),
+    "kernel floor": lambda x: negative_entropy(floor=x),
+    "demand_cap_factor": lambda x: ExchangeEconomy([TWO_GOODS], n_goods=2,
+                                                   demand_cap_factor=x),
+    "CES rho": lambda x: Consumer(CES, np.ones(2), np.ones(2), rho=x),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NUMBER_CALLS))
+def test_a_scalar_with_its_own_range_must_be_a_real_number(call):
+    # SolverConfig(eta=True) stored True and demand_cap_factor=True capped at
+    # 1; the string '0.1' was a bare TypeError for each.
+    name = "eta" if call == "mirror_step" else call
+    for value, shown in ((True, "True"), (np.False_, "np.False_"), ("0.1", "'0.1'"),
+                         (np.array([0.5]), "array([0.5])")):
+        message = f"{name} must be a real number, got {shown}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            NUMBER_CALLS[call](value)
+    for value in (np.float64(0.5), np.float32(0.5)):
+        NUMBER_CALLS[call](1.0 + value if call == "demand_cap_factor" else value)
 
 
 OUTSIDE = np.array([0.5, 0.5, 0.5])
