@@ -29,7 +29,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from .economy import Consumer, ExchangeEconomy, ScarfEconomy
-from .errors import InsufficientData, InvalidInput, MirrorVIError, check_real
+from .errors import InsufficientData, InvalidInput, MirrorVIError, check_number, check_real
 from .gen import GenSpec, generate_economy, initial_prices
 from .kernels import FeasibleSet, Kernel, box, simplex, unit_box
 from .tatonnement import (
@@ -278,6 +278,14 @@ def scarf_cmd(space_name, lo, **opts) -> int:
     return _run_prices(ScarfEconomy(), space, echo, **opts)[1]
 
 
+def _json_numbers(values, name: str) -> np.ndarray:
+    """A JSON array as a float vector; an entry that is not a number (a bool, a
+    string) fails errors.check_number."""
+    for value in values:
+        check_number(value, name)
+    return np.asarray(values, dtype=float)
+
+
 def load_economy_file(path: str) -> ExchangeEconomy:
     """Build an ExchangeEconomy from the documented JSON schema.
 
@@ -289,8 +297,8 @@ def load_economy_file(path: str) -> ExchangeEconomy:
         entries = [
             (
                 entry["utility"],
-                np.asarray(entry["valuations"], dtype=float),
-                np.asarray(entry["endowment"], dtype=float),
+                _json_numbers(entry["valuations"], "valuations"),
+                _json_numbers(entry["endowment"], "endowment"),
                 entry.get("rho"),
             )
             for entry in data["consumers"]

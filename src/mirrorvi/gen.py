@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .economy import CES, COBB_DOUGLAS, LEONTIEF, Consumer, ExchangeEconomy
-from .errors import InvalidInput, check_integer, check_real, check_seed
+from .errors import InvalidInput, check_integer, check_number, check_real, check_seed
 from .kernels import BOX, FeasibleSet, _finite
 
 FIELD_ENDOWMENT = 1
@@ -96,7 +96,7 @@ class GenSpec:
         unknown = set(self.mix) - set(KIND_ORDER)
         if unknown:
             raise InvalidInput(f"unknown utility kinds in mix: {sorted(unknown)}")
-        props = np.array([float(self.mix.get(kind, 0.0)) for kind in KIND_ORDER])
+        props = np.array(self._proportions())
         # A NaN passes both tests below, and kind_assignment cannot floor it.
         if not _finite(props):
             raise InvalidInput(f"mix proportions must be finite, got {dict(self.mix)}")
@@ -105,9 +105,17 @@ class GenSpec:
         if abs(props.sum() - 1.0) > 1e-12:
             raise InvalidInput(f"mix proportions must sum to 1, got {props.sum()}")
 
+    def _proportions(self) -> list[float]:
+        """Each kind's mix proportion in KIND_ORDER, 0.0 when absent; a bool or a
+        string is not a proportion (errors.check_number)."""
+        props = [self.mix.get(kind, 0.0) for kind in KIND_ORDER]
+        for kind, prop in zip(KIND_ORDER, props):
+            check_number(prop, f"mix proportion {kind!r}")
+        return [float(prop) for prop in props]
+
     def kind_assignment(self) -> list[str]:
         """Utility kind per consumer index: cumulative-floor blocks in KIND_ORDER."""
-        props = [float(self.mix.get(kind, 0.0)) for kind in KIND_ORDER]
+        props = self._proportions()
         boundaries = []
         cumulative = 0.0
         for prop in props:

@@ -19,6 +19,7 @@ from .kernels import (
     FeasibleSet,
     Kernel,
     _as_vector,
+    _check_step,
     _point,
     _row_dots,
     bregman_divergence,
@@ -204,6 +205,9 @@ def _solve_run(problem: VIProblem, kernel: Kernel, eta, horizon: int, x0, *,
         if eta != "auto":
             raise InvalidInput(f"eta must be a positive number or 'auto', got {eta!r}")
         eta = auto_step_size(problem, kernel, seed=seed)
+    else:
+        # Checked before float(), which would take True to 1.0.
+        _check_step(eta)
     config = SolverConfig(eta=float(eta), horizon=horizon, kernel=kernel,
                           record_every=record_every, stop_gap=stop_gap,
                           modulus_backoff=backoff)

@@ -127,11 +127,12 @@ class SolverConfig:
     enabled, the step size is halved whenever a recorded iteration's modulus sample exceeds
     _step_bound(current step): the effective Euclidean step is twice eta, so
     this keeps the run within the pathwise step-size condition 2 * eta <= 1/(sqrt(2) * L). Only then does
-    the loop take a record's divergence and sample itself, and only with
-    stop_gap set does it take a record's gap, for the stop test; the trace's
-    residuals, divergences and samples are computed in stacked calls after
-    the loop by the same routines, so they equal the loop's own values bit
-    for bit.
+    the loop take a record's divergence and sample itself. With stop_gap set
+    it takes the gap at x_{k+0.5} on every iteration and stops at the first
+    one at or below stop_gap, which it records whatever record_every is. The
+    trace's residuals, divergences and samples are computed in stacked calls
+    after the loop by the same routines, so they equal the loop's own values
+    bit for bit.
     """
 
     eta: float
@@ -154,6 +155,8 @@ class SolverConfig:
 class RunTrace:
     """Recorded trajectory of a solver run: one array row per record.
 
+    The records are the iterations k with k % record_every == 0 and, in a
+    run that stopped (converged), the stopping iteration, which is last.
     indices (R,) holds each record's iteration k, points (R, n) its x_k and
     half_points (R, n) its x_{k+0.5}; the mirror gradient method stores
     x_{k+1} in the half slot (see `method`), and iterates derives (k, x_k,
@@ -212,30 +215,37 @@ class RunTrace:
         return float(self.gaps[-1])
 
 
+def _gap(space: FeasibleSet, x: np.ndarray, fx: np.ndarray):
+    """Strong gap max_y <F(x), x - y> from a checked fx = F(x), at a point or a stack.
+
+    For vectors x and fx it returns one 0-d value; for C-ordered (k, n) stacks
+    k values. The row dots go through kernels._row_dots and the minimum is
+    taken along the last axis, so each row of a stack equals the vector call
+    at that row bit for bit, and the loop's stop test reads the gap the trace
+    records. On the box the support value max_y <-F(x), y> is the row dot of
+    -F(x) with its maximizing corner, as linear_max takes it; on the simplex
+    it is -min_j F_j(x), which equals linear_max's value up to the sign of a
+    zero minimum, and that could differ only if F had zeros of both signs
+    there (-Z has no +0.0 entries).
+    """
+    inner = _row_dots(fx, x)
+    if space.kind == SIMPLEX:
+        return inner - np.minimum.reduce(fx, axis=-1)
+    c = -fx
+    return inner + _row_dots(c, np.where(c > 0.0, space.hi, space.lo))
+
+
 def _residuals(space: FeasibleSet, x: np.ndarray, fx: np.ndarray):
-    """Strong gap, |<F(x), x>| and max(-min_j F_j(x), 0) from a checked fx = F(x).
+    """_gap, |<F(x), x>| and max(-min_j F_j(x), 0) from a checked fx = F(x).
 
     For vectors x and fx it returns three 0-d values, which float() takes to
     three floats. For C-ordered (k, n) stacks it returns three arrays of k
-    values. A vector is the one-row case: the minimum is taken along the
-    last axis and the row dots go through kernels._row_dots, one np.vecdot
-    dot per row, so each row of a stack equals the vector call at that row
-    bit for bit. On the box the support value max_y <-F(x), y> is the row dot
-    of -F(x) with its maximizing corner, as linear_max takes it; on the
-    simplex it is -min_j F_j(x), which equals linear_max's value up to the
-    sign of a zero minimum, and that could differ only if F had zeros of
-    both signs there (-Z has no +0.0 entries).
+    values, each row equal to the vector call at that row bit for bit, as
+    _gap's are.
     """
-    lowest = np.minimum.reduce(fx, axis=-1)
-    if space.kind == SIMPLEX:
-        value = -lowest
-    else:
-        c = -fx
-        value = _row_dots(c, np.where(c > 0.0, space.hi, space.lo))
-    inner = _row_dots(fx, x)
+    neg = -np.minimum.reduce(fx, axis=-1)
     # max(a, 0.0) keeps a unless 0.0 > a, so a zero keeps its sign as max() does.
-    neg = -lowest
-    return inner + value, np.abs(inner), np.where(0.0 > neg, 0.0, neg)
+    return _gap(space, x, fx), np.abs(_row_dots(fx, x)), np.where(0.0 > neg, 0.0, neg)
 
 
 def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) -> RunTrace:
@@ -268,17 +278,18 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
             x_next = _prox(space, kernel, eta, x, f_half)
         else:
             x_next = x_half
-            f_half = problem.evaluate(x_half) if record else None
+            f_half = problem.evaluate(x_half) if record or stop_gap is not None else None
+        # The stop test runs every iteration, on the gap the trace records.
+        stop = stop_gap is not None and _gap(space, x_half, f_half) <= stop_gap
 
-        if record:
+        if record or stop:
             # A record keeps its points, F(x_{k+0.5}) and the operator change
             # (numpy's 1-D norm is sqrt(d.dot(d))); its residuals are computed
-            # after the loop. Only the stop test takes a gap here, equal to
-            # the one recorded.
+            # after the loop. The stopping iteration is always recorded.
             d = f_half - fx
             delta = math.sqrt(d.dot(d))
             records.append((k, x, x_half, f_half, delta, time.perf_counter() - start))
-            if stop_gap is not None and _residuals(space, x_half, f_half)[0] <= stop_gap:
+            if stop:
                 converged = True
                 break
             if backoff:
@@ -332,7 +343,7 @@ def gap(problem: VIProblem, x_hat) -> float:
     Nonnegative up to floating error; a strong solution gives a value at 0.
     """
     x = _point(problem.set, x_hat, "x_hat")
-    return float(_residuals(problem.set, x, problem.evaluate(x))[0])
+    return float(_gap(problem.set, x, problem.evaluate(x)))
 
 
 def is_epsilon_strong(problem: VIProblem, x_hat, eps: float) -> bool:

@@ -491,6 +491,20 @@ def test_economy_file_numbers_must_be_json_numbers(tmp_path, capsys, field, valu
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("field, values, shown", [("valuations", [True, "2"], "True"),
+                                                  ("endowment", ["1", 2], "'1'")])
+def test_economy_file_vector_entries_must_be_json_numbers(tmp_path, field, values, shown):
+    # np.asarray(..., dtype=float) loaded [true, "2"] and ["1", 2] as [1., 2.].
+    consumer = {"utility": "leontief", "valuations": [1.0, 2.0], "endowment": [1.0, 2.0]}
+    consumer[field] = values
+    path = tmp_path / "economy.json"
+    path.write_text(json.dumps({"n_goods": 2, "consumers": [consumer]}))
+    message = f"{field} must be a real number, got {shown}"
+    with pytest.raises(InvalidInput, match=re.escape(
+            f"does not follow the economy schema: InvalidInput({message!r})")):
+        load_economy_file(str(path))
+
+
 @pytest.mark.parametrize("option, name", [("--eps", "eps"), ("--stop-gap", "stop_gap")])
 def test_tolerance_message_is_the_library_rule(tmp_path, capsys, option, name):
     # The option repeated the rule in its own words ("must be a finite number

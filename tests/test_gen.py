@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 import threading
 
@@ -31,6 +32,14 @@ MIX_QUARTERS = {
     CES_SUBSTITUTES: 0.25,
     CES_COMPLEMENTS: 0.25,
 }
+
+
+@pytest.mark.parametrize("value, shown", [(True, "True"), ("1", "'1'")])
+def test_spec_mix_proportions_must_be_real_numbers(value, shown):
+    # float() read True and "1" as 1.0, an all-Cobb-Douglas economy.
+    message = f"mix proportion 'cobb_douglas' must be a real number, got {shown}"
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        GenSpec(seed=0, n_consumers=4, n_goods=3, mix={COBB_DOUGLAS: value})
 
 
 @pytest.mark.parametrize("mix", [{LEONTIEF: float("nan")},

@@ -613,17 +613,22 @@ NUMBER_CALLS = {
     "demand_cap_factor": lambda x: ExchangeEconomy([TWO_GOODS], n_goods=2,
                                                    demand_cap_factor=x),
     "CES rho": lambda x: Consumer(CES, np.ones(2), np.ones(2), rho=x),
+    "price run eta": lambda x: mirror_extratatonnement(ScarfEconomy(), simplex(3), EUC, x, 3,
+                                                       CENTER),
 }
 
 
 @pytest.mark.parametrize("call", sorted(NUMBER_CALLS))
 def test_a_scalar_with_its_own_range_must_be_a_real_number(call):
     # SolverConfig(eta=True) stored True and demand_cap_factor=True capped at
-    # 1; the string '0.1' was a bare TypeError for each.
-    name = "eta" if call == "mirror_step" else call
+    # 1; the string '0.1' was a bare TypeError for each. A price run took
+    # float(eta) first, so eta=True ran at 1.0; its one string is 'auto'.
+    name = "eta" if call in ("mirror_step", "price run eta") else call
     for value, shown in ((True, "True"), (np.False_, "np.False_"), ("0.1", "'0.1'"),
                          (np.array([0.5]), "array([0.5])")):
         message = f"{name} must be a real number, got {shown}"
+        if call == "price run eta" and isinstance(value, str):
+            message = f"eta must be a positive number or 'auto', got {shown}"
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             NUMBER_CALLS[call](value)
     for value in (np.float64(0.5), np.float32(0.5)):

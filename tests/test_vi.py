@@ -35,7 +35,7 @@ from mirrorvi import (
     unit_box,
 )
 from mirrorvi.tatonnement import _price_problem, _solve_run
-from mirrorvi.vi import DEGENERATE_STEP_TOL, _residuals
+from mirrorvi.vi import DEGENERATE_STEP_TOL, _gap, _residuals
 
 EUC = squared_euclidean()
 CENTER3 = np.ones(3) / 3.0
@@ -517,6 +517,30 @@ class CountingOperator:
         return self.fn(x)
 
 
+@pytest.mark.parametrize("stop_gap", [1e-3, 0.0], ids=["stops", "horizon"])
+@pytest.mark.parametrize("extragradient", [True, False], ids=["extragradient", "gradient"])
+def test_a_stop_gap_adds_no_evaluation_before_the_stop(extragradient, stop_gap):
+    # With a stop gap the plain method evaluates F(x_{k+1}) on every
+    # iteration, for the stop test, and reuses it as the next F(x_k): a run
+    # that stops at iteration K costs K + 2 evaluations and one that reaches
+    # its horizon T costs T + 1, whatever record_every is. The extragradient
+    # method costs 2 (K + 1) and 2 T.
+    op = CountingOperator(lambda x: x - np.array([0.25, 0.5]))
+    horizon = 40
+    config = SolverConfig(eta=0.1, horizon=horizon, kernel=EUC, record_every=7,
+                          stop_gap=stop_gap)
+    solve = mirror_extragradient_solve if extragradient else mirror_gradient_solve
+    trace = solve(VIProblem(unit_box(2), op), config, np.array([1.0, 0.0]))
+    assert trace.converged == (stop_gap > 0.0)
+    if trace.converged:
+        stop = int(trace.indices[-1])
+        assert stop % 7 != 0
+        assert op.calls == (2 * (stop + 1) if extragradient else stop + 2)
+    else:
+        assert trace.indices[-1] == 35
+        assert op.calls == (2 * horizon if extragradient else horizon + 1)
+
+
 def test_extragradient_evaluates_twice_per_iteration():
     op = CountingOperator(lambda p: -scarf_excess_demand(p))
     config = SolverConfig(eta=0.05, horizon=40, kernel=EUC)
@@ -801,24 +825,78 @@ _TRACE_ARRAYS = ("indices", "points", "half_points", "gaps", "divergences", "ope
 @pytest.mark.parametrize("kernel", [EUC, negative_entropy()], ids=["euclidean", "entropy"])
 @pytest.mark.parametrize("extragradient", [True, False], ids=["extragradient", "gradient"])
 def test_stopped_run_is_a_prefix_of_the_full_run(extragradient, kernel, record_every, eta):
-    # The loop takes the stop test's gap itself and every record's residuals
-    # come from the stacked pass after it: a run stopped at stop_gap must
-    # record exactly the first R records of the same run without a stop.
+    # The loop tests the gap at x_{k+0.5} on every iteration and records the
+    # iteration it stops at, whatever record_every is. A run stopped at
+    # stop_gap keeps the records of the same run without a stop up to the
+    # stop, byte for byte, and its last record is the first iteration whose
+    # gap is at most stop_gap, with the gap the loop computed.
     problem = scarf_problem(simplex(3))
     x0 = np.array([0.5, 0.3, 0.2])
 
-    def run(stop_gap):
-        return _solve_run(problem, kernel, eta, 60 * record_every, x0,
+    def run(stop_gap, step=eta, every=record_every):
+        return _solve_run(problem, kernel, step, 60 * record_every, x0,
                           extragradient=extragradient, stop_gap=stop_gap,
-                          record_every=record_every, seed=0)[0]
+                          record_every=every, seed=0)
 
-    full = run(None)
-    stop_gap = float(full.gaps[full.gaps.size // 2])
-    stopped = run(stop_gap)
-    size = int(np.argmax(full.gaps <= stop_gap)) + 1
-    assert stopped.converged and not full.converged
-    assert stopped.indices.size == size < full.indices.size
-    assert stopped.gaps[-1] <= stop_gap
+    full = run(None)[0]
+    # The least recorded gap in the first half of the run, below the first:
+    # the plain method's gaps oscillate, so its stop falls between records.
+    stop_gap = float(np.min(full.gaps[1:full.gaps.size // 2]))
+    stopped, eta_used = run(stop_gap)
+    stop = int(stopped.indices[-1])
+    before = int(np.searchsorted(full.indices, stop))
+    assert stopped.converged and not full.converged and stop > 0
+    assert stopped.indices.size == before + 1 <= full.indices.size
     for name in _TRACE_ARRAYS:
-        got = getattr(stopped, name)
-        assert got.tobytes() == getattr(full, name)[:size].tobytes(), name
+        got = getattr(stopped, name)[:before]
+        assert got.tobytes() == getattr(full, name)[:before].tobytes(), name
+    assert (stopped.gaps[:-1] > stop_gap).all() and stopped.gaps[-1] <= stop_gap
+    x_half = stopped.half_points[-1]
+    loop_gap = _gap(problem.set, x_half, problem.evaluate(x_half))
+    assert stopped.gaps[-1].tobytes() == loop_gap.tobytes()
+    if stopped.final_eta == eta_used:
+        # No step was halved before the stop, so a record_every=1 run at the
+        # fixed step eta_used takes the same steps and records every gap.
+        each = run(None, eta_used, 1)[0]
+        assert stop == int(np.argmax(each.gaps <= stop_gap))
+        for name in _TRACE_ARRAYS:
+            got = getattr(stopped, name)
+            assert got.tobytes() == getattr(each, name)[stopped.indices].tobytes(), name
+
+
+def _gap_cases(space) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(x, F(x)) pairs in the set, with zeros of both signs in F and, on a box
+    (every box here holds 0), in x."""
+    rng = np.random.default_rng(space.n)
+    if space.n == 1:
+        rows = [np.array([v]) for v in (0.0, -0.0, 1.5, -2.0)]
+    else:
+        rows = _residual_rows() + [rng.normal(size=space.n) for _ in range(8)]
+    cases = []
+    for fx in rows:
+        if space.kind == "box":
+            for value in (space.lo[0], space.hi[0], 0.0, -0.0):
+                x = rng.uniform(space.lo, space.hi)
+                x[0] = value
+                cases.append((x, fx))
+        else:
+            cases.append((rng.dirichlet(np.ones(space.n)), fx))
+            cases.append((np.eye(space.n)[0], fx))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 2.0), None],
+                         ids=["unit_box", "box", "simplex"])
+def test_gap_equals_the_stacked_residual_gap_bit_for_bit(bounds, n):
+    # The loop's stop test takes _gap at one point and the trace records
+    # _residuals' stacked gap: they must agree as bytes, sign of a zero too.
+    space = simplex(n) if bounds is None else box(np.full(n, bounds[0]), np.full(n, bounds[1]))
+    cases = _gap_cases(space)
+    xs = np.array([x for x, _ in cases])
+    fxs = np.array([fx for _, fx in cases])
+    stacked = _residuals(space, xs, fxs)[0]
+    assert stacked.shape == (len(cases),)
+    for row, (x, fx) in zip(stacked, cases):
+        assert _gap(space, x, fx).tobytes() == row.tobytes()
+        assert _residuals(space, x, fx)[0].tobytes() == row.tobytes()
