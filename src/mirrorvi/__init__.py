@@ -1,4 +1,7 @@
-"""Mirror extragradient solvers for variational inequalities and market equilibria."""
+"""Mirror extragradient solvers for variational inequalities and market equilibria.
+
+The names imported here are the package's public API.
+"""
 
 from .errors import (
     DegenerateSolution,
@@ -79,26 +82,3 @@ from .gen import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MirrorVIError", "InvalidInput", "EvaluationError", "Unsupported",
-    "InsufficientData", "DegenerateSolution",
-    "Kernel", "FeasibleSet", "MEMBERSHIP_TOL", "BOX", "SIMPLEX", "EUCLIDEAN",
-    "ENTROPY", "squared_euclidean",
-    "negative_entropy", "box", "unit_box", "simplex", "bregman_divergence",
-    "mirror_step", "simplex_projection", "linear_max",
-    "VIProblem", "SolverConfig", "RunTrace", "mirror_gradient_solve",
-    "mirror_extragradient_solve", "gap", "is_epsilon_strong",
-    "minty_certificate", "pathwise_modulus", "rate_slope",
-    "rotation_operator", "scalar_nonminty_operator",
-    "Consumer", "ExchangeEconomy", "ScarfEconomy", "COBB_DOUGLAS", "LEONTIEF",
-    "CES", "consumer_demand", "demand_oracle", "excess_demand",
-    "scarf_excess_demand", "check_homogeneity", "check_walras",
-    "check_wgs_sample", "check_warp_sample", "check_lsd_sample",
-    "elasticity_bound_estimate", "bregman_continuity_bound",
-    "EquilibriumCertificate", "PriceRun", "mirror_extratatonnement",
-    "mirror_tatonnement", "equilibrium_certificate", "scale_to_equilibrium",
-    "recommended_step_size", "probe_modulus", "auto_step_size",
-    "GenSpec", "generate_economy", "initial_prices", "CES_SUBSTITUTES",
-    "CES_COMPLEMENTS",
-]

@@ -7,10 +7,6 @@ economy     Run price adjustment on a JSON-defined or generated economy.
 vi-example  Run a named variational-inequality example (rotation, nonminty).
 sweep       Run one generated economy per seed and aggregate the results.
 
-An option that several commands share is declared once, in _solver_options,
-_run_options, _price_options or _generator_options, and each command passes
-only its own defaults.
-
 Every run writes a CSV trace (header: iter,gap,feas_violation,
 walras_residual,breg_progress,pathwise_L,elapsed_s) and a JSON report. Exit
 codes: 0 when the certificate passes the requested epsilon, 2 when the
@@ -58,8 +54,7 @@ DEFAULT_MIX = "cobb_douglas=0.25,leontief=0.25,ces_substitutes=0.25,ces_compleme
 
 
 def _parse_eta(ctx, param, text: str):
-    """The --eta callback: 'auto' or a number. SolverConfig, which every run
-    builds before it writes a file, checks the number with the library's rule."""
+    """The --eta callback: 'auto' or a number, which SolverConfig checks."""
     if text == "auto":
         return "auto"
     try:
@@ -69,8 +64,7 @@ def _parse_eta(ctx, param, text: str):
 
 
 def _check_tolerance(ctx, param, value):
-    """The --eps and --stop-gap callback: no value, or one that errors.check_real
-    accepts, so a bad one is a bad option value before any file is written."""
+    """The --eps and --stop-gap callback: None or a value errors.check_real accepts."""
     if value is not None:
         try:
             check_real(value, param.name)
@@ -167,8 +161,7 @@ def _generator_options(consumers, goods):
 
 
 def _write_csv(path: str, trace: RunTrace, feasibility=None, walras=None) -> None:
-    # CSV_ROW on Python numbers gives the text of f"{x:.17g}" value by value,
-    # nan, inf and -0 included, at one format call per row.
+    # CSV_ROW on Python numbers is f"{x:.17g}" value by value, nan and -0 included.
     missing = [float("nan")] * trace.indices.size
 
     def column(values):
@@ -279,8 +272,7 @@ def scarf_cmd(space_name, lo, **opts) -> int:
 
 
 def _json_numbers(values, name: str) -> np.ndarray:
-    """A JSON array as a float vector; an entry that is not a number (a bool, a
-    string) fails errors.check_number."""
+    """A JSON array of numbers (errors.check_number) as a float vector."""
     for value in values:
         check_number(value, name)
     return np.asarray(values, dtype=float)
@@ -404,9 +396,8 @@ def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_na
     if not seeds:
         raise click.UsageError("--seeds must list at least one seed")
     mix = _parse_mix(mix_text)
-    # The options every seed shares are checked once, before any file is
-    # written, so a bad one is one error and not a failed row per seed; seed
-    # 0 stands in for the seeds, whose own failures stay rows.
+    # Options every seed shares fail once, before any file is written; seed 0
+    # stands in for the seeds, whose own failures stay rows.
     GenSpec(seed=0, n_consumers=n_consumers, n_goods=n_goods, mix=mix,
             supply_total=supply_total)
     SolverConfig(eta=1.0 if opts["eta"] == "auto" else opts["eta"], horizon=opts["iters"],
@@ -427,10 +418,8 @@ def sweep_cmd(seeds_text, n_consumers, n_goods, mix_text, supply_total, space_na
             )
             converged = code == 0  # exit code 0 is certificate.passes(eps)
             trace = run.trace
-            iters_to_eps = next(
-                (int(k) for k, g in zip(trace.indices, trace.gaps) if g <= eps), -1
-            )
-            row = (iters_to_eps, pathwise_modulus(trace))
+            # A run stops at its first iteration with gap <= eps and records it last.
+            row = (int(trace.indices[-1]) if trace.converged else -1, pathwise_modulus(trace))
         except MirrorVIError as exc:
             click.echo(f"seed {seed} failed: {exc}", err=True)
             converged, row = False, (-1, float("nan"))

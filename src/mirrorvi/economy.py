@@ -31,11 +31,9 @@ DEFAULT_PRICE_FLOOR = 1e-8
 #: Largest brute-force demand grid resolution we evaluate.
 MAX_ORACLE_RESOLUTION = 401
 
-#: Demand-matrix entries (price rows x consumers x goods) that one block
-#: holds: 256 KB of float64, which fits in a typical L2. A stack of prices is
-#: evaluated in blocks of price rows of about this size, and an economy whose
-#: demand matrix does not fit streams its CES groups, and its groups whose
-#: cap binds, through blocks of consumer rows of this size.
+#: Demand-matrix entries (price rows x consumers x goods) per block: 256 KB
+#: of float64, a typical L2. Stacks go in blocks of price rows, and a streamed
+#: economy fills its groups in blocks of consumer rows.
 _BLOCK_ENTRIES = 1 << 15
 
 #: Utility families in group order: an exchange economy stacks its consumers'
@@ -44,11 +42,8 @@ _FAMILIES = (COBB_DOUGLAS, LEONTIEF, CES)
 
 
 def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
-    """Checked prices: a vector, or with batch=True also a (k, n) stack of rows.
-
-    Prices pass when their smallest entry is >= 0 and kernels._finite holds;
-    the messages are sorted out only when a price is bad.
-    """
+    """Checked prices: a finite nonnegative vector, or with batch=True also a
+    (k, n) stack; the messages are sorted out only when a price is bad."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 and not (batch and arr.ndim == 2):
         shapes = "a vector or a (k, n) stack" if batch else "a one-dimensional vector"
@@ -64,26 +59,17 @@ def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
 
 
 def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """matrix . p for a price vector, or for each row of a (k, n) price stack.
-
-    A stack goes through matmul, which runs one matrix-vector product per row,
-    so each row equals the vector product bit for bit (a single (k, n) @ (n, m)
-    product sums in another order).
-    """
+    """matrix . p for a price vector, or for each row of a (k, n) stack. matmul
+    runs one gemv per row, so each row equals the vector product bit for bit."""
     if prices.ndim == 1:
         return matrix.dot(prices)
     return np.matmul(matrix, prices[..., None])[..., 0]
 
 
 def _spend(rows: np.ndarray, prices: np.ndarray, budgets: np.ndarray) -> None:
-    """Scale each direction row d_i in place to its demand b_i d_i / (d_i . p).
-
-    rows is (..., m, n), prices (..., n) and budgets (..., m). Each cost
-    d_i . p is one np.vecdot dot per row (kernels._row_dots), the prices
-    broadcast over the rows, so a row's cost, and with it the row, never
-    depends on which other rows share the call (a matrix-vector product can
-    round a row differently by its place in the matrix).
-    """
+    """Scale each direction row d_i of (..., m, n) rows in place to b_i d_i / (d_i . p).
+    Each cost is its own row dot, so a row never depends on the rows beside
+    it, as it could in a gemv."""
     cost = _row_dots(rows, prices[..., None, :])
     rows *= np.divide(budgets, cost, out=cost)[..., None]
 
@@ -96,7 +82,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Consumer:
-    """One consumer: a utility family, positive valuations, and an endowment."""
+    """One consumer: a utility family, valuations and an endowment.
+
+    valuations must be finite and positive, the endowment a finite
+    nonnegative vector of the same length. rho is required for CES (finite,
+    rho < 1, rho != 0) and refused for the other families.
+    """
 
     utility: str
     valuations: np.ndarray
@@ -111,9 +102,8 @@ class Consumer:
                 f"valuations and endowment must be equal-length vectors, got "
                 f"{v.shape} and {e.shape}"
             )
-        # The smallest and the largest entry test sign and finiteness in one
-        # pass each (a NaN fails both comparisons); the initial values make an
-        # empty vector pass, as it passes the per-entry tests.
+        # One min and one max test sign and finiteness (a NaN fails both); the
+        # initial values let an empty vector pass.
         if not (0.0 < np.minimum.reduce(v, initial=np.inf)
                 and np.maximum.reduce(v, initial=-np.inf) < np.inf):
             raise InvalidInput("valuations must be finite and strictly positive")
@@ -145,10 +135,9 @@ class Consumer:
 def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
     """Closed-form Marshallian demand at prices p with budget p . endowment.
 
-    Evaluates the consumer as a one-row group, with the same closed forms as
-    an exchange economy; a zero budget gives the zero bundle, as it does
-    there. When cap is given (a scalar or n entries, each >= 0), each
-    coordinate is clipped at cap_j.
+    The closed forms are an exchange economy's; a zero budget gives the zero
+    bundle. Prices are floored at floor (positive, finite). When cap is given
+    (a scalar or n entries, each >= 0), each coordinate is clipped at cap_j.
     """
     check_real(floor, "price_floor", positive=True)
     if cap is not None:
@@ -228,44 +217,9 @@ def demand_oracle(consumer: Consumer, p, resolution: int, floor: float = DEFAULT
 
 @dataclass(frozen=True, eq=False)
 class _ConsumerGroup:
-    """Consumers of one utility family, stacked for vectorized evaluation.
-
-    In an exchange economy the valuations and endowments are views of the
-    group's rows (rows) of the economy's stacked arrays, not copies; a group
-    stacked on its own holds its own arrays.
-
-    Every consumer spends its whole budget b_i, so each family's demand is
-    x_i = b_i d_i / (d_i . p) for a direction d_i(p): Leontief v_i, CES
-    (sigma = 1/(1-rho)) exp(t_ij - max_k t_ik) with t_ij = sigma_i log v_ij -
-    sigma_i log p_j, and Cobb-Douglas w_i / p, whose cost d_i . p is exactly
-    1. Cobb-Douglas rows keep their closed form fl(fl(b_i q_j) w_ij), q = 1/p.
-    Leontief and CES rows are written as directions (directions) and scaled
-    by _spend: one dot per row for the cost, b_i / cost_i, one scaling. Every
-    CES exponent is <= 0, so nothing overflows, and a row's largest direction
-    entry is exp(0) = 1, so its cost is at least that good's floored price:
-    no cost is zero, and elasticities of substitution from near 0 to ~1000
-    need no guard. Each row is scaled by its own computed cost, so
-    p . x_i = b_i holds to about 2n + 2 roundings. The price-free constants
-    are computed once, by stack, the one place that builds a group: the
-    Cobb-Douglas budget shares, the CES sigma_i log v_ij, and the column
-    maxima of the Leontief valuations or Cobb-Douglas shares that slack_sum
-    bounds with.
-
-    Demand takes two inputs: the floored prices, and budgets, the product
-    E . p over the rows that the group's rows index, of its economy's stacked
-    endowments or of its own when it stands alone (the budget gemv is never
-    split into row blocks, since a gemv over some rows can round
-    differently). Each family computes the price vector it needs, 1/p for
-    Cobb-Douglas and log p for CES; an economy has one group per family, so
-    that is once per evaluation unless the group streams in blocks. fill then
-    writes the demand of any block of rows, in place into a buffer when one
-    is given; each row depends only on its own consumer, budget and price
-    row, so a row of a block, of the whole group or of a price stack is the
-    same, bit for bit. A Leontief or Cobb-Douglas group whose cap is absent
-    or proved slack needs no entries: slack_sum gives its column sum as one
-    matrix-vector product, which rounds in BLAS order rather than row by
-    row, and gives None for any group that must fill.
-    """
+    """Consumers of one utility family; in an economy, views of its rows `rows`.
+    Demand is b_i d_i / (d_i . p) for a direction d_i; every CES exponent is
+    <= 0 and its largest entry 1, so nothing overflows and no cost is zero."""
 
     utility: str
     valuations: np.ndarray  # (m, n)
@@ -279,11 +233,8 @@ class _ConsumerGroup:
     @classmethod
     def stack(cls, utility: str, members: Sequence[Consumer], valuations: np.ndarray | None = None,
               endowments: np.ndarray | None = None, rows: slice | None = None) -> _ConsumerGroup:
-        """The group of members, in their order.
-
-        valuations and endowments, when given, are the members' rows (rows) of
-        an economy's stacked arrays; otherwise the group stacks its own.
-        """
+        """The group of members, viewing an economy's rows when given, and
+        with its price-free constants computed once."""
         if valuations is None:
             valuations = np.array([c.valuations for c in members])
             endowments = np.array([c.endowment for c in members])
@@ -303,13 +254,9 @@ class _ConsumerGroup:
 
     def directions(self, budgets: np.ndarray, prices: np.ndarray, start: int, stop: int,
                    out: np.ndarray | None = None) -> np.ndarray:
-        """Rows start:stop before _spend: Cobb-Douglas demand, which needs no
-        scaling, or the Leontief or CES directions, (..., stop - start, n).
-
-        budgets are E . p over the rows that the group's rows index, at the
-        floored prices. The rows are written into out when given, and into a
-        fresh array otherwise.
-        """
+        """Rows start:stop before _spend, into out when given: Cobb-Douglas
+        demand (cost exactly 1), or Leontief or CES directions. budgets are
+        the whole economy's, one gemv never split into blocks."""
         if out is None:
             out = np.empty(budgets.shape[:-1] + (stop - start, self.valuations.shape[1]))
         if self.utility == COBB_DOUGLAS:
@@ -329,11 +276,7 @@ class _ConsumerGroup:
 
     def fill(self, budgets: np.ndarray, prices: np.ndarray, start: int, stop: int,
              out: np.ndarray | None = None) -> np.ndarray:
-        """Uncapped demand of members start:stop, (..., stop - start, n), from
-        the budgets and floored prices that directions takes.
-
-        It is written into out when given, and into a fresh array otherwise.
-        """
+        """Uncapped demand of members start:stop, into out when given."""
         out = self.directions(budgets, prices, start, stop, out)
         if self.utility != COBB_DOUGLAS:
             first = self.rows.start
@@ -342,21 +285,9 @@ class _ConsumerGroup:
 
     def slack_sum(self, budgets: np.ndarray, prices: np.ndarray,
                   cap: np.ndarray | None) -> np.ndarray | None:
-        """The group's column sum as one matrix-vector product, or None when
-        the group must fill: always for CES, and when cap is given and an O(n)
-        bound cannot prove it slack.
-
-        budgets and prices are as directions takes them. Leontief:
-        V^T r with r_i = b_i / (V p)_i, V p one gemv over the group;
-        Cobb-Douglas: (W^T b) q with q = 1/p. One matrix-vector product over a
-        transposed view (no stored copy), summed in BLAS order; every term is
-        nonnegative, so it stays within a few roundings per term of the
-        row-by-row sum of the filled entries. Each term is fl(V_ij r_i) or
-        fl(fl(b_i q_j) W_ij), all factors nonnegative; IEEE rounding is
-        monotone, so putting each factor's maximum in its place bounds every
-        term, and when that bound is within cap, capping changes nothing. A
-        NaN factor fails the comparison.
-        """
+        """The column sum as one gemv in BLAS order, or None when the group must
+        fill: always for CES, and when a cap is given that the bound (each
+        nonnegative factor at its maximum; rounding is monotone) cannot prove slack."""
         if self.utility == CES:
             return None
         budgets = budgets[..., self.rows]
@@ -374,12 +305,12 @@ class _ConsumerGroup:
 
 @dataclass(frozen=True, eq=False)
 class ExchangeEconomy:
-    """An exchange economy: consumers, aggregate supply, cap, and price floor.
+    """An exchange economy of at least one consumer in n_goods goods.
 
-    The consumers' valuations and endowments are stacked once, in group order
-    (_FAMILIES), and each consumer group views its rows. These arrays, the cap
-    and aggregate_supply are read-only, since every later evaluation reads
-    them.
+    demand_cap_factor (>= 1, inf for uncapped) caps each consumer's demand at
+    that multiple of aggregate_supply, the sum of the endowments, which must
+    be positive in every good; price_floor is positive and finite.
+    aggregate_supply is read-only, as are the arrays every evaluation reads.
     """
 
     consumers: Sequence[Consumer]
@@ -436,11 +367,9 @@ class ExchangeEconomy:
     def demand(self, p) -> np.ndarray:
         """Aggregate (capped) demand at floored prices.
 
-        p is a price vector, or a (k, n) stack of price vectors that gives one
-        demand row per price row; each row equals the demand at that row
-        alone, bit for bit. A stack is evaluated in blocks of price rows whose
-        demand matrix holds at most _BLOCK_ENTRIES entries, or one row at a
-        time when a single row's matrix is larger.
+        p is a price vector, or a (k, n) stack that gives one demand row per
+        price row, each equal to the demand at that row alone bit for bit.
+        An overflow is EvaluationError naming the first bad row.
         """
         prices = np.maximum(_as_prices(p, self.n_goods, batch=True), self.price_floor)
         if prices.ndim == 1:
@@ -458,36 +387,18 @@ class ExchangeEconomy:
         return total
 
     def _total_demand(self, prices: np.ndarray) -> np.ndarray:
-        """Sum of capped demand over consumers, in one pass over their rows.
-
-        The budgets of every consumer are one matrix-vector product, each
-        group takes its rows of them, and each family computes the price
-        vector it needs (_ConsumerGroup.directions). When the whole demand
-        matrix fits in _BLOCK_ENTRIES entries, or there is one good, every
-        group fills its rows of one buffer (_buffered_demand). Otherwise
-        _streamed_sum carries one running column sum through the groups.
-        Both scale each Leontief and CES row by its own cost and add
-        the consumer rows one after another in group order, so wherever every
-        group fills they agree bit for bit.
-        """
+        """Sum of capped demand over consumers. Both paths add the consumer rows
+        one after another in group order, so they agree bit for bit wherever
+        every group fills."""
         budgets = _matvec(self._endowments, prices)
         if len(self.consumers) * prices.size <= _BLOCK_ENTRIES or prices.shape[-1] == 1:
             return self._buffered_demand(budgets, prices)
         return self._streamed_sum(budgets, prices)
 
     def _buffered_demand(self, budgets: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """_total_demand's one-buffer path: one pass per group, one scaling,
-        one cap, one sum.
-
-        Each group writes its rows of one (..., m, n) buffer in group order:
-        Cobb-Douglas demand, then the Leontief and CES directions. Those
-        directions are the buffer's last rows (_spent), and one _spend scales
-        them all, each by its own row's cost. One np.minimum caps the whole
-        buffer, and one np.add.reduce sums its consumer rows. For n >= 2 the
-        reduction adds the rows one after another in their order; for n = 1
-        numpy sums the column pairwise, which is why a one-good economy always
-        takes this path.
-        """
+        """One buffer of every consumer row, one _spend, one cap, one sum. For
+        n = 1 numpy sums a column pairwise, not row after row, which is why a
+        one-good economy always takes this path."""
         buffer = np.empty(prices.shape[:-1] + self._valuations.shape)
         for group in self._groups:
             group.directions(budgets, prices, 0, len(group.valuations), buffer[..., group.rows, :])
@@ -498,24 +409,9 @@ class ExchangeEconomy:
         return np.add.reduce(buffer, axis=-2)
 
     def _streamed_sum(self, budgets: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """_total_demand's streamed path: one running column sum, one pass
-        over the groups in group order.
-
-        A group whose slack_sum is not None (Leontief or Cobb-Douglas, cap
-        absent or proved slack) adds that one matrix-vector product, rounded
-        in BLAS order. Every other group is filled, capped and added block by
-        block: each block of consumer rows goes into one buffer, allocated at
-        the first group that fills with at most one block of rows (about
-        _BLOCK_ENTRIES entries, fewer when fewer consumers are left), whose
-        row 0 holds the running column sum; a block of Leontief or CES rows is
-        scaled by one _spend, each row by its own cost, so its rows equal the
-        one-buffer path's. The rows are added one after another in group
-        order, as the one-buffer path's reduction adds them when n >= 2. The
-        sum starts from +0.0, which adds exactly to every value but -0.0, and
-        a column sums to -0.0 only if every consumer demands -0.0 of it,
-        which needs every budget zero and so no supply, which construction
-        rejects.
-        """
+        """One running column sum (row 0 of the block buffer) through the groups.
+        Starting it at +0.0 changes no sum: a column sums to -0.0 only with
+        every budget zero, which construction rejects."""
         cap, total, buffer = self._cap, np.zeros(prices.shape), None
         rows = max(1, _BLOCK_ENTRIES // prices.size)
         for group in self._groups:
@@ -552,9 +448,9 @@ def excess_demand(economy, p) -> np.ndarray:
 def scarf_excess_demand(p, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
     """The fixed 3-good excess demand with equilibrium at equal prices.
 
-    p is a 3-vector, or a (k, 3) stack that gives one excess-demand row per
-    price row. Prices are checked like an exchange economy's: finite and
-    nonnegative, and the floor must be positive and finite.
+    p is a 3-vector, or a (k, 3) stack that gives one row per price row, each
+    equal to the single call. Prices must be finite and nonnegative, and the
+    floor positive and finite.
     """
     check_real(floor, "price_floor", positive=True)
     return _scarf_excess(p, floor)
@@ -563,12 +459,9 @@ def scarf_excess_demand(p, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
 def _scarf_excess(p, floor: float) -> np.ndarray:
     """scarf_excess_demand with a floor already checked."""
     if type(p) is np.ndarray and p.shape == (3,) and p.dtype == np.float64:
-        # A single float vector is checked and floored on its Python floats,
-        # which do the same IEEE operations as numpy scalars at a fraction of
-        # the call cost. 0 <= q < inf fails for exactly the entries that
-        # _as_prices rejects (a NaN fails both comparisons), which then
-        # raises its message below; for such q and a positive floor,
-        # q if q > floor else floor is np.maximum(q, floor).
+        # Python floats do the same IEEE operations at a fraction of the call
+        # cost. 0 <= q < inf fails for exactly what _as_prices rejects, and
+        # then raises its message below.
         q1, q2, q3 = p.tolist()
         if 0.0 <= q1 < math.inf and 0.0 <= q2 < math.inf and 0.0 <= q3 < math.inf:
             return _scarf_rows(q1 if q1 > floor else floor, q2 if q2 > floor else floor,
@@ -674,14 +567,8 @@ def check_wgs_sample(economy, pairs: int, seed) -> int:
 
 
 def _sample_pair_block(economy, pairs: int, seed) -> tuple[np.ndarray, ...]:
-    """Sampled prices p, q and their excess demands Z(p), Z(q), from one call.
-
-    Each is a C-ordered (pairs, n) array. Each pair's p and q are drawn one
-    after the other, so the block is the same stream as drawing p, then q,
-    pair by pair. The arrays are made contiguous because the samplers decide
-    their counts with _row_dots, one dot per row, and BLAS sums a strided
-    vector in another order.
-    """
+    """Sampled prices p, q and Z(p), Z(q) from one call, drawn as pair by pair.
+    Each is C-ordered, since BLAS sums a strided row in another order."""
     _check_sampling(pairs, seed)
     prices = _sample_prices(np.random.default_rng(seed), economy.n_goods, 2 * pairs)
     z = economy.excess(prices)
@@ -722,10 +609,7 @@ def elasticity_bound_estimate(economy, pairs: int, seed) -> float:
     Base prices are sampled in [0.1, 1]^n; each coordinate is perturbed
     multiplicatively by 1 +/- delta for delta in ELASTICITY_DELTAS. Components
     with zero baseline demand are skipped. Aggregate supply is constant, so
-    its elasticity contributes zero. Each base point and its 4n perturbations
-    are evaluated together; base points go in blocks of about _BLOCK_ENTRIES
-    price entries, so a small economy needs one demand call and a large one
-    never holds all pairs * (1 + 4n) * n entries at once.
+    its elasticity contributes zero.
     """
     _check_sampling(pairs, seed)
     n = economy.n_goods

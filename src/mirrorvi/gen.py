@@ -4,19 +4,14 @@ All randomness comes from counter-based Philox4x64-10 streams addressed by
 (seed, field, consumer, draw index), so results are identical across
 platforms and independent of generation order:
 
-* key      = the 128-bit integer field * 2**64 + seed, with fields
-  endowment=1, valuation=2, rho=3, price=4;
-* counter  = the 256-bit integer consumer * 2**192 — block generation
-  increments the counter's low bits, so one consumer's stream never reaches
+* key      = field * 2**64 + seed, with fields endowment=1, valuation=2,
+  rho=3, price=4;
+* counter  = consumer * 2**192, so one consumer's stream never reaches
   another's region;
 * draw g   = the g-th raw 64-bit word of that stream, mapped to [0, 1) via
   (raw >> 11) * 2**-53, then scaled to the documented range.
 
-Each generate_economy and initial_prices call owns one Philox generator and
-points it at each stream in turn through its documented state (key words
-[seed, field], counter words [0, 0, 0, consumer], an empty buffer), which
-gives the words of a fresh Philox(key=..., counter=...) for that stream. No
-generator is shared between calls, so concurrent calls cannot interleave.
+No generator is shared between calls, so concurrent calls cannot interleave.
 
 Endowments are drawn per consumer-good from Unif(1e-6, 1) and column-scaled
 so each good's aggregate supply equals supply_total. Valuations are
@@ -33,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .economy import CES, COBB_DOUGLAS, LEONTIEF, Consumer, ExchangeEconomy
-from .errors import InvalidInput, check_integer, check_number, check_real, check_seed
+from .errors import InvalidInput, check_count, check_number, check_real, check_seed
 from .kernels import BOX, FeasibleSet, _finite
 
 FIELD_ENDOWMENT = 1
@@ -52,13 +47,9 @@ _MIN_VALUATION = 1e-12
 
 def _words(bitgen: np.random.Philox, seed: int, field: int, consumer: int, count: int,
            offset: int = 0) -> np.ndarray:
-    """Raw words offset .. offset+count-1 of the stream keyed by (seed, field, consumer).
-
-    bitgen is re-keyed for the stream: key words [seed, field] are the key
-    field * 2**64 + seed, counter words [0, 0, 0, consumer] the counter
-    consumer * 2**192, and buffer_pos 4 empties the buffer, so the words are
-    those of a fresh Philox(key=..., counter=...).
-    """
+    """Raw words offset .. offset+count-1 of the stream (seed, field, consumer):
+    bitgen's state is set to that of a fresh Philox(key=field * 2**64 + seed,
+    counter=consumer * 2**192) with an empty buffer."""
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"key": [int(seed), int(field)], "counter": [0, 0, 0, int(consumer)]},
@@ -77,7 +68,12 @@ def _unit(words: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Recipe for one random economy: seed, sizes, utility mix, supply scale."""
+    """Recipe for one random economy: seed, sizes, utility mix, supply scale.
+
+    seed is in [0, 2**64); n_consumers and n_goods are counts >= 1; mix maps
+    kinds of KIND_ORDER to finite nonnegative proportions summing to 1;
+    supply_total, each good's aggregate supply, is positive and finite.
+    """
 
     seed: int
     n_consumers: int
@@ -87,10 +83,8 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
-        for size in (self.n_consumers, self.n_goods):
-            check_integer(size, "n_consumers and n_goods must be integers")
-        if self.n_consumers < 1 or self.n_goods < 1:
-            raise InvalidInput("n_consumers and n_goods must be positive")
+        check_count(self.n_consumers, "n_consumers")
+        check_count(self.n_goods, "n_goods")
         # An infinite supply would make every endowment NaN.
         check_real(self.supply_total, "supply_total", positive=True)
         unknown = set(self.mix) - set(KIND_ORDER)
@@ -106,8 +100,7 @@ class GenSpec:
             raise InvalidInput(f"mix proportions must sum to 1, got {props.sum()}")
 
     def _proportions(self) -> list[float]:
-        """Each kind's mix proportion in KIND_ORDER, 0.0 when absent; a bool or a
-        string is not a proportion (errors.check_number)."""
+        """Each kind's mix proportion in KIND_ORDER, 0.0 when absent, each a real number."""
         props = [self.mix.get(kind, 0.0) for kind in KIND_ORDER]
         for kind, prop in zip(KIND_ORDER, props):
             check_number(prop, f"mix proportion {kind!r}")

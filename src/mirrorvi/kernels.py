@@ -36,12 +36,8 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 
 def _finite(a: np.ndarray) -> bool:
-    """Whether every entry of the float array a is finite, as one BLAS dot.
-
-    An inf or NaN entry makes the sum of squares inf or NaN, so a finite sum
-    proves every entry finite; only a sum that overflows (an entry of about
-    1e154 or more) falls back to the entry-by-entry test.
-    """
+    """Whether every entry of the float array a is finite. A finite sum of squares
+    proves it in one BLAS dot; only an overflowing sum needs the entry test."""
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
@@ -75,10 +71,12 @@ class Kernel:
 
 
 def squared_euclidean() -> Kernel:
+    """The kernel h(x) = 0.5*||x||^2."""
     return Kernel(EUCLIDEAN)
 
 
 def negative_entropy(floor: float = 1e-8) -> Kernel:
+    """The kernel h(x) = sum x*log x, its coordinates floored at floor in (0, 1)."""
     return Kernel(ENTROPY, floor)
 
 
@@ -103,12 +101,8 @@ class FeasibleSet:
 
 
 def _point(space: FeasibleSet, x, name: str) -> np.ndarray:
-    """x as a float array, or InvalidInput("<name> lies outside the feasible set").
-
-    Every entry point that takes a point of a set (a start, a candidate, a
-    point to certify) applies this one rule: a finite vector of the set's
-    dimension that FeasibleSet.contains accepts.
-    """
+    """x as a float array, or InvalidInput("<name> lies outside the feasible set")
+    unless FeasibleSet.contains accepts it: the one rule for a point of a set."""
     arr = np.asarray(x, dtype=float)
     if not space.contains(arr):
         raise InvalidInput(f"{name} lies outside the feasible set")
@@ -166,18 +160,15 @@ def _as_points(x, name: str) -> np.ndarray:
 
 
 def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
-    """bregman_divergence without its checks: x and y must be finite C-ordered
-    float arrays of one shape, a vector (giving a numpy float) or a (k, n)
-    stack (giving k values). A vector is the one-row case: both kernels
-    reduce along the last axis only, so a row's value never depends on the
-    rows beside it."""
+    """bregman_divergence without its checks, on finite C-ordered float arrays of
+    one shape. Both kernels reduce along the last axis only, so a row's value
+    never depends on the rows beside it."""
     if kernel.kind == EUCLIDEAN:
         d = x - y
         # A sum of squares along the axis would round differently from d.dot(d).
         return 0.5 * _row_dots(d, d)
-    # xf*log(xf/yf) - xf + yf, in place in two arrays; the buffer of xf takes
-    # yf again for the last addition. Each row sums along the last axis
-    # pairwise, as a vector's sum does.
+    # xf*log(xf/yf) - xf + yf, in place in two arrays; xf's buffer takes yf
+    # again for the last addition.
     nu = kernel.floor
     xf = np.maximum(x, nu)
     t = np.maximum(y, nu)
@@ -190,15 +181,9 @@ def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i . b_i along the last axis, with the leading axes broadcast.
-
-    Two vectors give a scalar, two C-ordered (k, n) stacks k values, and
-    (..., m, n) rows against (..., 1, n) prices one value per row. np.vecdot
-    runs one BLAS dot per row, so each equals the vector's a_i.dot(b_i) bit
-    for bit, except that a length-1 row adds its product to +0.0 where a
-    length-1 vector dot is the bare product (they differ in the sign of a
-    zero only).
-    """
+    """a_i . b_i along the last axis, the leading axes broadcast: one BLAS dot per
+    row, equal to a_i.dot(b_i) bit for bit but for the sign of a zero when n = 1
+    (a row adds the bare product to +0.0)."""
     return np.vecdot(a, b)
 
 
@@ -231,9 +216,7 @@ def _project_simplex(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_step(eta) -> None:
-    """The step-size rule of mirror_step and SolverConfig: a real number
-    (errors.check_number) with 0 < eta and the effective Euclidean step
-    2 * eta finite (so NaN and inf fail too)."""
+    """The one step-size rule: a real number with 0 < eta and 2 * eta finite."""
     check_number(eta, "eta")
     if not eta > 0.0:
         raise InvalidInput(f"eta must be positive, got {eta}")
@@ -244,9 +227,9 @@ def _check_step(eta) -> None:
 def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.ndarray:
     """argmin_{x in space} <g, x> + (1/(2*eta)) * D_h(x, x0), in closed form.
 
-    With the canonical divergence the Euclidean step moves by 2*eta*g before
-    projecting, so the effective Euclidean step size is 2*eta, which must be
-    finite.
+    The effective Euclidean step is 2*eta, which must be positive and finite;
+    x0 must lie in the set and g be a finite vector of its dimension. A step
+    that overflows on the simplex raises EvaluationError.
     """
     _check_step(eta)
     x0_arr = _as_vector(x0, "x0")
@@ -258,9 +241,8 @@ def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.nda
 
 def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
           g: np.ndarray) -> np.ndarray:
-    """mirror_step without its checks: x0 must lie in the set, g be finite and
-    both be float vectors of the set's dimension. A simplex step whose target
-    overflows raises EvaluationError."""
+    """mirror_step without its checks: x0 in the set, g finite, both float
+    vectors of the set's dimension."""
     if kernel.kind == EUCLIDEAN:
         target = x0 - (2.0 * eta) * g
         if space.kind == BOX:
@@ -297,9 +279,8 @@ def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
 def linear_max(space: FeasibleSet, c) -> tuple[float, np.ndarray]:
     """max_{x in space} <c, x> with its argmax (ties broken to the lowest index).
 
-    c must be a finite vector of the set's dimension. The solver's gap does
-    not call it: vi._residuals takes the same support value for a whole
-    stack of points at once.
+    c must be a finite vector of the set's dimension. The solver's gap takes
+    the same support value through vi._gap.
     """
     c = _as_vector(c, "c")
     if c.size != space.n:

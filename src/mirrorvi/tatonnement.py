@@ -67,12 +67,10 @@ class EquilibriumCertificate:
 class PriceRun:
     """A completed price-adjustment run with its certificate.
 
-    certificate is the best record of trace (whose infeasibility and
-    complementarity are max_j [Z_j]_+ and |p.Z| at each p_{k+0.5}), so it
-    describes trace.best_iterate by construction. eta is the step size the run
-    actually started with (after automatic selection, when requested).
-    minty_violation is the post-hoc sampled weak-solution check in simplex
-    mode, None on the box.
+    certificate is the best record of trace, so it describes
+    trace.best_iterate. eta is the step size the run started with (after
+    automatic selection, when requested). minty_violation is the post-hoc
+    sampled weak-solution check in simplex mode, None on the box.
     """
 
     economy: object
@@ -89,9 +87,7 @@ class PriceRun:
 
 
 def _price_problem(economy, space: FeasibleSet) -> VIProblem:
-    """(space, -Z), declared batched: an economy's excess maps a (k, n) stack of
-    prices to its (k, n) rows, each equal to the single call, as the economy
-    samplers already require."""
+    """(space, -Z), declared batched: every economy's excess maps a stack to its rows."""
     return VIProblem(
         set=space,
         operator=lambda p: -np.asarray(economy.excess(p), dtype=float),
@@ -101,7 +97,10 @@ def _price_problem(economy, space: FeasibleSet) -> VIProblem:
 
 
 def equilibrium_certificate(economy, p_hat, space: FeasibleSet) -> EquilibriumCertificate:
-    """Evaluate Z once at p_hat and fill all certificate fields; a bad Z is EvaluationError."""
+    """The certificate at p_hat, a point of space, from one evaluation of Z.
+
+    A Z of the wrong shape or not finite is EvaluationError.
+    """
     prices = _point(space, p_hat, "p_hat")
     neg_z = _price_problem(economy, space).evaluate(prices)
     gap_value, walras, feasibility = _residuals(space, prices, neg_z)
@@ -150,15 +149,10 @@ def probe_modulus(problem: VIProblem, kernel: Kernel, pairs: int = PROBE_PAIRS, 
 
     Sampling is interior-biased (Beta(2,2) per box coordinate; Dirichlet(2) on
     the simplex) because the modulus is only needed along iterate paths, which
-    the floor/projection keep away from the boundary blow-up of Z. The pairs
-    (x, y) are drawn x first, then y, as one interleaved stack x_0, y_0, x_1,
-    y_1, ..., and all divergences come from one stacked call. Unless every
-    pair is degenerate (no evaluation then, and the value 0), the stack is
-    evaluated in one evaluate_many call, so an operator that is not batched
-    sees the points in the order of a pair-by-pair loop. Each row's norm is
-    taken as a dot product, as numpy's vector norm does, and the value is the
-    largest of vi._modulus_samples, the trace's own samples, so it equals a
-    loop that skips the degenerate pairs bit for bit.
+    the floor/projection keep away from the boundary blow-up of Z. The 2*pairs
+    points x_0, y_0, x_1, ... are evaluated in one evaluate_many call, or not
+    at all when every pair is degenerate (the value is then 0). The value is
+    the largest modulus sample, as a run's trace takes it.
     """
     check_count(pairs, "pairs")
     check_seed(seed)
@@ -195,11 +189,8 @@ def _normalized(x) -> np.ndarray | None:
 def _solve_run(problem: VIProblem, kernel: Kernel, eta, horizon: int, x0, *,
                extragradient: bool, stop_gap: float | None, record_every: int,
                seed) -> tuple[RunTrace, float]:
-    """Resolve eta, solve, and return (trace, the step size the run started with).
-
-    eta is a positive number, used as given, or 'auto', which probes the
-    modulus (auto_step_size with this seed) and turns on modulus backoff.
-    """
+    """Solve with eta as given, or with 'auto' probed (seed) and modulus backoff;
+    return (trace, the step size the run started with)."""
     backoff = isinstance(eta, str)
     if backoff:
         if eta != "auto":
@@ -245,10 +236,12 @@ def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
 def mirror_extratatonnement(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int,
                             p0, *, stop_gap: float | None = None, record_every: int = 1,
                             seed=0) -> PriceRun:
-    """Extragradient price adjustment on (space, -Z); eta may be 'auto'.
+    """Extragradient price adjustment on (space, -Z) from p0, a point of space.
 
-    The reported equilibrium is the best iterate (minimal D_h(p_{k+0.5}, p_k)
-    among recorded iterations), not the last one.
+    eta is a positive number or 'auto' (probed, with modulus backoff), seed
+    feeds the probe and the simplex Minty check, and stop_gap and
+    record_every are SolverConfig's. The reported equilibrium is the best
+    iterate (minimal D_h(p_{k+0.5}, p_k) among records), not the last one.
     """
     return _run(economy, space, kernel, eta, horizon, p0, extragradient=True,
                 stop_gap=stop_gap, record_every=record_every, seed=seed)
@@ -257,6 +250,6 @@ def mirror_extratatonnement(economy, space: FeasibleSet, kernel: Kernel, eta, ho
 def mirror_tatonnement(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int,
                        p0, *, stop_gap: float | None = None, record_every: int = 1,
                        seed=0) -> PriceRun:
-    """Plain mirror-gradient price adjustment on (space, -Z); eta may be 'auto'."""
+    """Plain mirror-gradient price adjustment, with mirror_extratatonnement's arguments."""
     return _run(economy, space, kernel, eta, horizon, p0, extragradient=False,
                 stop_gap=stop_gap, record_every=record_every, seed=seed)

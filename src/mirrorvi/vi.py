@@ -47,13 +47,9 @@ def _step_bound(x: float) -> float:
 
 
 def _modulus_samples(deltas, divergences) -> np.ndarray:
-    """The modulus samples ||F(x') - F(x)|| / sqrt(2 D_h(x', x)), entry by entry.
-
-    One delta and one divergence give one 0-d sample, arrays of k give k. An
-    entry with D_h <= DEGENERATE_STEP_TOL samples 0 (a zero step carries no
-    continuity information), and the square root is taken only above it,
-    since an entropy divergence can round slightly below zero.
-    """
+    """||F(x') - F(x)|| / sqrt(2 D_h(x', x)) entry by entry (0-d for scalars), 0
+    where D_h <= DEGENERATE_STEP_TOL; the square root is taken only above it,
+    since an entropy divergence can round slightly below zero."""
     eligible = divergences > DEGENERATE_STEP_TOL
     return np.where(eligible, deltas / np.sqrt(2.0 * np.where(eligible, divergences, 1.0)), 0.0)
 
@@ -62,13 +58,10 @@ def _modulus_samples(deltas, divergences) -> np.ndarray:
 class VIProblem:
     """A variational inequality (set, F) with a single-valued operator.
 
-    An operator is defined on single points. One that also maps a (k, n)
-    stack of points to the (k, n) stack of its values, each row equal to its
-    value at that point alone bit for bit, may declare batched=True, and
-    evaluate_many then evaluates a whole stack in one call. The declaration
-    is the operator's promise: an undeclared one such as `lambda x: A @ x`
-    would return wrong rows, without an error, if it were handed a square
-    stack, so evaluate_many hands it one point at a time.
+    The operator is defined on single points. batched=True is its promise to
+    also map a (k, n) stack to the (k, n) stack of its values, each row equal
+    to its value at that point alone bit for bit; only then is it handed a
+    stack (an operator such as `lambda x: A @ x` would return wrong rows).
     """
 
     set: FeasibleSet
@@ -77,7 +70,7 @@ class VIProblem:
     batched: bool = False
 
     def evaluate(self, x) -> np.ndarray:
-        """Evaluate F(x), checking its shape and that kernels._finite holds."""
+        """F(x) as a float vector; a wrong shape or a non-finite value is EvaluationError."""
         out = np.asarray(self.operator(np.asarray(x, dtype=float)), dtype=float)
         if out.shape != (self.set.n,) or not _finite(out):
             self._reject(out, (self.set.n,))
@@ -86,12 +79,9 @@ class VIProblem:
     def evaluate_many(self, xs) -> np.ndarray:
         """F at every row of a (k, n) stack, as a C-ordered (k, n) float array.
 
-        This is the one place that decides how a stack is evaluated. A batched
-        operator gets the whole stack in one call, and its value must have
-        shape (k, n) and pass kernels._finite (EvaluationError). Any other
-        operator is never handed a stack: each row goes through evaluate, in
-        row order, and is written into the result. Either way each row is contiguous and
-        equals evaluate at that point bit for bit.
+        A batched operator gets the stack in one call, any other one row at a
+        time in row order; either way each row equals evaluate at that point,
+        and a wrong shape or a non-finite value is EvaluationError.
         """
         points = np.asarray(xs, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.set.n:
@@ -121,18 +111,13 @@ class VIProblem:
 class SolverConfig:
     """Step size, horizon, kernel, and recording/stopping options for a run.
 
-    eta must be positive with a finite effective Euclidean step 2 * eta,
-    horizon and record_every counts >= 1 by errors.check_count, and stop_gap,
-    when given, finite and >= 0 by errors.check_real. With modulus_backoff
-    enabled, the step size is halved whenever a recorded iteration's modulus sample exceeds
-    _step_bound(current step): the effective Euclidean step is twice eta, so
-    this keeps the run within the pathwise step-size condition 2 * eta <= 1/(sqrt(2) * L). Only then does
-    the loop take a record's divergence and sample itself. With stop_gap set
-    it takes the gap at x_{k+0.5} on every iteration and stops at the first
-    one at or below stop_gap, which it records whatever record_every is. The
-    trace's residuals, divergences and samples are computed in stacked calls
-    after the loop by the same routines, so they equal the loop's own values
-    bit for bit.
+    eta must be positive with a finite effective Euclidean step 2 * eta;
+    horizon and record_every are counts >= 1; stop_gap, when given, is finite
+    and >= 0. A run records every record_every-th iteration. With stop_gap it
+    stops at the first iteration whose gap at x_{k+0.5} is at most stop_gap,
+    and records it. With modulus_backoff it halves eta whenever a recorded
+    modulus sample exceeds 1 / (2 sqrt(2) eta), the largest modulus L that
+    the pathwise condition 2 * eta <= 1 / (sqrt(2) * L) admits.
     """
 
     eta: float
@@ -146,7 +131,6 @@ class SolverConfig:
         _check_step(self.eta)
         check_count(self.horizon, "horizon")
         check_count(self.record_every, "record_every")
-        # A NaN stop_gap would never stop a run.
         if self.stop_gap is not None:
             check_real(self.stop_gap, "stop_gap")
 
@@ -157,24 +141,13 @@ class RunTrace:
 
     The records are the iterations k with k % record_every == 0 and, in a
     run that stopped (converged), the stopping iteration, which is last.
-    indices (R,) holds each record's iteration k, points (R, n) its x_k and
-    half_points (R, n) its x_{k+0.5}; the mirror gradient method stores
-    x_{k+1} in the half slot (see `method`), and iterates derives (k, x_k,
-    x_{k+0.5}) triples from the three. gaps, complementarity |<F, x>| and
-    infeasibility max(-min_j F_j, 0) hold one value per record at x_{k+0.5}:
-    for F = -Z they are the certificate's gap, Walras and feasibility
-    residuals, with no further evaluation of F. The loop keeps one tuple per
-    record, (k, x_k, x_{k+0.5}, F(x_{k+0.5}), ||F(x_{k+0.5}) - F(x_k)||, t_k),
-    and unzips them once after it into indices, points, half_points, the
-    F(x_{k+0.5}) rows, operator_deltas and elapsed (t_k, seconds since the
-    start). The other values are computed from those arrays, each equal to
-    the per-record call bit for bit: the three residuals from one
-    stacked _residuals call over the F rows, divergences D_h(x_{k+0.5}, x_k)
-    from one stacked bregman_divergence call over half_points and points,
-    and modulus_samples from _modulus_samples over the deltas and
-    divergences (a record with D_h <= DEGENERATE_STEP_TOL has sample 0).
-    The best record is best_position; best_index and best_iterate are its k
-    and x_{k+0.5}.
+    indices (R,) holds each k, points (R, n) each x_k and half_points (R, n)
+    each x_{k+0.5} (x_{k+1} for the mirror gradient method). At x_{k+0.5},
+    gaps, complementarity |<F, x>| and infeasibility max(-min_j F_j, 0) are
+    the certificate's residuals when F = -Z; divergences D_h(x_{k+0.5}, x_k),
+    operator_deltas ||F(x_{k+0.5}) - F(x_k)||, modulus_samples and elapsed
+    (seconds since the start) complete each record. The best record,
+    best_position, has the least divergence, the earliest on ties.
     """
 
     method: str
@@ -216,18 +189,9 @@ class RunTrace:
 
 
 def _gap(space: FeasibleSet, x: np.ndarray, fx: np.ndarray):
-    """Strong gap max_y <F(x), x - y> from a checked fx = F(x), at a point or a stack.
-
-    For vectors x and fx it returns one 0-d value; for C-ordered (k, n) stacks
-    k values. The row dots go through kernels._row_dots and the minimum is
-    taken along the last axis, so each row of a stack equals the vector call
-    at that row bit for bit, and the loop's stop test reads the gap the trace
-    records. On the box the support value max_y <-F(x), y> is the row dot of
-    -F(x) with its maximizing corner, as linear_max takes it; on the simplex
-    it is -min_j F_j(x), which equals linear_max's value up to the sign of a
-    zero minimum, and that could differ only if F had zeros of both signs
-    there (-Z has no +0.0 entries).
-    """
+    """Strong gap max_y <F(x), x - y> from a checked fx, 0-d for a point or one per
+    row of a C-ordered stack, each row equal to the point call bit for bit. The
+    simplex's -min_j F_j is linear_max's value but for a zero's sign (-Z has no +0.0)."""
     inner = _row_dots(fx, x)
     if space.kind == SIMPLEX:
         return inner - np.minimum.reduce(fx, axis=-1)
@@ -236,22 +200,16 @@ def _gap(space: FeasibleSet, x: np.ndarray, fx: np.ndarray):
 
 
 def _residuals(space: FeasibleSet, x: np.ndarray, fx: np.ndarray):
-    """_gap, |<F(x), x>| and max(-min_j F_j(x), 0) from a checked fx = F(x).
-
-    For vectors x and fx it returns three 0-d values, which float() takes to
-    three floats. For C-ordered (k, n) stacks it returns three arrays of k
-    values, each row equal to the vector call at that row bit for bit, as
-    _gap's are.
-    """
+    """_gap, |<F(x), x>| and max(-min_j F_j(x), 0) from a checked fx, for a point
+    or a stack as _gap takes them."""
     neg = -np.minimum.reduce(fx, axis=-1)
     # max(a, 0.0) keeps a unless 0.0 > a, so a zero keeps its sign as max() does.
     return _gap(space, x, fx), np.abs(_row_dots(fx, x)), np.where(0.0 > neg, 0.0, neg)
 
 
 def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) -> RunTrace:
-    # x0 is checked here once; the loop's own iterates stay in the set and
-    # evaluate() checks every operator value, so the prox and the linear
-    # maximization run without the checks of their public forms.
+    # x0 is checked once; the iterates stay in the set and evaluate() checks
+    # every operator value, so the loop runs the unchecked prox and gap.
     space = problem.set
     kernel = config.kernel
     record_every = config.record_every
@@ -283,9 +241,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
         stop = stop_gap is not None and _gap(space, x_half, f_half) <= stop_gap
 
         if record or stop:
-            # A record keeps its points, F(x_{k+0.5}) and the operator change
-            # (numpy's 1-D norm is sqrt(d.dot(d))); its residuals are computed
-            # after the loop. The stopping iteration is always recorded.
+            # Residuals are computed after the loop; the norm is numpy's own.
             d = f_half - fx
             delta = math.sqrt(d.dot(d))
             records.append((k, x, x_half, f_half, delta, time.perf_counter() - start))
@@ -293,8 +249,6 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
                 converged = True
                 break
             if backoff:
-                # The sample the trace records after the loop, tested against
-                # the largest modulus this step admits.
                 if _modulus_samples(delta, _divergence(kernel, x_half, x)) > _step_bound(eta):
                     eta *= 0.5
         x = x_next
@@ -302,8 +256,6 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
 
     indices, x_rows, half_rows, half_values, delta_rows, elapsed = map(np.array, zip(*records))
     gaps, complementarity, infeasibility = _residuals(space, half_rows, half_values)
-    # Every record's divergence in one stacked call, each row equal to the
-    # vector call.
     divergences = bregman_divergence(kernel, half_rows, x_rows)
     return RunTrace(
         method=MIRROR_EXTRAGRADIENT if extragradient else MIRROR_GRADIENT,
@@ -361,14 +313,9 @@ def minty_certificate(
     """Sampled check of the weak-solution inequality <F(x), candidate - x> <= 0.
 
     Draws `samples` uniform points in the set (box: per-coordinate uniform;
-    simplex: flat Dirichlet) and returns the largest violation together with
-    the violating point, or None when no sampled point gives a positive value.
-    All points are drawn in one generator call, which gives the same points as
-    drawing them one at a time, and evaluated in one evaluate_many call; each
-    value goes through one row dot, equal to the per-point dot bit for bit
-    but for the sign of a zero when n = 1 (a length-1 dot is the bare
-    product, which a row dot adds to +0.0). The witness is the first point with the largest value; a NaN value (an
-    overflowing dot) is never the largest.
+    simplex: flat Dirichlet), evaluated in one evaluate_many call, and returns
+    the largest violation with its witness, the first point that gives it, or
+    None when no value is positive. A NaN value is never the largest.
     """
     cand = _point(problem.set, candidate, "candidate")
     check_count(samples, "samples")
@@ -389,11 +336,10 @@ def minty_certificate(
 
 
 def pathwise_modulus(trace: RunTrace) -> float:
-    """Largest observed ||F(x_{k+0.5}) - F(x_k)|| / sqrt(2 D_h(x_{k+0.5}, x_k)).
+    """Largest recorded ||F(x_{k+0.5}) - F(x_k)|| / sqrt(2 D_h(x_{k+0.5}, x_k)).
 
-    This is the largest recorded modulus sample: iterations with
-    D_h <= DEGENERATE_STEP_TOL record 0 (a zero step carries no continuity
-    information), so 0 is returned when no iteration is eligible.
+    Records with D_h <= DEGENERATE_STEP_TOL sample 0, so 0 is returned when
+    no record is eligible.
     """
     return float(np.max(trace.modulus_samples, initial=0.0))
 

@@ -60,7 +60,7 @@ def test_spec_rejects_sizes_that_are_not_integers(field, size):
     # TypeError from range; a bool is not a size either.
     sizes = dict(n_consumers=4, n_goods=3)
     sizes[field] = size
-    with pytest.raises(InvalidInput, match="n_consumers and n_goods must be integers"):
+    with pytest.raises(InvalidInput, match=f"{field} must be an integer"):
         GenSpec(seed=0, mix={COBB_DOUGLAS: 1.0}, **sizes)
 
 
