@@ -24,6 +24,11 @@ ENTROPY = "entropy"
 BOX = "box"
 SIMPLEX = "simplex"
 
+#: The largest simplex whose prox runs on Python floats: numpy's add.reduce
+#: sums up to 7 terms left to right and 8 or more in interleaved partial sums,
+#: and Python's per-number cost beats numpy's per-call cost at these sizes.
+FLOAT_SIMPLEX_MAX = 7
+
 
 def _as_vector(x, name: str) -> np.ndarray:
     """x as a finite float vector, or InvalidInput naming it."""
@@ -191,6 +196,7 @@ def simplex_projection(v) -> np.ndarray:
     """Euclidean projection onto the unit simplex via sort-and-threshold.
 
     v must be a nonempty finite vector; an empty one fails as simplex(0) does.
+    A v whose clamped vector sums to 0 after rounding raises EvaluationError.
     """
     arr = _as_vector(v, "v")
     check_count(arr.size, "simplex dimension")
@@ -198,6 +204,9 @@ def simplex_projection(v) -> np.ndarray:
 
 
 def _project_simplex(arr: np.ndarray) -> np.ndarray:
+    """Below 8 goods the float path equals numpy's bit for bit."""
+    if arr.size <= FLOAT_SIMPLEX_MAX:
+        return _project_floats(arr.tolist())
     # ndarray.sort on a copy, np.add.accumulate and ufunc.reduce are what
     # np.sort, cumsum and sum call, minus a Python frame each.
     u = arr.copy()
@@ -211,8 +220,40 @@ def _project_simplex(arr: np.ndarray) -> np.ndarray:
     theta = (float(css[rho]) - 1.0) / (rho + 1.0)
     w = arr - theta
     np.maximum(w, 0.0, out=w)
-    w /= np.add.reduce(w)
+    total = np.add.reduce(w)
+    if total == 0.0:
+        raise EvaluationError("simplex projection lost all its mass")
+    w /= total
     return w
+
+
+def _project_floats(v: list) -> np.ndarray:
+    """_project_simplex on a list of at most FLOAT_SIMPLEX_MAX floats, in the
+    same IEEE operations."""
+    u = sorted(v, reverse=True)
+    css = 0.0
+    rho = -1
+    for j, uj in enumerate(u):
+        css += uj
+        if uj * (j + 1) > css - 1.0:
+            rho, top = j, css
+    if rho < 0:
+        raise EvaluationError("simplex projection of a non-finite point")
+    theta = (top - 1.0) / (rho + 1)
+    # d if d > 0.0 else 0.0 is np.maximum(d, 0.0), the sign of a zero included.
+    return np.array(_to_unit_sum([d if d > 0.0 else 0.0 for d in [x - theta for x in v]]))
+
+
+def _to_unit_sum(w: list) -> list:
+    """w / sum(w) for at most FLOAT_SIMPLEX_MAX floats, summed left to right as
+    numpy's add.reduce does up to 7 terms (sum() compensates from Python 3.12);
+    EvaluationError when the sum is 0."""
+    total = 0.0
+    for a in w:
+        total += a
+    if total == 0.0:
+        raise EvaluationError("simplex projection lost all its mass")
+    return [a / total for a in w]
 
 
 def _check_step(eta) -> None:
@@ -229,7 +270,7 @@ def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.nda
 
     The effective Euclidean step is 2*eta, which must be positive and finite;
     x0 must lie in the set and g be a finite vector of its dimension. A step
-    that overflows on the simplex raises EvaluationError.
+    that overflows or loses all its mass on the simplex raises EvaluationError.
     """
     _check_step(eta)
     x0_arr = _as_vector(x0, "x0")
@@ -244,6 +285,10 @@ def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
     """mirror_step without its checks: x0 in the set, g finite, both float
     vectors of the set's dimension."""
     if kernel.kind == EUCLIDEAN:
+        if space.kind == SIMPLEX and space.n <= FLOAT_SIMPLEX_MAX:
+            # float(): a numpy float32 step would round each product to float32.
+            step = float(2.0 * eta)
+            return _project_floats([a - step * b for a, b in zip(x0.tolist(), g.tolist())])
         target = x0 - (2.0 * eta) * g
         if space.kind == BOX:
             # np.clip with the box's array bounds, bit for bit (-0.0 included),
@@ -255,6 +300,8 @@ def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
     # Entropy: multiplicative update x0 * exp(-2*eta*g), evaluated in log space.
     nu = kernel.floor
     if space.kind == SIMPLEX:
+        if space.n <= FLOAT_SIMPLEX_MAX:
+            return _entropy_floats(x0, g, float(2.0 * eta), nu)
         w = np.log(np.maximum(x0, nu))
         w -= (2.0 * eta) * g
         top = np.maximum.reduce(w)
@@ -274,6 +321,19 @@ def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,
     # cannot overflow before the clamp.
     logw = np.minimum(logw, np.log(space.hi))
     return np.clip(np.exp(logw), lo_eff, space.hi)
+
+
+def _entropy_floats(x0: np.ndarray, g: np.ndarray, step: float, nu: float) -> np.ndarray:
+    """The entropy simplex step of _prox at most FLOAT_SIMPLEX_MAX goods: numpy's
+    log and exp take the arrays the numpy path gives them, the rest is floats."""
+    w = [a - step * b for a, b in zip(np.log(np.maximum(x0, nu)).tolist(), g.tolist())]
+    top = max(w)
+    if not -math.inf < top < math.inf:
+        raise EvaluationError("entropy step overflowed on the simplex")
+    w = _to_unit_sum(np.exp(np.array([a - top for a in w])).tolist())
+    if min(w) < nu:
+        w = _to_unit_sum([a if a > nu else nu for a in w])
+    return np.array(w)
 
 
 def linear_max(space: FeasibleSet, c) -> tuple[float, np.ndarray]:

@@ -212,6 +212,8 @@ def _run(economy, space: FeasibleSet, kernel: Kernel, eta, horizon: int, p0, *,
     # seed feeds the step-size probe and the simplex Minty check; it is
     # checked even when the run uses neither.
     check_seed(seed)
+    # Checked here, under its own name, before an 'auto' step probes the operator.
+    p0 = _point(space, p0, "p0")
     problem = _price_problem(economy, space)
     trace, eta_used = _solve_run(problem, kernel, eta, horizon, p0, extragradient=extragradient,
                                  stop_gap=stop_gap, record_every=record_every, seed=seed)

@@ -35,6 +35,8 @@ from .kernels import (
 #: are skipped when estimating the pathwise modulus.
 DEGENERATE_STEP_TOL = 1e-16
 
+_FLOAT = np.dtype(float)
+
 MIRROR_GRADIENT = "mirror_gradient"
 MIRROR_EXTRAGRADIENT = "mirror_extragradient"
 
@@ -70,8 +72,11 @@ class VIProblem:
     batched: bool = False
 
     def evaluate(self, x) -> np.ndarray:
-        """F(x) as a float vector; a wrong shape or a non-finite value is EvaluationError."""
-        out = np.asarray(self.operator(np.asarray(x, dtype=float)), dtype=float)
+        """F(x) as a float vector; a value that is not real numbers, of a wrong
+        shape or not finite is EvaluationError."""
+        out = self.operator(np.asarray(x, dtype=float))
+        if getattr(out, "dtype", None) is not _FLOAT:
+            out = self._real(out)
         if out.shape != (self.set.n,) or not _finite(out):
             self._reject(out, (self.set.n,))
         return out
@@ -81,7 +86,8 @@ class VIProblem:
 
         A batched operator gets the stack in one call, any other one row at a
         time in row order; either way each row equals evaluate at that point,
-        and a wrong shape or a non-finite value is EvaluationError.
+        and a value that is not real numbers, of a wrong shape or not finite
+        is EvaluationError.
         """
         points = np.asarray(xs, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.set.n:
@@ -92,10 +98,26 @@ class VIProblem:
             for i, x in enumerate(points):
                 out[i] = self.evaluate(x)
             return out
-        out = np.asarray(self.operator(points), dtype=float, order="C")
+        out = self.operator(points)
+        if getattr(out, "dtype", None) is not _FLOAT:
+            out = self._real(out)
+        out = np.asarray(out, order="C")
         if out.shape != points.shape or not _finite(out):
             self._reject(out, points.shape)
         return out
+
+    def _real(self, out) -> np.ndarray:
+        """An operator value that is not a float64 array, as one; EvaluationError
+        unless it holds integers or floats (no bools, strings, complex numbers
+        or ragged lists)."""
+        try:
+            arr = np.asarray(out)
+        except ValueError:  # a ragged list
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf":
+            raise EvaluationError(
+                f"operator {self.operator_label!r} returned values that are not real numbers")
+        return arr.astype(float)
 
     def _reject(self, out: np.ndarray, shape: tuple) -> None:
         """Raise EvaluationError for an operator value of the wrong shape or not finite."""

@@ -431,16 +431,22 @@ def _reference_entropy_simplex_step(x0, g, eta, nu):
     return p
 
 
-@pytest.mark.parametrize("n", [1, 3, 200])
+# Every size of the float path (n <= FLOAT_SIMPLEX_MAX), the sizes just past
+# it, where numpy's sums change order, and one large size.
+SIMPLEX_SIZES = [*range(1, 17), 200]
+
+
+@pytest.mark.parametrize("n", SIMPLEX_SIZES)
 def test_project_simplex_matches_reference_bit_for_bit(n):
-    # The projection works in place on fewer temporaries; every result must
-    # equal the textbook expression exactly.
+    # The projection works in place on fewer temporaries, or on Python floats
+    # below 8 goods; every result must equal the textbook expression exactly.
     rng = np.random.default_rng(16)
     inputs = [np.zeros(n), np.full(n, 0.5), np.full(n, -3.0)]
     for j in range(min(n, 5)):
         one_hot = np.zeros(n)
         one_hot[j] = 1.0
-        inputs += [one_hot, 7.0 * one_hot - 2.0]
+        # A -0.0 beside a threshold of 0 clamps to +0.0, as np.maximum does.
+        inputs += [one_hot, 7.0 * one_hot - 2.0, np.where(one_hot == 1.0, 1.0, -0.0)]
     for _ in range(300):
         v = rng.normal(size=n) * rng.choice([1e-6, 1.0, 1e3])
         inputs.append(v)
@@ -450,24 +456,57 @@ def test_project_simplex_matches_reference_bit_for_bit(n):
         inputs.append(tied)
         inputs.append(rng.dirichlet(np.ones(n)))
     for v in inputs:
-        np.testing.assert_array_equal(_project_simplex(v), _reference_project_simplex(v))
+        assert _project_simplex(v).tobytes() == _reference_project_simplex(v).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 3, 200])
+@pytest.mark.parametrize("n", SIMPLEX_SIZES)
+def test_euclidean_simplex_step_matches_reference_bit_for_bit(n):
+    # The step forms its target x0 - 2*eta*g on floats below 8 goods; it must
+    # equal the textbook projection of numpy's target, ties and zeros included.
+    space = simplex(n)
+    kernel = squared_euclidean()
+    rng = np.random.default_rng(18)
+    for i in range(300):
+        x0 = rng.dirichlet(np.full(n, 0.5))
+        x0[rng.random(n) < 0.2] = 0.0
+        x0 = x0 / x0.sum() if x0.sum() > 0.0 else np.eye(n)[0]
+        g = rng.normal(size=n) * rng.choice([0.0, 0.01, 1.0, 1e3])
+        if rng.random() < 0.3:
+            g = np.round(g)
+        eta = float(rng.choice([1e-3, 0.05, 1.0]))
+        if i % 4 == 0:  # a float32 step enters numpy's target with its own value
+            eta = np.float32(eta)
+        expected = _reference_project_simplex(x0 - (2.0 * eta) * g)
+        assert _prox(space, kernel, eta, x0, g).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_projection_that_loses_all_its_mass_raises(n):
+    # Equal coordinates this large put the threshold at or above each of
+    # them, so the clamped vector sums to 0 and 0/0 would be NaN. n = 3 runs
+    # on floats, n = 12 on numpy.
+    v = np.full(n, 2.0**51 + 0.5)
+    with pytest.raises(EvaluationError, match="^simplex projection lost all its mass$"):
+        simplex_projection(v)
+    with pytest.raises(EvaluationError, match="^simplex projection lost all its mass$"):
+        mirror_step(simplex(n), squared_euclidean(), 0.5, np.full(n, 1.0 / n), 1.0 / n - v)
+
+
+@pytest.mark.parametrize("n", SIMPLEX_SIZES)
 def test_entropy_simplex_step_matches_reference_bit_for_bit(n):
     space = simplex(n)
     kernel = negative_entropy()
     rng = np.random.default_rng(17)
-    for _ in range(300):
+    for i in range(300):
         x0 = rng.dirichlet(np.full(n, 0.5))
         # Large gradients drive coordinates below the floor, so the
         # re-flooring branch runs too.
         g = rng.normal(size=n) * rng.choice([0.01, 1.0, 1e3])
         eta = float(rng.choice([1e-3, 0.05, 1.0]))
-        np.testing.assert_array_equal(
-            _prox(space, kernel, eta, x0, g),
-            _reference_entropy_simplex_step(x0, g, eta, kernel.floor),
-        )
+        if i % 4 == 0:
+            eta = np.float32(eta)
+        expected = _reference_entropy_simplex_step(x0, g, eta, kernel.floor)
+        assert _prox(space, kernel, eta, x0, g).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 61))

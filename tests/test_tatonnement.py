@@ -644,6 +644,7 @@ POINT_CALLS = {
     "candidate": lambda problem: minty_certificate(problem, OUTSIDE, 4, 0),
     "p_hat": lambda problem: equilibrium_certificate(ScarfEconomy(), OUTSIDE, simplex(3)),
     "mirror_step": lambda problem: mirror_step(simplex(3), EUC, 0.1, OUTSIDE, np.zeros(3)),
+    "p0": lambda problem: mirror_extratatonnement(ScarfEconomy(), simplex(3), EUC, 0.1, 2, OUTSIDE),
 }
 
 
@@ -727,6 +728,14 @@ class CountingEconomy:
     def excess(self, p):
         self.calls += 1
         return self.economy.excess(p)
+
+
+@pytest.mark.parametrize("runner", [mirror_extratatonnement, mirror_tatonnement])
+def test_a_start_outside_the_set_fails_before_the_step_probe(runner):
+    counted = CountingEconomy(ScarfEconomy())
+    with pytest.raises(InvalidInput, match="^p0 lies outside the feasible set$"):
+        runner(counted, simplex(3), EUC, "auto", 2, np.ones(3))
+    assert counted.calls == 0
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,26 @@ def test_problem_evaluate_accepts_values_whose_squares_overflow():
             np.array([x, x]))
 
 
+def test_operator_values_that_are_not_real_numbers_are_evaluation_errors():
+    # Left to numpy, strings and ragged lists raise a bare ValueError, and a
+    # complex value loses its imaginary part with only a ComplexWarning.
+    space = unit_box(2)
+    x = np.full(2, 0.5)
+    for value in (["a", "b"], [1.0, [2.0, 3.0]], np.array([1.0 + 2.0j, 1.0])):
+        with pytest.raises(EvaluationError, match="^operator 'F' returned values that are "
+                                                  "not real numbers$"):
+            VIProblem(space, lambda p, v=value: v).evaluate(x)
+        for batched in (False, True):
+            stacked = VIProblem(space, lambda p, v=value: [v] * len(p) if p.ndim == 2 else v,
+                                batched=batched)
+            with pytest.raises(EvaluationError, match="not real numbers"):
+                stacked.evaluate_many(np.array([x, x]))
+    # Integers and float32 values are real numbers, returned as float64.
+    for value in ([1, 2], np.array([1.0, 2.0], dtype=np.float32)):
+        out = VIProblem(space, lambda p, v=value: v).evaluate(x)
+        assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0]
+
+
 def test_evaluate_many_checks_the_stack_contract():
     space = simplex(3)
     stack = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], CENTER3])
