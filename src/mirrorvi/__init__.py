@@ -9,7 +9,6 @@ from .errors import (
     InsufficientData,
     InvalidInput,
     MirrorVIError,
-    Unsupported,
 )
 from .kernels import (
     BOX,
@@ -34,7 +33,6 @@ from .vi import (
     SolverConfig,
     VIProblem,
     gap,
-    is_epsilon_strong,
     minty_certificate,
     mirror_extragradient_solve,
     mirror_gradient_solve,
@@ -53,14 +51,10 @@ from .economy import (
     bregman_continuity_bound,
     check_homogeneity,
     check_lsd_sample,
-    check_walras,
     check_warp_sample,
     check_wgs_sample,
     consumer_demand,
-    demand_oracle,
     elasticity_bound_estimate,
-    excess_demand,
-    scarf_excess_demand,
 )
 from .tatonnement import (
     EquilibriumCertificate,

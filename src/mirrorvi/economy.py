@@ -3,9 +3,9 @@
 Consumers hold Cobb-Douglas, Leontief, or CES utilities with closed-form
 Marshallian demands. An exchange economy aggregates consumer demands (with an
 optional per-consumer cap at kappa times aggregate supply) and subtracts the
-aggregate endowment. Diagnostics sample homogeneity, Walras' law, weak gross
-substitutes, the weak axiom of revealed preference, the law of supply and
-demand, and two-point elasticities.
+aggregate endowment. Diagnostics sample homogeneity, weak gross substitutes,
+the weak axiom of revealed preference, the law of supply and demand, and
+two-point elasticities.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (EvaluationError, InvalidInput, Unsupported, check_count, check_number,
-                     check_real, check_seed)
+from .errors import EvaluationError, InvalidInput, check_count, check_number, check_real, check_seed
 from .kernels import _finite, _row_dots
 
 COBB_DOUGLAS = "cobb_douglas"
@@ -27,9 +26,6 @@ CES = "ces"
 
 #: Default floor applied to price coordinates before demand evaluation.
 DEFAULT_PRICE_FLOOR = 1e-8
-
-#: Largest brute-force demand grid resolution we evaluate.
-MAX_ORACLE_RESOLUTION = 401
 
 #: Demand-matrix entries (price rows x consumers x goods) per block: 256 KB
 #: of float64, a typical L2. Stacks go in blocks of price rows, and a streamed
@@ -156,63 +152,6 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
     if cap is not None:
         x = np.minimum(x, cap)
     return x
-
-
-def _share_grid(n: int, resolution: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        yield (resolution,)
-        return
-    for head in range(resolution + 1):
-        for tail in _share_grid(n - 1, resolution - head):
-            yield (head, *tail)
-
-
-def _utility_score(consumer: Consumer, x: np.ndarray) -> float:
-    """Monotone transform of the consumer's utility (for argmax comparison)."""
-    v = consumer.valuations
-    if consumer.utility == COBB_DOUGLAS:
-        w = v / v.sum()
-        if np.any(x <= 0.0):
-            return -np.inf
-        return float(w.dot(np.log(x)))
-    if consumer.utility == LEONTIEF:
-        return float(np.min(x / v))
-    if consumer.rho > 0.0:
-        return float(v.dot(x**consumer.rho))
-    if np.any(x <= 0.0):
-        return -np.inf
-    return -float(v.dot(x**consumer.rho))
-
-
-def demand_oracle(consumer: Consumer, p, resolution: int, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
-    """Brute-force demand: best utility over a grid of budget-exhausting bundles.
-
-    Budget shares run over the simplex grid {k/resolution}, converted to
-    quantities x_j = share_j * budget / p_j. Small dimensions only; resolution
-    is an integer >= 1.
-    """
-    n = consumer.n_goods
-    if n > 3:
-        raise Unsupported(f"demand_oracle supports at most 3 goods, got {n}")
-    check_count(resolution, "resolution")
-    if resolution > MAX_ORACLE_RESOLUTION:
-        raise Unsupported(
-            f"demand_oracle supports resolution <= {MAX_ORACLE_RESOLUTION}, got {resolution}"
-        )
-    check_real(floor, "price_floor", positive=True)
-    prices = np.maximum(_as_prices(p, n), floor)
-    budget = float(prices.dot(consumer.endowment))
-    if budget == 0.0:
-        return np.zeros(n)
-    best_score = -np.inf
-    best_x = np.zeros(n)
-    for combo in _share_grid(n, resolution):
-        x = (np.asarray(combo, dtype=float) / resolution) * budget / prices
-        score = _utility_score(consumer, x)
-        if score > best_score:
-            best_score = score
-            best_x = x
-    return best_x
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,36 +379,6 @@ class ExchangeEconomy:
         return total
 
 
-def excess_demand(economy, p) -> np.ndarray:
-    """Aggregate demand minus aggregate supply at floored prices."""
-    return economy.excess(p)
-
-
-def scarf_excess_demand(p, floor: float = DEFAULT_PRICE_FLOOR) -> np.ndarray:
-    """The fixed 3-good excess demand with equilibrium at equal prices.
-
-    p is a 3-vector, or a (k, 3) stack that gives one row per price row, each
-    equal to the single call. Prices must be finite and nonnegative, and the
-    floor positive and finite.
-    """
-    check_real(floor, "price_floor", positive=True)
-    return _scarf_excess(p, floor)
-
-
-def _scarf_excess(p, floor: float) -> np.ndarray:
-    """scarf_excess_demand with a floor already checked."""
-    if type(p) is np.ndarray and p.shape == (3,) and p.dtype == np.float64:
-        # Python floats do the same IEEE operations at a fraction of the call
-        # cost. 0 <= q < inf fails for exactly what _as_prices rejects, and
-        # then raises its message below.
-        q1, q2, q3 = p.tolist()
-        if 0.0 <= q1 < math.inf and 0.0 <= q2 < math.inf and 0.0 <= q3 < math.inf:
-            return _scarf_rows(q1 if q1 > floor else floor, q2 if q2 > floor else floor,
-                               q3 if q3 > floor else floor)
-    q = np.maximum(_as_prices(p, 3, batch=True), floor)
-    return _scarf_rows(*(q.tolist() if q.ndim == 1 else q.T))
-
-
 def _scarf_rows(q1, q2, q3) -> np.ndarray:
     """Scarf excess demand at floored prices: floats, or the columns of a stack."""
     a = q1 / (q1 + q2)
@@ -480,10 +389,11 @@ def _scarf_rows(q1, q2, q3) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScarfEconomy:
-    """The fixed 3-good economy behind scarf_excess_demand.
+    """Scarf's fixed 3-good economy, whose equilibrium is at equal prices.
 
     Exposes the same evaluation surface as ExchangeEconomy (supply is one unit
-    of each good; demand is excess plus supply).
+    of each good; demand is excess plus supply). price_floor must be positive
+    and finite.
     """
 
     price_floor: float = DEFAULT_PRICE_FLOOR
@@ -500,7 +410,19 @@ class ScarfEconomy:
         return np.ones(3)
 
     def excess(self, p) -> np.ndarray:
-        return _scarf_excess(p, self.price_floor)
+        """The excess demand at p, a 3-vector, or at each row of a (k, 3) stack,
+        each row equal to the single call; prices must be finite and nonnegative."""
+        floor = self.price_floor
+        if type(p) is np.ndarray and p.shape == (3,) and p.dtype == np.float64:
+            # Python floats do the same IEEE operations at a fraction of the call
+            # cost. 0 <= q < inf fails for exactly what _as_prices rejects, and
+            # then raises its message below.
+            q1, q2, q3 = p.tolist()
+            if 0.0 <= q1 < math.inf and 0.0 <= q2 < math.inf and 0.0 <= q3 < math.inf:
+                return _scarf_rows(q1 if q1 > floor else floor, q2 if q2 > floor else floor,
+                                   q3 if q3 > floor else floor)
+        q = np.maximum(_as_prices(p, 3, batch=True), floor)
+        return _scarf_rows(*(q.tolist() if q.ndim == 1 else q.T))
 
     def demand(self, p) -> np.ndarray:
         return self.excess(p) + self.aggregate_supply
@@ -522,12 +444,6 @@ def check_homogeneity(economy, p, lam: float) -> float:
             f"lambda * p must be finite, got lambda {lam} and largest price {largest}")
     scaled, base = economy.excess(np.array([lam * prices, prices]))
     return float(np.max(np.abs(scaled - base)))
-
-
-def check_walras(economy, p) -> float:
-    """|p . Z(p)| — equality holds uncapped; a binding cap shows up here."""
-    prices = _as_prices(p, economy.n_goods)
-    return float(abs(prices.dot(economy.excess(prices))))
 
 
 def _sample_prices(rng: np.random.Generator, n: int, rows: int) -> np.ndarray:

@@ -17,10 +17,6 @@ class EvaluationError(MirrorVIError, ArithmeticError):
     """An operator or demand evaluation produced non-finite values."""
 
 
-class Unsupported(MirrorVIError, NotImplementedError):
-    """The request is outside the supported problem sizes."""
-
-
 class InsufficientData(MirrorVIError, ValueError):
     """A trace is too short for the requested statistic."""
 

@@ -67,7 +67,8 @@ class EquilibriumCertificate:
 class PriceRun:
     """A completed price-adjustment run with its certificate.
 
-    certificate is the best record of trace, so it describes
+    certificate is the reported record of trace (trace.best_position: the
+    stopping record in a run that stopped), so it describes
     trace.best_iterate. eta is the step size the run started with (after
     automatic selection, when requested). minty_violation is the post-hoc
     sampled weak-solution check in simplex mode, None on the box.
@@ -243,7 +244,8 @@ def mirror_extratatonnement(economy, space: FeasibleSet, kernel: Kernel, eta, ho
     eta is a positive number or 'auto' (probed, with modulus backoff), seed
     feeds the probe and the simplex Minty check, and stop_gap and
     record_every are SolverConfig's. The reported equilibrium is the best
-    iterate (minimal D_h(p_{k+0.5}, p_k) among records), not the last one.
+    iterate: the stopping p_{k+0.5} in a run that stopped on stop_gap, and
+    otherwise the record with the least D_h(p_{k+0.5}, p_k), not the last one.
     """
     return _run(economy, space, kernel, eta, horizon, p0, extragradient=True,
                 stop_gap=stop_gap, record_every=record_every, seed=seed)

@@ -168,8 +168,9 @@ class RunTrace:
     gaps, complementarity |<F, x>| and infeasibility max(-min_j F_j, 0) are
     the certificate's residuals when F = -Z; divergences D_h(x_{k+0.5}, x_k),
     operator_deltas ||F(x_{k+0.5}) - F(x_k)||, modulus_samples and elapsed
-    (seconds since the start) complete each record. The best record,
-    best_position, has the least divergence, the earliest on ties.
+    (seconds since the start) complete each record. The reported record,
+    best_position, is the stopping record in a run that stopped, and
+    otherwise the one with the least divergence, the earliest on ties.
     """
 
     method: str
@@ -194,7 +195,10 @@ class RunTrace:
 
     @property
     def best_position(self) -> int:
-        """The best record: least D_h(x_{k+0.5}, x_k), the earliest one on ties."""
+        """The reported record: the last, where the stop gap was met, in a run
+        that stopped; else the least D_h(x_{k+0.5}, x_k), the earliest on ties."""
+        if self.converged:
+            return self.indices.size - 1
         return int(np.argmin(self.divergences))
 
     @property
@@ -306,7 +310,8 @@ def mirror_extragradient_solve(problem: VIProblem, config: SolverConfig, x0) -> 
     """Run the two-step method: probe with F(x_k), move with F(x_{k+0.5}).
 
     Both prox steps are centered at x_k. The returned trace's best iterate is
-    the x_{k+0.5} minimizing D_h(x_{k+0.5}, x_k) among recorded iterations.
+    the stopping x_{k+0.5} in a run that stopped, and otherwise the recorded
+    x_{k+0.5} minimizing D_h(x_{k+0.5}, x_k).
     """
     return _solve(problem, config, x0, extragradient=True)
 
@@ -318,15 +323,6 @@ def gap(problem: VIProblem, x_hat) -> float:
     """
     x = _point(problem.set, x_hat, "x_hat")
     return float(_gap(problem.set, x, problem.evaluate(x)))
-
-
-def is_epsilon_strong(problem: VIProblem, x_hat, eps: float) -> bool:
-    """True iff gap(problem, x_hat) <= eps (no flooring of small negatives).
-
-    eps must be finite and >= 0 (errors.check_real).
-    """
-    check_real(eps, "eps")
-    return gap(problem, x_hat) <= eps
 
 
 def minty_certificate(

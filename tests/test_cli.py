@@ -106,6 +106,21 @@ def test_scarf_no_stop_records_full_cadence(tmp_path):
     assert [int(row[0]) for row in rows[:3]] == [0, 1, 2]
 
 
+def test_a_stopped_run_reports_the_record_that_met_its_stop_gap(tmp_path):
+    # This run stops at iteration 447 with gap 8.0e-10, but its least-D_h
+    # record is iteration 256, whose gap is 2.7e-8. A stopped run reports its
+    # stopping record: the CSV's last row, with a gap at or below the stop gap.
+    csv_path = tmp_path / "trace.csv"
+    json_path = tmp_path / "report.json"
+    code = main(["scarf", "--kernel", "entropy", "--stop-gap", "1e-9", "--seed", "0",
+                 "--csv", str(csv_path), "--json", str(json_path)])
+    assert code == 0
+    report = json.loads(json_path.read_text())
+    assert report["converged"] is True
+    assert report["best_iter"] == int(read_csv_rows(csv_path)[-1][0])
+    assert report["certificate"]["gap"] <= 1e-9
+
+
 def test_scarf_json_is_deterministic_and_echo_reproduces(tmp_path):
     args = [
         "scarf",

@@ -41,6 +41,19 @@ def test_every_public_function_and_class_has_a_docstring():
     assert missing == []
 
 
+def test_every_name_in_the_library_tour_is_importable_from_mirrorvi():
+    # The README says so under its "Library tour" table; the table's second
+    # column lists the names.
+    tour = README.read_text(encoding="utf-8").split("## Library tour\n\n", 1)[1]
+    table = tour.split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `mirrorvi\.\w+` \| (.*) \|$", table, re.MULTILINE)
+    assert len(rows) == 6
+    names = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
+    assert "GenSpec" in names and "auto_step_size" in names
+    missing = [name for name in names if not hasattr(mirrorvi, name)]
+    assert missing == []
+
+
 def test_readme_python_examples_run():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
     assert len(blocks) == 2

@@ -31,12 +31,11 @@ from mirrorvi import (
     check_warp_sample,
     check_wgs_sample,
     consumer_demand,
-    demand_oracle,
     elasticity_bound_estimate,
     equilibrium_certificate,
     gap,
     generate_economy,
-    is_epsilon_strong,
+    initial_prices,
     mirror_extragradient_solve,
     mirror_extratatonnement,
     mirror_step,
@@ -47,13 +46,13 @@ from mirrorvi import (
     probe_modulus,
     recommended_step_size,
     scale_to_equilibrium,
-    scarf_excess_demand,
     simplex,
     squared_euclidean,
     unit_box,
 )
 import mirrorvi.vi as vi_module
 from mirrorvi.tatonnement import _interior_samples, _price_problem
+from oracles import cobb_douglas_equilibrium, demand_oracle
 
 EUC = squared_euclidean()
 ENT = negative_entropy()
@@ -92,6 +91,34 @@ def cobb_douglas_pair() -> ExchangeEconomy:
         n_goods=3,
         demand_cap_factor=np.inf,
     )
+
+
+@pytest.mark.parametrize("space, kernel", [(unit_box(10), EUC), (simplex(10), ENT)],
+                         ids=["box-euclidean", "simplex-entropy"])
+def test_cobb_douglas_runs_find_the_eigenvector_equilibrium(space, kernel):
+    # The equilibrium of an all-Cobb-Douglas economy is a Perron eigenvector,
+    # computed without Z or the solver (oracles.cobb_douglas_equilibrium).
+    # Each tolerance is at least 100x the largest value measured over seeds
+    # 0-7: |root - 1| 1.1e-15, max |Z| at the eigenvector 1.4e-14, and the
+    # relative error of the reported point 1.6e-10. The Minty check at the
+    # eigenvector read -1.1 or lower: gross substitutes make it a weak
+    # solution, so the check must find no violation there.
+    for seed in range(4):
+        economy = generate_economy(GenSpec(seed=seed, n_consumers=10, n_goods=10,
+                                           mix={COBB_DOUGLAS: 1.0}))
+        root, equilibrium = cobb_douglas_equilibrium(economy)
+        assert abs(root - 1.0) <= 1e-12
+        expected = equilibrium / equilibrium.max() if space.kind == "box" else equilibrium
+        assert np.abs(economy.excess(expected)).max() <= 1e-11
+        run = mirror_extratatonnement(economy, space, kernel, "auto", 50_000,
+                                      initial_prices(seed, space), stop_gap=1e-9, seed=seed)
+        assert run.converged
+        reported = run.trace.best_iterate
+        if space.kind == "box":
+            reported = scale_to_equilibrium(reported)
+        assert np.abs(reported - expected).max() <= 2e-8 * expected.max()
+        violation, witness = minty_certificate(_price_problem(economy, space), expected, 256, seed)
+        assert violation <= 0.0 and witness is None
 
 
 def test_extratatonnement_reaches_equal_prices_on_simplex():
@@ -551,15 +578,12 @@ REAL_CALLS = {
                                                mix={"cobb_douglas": 1.0}, supply_total=x),
     "elasticity_bound": lambda economy, x: recommended_step_size(3, x, 1.0),
     "demand_bound": lambda economy, x: recommended_step_size(3, 1.0, x),
-    "scarf_excess_demand": lambda economy, x: scarf_excess_demand(CENTER, floor=x),
     "ScarfEconomy": lambda economy, x: ScarfEconomy(price_floor=x),
     "demand_oracle": lambda economy, x: demand_oracle(TWO_GOODS, np.ones(2), 4, floor=x),
     "consumer_demand": lambda economy, x: consumer_demand(TWO_GOODS, np.ones(2), floor=x),
     "ExchangeEconomy": lambda economy, x: ExchangeEconomy([TWO_GOODS], n_goods=2,
                                                           price_floor=x),
     "passes": lambda economy, x: EquilibriumCertificate(0.0, 0.0, 0.0).passes(x),
-    "is_epsilon_strong": lambda economy, x: is_epsilon_strong(
-        _price_problem(economy, simplex(3)), CENTER, x),
 }
 
 REAL_RULES = {
@@ -569,13 +593,11 @@ REAL_RULES = {
     "supply_total": ("supply_total", True),
     "elasticity_bound": ("elasticity_bound", True),
     "demand_bound": ("demand_bound", True),
-    "scarf_excess_demand": ("price_floor", True),
     "ScarfEconomy": ("price_floor", True),
     "demand_oracle": ("price_floor", True),
     "consumer_demand": ("price_floor", True),
     "ExchangeEconomy": ("price_floor", True),
     "passes": ("eps", False),
-    "is_epsilon_strong": ("eps", False),
 }
 
 
@@ -583,8 +605,7 @@ REAL_RULES = {
 def test_a_real_scalar_follows_the_one_rule(call):
     # Each of these had its own range test and none tested the type: True
     # passed as 1, a string was a bare TypeError, an infinite price floor gave
-    # NaN or zero demand, and a NaN eps made passes and is_epsilon_strong
-    # return False.
+    # NaN or zero demand, and a NaN eps made passes return False.
     economy = generate_economy(GenSpec(seed=5, n_consumers=4, n_goods=3,
                                        mix={"cobb_douglas": 0.5, "ces_substitutes": 0.5}))
     name, positive = REAL_RULES[call]

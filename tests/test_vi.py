@@ -13,13 +13,13 @@ from mirrorvi import (
     InsufficientData,
     InvalidInput,
     RunTrace,
+    ScarfEconomy,
     SolverConfig,
     VIProblem,
     box,
     bregman_divergence,
     gap,
     generate_economy,
-    is_epsilon_strong,
     linear_max,
     minty_certificate,
     mirror_extragradient_solve,
@@ -29,7 +29,6 @@ from mirrorvi import (
     rate_slope,
     rotation_operator,
     scalar_nonminty_operator,
-    scarf_excess_demand,
     simplex,
     squared_euclidean,
     unit_box,
@@ -39,6 +38,7 @@ from mirrorvi.vi import DEGENERATE_STEP_TOL, _gap, _residuals
 
 EUC = squared_euclidean()
 CENTER3 = np.ones(3) / 3.0
+scarf_excess = ScarfEconomy().excess
 
 
 def rotation_problem() -> VIProblem:
@@ -48,7 +48,7 @@ def rotation_problem() -> VIProblem:
 
 
 def scarf_problem(space) -> VIProblem:
-    return VIProblem(space, lambda p: -scarf_excess_demand(p))
+    return VIProblem(space, lambda p: -scarf_excess(p))
 
 
 def synthetic_trace(gaps) -> RunTrace:
@@ -122,7 +122,7 @@ def test_operator_values_that_are_not_real_numbers_are_evaluation_errors():
 def test_evaluate_many_checks_the_stack_contract():
     space = simplex(3)
     stack = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], CENTER3])
-    problem = VIProblem(space, lambda p: -scarf_excess_demand(p), "-Z", batched=True)
+    problem = VIProblem(space, lambda p: -scarf_excess(p), "-Z", batched=True)
     values = problem.evaluate_many(stack)
     assert values.shape == (3, 3) and values.flags.c_contiguous
     for x, row in zip(stack, values):
@@ -143,7 +143,7 @@ def test_evaluate_many_checks_the_stack_contract():
 
     def pointwise(p):
         seen.append(p.copy())
-        return -scarf_excess_demand(p)
+        return -scarf_excess(p)
 
     undeclared = VIProblem(space, pointwise)
     values = undeclared.evaluate_many(stack)
@@ -279,14 +279,6 @@ def test_gap_dominates_feasible_inner_products():
         for _ in range(8):
             y = rng.uniform(0.0, 1.0, size=3)
             assert value >= fx.dot(x_hat - y) - 1e-12
-
-
-def test_is_epsilon_strong_thresholds():
-    problem = scarf_problem(simplex(3))
-    assert is_epsilon_strong(problem, CENTER3, 1e-9)
-    off = np.array([0.25, 0.25, 0.5])
-    assert not is_epsilon_strong(problem, off, 0.1)
-    assert is_epsilon_strong(problem, off, 0.2)
 
 
 def test_minty_certificate_rotation_origin():
@@ -562,7 +554,7 @@ def test_a_stop_gap_adds_no_evaluation_before_the_stop(extragradient, stop_gap):
 
 
 def test_extragradient_evaluates_twice_per_iteration():
-    op = CountingOperator(lambda p: -scarf_excess_demand(p))
+    op = CountingOperator(lambda p: -scarf_excess(p))
     config = SolverConfig(eta=0.05, horizon=40, kernel=EUC)
     mirror_extragradient_solve(VIProblem(simplex(3), op), config, np.array([0.2, 0.3, 0.5]))
     assert op.calls == 2 * 40
@@ -572,7 +564,7 @@ def test_extragradient_evaluates_twice_per_iteration():
 def test_minty_certificate_evaluates_each_sample_once(space):
     # Points are drawn in one call but evaluated one at a time: an operator
     # is defined on single points.
-    op = CountingOperator(lambda p: -scarf_excess_demand(p))
+    op = CountingOperator(lambda p: -scarf_excess(p))
     minty_certificate(VIProblem(space, op), CENTER3, 50, 0)
     assert op.calls == 50
 
@@ -633,7 +625,7 @@ def test_minty_certificate_batched_equals_loop(space_kind, seed, m, n, samples):
 
 
 def test_minty_certificate_batched_keeps_the_frozen_scarf_violation():
-    problem = VIProblem(simplex(3), lambda p: -scarf_excess_demand(p), batched=True)
+    problem = VIProblem(simplex(3), lambda p: -scarf_excess(p), batched=True)
     violation, witness = minty_certificate(problem, CENTER3, 1000, 0)
     assert violation == 0.31690080410173926
     _assert_same_minty((violation, witness),
@@ -687,7 +679,7 @@ def test_minty_certificate_ties_keep_the_first_point():
 def test_gradient_reuses_recorded_evaluation(record_every, expected):
     # F(x_{k+1}) recorded for iteration k is F at the next iterate, so each
     # iterate is evaluated once; the last one only when its iteration is recorded.
-    op = CountingOperator(lambda p: -scarf_excess_demand(p))
+    op = CountingOperator(lambda p: -scarf_excess(p))
     config = SolverConfig(eta=0.05, horizon=30, kernel=EUC, record_every=record_every)
     mirror_gradient_solve(VIProblem(simplex(3), op), config, np.array([0.2, 0.3, 0.5]))
     assert op.calls == expected
