@@ -32,6 +32,11 @@ DEFAULT_PRICE_FLOOR = 1e-8
 #: economy fills its groups in blocks of consumer rows.
 _BLOCK_ENTRIES = 1 << 15
 
+_FLOAT = np.dtype(float)
+#: Goods up to which one price vector is checked on Python floats: tolist,
+#: sum and min cost less than numpy's two reductions below about 50 goods.
+_LIST_CHECK_MAX = 16
+
 #: Utility families in group order: an exchange economy stacks its consumers'
 #: arrays family by family, each family's consumers in their own order.
 _FAMILIES = (COBB_DOUGLAS, LEONTIEF, CES)
@@ -62,11 +67,17 @@ def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
     return np.matmul(matrix, prices[..., None])[..., 0]
 
 
+def _across(v: np.ndarray) -> np.ndarray:
+    """A price-length vector as it broadcasts against (..., m, n) consumer rows:
+    a vector as it is, each row of a (k, n) stack against its own rows."""
+    return v if v.ndim == 1 else v[..., None, :]
+
+
 def _spend(rows: np.ndarray, prices: np.ndarray, budgets: np.ndarray) -> None:
     """Scale each direction row d_i of (..., m, n) rows in place to b_i d_i / (d_i . p).
     Each cost is its own row dot, so a row never depends on the rows beside
     it, as it could in a gemv."""
-    cost = _row_dots(rows, prices[..., None, :])
+    cost = _row_dots(rows, _across(prices))
     rows *= np.divide(budgets, cost, out=cost)[..., None]
 
 
@@ -200,13 +211,13 @@ class _ConsumerGroup:
             out = np.empty(budgets.shape[:-1] + (stop - start, self.valuations.shape[1]))
         if self.utility == COBB_DOUGLAS:
             first = self.rows.start
-            np.multiply(budgets[..., first + start:first + stop, None],
-                        (1.0 / prices)[..., None, :], out=out)
+            np.multiply(budgets[..., first + start:first + stop, None], _across(1.0 / prices),
+                        out=out)
             out *= self.weights[start:stop]
         elif self.utility == LEONTIEF:
             out[...] = self.valuations[start:stop]
         else:
-            np.multiply(self.sigmas[start:stop, None], np.log(prices)[..., None, :], out=out)
+            np.multiply(self.sigmas[start:stop, None], _across(np.log(prices)), out=out)
             np.subtract(self.sigma_log_valuations[start:stop], out, out=out)
             # ufunc.reduce is what the max method calls, minus a Python frame.
             out -= np.maximum.reduce(out, axis=-1, keepdims=True)
@@ -310,6 +321,10 @@ class ExchangeEconomy:
         price row, each equal to the demand at that row alone bit for bit.
         An overflow is EvaluationError naming the first bad row.
         """
+        total = self._point_demand(p)
+        if total is not None:
+            return total
+        # Every other p, a bad price and an overflow come here.
         prices = np.maximum(_as_prices(p, self.n_goods, batch=True), self.price_floor)
         if prices.ndim == 1:
             total = self._total_demand(prices)
@@ -324,6 +339,36 @@ class ExchangeEconomy:
             row = int(np.argmin(np.isfinite(total).all(axis=1)))
             raise EvaluationError(f"aggregate demand overflow in row {row} at p={prices[row]}")
         return total
+
+    def _point_demand(self, p) -> np.ndarray | None:
+        """demand at one C-ordered float64 vector on the one-buffer path, checked
+        once and copied only to floor it, then _buffered_demand's arithmetic on
+        plain slices: the same bits. None for any other p (a strided one would
+        reach BLAS in another summation order), a bad price or an overflow."""
+        n = self.n_goods
+        if not (type(p) is np.ndarray and p.dtype == _FLOAT and p.shape == (n,)
+                and p.flags.c_contiguous and (self._valuations.size <= _BLOCK_ENTRIES or n == 1)):
+            return None
+        if n <= _LIST_CHECK_MAX:
+            # A float sum is finite unless an entry is not, or the sum overflows
+            # (then _as_prices decides); min is exact once every entry is finite.
+            q = p.tolist()
+            ok = math.isfinite(sum(q)) and 0.0 <= (low := min(q))
+        else:
+            ok = 0.0 <= (low := np.minimum.reduce(p)) and _finite(p)
+        if not ok:
+            return None
+        prices = p if low >= self.price_floor else np.maximum(p, self.price_floor)
+        budgets = self._endowments.dot(prices)
+        buffer = np.empty(self._valuations.shape)
+        for group in self._groups:
+            group.directions(budgets, prices, 0, len(group.valuations), buffer[group.rows])
+        if self._spent is not None:
+            _spend(buffer[self._spent], prices, budgets[self._spent])
+        if self._cap is not None:
+            np.minimum(buffer, self._cap, out=buffer)
+        total = np.add.reduce(buffer, axis=0)
+        return total if _finite(total) else None
 
     def _total_demand(self, prices: np.ndarray) -> np.ndarray:
         """Sum of capped demand over consumers. Both paths add the consumer rows

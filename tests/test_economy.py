@@ -1353,9 +1353,88 @@ def test_batch_overflow_names_the_row():
     with np.errstate(over="ignore"):
         with pytest.raises(EvaluationError, match="row 2"):
             economy.excess(prices)
-        with pytest.raises(EvaluationError):
+        # A C-ordered row takes the one-vector path; its overflow is reported
+        # at the floored prices all the same.
+        message = r"^aggregate demand overflow at p=\[1\.e\+305 1\.e-0+8\]$"
+        with pytest.raises(EvaluationError, match=message):
             economy.excess(prices[2])
     assert np.all(np.isfinite(economy.excess(prices[:2])))
+
+
+def price_forms(value: np.ndarray) -> dict[str, object]:
+    """The float64 vector value in forms that hold the same prices: only the
+    C-ordered float64 array (aligned or not) takes the one-vector path."""
+    strided = np.zeros(2 * value.size)
+    strided[::2] = value
+    read_only = value.copy()
+    read_only.flags.writeable = False
+    unaligned = np.frombuffer(bytearray(8 * value.size + 1), offset=1, count=value.size)
+    unaligned[...] = value
+    return {"float64": value.copy(), "strided": strided[::2], "list": value.tolist(),
+            "read_only": read_only, "big_endian": value.astype(">f8"), "unaligned": unaligned}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m, n", [(10, 5), (50, 50), (7, 1), (300, 300)])
+def test_one_price_vector_in_any_form_matches_the_stack_row(m, n):
+    # Every form of one price vector gives, bit for bit, row 0 of the one-row
+    # stack and what a list gives (_as_prices and _total_demand, the path
+    # each form but a C-ordered float64 array takes); the 300 x 300 economy
+    # streams. Prices below the floor, 0.0 and -0.0 are floored, so no price
+    # reaches 1 / p or log p unfloored (a cap could hide the value, not the
+    # warning); p is never written, and the result is a new array.
+    economy = generate_economy(GenSpec(seed=3, n_consumers=m, n_goods=n, mix=DESK_MIX))
+    assert (m * n <= economy_module._BLOCK_ENTRIES) == (m < 300)
+    rng = np.random.default_rng(61 + n)
+    floored = rng.uniform(0.1, 1.0, n)
+    floored[::3], floored[1::3], floored[2::3] = 1e-12, 0.0, -0.0
+    cases = [(form, value) for value in (rng.uniform(0.1, 1.0, n), floored, np.full(n, -0.0))
+             for form in price_forms(value).values()]
+    ints = rng.integers(1, 9, n)
+    singles = rng.uniform(0.1, 1.0, n).astype(np.float32)
+    cases += [(ints, ints.astype(float)), (singles, singles.astype(float))]
+    for form, value in cases:
+        before = np.array(form, copy=True)
+        for evaluate in (economy.excess, economy.demand):
+            result = evaluate(form)
+            assert result.tobytes() == evaluate(value.tolist()).tobytes()
+            assert result.tobytes() == evaluate(np.array([form]))[0].tobytes()
+            assert not np.shares_memory(result, form)
+        np.testing.assert_array_equal(np.array(form), before)
+        assert np.signbit(np.array(form)).tolist() == np.signbit(before).tolist()
+    # Finite prices whose float sum overflows go the list's way too: at 10 x 5
+    # both raise the same overflow, elsewhere both give the same bits.
+    huge = np.ones(n)
+    huge[:3] = 6e307
+    for evaluate in (economy.excess, economy.demand):
+        outcomes = []
+        for form in (huge, huge.tolist()):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    outcomes.append(evaluate(form).tobytes())
+                except EvaluationError as error:
+                    outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+    good = rng.uniform(0.1, 1.0, n)
+    for position, bad, message in [
+        (0, np.nan, "prices must be finite"), (n - 1, np.inf, "prices must be finite"),
+        (0, -np.inf, "prices must be finite"), (n - 1, -1e-300, "prices must be nonnegative"),
+    ]:
+        p = good.copy()
+        p[position] = bad
+        for form in (p, p.tolist()):
+            for evaluate in (economy.excess, economy.demand):
+                with pytest.raises(InvalidInput, match=f"^{message}$"):
+                    evaluate(form)
+    for p, message in [
+        (np.ones(n + 1), rf"^expected {n} prices, got {n + 1}$"),
+        (np.ones((1, 1, n)),
+         rf"^prices must be a vector or a \(k, n\) stack, got shape \(1, 1, {n}\)$"),
+        (np.ones((2, n + 1)), rf"^expected {n} prices, got {n + 1}$"),
+    ]:
+        for evaluate in (economy.excess, economy.demand):
+            with pytest.raises(InvalidInput, match=message):
+                evaluate(p)
 
 
 def test_prices_and_demand_whose_squares_overflow_stay_finite():

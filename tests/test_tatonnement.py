@@ -803,6 +803,61 @@ def test_solver_calls_scarf_excess_once_per_evaluation(monkeypatch):
     plain = mirror_extratatonnement(ScarfEconomy(), simplex(3), EUC, 0.05, 300, START)
     assert run.trace.half_points.tobytes() == plain.trace.half_points.tobytes()
 
+
+def test_solver_calls_exchange_excess_once_per_evaluation(monkeypatch):
+    # A small exchange economy evaluates one price vector on its own path,
+    # inside ExchangeEconomy.excess, the class attribute a tracer counts: a
+    # run stopped at iteration K on the box makes 2 (K + 1) one-vector calls
+    # and one call for the step-size probe's stack, and nothing else.
+    calls = []
+    original = ExchangeEconomy.excess
+
+    def counting(self, p):
+        calls.append(np.shape(p))
+        return original(self, p)
+
+    monkeypatch.setattr(ExchangeEconomy, "excess", counting)
+    economy = generate_economy(GenSpec(seed=0, n_consumers=10, n_goods=5, mix=MIXED))
+    run = mirror_extratatonnement(economy, unit_box(5), EUC, "auto", 5000, np.full(5, 0.5),
+                                  stop_gap=1e-6)
+    assert run.converged
+    last = int(run.trace.indices[-1])
+    assert len(calls) == 2 * (last + 1) + 1
+    assert calls.count((5,)) == 2 * (last + 1)
+
+
+def dirichlet_starts() -> list[np.ndarray]:
+    """Twenty flat-Dirichlet starts on Simplex(3) from one seed-0 generator."""
+    rng = np.random.default_rng(0)
+    return [rng.dirichlet(np.ones(3)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("index", [1, 3])
+def test_euclidean_extragradient_converges_from_starts_near_the_boundary(index):
+    # Starts 1 and 3 lie near the boundary: start 3 is (0.648, 0.352, 1.4e-4).
+    p0 = dirichlet_starts()[index]
+    assert p0.min() < 2e-3
+    run = mirror_extratatonnement(ScarfEconomy(), simplex(3), EUC, "auto", 50_000, p0,
+                                  stop_gap=1e-9)
+    assert run.converged
+    assert run.trace.indices[-1] < 1000
+    assert np.abs(run.trace.best_iterate - CENTER).max() <= 1e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="from start 3, (0.648, 0.352, 1.4e-4), the entropy kernel's run stalls "
+    "near the vertex (0, 1, 0), its gap 0.114 at the 50,000 horizon; the Euclidean "
+    "kernel converges from the same start in 625 iterations",
+)
+def test_entropy_extragradient_converges_from_a_start_near_a_vertex():
+    p0 = dirichlet_starts()[3]
+    run = mirror_extratatonnement(ScarfEconomy(), simplex(3), ENT, "auto", 50_000, p0,
+                                  stop_gap=1e-9)
+    assert run.converged
+
+
 def generated_economy() -> ExchangeEconomy:
     return generate_economy(GenSpec(
         seed=5, n_consumers=30, n_goods=20,
