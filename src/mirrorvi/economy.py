@@ -28,11 +28,11 @@ CES = "ces"
 DEFAULT_PRICE_FLOOR = 1e-8
 
 #: Demand-matrix entries (price rows x consumers x goods) per block: 256 KB
-#: of float64, a typical L2. Stacks go in blocks of price rows, and a streamed
-#: economy fills its groups in blocks of consumer rows.
+#: of float64, a typical L2. An economy within one block takes a stack in
+#: blocks of price rows; a larger one streams, one price row at a time, and
+#: fills its groups in blocks of consumer rows.
 _BLOCK_ENTRIES = 1 << 15
 
-_FLOAT = np.dtype(float)
 #: Goods up to which one price vector is checked on Python floats. tolist, sum
 #: and min take 0.5 us at 5 goods and grow with n; numpy's minimum reduction
 #: and finiteness dot take about 1.8 us up to a few hundred goods. The two
@@ -44,21 +44,37 @@ _LIST_CHECK_MAX = 48
 _FAMILIES = (COBB_DOUGLAS, LEONTIEF, CES)
 
 
-def _as_prices(p, n: int | None = None, *, batch: bool = False) -> np.ndarray:
-    """Checked prices: a finite nonnegative vector, or with batch=True also a
-    (k, n) stack; the messages are sorted out only when a price is bad."""
-    arr = np.asarray(p, dtype=float)
+def _as_prices(p, n: int | None = None, *, batch: bool = False,
+               floor: float | None = None) -> np.ndarray:
+    """Checked prices as a C-ordered float64 array: a finite nonnegative vector,
+    or with batch=True also a (k, n) stack, floored at floor when given. p
+    itself comes back when it is such an array with no price below the floor;
+    anything else is copied, so a strided row never reaches BLAS, which would
+    sum it in another order. The messages are sorted out only when a price is
+    bad."""
+    arr = np.asarray(p, dtype=float, order="C")
     if arr.ndim != 1 and not (batch and arr.ndim == 2):
         shapes = "a vector or a (k, n) stack" if batch else "a one-dimensional vector"
         raise InvalidInput(f"prices must be {shapes}, got shape {arr.shape}")
     if n is not None and arr.shape[-1] != n:
         raise InvalidInput(f"expected {n} prices, got {arr.shape[-1]}")
-    # ufunc.reduce is what min calls, minus a Python frame.
-    if arr.size and not (0.0 <= np.minimum.reduce(arr, axis=None) and _finite(arr)):
-        if not np.isfinite(arr).all():
-            raise InvalidInput("prices must be finite")
-        raise InvalidInput("prices must be nonnegative")
-    return arr
+    if not arr.size:
+        return arr
+    low = math.nan
+    if arr.ndim == 1 and arr.size <= _LIST_CHECK_MAX:
+        # A float sum is finite unless an entry is not, or the sum overflows
+        # (then numpy decides); min is exact once every entry is finite.
+        q = arr.tolist()
+        if math.isfinite(sum(q)):
+            low = min(q)
+    if not 0.0 <= low:
+        # ufunc.reduce is what min calls, minus a Python frame.
+        low = np.minimum.reduce(arr, axis=None)
+        if not (0.0 <= low and _finite(arr)):
+            if not np.isfinite(arr).all():
+                raise InvalidInput("prices must be finite")
+            raise InvalidInput("prices must be nonnegative")
+    return arr if floor is None or low >= floor else np.maximum(arr, floor)
 
 
 def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
@@ -155,11 +171,11 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
         if cap.shape not in ((), (consumer.n_goods,)) or not (cap >= 0.0).all():
             raise InvalidInput(
                 f"cap must be a scalar or {consumer.n_goods} entries, each >= 0, got {cap}")
-    prices = np.maximum(_as_prices(p, consumer.n_goods), floor)
+    prices = _as_prices(p, consumer.n_goods, floor=floor)
     group = _ConsumerGroup.stack(consumer.utility, [consumer])
     # A one-good budget is a bare product, -0.0 for a -0.0 endowment; + 0.0
     # makes it the +0.0 of an economy's budget product and changes no other.
-    x = group.fill(_matvec(group.endowments, prices) + 0.0, prices, 0, 1)[0]
+    x = group.fill(group.endowments.dot(prices) + 0.0, prices, 0, 1)[0]
     if not _finite(x):
         raise EvaluationError(f"demand overflow for {consumer.utility} consumer at p={prices}")
     if cap is not None:
@@ -237,21 +253,21 @@ class _ConsumerGroup:
 
     def slack_sum(self, budgets: np.ndarray, prices: np.ndarray,
                   cap: np.ndarray | None) -> np.ndarray | None:
-        """The column sum as one gemv in BLAS order, or None when the group must
-        fill: always for CES, and when a cap is given that the bound (each
-        nonnegative factor at its maximum; rounding is monotone) cannot prove slack."""
+        """The column sum at one price vector as one gemv in BLAS order, or None
+        when the group must fill: always for CES, and when a cap is given that
+        the bound (each nonnegative factor at its maximum; rounding is
+        monotone) cannot prove slack."""
         if self.utility == CES:
             return None
-        budgets = budgets[..., self.rows]
+        budgets = budgets[self.rows]
         if self.utility == LEONTIEF:
-            ratios = budgets / _matvec(self.valuations, prices)
-            if cap is None or (ratios.max(axis=-1, keepdims=True) * self.column_max <= cap).all():
-                return _matvec(self.valuations.T, ratios)
+            ratios = budgets / self.valuations.dot(prices)
+            if cap is None or (ratios.max() * self.column_max <= cap).all():
+                return self.valuations.T.dot(ratios)
             return None
         inv_p = 1.0 / prices
-        if cap is None or (budgets.max(axis=-1, keepdims=True) * inv_p * self.column_max
-                           <= cap).all():
-            return _matvec(self.weights.T, budgets) * inv_p
+        if cap is None or (budgets.max() * inv_p * self.column_max <= cap).all():
+            return self.weights.T.dot(budgets) * inv_p
         return None
 
 
@@ -320,21 +336,26 @@ class ExchangeEconomy:
         """Aggregate (capped) demand at floored prices.
 
         p is a price vector, or a (k, n) stack that gives one demand row per
-        price row, each equal to the demand at that row alone bit for bit.
-        An overflow is EvaluationError naming the first bad row.
+        price row, each equal to the demand at that row alone bit for bit,
+        whatever the stack's memory layout. An overflow is EvaluationError
+        naming the first bad row.
         """
-        total = self._point_demand(p)
-        if total is not None:
-            return total
-        # Every other p, a bad price and an overflow come here.
-        prices = np.maximum(_as_prices(p, self.n_goods, batch=True), self.price_floor)
+        prices = _as_prices(p, self.n_goods, batch=True, floor=self.price_floor)
+        # For n = 1 numpy sums a column pairwise, not row after row, which is
+        # why a one-good economy always fills one buffer.
+        buffered = self._valuations.size <= _BLOCK_ENTRIES or self.n_goods == 1
         if prices.ndim == 1:
-            total = self._total_demand(prices)
-        else:
-            step = max(1, _BLOCK_ENTRIES // (len(self.consumers) * self.n_goods))
+            total = self._buffered_demand(prices) if buffered else self._streamed_sum(prices)
+        elif buffered:
             total = np.empty_like(prices)
+            step = max(1, _BLOCK_ENTRIES // self._valuations.size)
             for start in range(0, len(prices), step):
-                total[start:start + step] = self._total_demand(prices[start:start + step])
+                total[start:start + step] = self._buffered_demand(prices[start:start + step])
+        else:
+            # A streamed economy takes one price row at a time.
+            total = np.empty_like(prices)
+            for row in range(len(prices)):
+                total[row] = self._streamed_sum(prices[row])
         if not _finite(total):
             if total.ndim == 1:
                 raise EvaluationError(f"aggregate demand overflow at p={prices}")
@@ -342,41 +363,12 @@ class ExchangeEconomy:
             raise EvaluationError(f"aggregate demand overflow in row {row} at p={prices[row]}")
         return total
 
-    def _point_demand(self, p) -> np.ndarray | None:
-        """demand at one C-ordered float64 vector on the one-buffer path, checked
-        once and copied only to floor it, then _buffered_demand: the same bits.
-        None for any other p (a strided one would reach BLAS in another
-        summation order), a bad price or an overflow."""
-        n = self.n_goods
-        if not (type(p) is np.ndarray and p.dtype == _FLOAT and p.shape == (n,)
-                and p.flags.c_contiguous and (self._valuations.size <= _BLOCK_ENTRIES or n == 1)):
-            return None
-        if n <= _LIST_CHECK_MAX:
-            # A float sum is finite unless an entry is not, or the sum overflows
-            # (then _as_prices decides); min is exact once every entry is finite.
-            q = p.tolist()
-            ok = math.isfinite(sum(q)) and 0.0 <= (low := min(q))
-        else:
-            ok = 0.0 <= (low := np.minimum.reduce(p)) and _finite(p)
-        if not ok:
-            return None
-        prices = p if low >= self.price_floor else np.maximum(p, self.price_floor)
-        total = self._buffered_demand(self._endowments.dot(prices), prices)
-        return total if _finite(total) else None
-
-    def _total_demand(self, prices: np.ndarray) -> np.ndarray:
-        """Sum of capped demand over consumers. Both paths add the consumer rows
-        one after another in group order, so they agree bit for bit wherever
-        every group fills."""
+    def _buffered_demand(self, prices: np.ndarray) -> np.ndarray:
+        """One buffer of every consumer row, one _spend, one cap, one sum, for a
+        price vector or a block of stack rows. Like _streamed_sum it adds the
+        consumer rows one after another in group order, so the two agree bit
+        for bit wherever every group fills."""
         budgets = _matvec(self._endowments, prices)
-        if len(self.consumers) * prices.size <= _BLOCK_ENTRIES or prices.shape[-1] == 1:
-            return self._buffered_demand(budgets, prices)
-        return self._streamed_sum(budgets, prices)
-
-    def _buffered_demand(self, budgets: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """One buffer of every consumer row, one _spend, one cap, one sum. For
-        n = 1 numpy sums a column pairwise, not row after row, which is why a
-        one-good economy always takes this path."""
         buffer = np.empty(prices.shape[:-1] + self._valuations.shape)
         for group in self._groups:
             group.directions(budgets, prices, 0, len(group.valuations), buffer[..., group.rows, :])
@@ -386,10 +378,12 @@ class ExchangeEconomy:
             np.minimum(buffer, self._cap, out=buffer)
         return np.add.reduce(buffer, axis=-2)
 
-    def _streamed_sum(self, budgets: np.ndarray, prices: np.ndarray) -> np.ndarray:
-        """One running column sum (row 0 of the block buffer) through the groups.
-        Starting it at +0.0 changes no sum: a column sums to -0.0 only with
-        every budget zero, which construction rejects."""
+    def _streamed_sum(self, prices: np.ndarray) -> np.ndarray:
+        """Demand at one price vector as one running column sum (row 0 of the
+        block buffer) through the groups. Starting it at +0.0 changes no sum: a
+        column sums to -0.0 only with every budget zero, which construction
+        rejects."""
+        budgets = self._endowments.dot(prices)
         cap, total, buffer = self._cap, np.zeros(prices.shape), None
         rows = max(1, _BLOCK_ENTRIES // prices.size)
         for group in self._groups:
@@ -399,16 +393,15 @@ class ExchangeEconomy:
                 continue
             if buffer is None:
                 rows = min(rows, len(self._valuations) - group.rows.start)
-                buffer = np.empty(prices.shape[:-1] + (1 + rows, prices.shape[-1]))
+                buffer = np.empty((1 + rows, prices.size))
             m = len(group.valuations)
             for start in range(0, m, rows):
                 stop = min(start + rows, m)
-                block = group.fill(budgets, prices, start, stop,
-                                   buffer[..., 1:1 + stop - start, :])
+                block = group.fill(budgets, prices, start, stop, buffer[1:1 + stop - start])
                 if cap is not None:
                     np.minimum(block, cap, out=block)
-                buffer[..., 0, :] = total
-                np.add.reduce(buffer[..., :1 + stop - start, :], axis=-2, out=total)
+                buffer[0] = total
+                np.add.reduce(buffer[:1 + stop - start], axis=0, out=total)
         return total
 
     def excess(self, p) -> np.ndarray:
@@ -460,7 +453,7 @@ class ScarfEconomy:
             if 0.0 <= q1 < math.inf and 0.0 <= q2 < math.inf and 0.0 <= q3 < math.inf:
                 return _scarf_rows(q1 if q1 > floor else floor, q2 if q2 > floor else floor,
                                    q3 if q3 > floor else floor)
-        q = np.maximum(_as_prices(p, 3, batch=True), floor)
+        q = _as_prices(p, 3, batch=True, floor=floor)
         return _scarf_rows(*(q.tolist() if q.ndim == 1 else q.T))
 
     def demand(self, p) -> np.ndarray:

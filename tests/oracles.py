@@ -63,7 +63,7 @@ def demand_oracle(consumer: Consumer, p, resolution: int,
             f"demand_oracle supports resolution <= {MAX_ORACLE_RESOLUTION}, got {resolution}"
         )
     check_real(floor, "price_floor", positive=True)
-    prices = np.maximum(_as_prices(p, n), floor)
+    prices = _as_prices(p, n, floor=floor)
     budget = float(prices.dot(consumer.endowment))
     if budget == 0.0:
         return np.zeros(n)

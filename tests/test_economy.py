@@ -510,8 +510,8 @@ def test_scarf_excess_demand_rows_match_single_calls():
 @pytest.mark.parametrize("floor", [1e-8, 0.0, -0.0, 0.5], ids=["default", "zero", "negzero", "half"])
 def test_scarf_single_vector_equals_stack_row(floor):
     # A float 3-vector is checked and floored on its Python floats; each
-    # value must equal the (1, 3) stack row, which goes through _as_prices
-    # and np.maximum, as bytes so that the sign of a zero counts too. A floor
+    # value must equal the (1, 3) stack row, which _as_prices checks and
+    # floors, as bytes so that the sign of a zero counts too. A floor
     # that is not positive is rejected when the economy is built.
     cases = [np.ones(3), np.array([-0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]),
              np.array([1e-9, 0.5, 2e-8]), np.array([1e-8, 1e-8, 0.3]),
@@ -1353,17 +1353,74 @@ def test_batch_overflow_names_the_row():
     with np.errstate(over="ignore"):
         with pytest.raises(EvaluationError, match="row 2"):
             economy.excess(prices)
-        # A C-ordered row takes the one-vector path; its overflow is reported
-        # at the floored prices all the same.
+        # One price vector's overflow is reported at its floored prices too.
         message = r"^aggregate demand overflow at p=\[1\.e\+305 1\.e-0+8\]$"
         with pytest.raises(EvaluationError, match=message):
             economy.excess(prices[2])
     assert np.all(np.isfinite(economy.excess(prices[:2])))
 
 
+def test_streamed_stack_overflow_names_the_row_and_empty_stacks(monkeypatch):
+    # Uncapped Cobb-Douglas consumers stream once their demand matrix exceeds
+    # _BLOCK_ENTRIES; a streamed stack goes one price row at a time and must
+    # still name the first row that overflows. An empty stack gives an empty
+    # stack on both paths.
+    economy = ExchangeEconomy(
+        [Consumer(COBB_DOUGLAS, np.array([1.0, 1.0]), np.array([1.0, 1.0]))] * 3,
+        n_goods=2,
+        demand_cap_factor=np.inf,
+    )
+    prices = np.array([[1.0, 1.0], [0.5, 2.0], [1e305, 0.0], [1e305, 0.0]])
+    message = r"^aggregate demand overflow in row 2 at p=\[1\.e\+305 1\.e-0+8\]$"
+    for streamed in (False, True):
+        if streamed:
+            monkeypatch.setattr(economy_module, "_BLOCK_ENTRIES", 4)
+            assert sums_in_closed_form(economy, prices[0])
+        for evaluate in (economy.excess, economy.demand):
+            assert evaluate(np.empty((0, 2))).shape == (0, 2)
+            with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=message):
+                evaluate(prices)
+            assert np.all(np.isfinite(evaluate(prices[:2])))
+
+
+def stack_layouts(stack: np.ndarray) -> dict[str, object]:
+    """The float64 (k, n) stack in other memory layouts and forms; float32
+    holds other prices, the rest the same ones."""
+    rows = np.zeros((2 * len(stack), stack.shape[1]))
+    rows[::2] = stack
+    columns = np.zeros((len(stack), 2 * stack.shape[1]))
+    columns[:, ::2] = stack
+    read_only = stack.copy()
+    read_only.flags.writeable = False
+    return {"fortran": np.asfortranarray(stack), "transposed_copy": stack.T.copy().T,
+            "row_strided": rows[::2], "column_strided": columns[:, ::2],
+            "float32": stack.astype(np.float32), "big_endian": stack.astype(">f8"),
+            "read_only": read_only, "list": stack.tolist()}
+
+
+@pytest.mark.parametrize("layout", list(stack_layouts(np.ones((1, 1)))))
+@pytest.mark.parametrize("m, n", [(10, 5), (50, 50), (7, 1), (300, 300)])
+def test_stack_rows_in_any_layout_match_the_single_call(m, n, layout):
+    # Each row of a stack, in any memory layout, equals bit for bit the call
+    # on that row alone as a C-ordered float64 vector. BLAS would sum a
+    # strided row, such as a row of a Fortran-ordered stack, in another
+    # order; the 300 x 300 economy streams.
+    economy = generate_economy(GenSpec(seed=4, n_consumers=m, n_goods=n, mix=DESK_MIX))
+    rng = np.random.default_rng(71 + n)
+    stack = rng.uniform(0.1, 1.0, (4, n))
+    stack[1, ::2] = 1e-12
+    form = stack_layouts(stack)[layout]
+    for evaluate in (economy.excess, economy.demand):
+        result = evaluate(form)
+        assert result.shape == (4, n) and result.flags.c_contiguous
+        for row, out in zip(np.array(form, dtype=float), result):
+            assert out.tobytes() == evaluate(np.ascontiguousarray(row)).tobytes()
+
+
 def price_forms(value: np.ndarray) -> dict[str, object]:
-    """The float64 vector value in forms that hold the same prices: only the
-    C-ordered float64 array (aligned or not) takes the one-vector path."""
+    """The float64 vector value in forms that hold the same prices: _as_prices
+    hands the C-ordered float64 array (aligned or not) on as it is when no
+    price is below the floor, and every other form as a C-ordered copy."""
     strided = np.zeros(2 * value.size)
     strided[::2] = value
     read_only = value.copy()
@@ -1378,11 +1435,11 @@ def price_forms(value: np.ndarray) -> dict[str, object]:
 @pytest.mark.parametrize("m, n", [(10, 5), (50, 50), (7, 1), (300, 300)])
 def test_one_price_vector_in_any_form_matches_the_stack_row(m, n):
     # Every form of one price vector gives, bit for bit, row 0 of the one-row
-    # stack and what a list gives (_as_prices and _total_demand, the path
-    # each form but a C-ordered float64 array takes); the 300 x 300 economy
-    # streams. Prices below the floor, 0.0 and -0.0 are floored, so no price
-    # reaches 1 / p or log p unfloored (a cap could hide the value, not the
-    # warning); p is never written, and the result is a new array.
+    # stack and what a list gives (a list, which _as_prices always copies);
+    # the 300 x 300 economy streams. Prices below the floor, 0.0 and -0.0
+    # are floored, so no price reaches 1 / p or log p unfloored (a cap could
+    # hide the value, not the warning); p is never written, and the result
+    # is a new array.
     economy = generate_economy(GenSpec(seed=3, n_consumers=m, n_goods=n, mix=DESK_MIX))
     assert (m * n <= economy_module._BLOCK_ENTRIES) == (m < 300)
     rng = np.random.default_rng(61 + n)

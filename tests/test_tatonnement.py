@@ -805,9 +805,9 @@ def test_solver_calls_scarf_excess_once_per_evaluation(monkeypatch):
 
 
 def test_solver_calls_exchange_excess_once_per_evaluation(monkeypatch):
-    # A small exchange economy evaluates one price vector on its own path,
-    # inside ExchangeEconomy.excess, the class attribute a tracer counts: a
-    # run stopped at iteration K on the box makes 2 (K + 1) one-vector calls
+    # An exchange economy evaluates one price vector inside
+    # ExchangeEconomy.excess, the class attribute a tracer counts: a run
+    # stopped at iteration K on the box makes 2 (K + 1) one-vector calls
     # and one call for the step-size probe's stack, and nothing else.
     calls = []
     original = ExchangeEconomy.excess
