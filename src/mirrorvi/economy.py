@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EvaluationError, InvalidInput, check_count, check_number, check_real, check_seed
-from .kernels import _finite, _row_dots
+from .kernels import _as_array, _finite, _point, _row_dots, simplex
 
 COBB_DOUGLAS = "cobb_douglas"
 LEONTIEF = "leontief"
@@ -46,16 +46,12 @@ _FAMILIES = (COBB_DOUGLAS, LEONTIEF, CES)
 
 def _as_prices(p, n: int | None = None, *, batch: bool = False,
                floor: float | None = None) -> np.ndarray:
-    """Checked prices as a C-ordered float64 array: a finite nonnegative vector,
-    or with batch=True also a (k, n) stack, floored at floor when given. p
-    itself comes back when it is such an array with no price below the floor;
-    anything else is copied, so a strided row never reaches BLAS, which would
-    sum it in another order. The messages are sorted out only when a price is
+    """Checked prices as a C-ordered float64 array (kernels._as_array): a finite
+    nonnegative vector, or with batch=True also a (k, n) stack, floored at
+    floor when given. p itself comes back when it is such an array with no
+    price below the floor. The messages are sorted out only when a price is
     bad."""
-    arr = np.asarray(p, dtype=float, order="C")
-    if arr.ndim != 1 and not (batch and arr.ndim == 2):
-        shapes = "a vector or a (k, n) stack" if batch else "a one-dimensional vector"
-        raise InvalidInput(f"prices must be {shapes}, got shape {arr.shape}")
+    arr = _as_array(p, "prices", batch)
     if n is not None and arr.shape[-1] != n:
         raise InvalidInput(f"expected {n} prices, got {arr.shape[-1]}")
     if not arr.size:
@@ -591,15 +587,13 @@ def bregman_continuity_bound(economy, p, elasticity: float | None = None,
     1-strongly-convex kernel: the divergence dominates 0.5 * ||p - p'||^2, so
     one value serves every kernel. When elasticity is not given it is
     estimated via elasticity_bound_estimate(economy, pairs, seed); a given
-    one must be finite and >= 0, as an estimate is.
+    one must be finite and >= 0, as an estimate is. p must be a point of the
+    unit simplex within MEMBERSHIP_TOL, as every point of a set is.
     """
     _check_sampling(pairs, seed)
     if elasticity is not None:
         check_real(elasticity, "elasticity")
-    prices = _as_prices(p, economy.n_goods)
-    total = prices.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidInput(f"p must lie on the unit simplex, got sum {total}")
+    prices = _point(simplex(economy.n_goods), p, "p")
     if elasticity is None:
         elasticity = elasticity_bound_estimate(economy, pairs, seed)
     demand = economy.demand(prices)

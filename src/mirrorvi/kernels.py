@@ -30,11 +30,21 @@ SIMPLEX = "simplex"
 FLOAT_SIMPLEX_MAX = 7
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    """x as a finite float vector, or InvalidInput naming it."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInput(f"{name} must be a one-dimensional vector, got shape {arr.shape}")
+def _as_array(x, name: str, stack: bool = False) -> np.ndarray:
+    """x as a C-ordered float64 vector, or with stack=True also a (k, n) stack,
+    or InvalidInput naming it: the one conversion of an array argument. A
+    strided vector is copied, since BLAS would sum it in another order than
+    its copy."""
+    arr = np.asarray(x, dtype=float, order="C")
+    if arr.ndim != 1 and not (stack and arr.ndim == 2):
+        shapes = "a vector or a (k, n) stack" if stack else "a one-dimensional vector"
+        raise InvalidInput(f"{name} must be {shapes}, got shape {arr.shape}")
+    return arr
+
+
+def _as_vector(x, name: str, stack: bool = False) -> np.ndarray:
+    """_as_array(x, name, stack), which must also be finite."""
+    arr = _as_array(x, name, stack)
     if not _finite(arr):
         raise InvalidInput(f"{name} must be finite")
     return arr
@@ -106,9 +116,10 @@ class FeasibleSet:
 
 
 def _point(space: FeasibleSet, x, name: str) -> np.ndarray:
-    """x as a float array, or InvalidInput("<name> lies outside the feasible set")
-    unless FeasibleSet.contains accepts it: the one rule for a point of a set."""
-    arr = np.asarray(x, dtype=float)
+    """x as a C-ordered float64 array, or InvalidInput("<name> lies outside the
+    feasible set") unless FeasibleSet.contains accepts it: the one rule for a
+    point of a set."""
+    arr = np.asarray(x, dtype=float, order="C")
     if not space.contains(arr):
         raise InvalidInput(f"{name} lies outside the feasible set")
     return arr
@@ -145,23 +156,12 @@ def bregman_divergence(kernel: Kernel, x, y) -> float | np.ndarray:
     k row divergences D_h(x_i, y_i) as an array, each equal to the vector call
     bit for bit.
     """
-    x_arr = _as_points(x, "x")
-    y_arr = _as_points(y, "y")
+    x_arr = _as_vector(x, "x", stack=True)
+    y_arr = _as_vector(y, "y", stack=True)
     if x_arr.shape != y_arr.shape:
         raise InvalidInput(f"dimension mismatch: {x_arr.shape} vs {y_arr.shape}")
     div = _divergence(kernel, x_arr, y_arr)
     return float(div) if x_arr.ndim == 1 else div
-
-
-def _as_points(x, name: str) -> np.ndarray:
-    """A finite vector or (k, n) stack of points, as C-ordered floats so that
-    every row is contiguous and reduces as a vector does."""
-    arr = np.asarray(x, dtype=float, order="C")
-    if arr.ndim not in (1, 2):
-        raise InvalidInput(f"{name} must be a vector or a (k, n) stack, got shape {arr.shape}")
-    if not _finite(arr):
-        raise InvalidInput(f"{name} must be finite")
-    return arr
 
 
 def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
@@ -270,14 +270,17 @@ def mirror_step(space: FeasibleSet, kernel: Kernel, eta: float, x0, g) -> np.nda
 
     The effective Euclidean step is 2*eta, which must be positive and finite;
     x0 must lie in the set and g be a finite vector of its dimension. A step
-    that overflows or loses all its mass on the simplex raises EvaluationError.
+    that overflows or loses all its mass on the simplex raises EvaluationError;
+    on a box an overflowed step clips. Neither gives a numpy warning.
     """
     _check_step(eta)
     x0_arr = _as_vector(x0, "x0")
     g_arr = _as_vector(g, "g")
     if x0_arr.shape != g_arr.shape or x0_arr.size != space.n:
         raise InvalidInput("x0 and g must match the set dimension")
-    return _prox(space, kernel, eta, _point(space, x0_arr, "x0"), g_arr)
+    # As in vi._solve: an overflowing step clips or raises, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _prox(space, kernel, eta, _point(space, x0_arr, "x0"), g_arr)
 
 
 def _prox(space: FeasibleSet, kernel: Kernel, eta: float, x0: np.ndarray,

@@ -252,33 +252,39 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     # (the plain method's recorded F(x_{k+1})); None means evaluate.
     fx = None
 
-    for k in range(config.horizon):
-        if fx is None:
-            fx = problem.evaluate(x)
-        x_half = _prox(space, kernel, eta, x, fx)
-        record = k % record_every == 0
-        if extragradient:
-            f_half = problem.evaluate(x_half)
-            x_next = _prox(space, kernel, eta, x, f_half)
-        else:
-            x_next = x_half
-            f_half = problem.evaluate(x_half) if record or stop_gap is not None else None
-        # The stop test runs every iteration, on the gap the trace records.
-        stop = stop_gap is not None and _gap(space, x_half, f_half) <= stop_gap
+    # A finite eta can overflow a prox target: the step clips on a box and
+    # raises EvaluationError on a simplex of any size, without a numpy warning.
+    # One errstate per solve, as one per step costs about 1 us (inside it each
+    # numpy call costs a few ns more); an operator value that overflowed is
+    # still non-finite, which evaluate rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.horizon):
+            if fx is None:
+                fx = problem.evaluate(x)
+            x_half = _prox(space, kernel, eta, x, fx)
+            record = k % record_every == 0
+            if extragradient:
+                f_half = problem.evaluate(x_half)
+                x_next = _prox(space, kernel, eta, x, f_half)
+            else:
+                x_next = x_half
+                f_half = problem.evaluate(x_half) if record or stop_gap is not None else None
+            # The stop test runs every iteration, on the gap the trace records.
+            stop = stop_gap is not None and _gap(space, x_half, f_half) <= stop_gap
 
-        if record or stop:
-            # Residuals are computed after the loop; the norm is numpy's own.
-            d = f_half - fx
-            delta = math.sqrt(d.dot(d))
-            records.append((k, x, x_half, f_half, delta, time.perf_counter() - start))
-            if stop:
-                converged = True
-                break
-            if backoff:
-                if _modulus_samples(delta, _divergence(kernel, x_half, x)) > _step_bound(eta):
-                    eta *= 0.5
-        x = x_next
-        fx = None if extragradient else f_half
+            if record or stop:
+                # Residuals are computed after the loop; the norm is numpy's own.
+                d = f_half - fx
+                delta = math.sqrt(d.dot(d))
+                records.append((k, x, x_half, f_half, delta, time.perf_counter() - start))
+                if stop:
+                    converged = True
+                    break
+                if backoff:
+                    if _modulus_samples(delta, _divergence(kernel, x_half, x)) > _step_bound(eta):
+                        eta *= 0.5
+            x = x_next
+            fx = None if extragradient else f_half
 
     indices, x_rows, half_rows, half_values, delta_rows, elapsed = map(np.array, zip(*records))
     gaps, complementarity, infeasibility = _residuals(space, half_rows, half_values)

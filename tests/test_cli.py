@@ -246,6 +246,18 @@ def test_vi_example_rotation(tmp_path):
     assert rows[0][2] == "nan" and rows[0][3] == "nan"  # no economy residuals
 
 
+def test_vi_example_all_zero_best_iterate_reports_null(tmp_path):
+    # The rotation's solution is the origin; started there, the best iterate
+    # is all zero, which has no max-1 representative.
+    json_path = tmp_path / "report.json"
+    code = main(["vi-example", "rotation", "--x0", "0,0",
+                 "--csv", str(tmp_path / "trace.csv"), "--json", str(json_path)])
+    assert code == 0
+    report = json.loads(json_path.read_text())
+    assert report["best_prices"] == [0.0, 0.0]
+    assert report["normalized_equilibrium"] is None
+
+
 @pytest.mark.parametrize("method", ["extragradient", "gradient"])
 @pytest.mark.parametrize(
     "name, problem",

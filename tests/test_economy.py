@@ -758,8 +758,10 @@ def test_bregman_continuity_bound_formula():
         bregman_continuity_bound(economy, p, kernel=None, elasticity=2.0)
     estimated = bregman_continuity_bound(economy, p, pairs=8, seed=0)
     assert estimated > 0.0
-    with pytest.raises(InvalidInput):
-        bregman_continuity_bound(economy, np.array([0.5, 0.5, 0.5]), elasticity=2.0)
+    # p is a point of the simplex by the library's one rule, kernels._point.
+    for outside in ([0.5, 0.5, 0.5], [0.5, 0.5 + 1e-11, 0.0], [0.5, 0.5], [0.5, 0.5, np.nan]):
+        with pytest.raises(InvalidInput, match="^p lies outside the feasible set$"):
+            bregman_continuity_bound(economy, np.array(outside), elasticity=2.0)
 
 
 def test_bregman_continuity_bound_certifies_local_steps():

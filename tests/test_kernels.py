@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mirrorvi import (
     box,
     linear_max,
     mirror_extragradient_solve,
+    mirror_gradient_solve,
     mirror_step,
     negative_entropy,
     simplex,
@@ -28,7 +30,7 @@ from mirrorvi import (
     squared_euclidean,
     unit_box,
 )
-from mirrorvi.kernels import _finite, _project_simplex, _prox, _row_dots
+from mirrorvi.kernels import FLOAT_SIMPLEX_MAX, _finite, _project_simplex, _prox, _row_dots
 
 
 def test_kernel_factories():
@@ -591,15 +593,39 @@ def test_an_overflowing_simplex_step_is_an_evaluation_error(kernel, direction):
     # 2 * eta * g overflows to +-inf. The entropy step took the infinite
     # maximum out of the log-weights and returned NaN prices, which a solve
     # carried to the horizon (then InvalidInput from the trace's divergences)
-    # or handed to the operator; both kernels now fail at the step.
-    g = 1e300 * np.array(direction)
-    problem = VIProblem(simplex(3), lambda x: g)
-    config = SolverConfig(eta=1e300, horizon=5, kernel=kernel)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(EvaluationError, match="simplex"):
-            mirror_step(simplex(3), kernel, 1e300, CENTER3, g)
-        with pytest.raises(EvaluationError, match="simplex"):
-            mirror_extragradient_solve(problem, config, CENTER3)
+    # or handed to the operator; both kernels now fail at the step. From 8
+    # goods numpy warned first ("overflow encountered in multiply"); now the
+    # numpy path raises what the float path does, without a warning.
+    message = ("simplex projection of a non-finite point" if kernel.kind == EUCLIDEAN
+               else "entropy step overflowed on the simplex")
+    for n in (3, FLOAT_SIMPLEX_MAX, FLOAT_SIMPLEX_MAX + 1):
+        g = 1e300 * np.resize(direction, n)
+        x0 = np.full(n, 1.0 / n)
+        problem = VIProblem(simplex(n), lambda x, g=g: g)
+        config = SolverConfig(eta=1e300, horizon=3, kernel=kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=f"^{message}$"):
+                mirror_step(simplex(n), kernel, 1e300, x0, g)
+            for solve in (mirror_gradient_solve, mirror_extragradient_solve):
+                with pytest.raises(EvaluationError, match=f"^{message}$"):
+                    solve(problem, config, x0)
+
+
+@pytest.mark.parametrize("kernel", [squared_euclidean(), negative_entropy()],
+                         ids=[EUCLIDEAN, ENTROPY])
+def test_an_overflowing_box_step_clips_without_a_warning(kernel):
+    # The overflowed target clips to the box (the entropy step to its floored
+    # lower bound), as it did; numpy warned "overflow encountered in multiply".
+    g = np.array([1e300, -1e300])
+    clipped = [0.0 if kernel.kind == EUCLIDEAN else kernel.floor, 1.0]
+    problem = VIProblem(unit_box(2), lambda x: g)
+    config = SolverConfig(eta=1e300, horizon=3, kernel=kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mirror_step(unit_box(2), kernel, 1e300, [0.5, 0.5], g).tolist() == clipped
+        for solve in (mirror_gradient_solve, mirror_extragradient_solve):
+            assert solve(problem, config, [0.5, 0.5]).half_points.tolist() == [clipped] * 3
 
 
 FINITENESS_CASES = {
