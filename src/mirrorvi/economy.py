@@ -73,25 +73,11 @@ def _as_prices(p, n: int | None = None, *, batch: bool = False,
     return arr if floor is None or low >= floor else np.maximum(arr, floor)
 
 
-def _matvec(matrix: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """matrix . p for a price vector, or for each row of a (k, n) stack. matmul
-    runs one gemv per row, so each row equals the vector product bit for bit."""
-    if prices.ndim == 1:
-        return matrix.dot(prices)
-    return np.matmul(matrix, prices[..., None])[..., 0]
-
-
-def _across(v: np.ndarray) -> np.ndarray:
-    """A price-length vector as it broadcasts against (..., m, n) consumer rows:
-    a vector as it is, each row of a (k, n) stack against its own rows."""
-    return v if v.ndim == 1 else v[..., None, :]
-
-
 def _spend(rows: np.ndarray, prices: np.ndarray, budgets: np.ndarray) -> None:
-    """Scale each direction row d_i of (..., m, n) rows in place to b_i d_i / (d_i . p).
-    Each cost is its own row dot, so a row never depends on the rows beside
-    it, as it could in a gemv."""
-    cost = _row_dots(rows, _across(prices))
+    """Scale each direction row d_i of (..., m, n) rows in place to b_i d_i / (d_i . p),
+    prices as they broadcast against a row. Each cost is its own row dot, so a
+    row never depends on the rows beside it, as it could in a gemv."""
+    cost = _row_dots(rows, prices)
     rows *= np.divide(budgets, cost, out=cost)[..., None]
 
 
@@ -171,7 +157,7 @@ def consumer_demand(consumer: Consumer, p, cap=None, floor: float = DEFAULT_PRIC
     group = _ConsumerGroup.stack(consumer.utility, [consumer])
     # A one-good budget is a bare product, -0.0 for a -0.0 endowment; + 0.0
     # makes it the +0.0 of an economy's budget product and changes no other.
-    x = group.fill(group.endowments.dot(prices) + 0.0, prices, 0, 1)[0]
+    x = group.fill(np.empty((1, prices.size)), group.endowments.dot(prices) + 0.0, prices)[0]
     if not _finite(x):
         raise EvaluationError(f"demand overflow for {consumer.utility} consumer at p={prices}")
     if cap is not None:
@@ -189,7 +175,7 @@ class _ConsumerGroup:
     valuations: np.ndarray  # (m, n)
     endowments: np.ndarray  # (m, n)
     rows: slice  # the group's rows of its economy's stacked arrays, or all of its own
-    sigmas: np.ndarray | None  # (m,) for CES
+    sigmas: np.ndarray | None  # (m, 1) for CES
     weights: np.ndarray | None  # (m, n) for Cobb-Douglas
     sigma_log_valuations: np.ndarray | None  # (m, n) for CES
     column_max: np.ndarray | None  # (n,), None for CES
@@ -205,10 +191,10 @@ class _ConsumerGroup:
             rows = slice(0, len(members))
         sigmas = weights = sigma_log_valuations = None
         if utility == CES:
-            sigmas = np.array([1.0 / (1.0 - c.rho) for c in members])
+            sigmas = np.array([[1.0 / (1.0 - c.rho)] for c in members])
             # In place: one (m, n) array while the group is built, not two.
             sigma_log_valuations = np.log(valuations)
-            sigma_log_valuations *= sigmas[:, None]
+            sigma_log_valuations *= sigmas
         elif utility == COBB_DOUGLAS:
             weights = valuations / valuations.sum(axis=1, keepdims=True)
         bounded = {COBB_DOUGLAS: weights, LEONTIEF: valuations}.get(utility)
@@ -216,35 +202,38 @@ class _ConsumerGroup:
         return cls(utility, valuations, endowments, rows, sigmas, weights, sigma_log_valuations,
                    column_max)
 
-    def directions(self, budgets: np.ndarray, prices: np.ndarray, start: int, stop: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """Rows start:stop before _spend, into out when given: Cobb-Douglas
-        demand (cost exactly 1), or Leontief or CES directions. budgets are
-        the whole economy's, one gemv never split into blocks."""
-        if out is None:
-            out = np.empty(budgets.shape[:-1] + (stop - start, self.valuations.shape[1]))
+    def block(self, start: int, stop: int) -> _ConsumerGroup:
+        """Members start:stop as a group of their own, viewing this group's arrays."""
+        v, e, s, w, slv = (None if a is None else a[start:stop] for a in (
+            self.valuations, self.endowments, self.sigmas, self.weights, self.sigma_log_valuations))
+        rows = slice(self.rows.start + start, self.rows.start + stop)
+        return _ConsumerGroup(self.utility, v, e, rows, s, w, slv, self.column_max)
+
+    def directions(self, out: np.ndarray, budgets: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """The group's rows before _spend, into out: Cobb-Douglas demand (cost
+        exactly 1), or Leontief or CES directions; the one home of each family's
+        formula. The operands come shaped for out: the group's budgets as a
+        column, and a price vector, or a stack's (k, 1, n) view."""
         if self.utility == COBB_DOUGLAS:
-            first = self.rows.start
-            np.multiply(budgets[..., first + start:first + stop, None], _across(1.0 / prices),
-                        out=out)
-            out *= self.weights[start:stop]
+            np.multiply(budgets, 1.0 / prices, out=out)
+            out *= self.weights
         elif self.utility == LEONTIEF:
-            out[...] = self.valuations[start:stop]
+            out[...] = self.valuations
         else:
-            np.multiply(self.sigmas[start:stop, None], _across(np.log(prices)), out=out)
-            np.subtract(self.sigma_log_valuations[start:stop], out, out=out)
+            np.multiply(self.sigmas, np.log(prices), out=out)
+            np.subtract(self.sigma_log_valuations, out, out=out)
             # ufunc.reduce is what the max method calls, minus a Python frame.
             out -= np.maximum.reduce(out, axis=-1, keepdims=True)
             np.exp(out, out=out)
         return out
 
-    def fill(self, budgets: np.ndarray, prices: np.ndarray, start: int, stop: int,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """Uncapped demand of members start:stop, into out when given."""
-        out = self.directions(budgets, prices, start, stop, out)
+    def fill(self, out: np.ndarray, budgets: np.ndarray, prices: np.ndarray) -> np.ndarray:
+        """The group's uncapped demand at a price vector into out, from its
+        economy's budgets."""
+        budgets = budgets[self.rows]
+        self.directions(out, budgets[:, None], prices)
         if self.utility != COBB_DOUGLAS:
-            first = self.rows.start
-            _spend(out, prices, budgets[..., first + start:first + stop])
+            _spend(out, prices, budgets)
         return out
 
     def slack_sum(self, budgets: np.ndarray, prices: np.ndarray,
@@ -364,12 +353,20 @@ class ExchangeEconomy:
         price vector or a block of stack rows. Like _streamed_sum it adds the
         consumer rows one after another in group order, so the two agree bit
         for bit wherever every group fills."""
-        budgets = _matvec(self._endowments, prices)
-        buffer = np.empty(prices.shape[:-1] + self._valuations.shape)
-        for group in self._groups:
-            group.directions(budgets, prices, 0, len(group.valuations), buffer[..., group.rows, :])
+        if prices.ndim == 1:
+            budgets = self._endowments.dot(prices)
+            buffer, column, spent = np.empty(self._valuations.shape), budgets[:, None], self._spent
+            for group in self._groups:
+                group.directions(buffer[group.rows], column[group.rows], prices)
+        else:
+            # matmul runs one gemv per row, so each row's budgets are the vector's bit for bit.
+            column = np.matmul(self._endowments, prices[:, :, None])
+            budgets, prices = column[:, :, 0], prices[:, None]
+            buffer, spent = np.empty(budgets.shape + prices.shape[-1:]), (slice(None), self._spent)
+            for group in self._groups:
+                group.directions(buffer[:, group.rows], column[:, group.rows], prices)
         if self._spent is not None:
-            _spend(buffer[..., self._spent, :], prices, budgets[..., self._spent])
+            _spend(buffer[spent], prices, budgets[spent])
         if self._cap is not None:
             np.minimum(buffer, self._cap, out=buffer)
         return np.add.reduce(buffer, axis=-2)
@@ -393,7 +390,7 @@ class ExchangeEconomy:
             m = len(group.valuations)
             for start in range(0, m, rows):
                 stop = min(start + rows, m)
-                block = group.fill(budgets, prices, start, stop, buffer[1:1 + stop - start])
+                block = group.block(start, stop).fill(buffer[1:1 + stop - start], budgets, prices)
                 if cap is not None:
                     np.minimum(block, cap, out=block)
                 buffer[0] = total

@@ -188,7 +188,10 @@ def _divergence(kernel: Kernel, x: np.ndarray, y: np.ndarray):
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i . b_i along the last axis, the leading axes broadcast: one BLAS dot per
     row, equal to a_i.dot(b_i) bit for bit but for the sign of a zero when n = 1
-    (a row adds the bare product to +0.0)."""
+    (a row adds the bare product to +0.0). Two vectors of n >= 2 take a.dot(b),
+    the same BLAS dot for half of vecdot's call cost."""
+    if a.ndim == b.ndim == 1 and a.size > 1:
+        return a.dot(b)
     return np.vecdot(a, b)
 
 
@@ -214,8 +217,8 @@ def _project_simplex(arr: np.ndarray) -> np.ndarray:
     u = u[::-1]
     css = np.add.accumulate(u)
     above = (u * np.arange(1.0, arr.size + 1.0) > css - 1.0).nonzero()[0]
-    if above.size == 0:  # only a non-finite point, say an overflowed prox target
-        raise EvaluationError("simplex projection of a non-finite point")
+    if above.size == 0:
+        return _top_vertex(_finite(arr), arr == u[0])
     rho = int(above[-1])
     theta = (float(css[rho]) - 1.0) / (rho + 1.0)
     w = arr - theta
@@ -238,10 +241,22 @@ def _project_floats(v: list) -> np.ndarray:
         if uj * (j + 1) > css - 1.0:
             rho, top = j, css
     if rho < 0:
-        raise EvaluationError("simplex projection of a non-finite point")
+        return _top_vertex(all(map(math.isfinite, v)), [x == u[0] for x in v])
     theta = (top - 1.0) / (rho + 1)
     # d if d > 0.0 else 0.0 is np.maximum(d, 0.0), the sign of a zero included.
     return np.array(_to_unit_sum([d if d > 0.0 else 0.0 for d in [x - theta for x in v]]))
+
+
+def _top_vertex(finite: bool, top) -> np.ndarray:
+    """The projection when no j passes the threshold test. In exact arithmetic
+    j = 0 always does; a finite point fails it only when u_0 - 1 rounds to u_0
+    (|u_0| > 2^53), so every other entry is at least 2 below u_0 and the entries
+    equal to it (top) share the mass evenly. A non-finite point, say an
+    overflowed prox target, raises EvaluationError."""
+    if not finite:
+        raise EvaluationError("simplex projection of a non-finite point")
+    w = np.array(top, dtype=float)
+    return w / np.add.reduce(w)
 
 
 def _to_unit_sum(w: list) -> list:

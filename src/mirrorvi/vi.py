@@ -244,7 +244,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     x = _point(space, x0, "x0")
 
     start = time.perf_counter()
-    # (k, x_k, x_{k+0.5}, F(x_{k+0.5}), ||F(x_{k+0.5}) - F(x_k)||, t_k) per record.
+    # (k, x_k, x_{k+0.5}, F(x_{k+0.5}), F(x_k), t_k) per record.
     records: list[tuple] = []
     converged = False
     eta = config.eta
@@ -273,21 +273,24 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
             stop = stop_gap is not None and _gap(space, x_half, f_half) <= stop_gap
 
             if record or stop:
-                # Residuals are computed after the loop; the norm is numpy's own.
-                d = f_half - fx
-                delta = math.sqrt(d.dot(d))
-                records.append((k, x, x_half, f_half, delta, time.perf_counter() - start))
+                # Residuals and operator deltas are computed after the loop.
+                records.append((k, x, x_half, f_half, fx, time.perf_counter() - start))
                 if stop:
                     converged = True
                     break
                 if backoff:
+                    d = f_half - fx
+                    delta = math.sqrt(d.dot(d))
                     if _modulus_samples(delta, _divergence(kernel, x_half, x)) > _step_bound(eta):
                         eta *= 0.5
             x = x_next
             fx = None if extragradient else f_half
 
-    indices, x_rows, half_rows, half_values, delta_rows, elapsed = map(np.array, zip(*records))
+    indices, x_rows, half_rows, half_values, x_values, elapsed = map(np.array, zip(*records))
     gaps, complementarity, infeasibility = _residuals(space, half_rows, half_values)
+    # Each row's own dot, d.dot(d) bit for bit: a sum of squares is never -0.0.
+    d = half_values - x_values
+    delta_rows = np.sqrt(_row_dots(d, d))
     divergences = bregman_divergence(kernel, half_rows, x_rows)
     return RunTrace(
         method=MIRROR_EXTRAGRADIENT if extragradient else MIRROR_GRADIENT,

@@ -390,6 +390,20 @@ def test_sweep_rejects_shared_options_once_before_any_file(tmp_path, capsys, opt
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
 
+@pytest.mark.parametrize("kernel", ["euclidean", "entropy"])
+def test_scarf_with_a_huge_finite_step_runs(tmp_path, capsys, kernel):
+    # A step of 1e20 puts the Euclidean prox targets past 2^53; they project
+    # to the top vertex, where "simplex projection of a non-finite point"
+    # ended the run with exit 1.
+    argv = ["scarf", "--eta", "1e20", "--iters", "50", "--kernel", kernel,
+            "--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) in (0, 2)
+    assert "error:" not in capsys.readouterr().err
+    assert len(read_csv_rows(tmp_path / "t.csv")) == 50
+
+
 def test_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--seeds", ",", "--out-dir", str(tmp_path / "x")]) == 1
     assert main(["scarf", "--eta", "-0.5"]) == 1

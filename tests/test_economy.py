@@ -340,7 +340,7 @@ def test_budget_identity_uncapped():
         x = consumer_demand(consumer, p)
         assert np.isfinite(x).all()
         floored = np.maximum(p, economy_module.DEFAULT_PRICE_FLOOR)
-        budget = economy_module._matvec(consumer.endowment[None, :], floored)[0]
+        budget = budget_product(consumer.endowment[None, :], floored)[0]
         bound = budget_identity_bound(utility, n) * budget + budget_underflow(n, floored, budget)
         assert abs(floored.dot(x) - budget) <= bound, (utility, n, sigma)
 
@@ -372,8 +372,8 @@ def test_zero_budget_returns_zero_bundle():
         for cap_factor in (np.inf, 1.0):
             economy = ExchangeEconomy([c, other], n_goods=n, demand_cap_factor=cap_factor)
             (group,) = economy._groups
-            budgets = economy_module._matvec(economy._endowments, p)
-            row = group.fill(budgets, p, 0, 1)[0]
+            budgets = budget_product(economy._endowments, p)
+            row = group.block(0, 1).fill(np.empty((1, n)), budgets, p)[0]
             if economy._cap is not None:
                 row = np.minimum(row, economy._cap)
             x = consumer_demand(c, p, cap=economy._cap)
@@ -798,7 +798,7 @@ def log_space_ces_demand(group, prices) -> np.ndarray:
     """
     budgets = group.endowments.dot(prices)
     log_p = np.log(prices)
-    t = group.sigmas[:, None] * (np.log(group.valuations) - log_p)
+    t = group.sigmas * (np.log(group.valuations) - log_p)
     lse = _reference_logsumexp(t + log_p, axis=1)
     return budgets[:, None] * np.exp(t - lse[:, None])
 
@@ -811,10 +811,30 @@ UNIT_ROUNDOFF = 2.0**-53
 SMALLEST_SUBNORMAL = 2.0**-1074
 
 
+def budget_product(matrix, prices) -> np.ndarray:
+    """matrix . p for a price vector, or for each row of a (k, n) stack as its
+    own gemv (matmul runs one per row), as an economy takes its budgets."""
+    if prices.ndim == 1:
+        return matrix.dot(prices)
+    return np.matmul(matrix, prices[..., None])[..., 0]
+
+
 def own_budgets(group, prices) -> np.ndarray:
     """The budgets of a group's own endowments: what a group that stands
     alone, or the only group of its economy, evaluates from."""
-    return economy_module._matvec(group.endowments, prices)
+    return budget_product(group.endowments, prices)
+
+
+def stacked_fill(group, prices) -> np.ndarray:
+    """A group's uncapped demand from its own budgets at each row of a (k, n)
+    stack, as an economy's stack block fills it: the family formula on the
+    stack's (k, 1, n) view, then one _spend."""
+    budgets = own_budgets(group, prices)
+    out = np.empty(budgets.shape + prices.shape[-1:])
+    group.directions(out, budgets[..., None], prices[:, None])
+    if group.utility != COBB_DOUGLAS:
+        economy_module._spend(out, prices[:, None], budgets)
+    return out
 
 
 def ces_grid():
@@ -864,8 +884,8 @@ def test_ces_demand_within_derived_bound_of_log_space_form():
     for group, prices in ces_grid():
         n = prices.shape[1]
         gamma_n = gamma(n)
-        sigmas = group.sigmas[:, None]
-        stack = group.fill(own_budgets(group, prices), prices, 0, len(sigmas))
+        sigmas = group.sigmas
+        stack = stacked_fill(group, prices)
         for p, x in zip(prices, stack):
             reference = log_space_ces_demand(group, p)
             magnitude = (sigmas * np.abs(np.log(group.valuations))
@@ -878,7 +898,8 @@ def test_ces_demand_within_derived_bound_of_log_space_form():
             bound = relative / (1.0 - relative) * reference + underflow
             assert (np.abs(x - reference) <= bound).all(), (n, p)
             worst = max(worst, float((np.abs(x - reference) / bound).max()))
-            np.testing.assert_array_equal(x, group.fill(own_budgets(group, p), p, 0, len(sigmas)))
+            np.testing.assert_array_equal(
+                x, group.fill(np.empty(x.shape), own_budgets(group, p), p))
     # The bound is not vacuous: some entries come within a small factor of it.
     assert worst > 1e-3
 
@@ -892,7 +913,7 @@ def test_ces_budget_identity():
     for group, prices in ces_grid():
         n = prices.shape[1]
         budgets = own_budgets(group, prices)
-        stack = group.fill(budgets, prices, 0, len(group.sigmas))
+        stack = stacked_fill(group, prices)
         assert np.isfinite(stack).all()
         for p, b, x in zip(prices, budgets, stack):
             bound = budget_identity_bound(CES, n) * b + budget_underflow(n, p, b)
@@ -909,7 +930,7 @@ def stacked_budgets(economy, prices) -> np.ndarray:
     """Every consumer's budget, from one product over the endowments stacked
     in group order, for a price vector or a (k, n) stack."""
     endowments = np.array([c.endowment for c in in_group_order(economy)])
-    return economy_module._matvec(endowments, prices)
+    return budget_product(endowments, prices)
 
 
 def row_costs(directions, prices) -> np.ndarray:
@@ -975,7 +996,7 @@ def sums_in_closed_form(economy, p) -> bool:
             or economy.n_goods == 1):
         return False
     prices = np.maximum(p, economy.price_floor)
-    budgets = economy_module._matvec(economy._endowments, prices)
+    budgets = budget_product(economy._endowments, prices)
     return any(group.slack_sum(budgets, prices, economy._cap) is not None
                for group in economy._groups)
 
@@ -1214,6 +1235,53 @@ def test_row_cost_does_not_depend_on_grouping(monkeypatch, n):
         assert len(scaled) == 14
         np.testing.assert_array_equal(np.concatenate(scaled), rows)
         np.testing.assert_array_equal([consumer_demand(c, p) for c in spent], rows)
+
+
+def test_each_family_formula_has_one_home(monkeypatch):
+    # _ConsumerGroup.directions holds each family's formula and _spend scales
+    # every spent row; a one-vector excess, a stacked block, a streamed
+    # block and consumer_demand must all go through them, each consumer row
+    # once. A second, inlined copy of a formula on any of those paths would
+    # leave its rows out of these counts.
+    n, m = 5, 4
+    economy = family_economy(np.random.default_rng(41), "mixed", m, n, 1.0)
+    capped_at(economy, 1e-6 * economy.aggregate_supply)  # every group fills when streamed
+    prices = np.random.default_rng(42).uniform(0.1, 1.0, (3, n))
+    filled, spent = [], []
+    directions, spend = economy_module._ConsumerGroup.directions, economy_module._spend
+
+    def spy_directions(group, out, *args):
+        filled.append((group.utility, out.size // n))
+        return directions(group, out, *args)
+
+    def spy_spend(rows, *args):
+        spent.append(rows.size // n)
+        spend(rows, *args)
+
+    monkeypatch.setattr(economy_module._ConsumerGroup, "directions", spy_directions)
+    monkeypatch.setattr(economy_module, "_spend", spy_spend)
+
+    def rows_through_the_spies(evaluate) -> tuple[dict, int]:
+        filled.clear()
+        spent.clear()
+        evaluate()
+        per_family = {}
+        for utility, rows in filled:
+            per_family[utility] = per_family.get(utility, 0) + rows
+        return per_family, sum(spent)
+
+    every = {COBB_DOUGLAS: m, LEONTIEF: m, CES: m}
+    assert rows_through_the_spies(lambda: economy.excess(prices[0])) == (every, 2 * m)
+    stack = {family: 3 * rows for family, rows in every.items()}
+    assert rows_through_the_spies(lambda: economy.excess(prices)) == (stack, 6 * m)
+    with monkeypatch.context() as patched:
+        patched.setattr(economy_module, "_BLOCK_ENTRIES", 3 * n)
+        assert not sums_in_closed_form(economy, prices[0])
+        assert rows_through_the_spies(lambda: economy.excess(prices[0])) == (every, 2 * m)
+        assert len(filled) == 3 * 2  # blocks of three rows each
+    for consumer in economy.consumers:
+        got = rows_through_the_spies(lambda: consumer_demand(consumer, prices[0]))
+        assert got == ({consumer.utility: 1}, int(consumer.utility != COBB_DOUGLAS))
 
 
 def test_groups_view_the_stacked_arrays():
@@ -1574,7 +1642,7 @@ def reference_group_demand(group, prices, budgets=None) -> np.ndarray:
     given.
     """
     if budgets is None:
-        budgets = economy_module._matvec(group.endowments, prices)
+        budgets = budget_product(group.endowments, prices)
     if group.utility == COBB_DOUGLAS:
         x = budgets[..., :, None] * (1.0 / prices)[..., None, :]
         x *= group.weights
@@ -1582,7 +1650,7 @@ def reference_group_demand(group, prices, budgets=None) -> np.ndarray:
     if group.utility == LEONTIEF:
         directions = group.valuations
     else:
-        sigmas = group.sigmas[:, None]
+        sigmas = group.sigmas
         t = sigmas * np.log(group.valuations) - sigmas * np.log(prices)[..., None, :]
         directions = np.exp(t - t.max(axis=-1, keepdims=True))
     return directions * (budgets / row_costs(directions, prices))[..., :, None]

@@ -494,6 +494,53 @@ def test_projection_that_loses_all_its_mass_raises(n):
         mirror_step(simplex(n), squared_euclidean(), 0.5, np.full(n, 1.0 / n), 1.0 / n - v)
 
 
+@pytest.mark.parametrize("scale", [1e16, 1e300])
+@pytest.mark.parametrize("n", [3, 9])
+def test_projection_of_a_huge_finite_point_is_its_top_vertex(n, scale):
+    # In exact arithmetic j = 0 always passes the threshold test
+    # u_j (j + 1) > css_j - 1; in floats u_0 - 1 rounds to u_0 from about
+    # 2^53, and with no j passing, such a finite point raised "simplex
+    # projection of a non-finite point". Every other entry is then at least
+    # 2 below u_0, so the largest entries share the mass evenly. n = 3 runs
+    # on floats, n = 9 on numpy.
+    v = np.zeros(n)
+    v[1] = scale
+    assert simplex_projection(v).tobytes() == np.eye(n)[1].tobytes()
+    v[-1] = scale
+    tie = np.zeros(n)
+    tie[[1, -1]] = 0.5
+    assert simplex_projection(v).tobytes() == tie.tobytes()
+    v = np.full(n, -scale)
+    assert simplex_projection(v).tobytes() == np.full(n, 1.0 / n).tobytes()
+    v[0] = 0.5 * scale
+    assert simplex_projection(v).tobytes() == np.eye(n)[0].tobytes()
+    # A step of 1e20 on Scarf-sized values puts its target there; it was an
+    # EvaluationError.
+    x0 = np.full(n, 1.0 / n)
+    g = np.linspace(-0.3, 0.2, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = mirror_step(simplex(n), squared_euclidean(), 1e20, x0, g)
+        assert step.tobytes() == np.eye(n)[0].tobytes()
+        problem = VIProblem(simplex(n), lambda x: g)
+        config = SolverConfig(eta=1e20, horizon=3, kernel=squared_euclidean())
+        for solve in (mirror_gradient_solve, mirror_extragradient_solve):
+            trace = solve(problem, config, x0)
+            assert trace.half_points.tolist() == [np.eye(n)[0].tolist()] * 3
+    # A non-finite entry beside the huge one, as in an overflowed prox
+    # target, still raises.
+    for bad in (np.inf, np.nan):
+        for where in (0, 2):
+            v = np.zeros(n)
+            v[1] = scale
+            v[where] = bad
+            with pytest.raises(EvaluationError,
+                               match="^simplex projection of a non-finite point$"):
+                _project_simplex(v)
+        with pytest.raises(EvaluationError, match="^simplex projection of a non-finite point$"):
+            _project_simplex(np.full(n, bad))
+
+
 @pytest.mark.parametrize("n", SIMPLEX_SIZES)
 def test_entropy_simplex_step_matches_reference_bit_for_bit(n):
     space = simplex(n)
@@ -663,6 +710,47 @@ def test_finite_agrees_with_the_entry_by_entry_test(case):
 def _matmul_row_dots(a, b):
     # The form _row_dots had before it was np.vecdot: one matmul dot per row.
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 500])
+def test_row_dots_of_a_vector_pair_give_the_vecdot_bytes(n):
+    # Two vectors of n >= 2 take a.dot(b), the BLAS dot that np.vecdot calls;
+    # n = 1 keeps vecdot, whose bare product is added to +0.0.
+    rng = np.random.default_rng(600 + n)
+    a = rng.normal(size=3 * n) * 10.0 ** rng.uniform(-5.0, 5.0, 3 * n)
+    b = rng.normal(size=3 * n) * 10.0 ** rng.uniform(-5.0, 5.0, 3 * n)
+    signs = np.resize([1.0, -1.0], n)
+    ones = np.ones(n)
+    pairs = [
+        (a[:n], b[:n]),  # C-ordered
+        (a[::3], b[1::3]),  # strided
+        (a[:n], b[2::3]),  # one of each
+        (-np.zeros(n), ones),  # every product -0.0
+        (np.zeros(n), -ones),
+        (-np.zeros(n), -np.zeros(n)),
+        (ones, signs),  # products that cancel to zero
+        (a[:n], a[:n] * signs[::-1] if n % 2 == 0 else a[:n]),
+        (np.repeat(a[:(n + 1) // 2], 2)[:n], np.repeat(b[:(n + 1) // 2], 2)[:n] * signs),
+    ]
+    for x, y in pairs:
+        got = _row_dots(x, y)
+        expected = np.vecdot(x, y)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (x, y)
+    assert np.asarray(_row_dots(np.array([-0.0]), np.array([1.0]))).tobytes() == bytes(8)
+
+
+def test_row_dots_of_a_reversed_vector_pair_give_their_copies_bytes():
+    # A negative stride is the one layout where the two differ: a.dot sums a
+    # reversed view as it sums its copy, np.vecdot sometimes in another order.
+    rng = np.random.default_rng(27)
+    vecdot_differs = False
+    for n in (2, 17, 300, 1000):
+        a, b = (rng.normal(size=3 * n)[::-1][:n] for _ in range(2))
+        expected = np.vecdot(a.copy(), b.copy()).tobytes()
+        assert _row_dots(a, b).tobytes() == expected
+        vecdot_differs |= np.vecdot(a, b).tobytes() != expected
+    assert vecdot_differs
 
 
 def test_row_dots_equal_the_matmul_form_bit_for_bit():

@@ -912,3 +912,25 @@ def test_gap_equals_the_stacked_residual_gap_bit_for_bit(bounds, n):
     for row, (x, fx) in zip(stacked, cases):
         assert _gap(space, x, fx).tobytes() == row.tobytes()
         assert _residuals(space, x, fx)[0].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 2.0), None],
+                         ids=["unit_box", "box", "simplex"])
+def test_public_gap_equals_its_row_of_a_stacked_gap(bounds, n):
+    # gap at a point takes its dots on two vectors (a.dot), a stack's rows
+    # take np.vecdot: a point's gap is still its row of any stack that holds
+    # it, sign of a zero too.
+    space = simplex(n) if bounds is None else box(np.full(n, bounds[0]), np.full(n, bounds[1]))
+    rng = np.random.default_rng(100 + n)
+    rows = [np.resize(row, n) for row in _residual_rows()] if n > 1 else []
+    rows += [rng.normal(size=n) for _ in range(4)]
+    cases = _gap_cases(space) if n in (1, 5) else [
+        (rng.uniform(space.lo, space.hi) if space.kind == "box"
+         else rng.dirichlet(np.ones(n)), fx) for fx in rows]
+    xs = np.array([x for x, _ in cases])
+    fxs = np.array([fx for _, fx in cases])
+    stacked = _gap(space, xs, fxs)
+    for row, (x, fx) in zip(stacked, cases):
+        value = gap(VIProblem(space, lambda _, fx=fx: fx), x)
+        assert np.float64(value).tobytes() == row.tobytes()
