@@ -29,6 +29,7 @@ from .vi import (
     RunTrace,
     SolverConfig,
     VIProblem,
+    _as_real,
     _modulus_samples,
     _residuals,
     _step_bound,
@@ -88,10 +89,12 @@ class PriceRun:
 
 
 def _price_problem(economy, space: FeasibleSet) -> VIProblem:
-    """(space, -Z), declared batched: every economy's excess maps a stack to its rows."""
+    """(space, -Z), declared batched: every economy's excess maps a stack to its
+    rows. Z passes vi's type rule before it is negated, so a value that is not
+    real numbers is EvaluationError, as for any operator."""
     return VIProblem(
         set=space,
-        operator=lambda p: -np.asarray(economy.excess(p), dtype=float),
+        operator=lambda p: -_as_real(economy.excess(p), "-Z"),
         operator_label="-Z",
         batched=True,
     )

@@ -41,6 +41,21 @@ MIRROR_GRADIENT = "mirror_gradient"
 MIRROR_EXTRAGRADIENT = "mirror_extragradient"
 
 
+def _as_real(value, label: str) -> np.ndarray:
+    """value as a float64 array, itself when it is one; EvaluationError naming
+    operator label unless it holds integers or floats (no bools, strings,
+    complex numbers or ragged lists)."""
+    if getattr(value, "dtype", None) is _FLOAT:
+        return value
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise EvaluationError(f"operator {label!r} returned values that are not real numbers")
+    return arr.astype(float)
+
+
 def _step_bound(x: float) -> float:
     """1 / (2 * sqrt(2) * x): the step-size premise 2 * eta <= 1/(sqrt(2) * L)
     at equality. For a modulus x it is the largest step; for a step x it is
@@ -72,14 +87,13 @@ class VIProblem:
     batched: bool = False
 
     def evaluate(self, x) -> np.ndarray:
-        """F(x) as a float vector; a value that is not real numbers, of a wrong
-        shape or not finite is EvaluationError."""
+        """F(x) as a C-ordered float64 vector; a value that is not real numbers,
+        of a wrong shape or not finite is EvaluationError."""
         out = self.operator(np.asarray(x, dtype=float))
-        if getattr(out, "dtype", None) is not _FLOAT:
-            out = self._real(out)
-        if out.shape != (self.set.n,) or not _finite(out):
-            self._reject(out, (self.set.n,))
-        return out
+        if (getattr(out, "dtype", None) is _FLOAT and out.shape == (self.set.n,)
+                and out.flags.c_contiguous and _finite(out)):
+            return out
+        return self._checked(out, (self.set.n,))
 
     def evaluate_many(self, xs) -> np.ndarray:
         """F at every row of a (k, n) stack, as a C-ordered (k, n) float array.
@@ -98,35 +112,22 @@ class VIProblem:
             for i, x in enumerate(points):
                 out[i] = self.evaluate(x)
             return out
-        out = self.operator(points)
-        if getattr(out, "dtype", None) is not _FLOAT:
-            out = self._real(out)
-        out = np.asarray(out, order="C")
-        if out.shape != points.shape or not _finite(out):
-            self._reject(out, points.shape)
-        return out
+        return self._checked(self.operator(points), points.shape)
 
-    def _real(self, out) -> np.ndarray:
-        """An operator value that is not a float64 array, as one; EvaluationError
-        unless it holds integers or floats (no bools, strings, complex numbers
-        or ragged lists)."""
-        try:
-            arr = np.asarray(out)
-        except ValueError:  # a ragged list
-            arr = None
-        if arr is None or arr.dtype.kind not in "iuf":
-            raise EvaluationError(
-                f"operator {self.operator_label!r} returned values that are not real numbers")
-        return arr.astype(float)
-
-    def _reject(self, out: np.ndarray, shape: tuple) -> None:
-        """Raise EvaluationError for an operator value of the wrong shape or not finite."""
+    def _checked(self, out, shape: tuple) -> np.ndarray:
+        """The one rule for an operator value: out as a C-ordered float64 array
+        (_as_real's type rule) of the given shape, every entry finite;
+        EvaluationError otherwise. evaluate returns a value that already is one
+        without calling it."""
+        out = np.asarray(_as_real(out, self.operator_label), order="C")
         if out.shape != shape:
             raise EvaluationError(
                 f"operator {self.operator_label!r} returned shape {out.shape}, "
                 f"expected {shape}"
             )
-        raise EvaluationError(f"operator {self.operator_label!r} returned non-finite values")
+        if not _finite(out):
+            raise EvaluationError(f"operator {self.operator_label!r} returned non-finite values")
+        return out
 
 
 @dataclass(frozen=True)

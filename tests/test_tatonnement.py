@@ -877,15 +877,58 @@ def test_euclidean_extragradient_converges_from_starts_near_the_boundary(index):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="from start 3, (0.648, 0.352, 1.4e-4), the entropy kernel's run stalls "
-    "near the vertex (0, 1, 0), its gap 0.114 at the 50,000 horizon; the Euclidean "
-    "kernel converges from the same start in 625 iterations",
+    reason="modulus backoff reads only recorded samples: from start 3, (0.648, 0.352, "
+    "1.4e-4), with a record every iteration it halves eta five times, 0.416 to 0.013, "
+    "near the boundary and the entropy run stalls near the vertex (0, 1, 0), its gap 0.114 at the "
+    "50,000 horizon; with record_every=100 the same run stops at iteration 451",
 )
 def test_entropy_extragradient_converges_from_a_start_near_a_vertex():
     p0 = dirichlet_starts()[3]
     run = mirror_extratatonnement(ScarfEconomy(), simplex(3), ENT, "auto", 50_000, p0,
                                   stop_gap=1e-9)
     assert run.converged
+
+
+RECORD_FIELDS = ("indices", "points", "half_points", "gaps", "divergences", "operator_deltas",
+                 "modulus_samples", "complementarity", "infeasibility")
+
+
+def records_at_multiples(trace, every: int) -> list[bytes]:
+    """The bytes of every record field at the iterations k with k % every == 0."""
+    keep = trace.indices % every == 0
+    return [getattr(trace, name)[keep].tobytes() for name in RECORD_FIELDS]
+
+
+@pytest.mark.parametrize("eta", [
+    0.05,
+    pytest.param("auto", marks=pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="modulus backoff reads only recorded samples, so record_every decides when "
+        "eta halves: from start 3 the Euclidean extragradient run stops at iteration 625 "
+        "with record_every=1 and at 186 with 7 or 100, and the entropy one stalls at 1 and "
+        "7 (eta 0.013) and stops at 451 with 100 (eta 0.416); the plain runs' records "
+        "at iteration 700 differ",
+    )),
+])
+@pytest.mark.parametrize("kernel", [EUC, ENT], ids=["euclidean", "entropy"])
+@pytest.mark.parametrize(
+    "runner", [mirror_extratatonnement, mirror_tatonnement], ids=["extragradient", "gradient"]
+)
+def test_a_run_does_not_depend_on_record_every(runner, kernel, eta):
+    # record_every chooses what a run keeps, not what it does: runs recording
+    # every 1, 7 and 100 iterations agree on their outcome and, bit for bit,
+    # on the records all three keep (k % 700 == 0).
+    p0 = dirichlet_starts()[3]
+    runs = [runner(ScarfEconomy(), simplex(3), kernel, eta, 2000, p0, stop_gap=1e-9,
+                   record_every=every) for every in (1, 7, 100)]
+    first = runs[0].trace
+    for run in runs[1:]:
+        assert (run.converged, run.trace.final_eta) == (first.converged, first.final_eta)
+        assert records_at_multiples(run.trace, 700) == records_at_multiples(first, 700)
+        if first.converged:
+            assert run.trace.indices[-1] == first.indices[-1]
+            assert run.trace.best_iterate.tobytes() == first.best_iterate.tobytes()
 
 
 def generated_economy() -> ExchangeEconomy:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from mirrorvi import (
     VIProblem,
     box,
     bregman_divergence,
+    equilibrium_certificate,
     gap,
     generate_economy,
     linear_max,
     minty_certificate,
     mirror_extragradient_solve,
+    mirror_extratatonnement,
     mirror_gradient_solve,
     negative_entropy,
     pathwise_modulus,
@@ -101,22 +104,61 @@ def test_problem_evaluate_accepts_values_whose_squares_overflow():
 
 def test_operator_values_that_are_not_real_numbers_are_evaluation_errors():
     # Left to numpy, strings and ragged lists raise a bare ValueError, and a
-    # complex value loses its imaginary part with only a ComplexWarning.
-    space = unit_box(2)
-    x = np.full(2, 0.5)
-    for value in (["a", "b"], [1.0, [2.0, 3.0]], np.array([1.0 + 2.0j, 1.0])):
+    # complex value loses its imaginary part with only a ComplexWarning. The
+    # price operator's own float conversion also took bools and numeric
+    # strings as numbers.
+    space = simplex(3)
+    x = CENTER3
+    for value in ([True, False, False], ["0.1", "-0.05", "-0.05"],
+                  np.array([0.1 + 2.0j, -0.05, -0.05]), [0.1, [-0.05, 0.0], -0.05]):
+        def operator(p, v=value):
+            return [v] * len(p) if p.ndim == 2 else v
+
         with pytest.raises(EvaluationError, match="^operator 'F' returned values that are "
                                                   "not real numbers$"):
-            VIProblem(space, lambda p, v=value: v).evaluate(x)
+            VIProblem(space, operator).evaluate(x)
         for batched in (False, True):
-            stacked = VIProblem(space, lambda p, v=value: [v] * len(p) if p.ndim == 2 else v,
-                                batched=batched)
+            stacked = VIProblem(space, operator, batched=batched)
             with pytest.raises(EvaluationError, match="not real numbers"):
                 stacked.evaluate_many(np.array([x, x]))
-    # Integers and float32 values are real numbers, returned as float64.
-    for value in ([1, 2], np.array([1.0, 2.0], dtype=np.float32)):
+        # A price problem's -Z passes the same rule on every path: a solve's
+        # first evaluation, the stacked probe of eta='auto', and a certificate.
+        economy = SimpleNamespace(excess=operator)
+        for price_path in (lambda: mirror_extratatonnement(economy, space, EUC, 0.1, 10, x),
+                           lambda: mirror_extratatonnement(economy, space, EUC, "auto", 10, x),
+                           lambda: equilibrium_certificate(economy, x, space)):
+            with pytest.raises(EvaluationError, match="^operator '-Z' returned values that are "
+                                                      "not real numbers$"):
+                price_path()
+    # Integers and float32 values are real numbers, returned as float64. -Z
+    # negates them after that conversion, so unsigned integers keep their sign.
+    for value in ([1, 2, 3], np.array([1, 2, 3], dtype=np.uint8),
+                  np.array([1.0, 2.0, 3.0], dtype=np.float32)):
         out = VIProblem(space, lambda p, v=value: v).evaluate(x)
-        assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0]
+        assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0, 3.0]
+        neg_z = _price_problem(SimpleNamespace(excess=lambda p, v=value: v), space).evaluate(x)
+        assert neg_z.dtype == np.float64 and neg_z.tolist() == [-1.0, -2.0, -3.0]
+
+
+def test_a_strided_operator_value_gives_its_copys_bits():
+    # A column of a (50, 2) array is a strided vector, and a BLAS dot over it
+    # can differ in the last bit from one over its C-ordered copy. evaluate
+    # returned the view, so gap read other bits than the copy's, and a solve's
+    # stop test read them while its trace recorded the stacked copy's gap.
+    rng = np.random.default_rng(0)
+    space = box(-np.ones(50), np.ones(50))
+    for _ in range(200):
+        columns = rng.standard_normal((50, 2))
+        x = rng.uniform(-1.0, 1.0, 50)
+        strided = VIProblem(space, lambda p, c=columns: c[:, 0])
+        copied = VIProblem(space, lambda p, c=columns: c[:, 0].copy())
+        assert strided.evaluate(x).flags.c_contiguous
+        assert gap(strided, x).hex() == gap(copied, x).hex()
+        half = mirror_extragradient_solve(strided, SolverConfig(0.1, 1, EUC), x).half_points[0]
+        stop_gap = gap(strided, half)
+        config = SolverConfig(0.1, 1, EUC, stop_gap=stop_gap)
+        trace = mirror_extragradient_solve(strided, config, x)
+        assert trace.converged and trace.gaps[-1].hex() == stop_gap.hex()
 
 
 def test_evaluate_many_checks_the_stack_contract():
