@@ -39,6 +39,8 @@ _BLOCK_ENTRIES = 1 << 15
 #: cross at about 48 goods (x86-64 Xeon, numpy 2.4).
 _LIST_CHECK_MAX = 48
 
+_FLOAT = np.dtype(float)
+
 #: Utility families in group order: an exchange economy stacks its consumers'
 #: arrays family by family, each family's consumers in their own order.
 _FAMILIES = (COBB_DOUGLAS, LEONTIEF, CES)
@@ -405,11 +407,13 @@ class ExchangeEconomy:
 
 
 def _scarf_rows(q1, q2, q3) -> np.ndarray:
-    """Scarf excess demand at floored prices: floats, or the columns of a stack."""
+    """Scarf excess demand at floored prices: the vector itself from floats, or
+    the (k, 3) rows from the columns of a stack."""
     a = q1 / (q1 + q2)
     b = q3 / (q1 + q3)
     c = q2 / (q2 + q3)
-    return np.array([a + b - 1.0, a + c - 1.0, c + b - 1.0]).T
+    rows = np.array([a + b - 1.0, a + c - 1.0, c + b - 1.0])
+    return rows if rows.ndim == 1 else rows.T
 
 
 @dataclass(frozen=True)
@@ -438,7 +442,7 @@ class ScarfEconomy:
         """The excess demand at p, a 3-vector, or at each row of a (k, 3) stack,
         each row equal to the single call; prices must be finite and nonnegative."""
         floor = self.price_floor
-        if type(p) is np.ndarray and p.shape == (3,) and p.dtype == np.float64:
+        if type(p) is np.ndarray and p.shape == (3,) and p.dtype is _FLOAT:
             # Python floats do the same IEEE operations at a fraction of the call
             # cost. 0 <= q < inf fails for exactly what _as_prices rejects, and
             # then raises its message below.

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .economy import ExchangeEconomy, ScarfEconomy
 from .errors import DegenerateSolution, InvalidInput, check_count, check_real, check_seed
 from .kernels import (
     BOX,
@@ -88,16 +89,24 @@ class PriceRun:
         return self.trace.converged
 
 
+class _PriceProblem(VIProblem):
+    """(space, -Z) for an economy of exactly a built-in type. Its Z at a price
+    vector is a C-ordered float64 array, finite by the economy's own
+    guarantees (exchange demand's overflow check, Scarf's floors), so evaluate
+    tests only the shape of -Z."""
+
+    _checked_values = True
+
+
 def _price_problem(economy, space: FeasibleSet) -> VIProblem:
     """(space, -Z), declared batched: every economy's excess maps a stack to its
-    rows. Z passes vi's type rule before it is negated, so a value that is not
-    real numbers is EvaluationError, as for any operator."""
-    return VIProblem(
-        set=space,
-        operator=lambda p: -_as_real(economy.excess(p), "-Z"),
-        operator_label="-Z",
-        batched=True,
-    )
+    rows. For an economy of another type, a subclass of a built-in one too, Z
+    passes vi's type rule before it is negated, so a value that is not real
+    numbers is EvaluationError, as for any operator."""
+    if type(economy) in (ExchangeEconomy, ScarfEconomy):
+        # Z negated, not supply - demand, which flips the sign of exact zeros.
+        return _PriceProblem(space, lambda p: -economy.excess(p), "-Z", batched=True)
+    return VIProblem(space, lambda p: -_as_real(economy.excess(p), "-Z"), "-Z", batched=True)
 
 
 def equilibrium_certificate(economy, p_hat, space: FeasibleSet) -> EquilibriumCertificate:

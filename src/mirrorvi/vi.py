@@ -86,12 +86,17 @@ class VIProblem:
     operator_label: str = "F"
     batched: bool = False
 
+    #: A class attribute, not a field: True on a subclass whose operator always
+    #: returns a C-ordered, finite float64 array, so that evaluate tests only
+    #: its shape.
+    _checked_values = False
+
     def evaluate(self, x) -> np.ndarray:
         """F(x) as a C-ordered float64 vector; a value that is not real numbers,
         of a wrong shape or not finite is EvaluationError."""
         out = self.operator(np.asarray(x, dtype=float))
-        if (getattr(out, "dtype", None) is _FLOAT and out.shape == (self.set.n,)
-                and out.flags.c_contiguous and _finite(out)):
+        if (self._checked_values or getattr(out, "dtype", None) is _FLOAT
+                and out.flags.c_contiguous and _finite(out)) and out.shape == (self.set.n,):
             return out
         return self._checked(out, (self.set.n,))
 

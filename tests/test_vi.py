@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 
 from mirrorvi import (
+    COBB_DOUGLAS,
+    Consumer,
     EvaluationError,
+    ExchangeEconomy,
     GenSpec,
     InsufficientData,
     InvalidInput,
@@ -36,6 +40,7 @@ from mirrorvi import (
     squared_euclidean,
     unit_box,
 )
+import mirrorvi.vi as vi_module
 from mirrorvi.tatonnement import _price_problem, _solve_run
 from mirrorvi.vi import DEGENERATE_STEP_TOL, _gap, _residuals
 
@@ -48,6 +53,18 @@ def rotation_problem() -> VIProblem:
     return VIProblem(
         box(np.array([-2.0, -2.0]), np.array([2.0, 2.0])), rotation_operator()
     )
+
+
+MIXED = {"cobb_douglas": 0.25, "leontief": 0.25, "ces_substitutes": 0.25,
+         "ces_complements": 0.25}
+
+
+def subclassed(economy, excess=None):
+    """economy rebuilt as an instance of a subclass of its type, whose excess
+    is the given function when one is given."""
+    body = {} if excess is None else {"excess": lambda self, p: excess(p)}
+    cls = type(f"Sub{type(economy).__name__}", (type(economy),), body)
+    return cls(*(getattr(economy, f.name) for f in dataclasses.fields(economy) if f.init))
 
 
 def scarf_problem(space) -> VIProblem:
@@ -122,14 +139,18 @@ def test_operator_values_that_are_not_real_numbers_are_evaluation_errors():
             with pytest.raises(EvaluationError, match="not real numbers"):
                 stacked.evaluate_many(np.array([x, x]))
         # A price problem's -Z passes the same rule on every path: a solve's
-        # first evaluation, the stacked probe of eta='auto', and a certificate.
-        economy = SimpleNamespace(excess=operator)
-        for price_path in (lambda: mirror_extratatonnement(economy, space, EUC, 0.1, 10, x),
-                           lambda: mirror_extratatonnement(economy, space, EUC, "auto", 10, x),
-                           lambda: equilibrium_certificate(economy, x, space)):
-            with pytest.raises(EvaluationError, match="^operator '-Z' returned values that are "
-                                                      "not real numbers$"):
-                price_path()
+        # first evaluation, the stacked probe of eta='auto', and a certificate,
+        # for a foreign economy and for a subclass of each built-in one.
+        for economy in (SimpleNamespace(excess=operator), subclassed(ScarfEconomy(), operator),
+                        subclassed(ExchangeEconomy([Consumer(COBB_DOUGLAS, np.ones(3),
+                                                             np.ones(3))], 3), operator)):
+            for price_path in (lambda: mirror_extratatonnement(economy, space, EUC, 0.1, 10, x),
+                               lambda: mirror_extratatonnement(economy, space, EUC, "auto", 10,
+                                                               x),
+                               lambda: equilibrium_certificate(economy, x, space)):
+                with pytest.raises(EvaluationError, match="^operator '-Z' returned values that "
+                                                          "are not real numbers$"):
+                    price_path()
     # Integers and float32 values are real numbers, returned as float64. -Z
     # negates them after that conversion, so unsigned integers keep their sign.
     for value in ([1, 2, 3], np.array([1, 2, 3], dtype=np.uint8),
@@ -138,6 +159,63 @@ def test_operator_values_that_are_not_real_numbers_are_evaluation_errors():
         assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0, 3.0]
         neg_z = _price_problem(SimpleNamespace(excess=lambda p, v=value: v), space).evaluate(x)
         assert neg_z.dtype == np.float64 and neg_z.tolist() == [-1.0, -2.0, -3.0]
+
+
+def test_a_built_in_economys_minus_z_rests_on_the_economys_own_checks(monkeypatch):
+    # An economy of exactly a built-in type returns a C-ordered float64 Z that
+    # is finite by its own checks (exchange demand's overflow test, Scarf's
+    # floors), so its -Z is tested for shape alone: no second finiteness test.
+    # A foreign economy and a subclass of a built-in one get the full rule.
+    cases = [(ScarfEconomy(), simplex(3)),
+             (generate_economy(GenSpec(seed=0, n_consumers=10, n_goods=5, mix=MIXED)),
+              unit_box(5))]
+    finite = vi_module._finite
+    tests = []
+    monkeypatch.setattr(vi_module, "_finite", lambda a: tests.append(a) or finite(a))
+    rng = np.random.default_rng(0)
+    for economy, space in cases:
+        n = space.n
+        x = np.full(n, 1.0 / n)
+        for other, count in ((economy, 0), (SimpleNamespace(excess=economy.excess), 1),
+                             (subclassed(economy), 1)):
+            tests.clear()
+            out = _price_problem(other, space).evaluate(x)
+            assert len(tests) == count
+            assert out.flags.c_contiguous and out.tobytes() == (-economy.excess(x)).tobytes()
+        # Every value is -Z's bits, Z negated.
+        problem = _price_problem(economy, space)
+        if space.kind == "simplex":
+            points = rng.dirichlet(np.ones(n), 200)
+        else:
+            points = rng.uniform(0.0, 1.0, (200, n))
+        for p in points:
+            assert problem.evaluate(p).tobytes() == (-economy.excess(p)).tobytes()
+        # A stack handed to evaluate fails the shape test.
+        with pytest.raises(EvaluationError, match=rf"^operator '-Z' returned shape \(2, {n}\), "
+                                                  rf"expected \({n},\)$"):
+            problem.evaluate(np.array([x, x]))
+        # A subclass whose excess is wrong gets the full rule's messages.
+        for value, message in (
+                (np.full(n, np.nan), "returned non-finite values"),
+                (np.zeros(n + 1), rf"returned shape \({n + 1},\), expected \({n},\)"),
+                (np.zeros(n, dtype=bool), "returned values that are not real numbers")):
+            bad = subclassed(economy, lambda p, v=value: v)
+            with pytest.raises(EvaluationError, match=f"^operator '-Z' {message}$"):
+                _price_problem(bad, space).evaluate(x)
+    # At equal prices Scarf's Z is three +0.0, so -Z is three -0.0, as the
+    # simplex gap's -min_j F_j relies on.
+    neg_z = _price_problem(ScarfEconomy(), simplex(3)).evaluate(CENTER3)
+    assert neg_z.tolist() == [0.0, 0.0, 0.0] and np.signbit(neg_z).all()
+    # The economy's own overflow check stands in for the second one.
+    overflowing = ExchangeEconomy([Consumer(COBB_DOUGLAS, np.ones(2), np.ones(2))], n_goods=2,
+                                  demand_cap_factor=np.inf)
+    space = box(np.zeros(2), np.full(2, 1e305))
+    p = np.array([1e305, 0.0])
+    message = r"^aggregate demand overflow at p=\[1\.e\+305 1\.e-0+8\]$"
+    with np.errstate(over="ignore"), pytest.raises(EvaluationError, match=message):
+        _price_problem(overflowing, space).evaluate(p)
+    with pytest.raises(EvaluationError, match=message):
+        mirror_extratatonnement(overflowing, space, EUC, 0.1, 3, p)
 
 
 def test_a_strided_operator_value_gives_its_copys_bits():
