@@ -357,9 +357,12 @@ def vi_example_cmd(name, lo_text, hi_text, x0_text, method, kernel_name, eta, it
                    stop_gap, record_every, seed, csv_path, json_path) -> int:
     """Run a named VI example on a box; eps bounds the gap at the best iterate."""
     example = _VI_EXAMPLES[name]
-    lo = _parse_vector(lo_text) if lo_text else np.array(example["lo"])
-    hi = _parse_vector(hi_text) if hi_text else np.array(example["hi"])
-    x0 = _parse_vector(x0_text) if x0_text else np.array(example["x0"])
+    n = len(example["x0"])  # an example's dimension is its default start's
+    lo, hi, x0 = (_parse_vector(text) if text else np.array(example[key])
+                  for key, text in (("lo", lo_text), ("hi", hi_text), ("x0", x0_text)))
+    for key, vector in (("lo", lo), ("hi", hi), ("x0", x0)):
+        if vector.size != n:
+            raise click.BadParameter(f"--{key} must have length {n} for {name}, got {vector.size}")
     problem = VIProblem(set=box(lo, hi), operator=example["operator"](), operator_label=name)
     trace, eta_used = _solve_run(problem, Kernel(kernel_name), eta, iters, x0,
                                  extragradient=method == "extragradient", stop_gap=stop_gap,

@@ -75,15 +75,6 @@ class Kernel:
         if not (0.0 < self.floor < 1.0):
             raise InvalidInput(f"kernel floor must be in (0, 1), got {self.floor}")
 
-    @property
-    def strong_convexity(self) -> float:
-        return 1.0
-
-    @property
-    def smoothness(self) -> float:
-        """Smoothness constant: 1 for Euclidean, 1/nu for floored entropy."""
-        return 1.0 if self.kind == EUCLIDEAN else 1.0 / self.floor
-
 
 def squared_euclidean() -> Kernel:
     """The kernel h(x) = 0.5*||x||^2."""

@@ -146,7 +146,7 @@ def recommended_step_size(n_goods: int, elasticity_bound: float, demand_bound: f
     check_count(n_goods, "n_goods")
     check_real(elasticity_bound, "elasticity_bound", positive=True)
     check_real(demand_bound, "demand_bound", positive=True)
-    return 1.0 / (2.0 * np.sqrt(2.0) * n_goods * elasticity_bound * demand_bound)
+    return _step_bound(n_goods * elasticity_bound * demand_bound)
 
 
 def _interior_samples(rng: np.random.Generator, space: FeasibleSet, count: int) -> np.ndarray:

@@ -215,10 +215,6 @@ class RunTrace:
     def best_iterate(self) -> np.ndarray:
         return self.half_points[self.best_position]
 
-    @property
-    def final_gap(self) -> float:
-        return float(self.gaps[-1])
-
 
 def _gap(space: FeasibleSet, x: np.ndarray, fx: np.ndarray):
     """Strong gap max_y <F(x), x - y> from a checked fx, 0-d for a point or one per
@@ -255,7 +251,7 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
     converged = False
     eta = config.eta
     # F at the current iterate when the previous iteration already computed it
-    # (the plain method's recorded F(x_{k+1})); None means evaluate.
+    # (the plain method's F(x_{k+1})); None means evaluate.
     fx = None
 
     # A finite eta can overflow a prox target: the step clips on a box and
@@ -268,17 +264,12 @@ def _solve(problem: VIProblem, config: SolverConfig, x0, extragradient: bool) ->
             if fx is None:
                 fx = problem.evaluate(x)
             x_half = _prox(space, kernel, eta, x, fx)
-            record = k % record_every == 0
-            if extragradient:
-                f_half = problem.evaluate(x_half)
-                x_next = _prox(space, kernel, eta, x, f_half)
-            else:
-                x_next = x_half
-                f_half = problem.evaluate(x_half) if record or stop_gap is not None else None
+            f_half = problem.evaluate(x_half)
+            x_next = _prox(space, kernel, eta, x, f_half) if extragradient else x_half
             # The stop test runs every iteration, on the gap the trace records.
             stop = stop_gap is not None and _gap(space, x_half, f_half) <= stop_gap
 
-            if record or stop:
+            if stop or k % record_every == 0:
                 # Residuals and operator deltas are computed after the loop.
                 records.append((k, x, x_half, f_half, fx, time.perf_counter() - start))
                 if stop:

@@ -277,6 +277,26 @@ def test_vi_example_gap_is_the_gap_at_best_prices(tmp_path, name, problem, metho
     assert report["certificate"]["gap"] == gap(problem, np.array(report["best_prices"]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["rotation", "--lo", "0", "--hi", "1", "--x0", "0.5"],
+    ["rotation", "--x0", "1,0,0"],
+    ["nonminty", "--lo", "0,0", "--hi", "3,3", "--x0", "2,2"],
+    ["nonminty", "--hi", "3,3"],
+], ids=["rotation-1d", "rotation-x0-3d", "nonminty-2d", "nonminty-hi-2d"])
+def test_vi_example_of_another_dimension_is_a_bad_option_value(tmp_path, capsys, argv):
+    # Each example has the dimension of its default start point. A 1-D box
+    # made the rotation field index out of bounds in the step probe (a
+    # traceback), and a 2-D box ran two copies of the scalar example.
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "r.json"
+    argv = ["vi-example"] + argv + ["--csv", str(csv_path), "--json", str(json_path)]
+    with pytest.raises(click.BadParameter, match="must have length"):
+        cli_module.cli.main(args=argv, standalone_mode=False)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not csv_path.exists() and not json_path.exists()
+
+
 def test_vi_example_rotation_gradient_fails(tmp_path):
     code = main(
         [
@@ -326,7 +346,8 @@ def test_sweep_aggregates_seed_runs(tmp_path):
         assert fields[0] == str(seed)
         assert fields[3] == "true"
         assert int(fields[4]) >= 0
-        assert (out_dir / f"trace_seed{seed}.csv").exists()
+        # The run stopped at iters_to_eps and recorded it last.
+        assert read_csv_rows(out_dir / f"trace_seed{seed}.csv")[-1][0] == fields[4]
         report = json.loads((out_dir / f"report_seed{seed}.json").read_text())
         assert report["converged"] is True
 
@@ -402,6 +423,48 @@ def test_scarf_with_a_huge_finite_step_runs(tmp_path, capsys, kernel):
         assert main(argv) in (0, 2)
     assert "error:" not in capsys.readouterr().err
     assert len(read_csv_rows(tmp_path / "t.csv")) == 50
+
+
+TWO_GOODS = {"n_goods": 2, "consumers": [
+    {"utility": "cobb_douglas", "valuations": [1.0, 2.0], "endowment": [1.0, 0.5]},
+    {"utility": "leontief", "valuations": [2.0, 1.0], "endowment": [0.5, 1.0]}]}
+
+
+@pytest.mark.parametrize("argv, fails", [
+    (["economy", "--space", "simplex", "--kernel", "entropy"], False),
+    (["economy", "--consumers", "200", "--goods", "200"], False),
+    (["economy", "--space", "simplex", "--consumers", "12", "--goods", "12"], False),
+    (["economy", "--space", "simplex", "--kernel", "entropy", "--consumers", "12",
+      "--goods", "12"], False),
+    (["economy", "--file", "{two_goods}", "--space", "box"], False),
+    (["economy", "--file", "{two_goods}", "--space", "simplex", "--kernel", "entropy"], False),
+    (["vi-example", "rotation", "--eta", "auto"], False),
+    (["economy", "--space", "simplex", "--goods", "8", "--eta", "1e307", "--iters", "50"], True),
+], ids=["simplex-entropy", "streamed-200x200", "simplex-12x12-euclidean",
+        "simplex-12x12-entropy", "file-box", "file-simplex-entropy", "rotation-auto",
+        "simplex-overflow"])
+def test_console_commands_run_without_a_warning(tmp_path, capsys, argv, fails):
+    # A 10x5 economy fills one demand buffer per price vector and a 200x200
+    # one (m * n > 2^15) streams its consumer rows; both take prices uncopied
+    # when none is below the floor, so a price that reached 1 / p or log p
+    # unfloored would warn. The 12x12 simplex runs take the numpy simplex
+    # step (8 goods or more), and the two-goods economy is read with --file.
+    # A finite step that overflows the numpy simplex step at 8 goods fails as
+    # the float path's does: exit 1 and one error line, with no warning.
+    two_goods = tmp_path / "two_goods.json"
+    two_goods.write_text(json.dumps(TWO_GOODS))
+    argv = [arg.format(two_goods=two_goods) for arg in argv]
+    files = ["--csv", str(tmp_path / "t.csv"), "--json", str(tmp_path / "r.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + files)
+    err = capsys.readouterr().err
+    if fails:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 2)
+        assert "error:" not in err
 
 
 def test_error_exit_codes(tmp_path, capsys):

@@ -36,17 +36,13 @@ from mirrorvi.kernels import FLOAT_SIMPLEX_MAX, _finite, _project_simplex, _prox
 def test_kernel_factories():
     k = squared_euclidean()
     assert k.kind == EUCLIDEAN
-    assert k.strong_convexity == 1.0
-    assert k.smoothness == 1.0
 
     e = negative_entropy()
     assert e.kind == ENTROPY
     assert e.floor == 1e-8
-    assert e.strong_convexity == 1.0
-    assert e.smoothness == 1e8
 
     e2 = negative_entropy(floor=1e-4)
-    assert e2.smoothness == 1e4
+    assert e2.floor == 1e-4
 
 
 def test_box_constructor_and_membership():

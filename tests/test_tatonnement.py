@@ -763,7 +763,7 @@ def test_price_run_surface():
     assert run.trace.complementarity[0] == abs(p_half.dot(z))
     # the run stopped early on the gap and the best iterate sits at the center
     assert run.converged
-    assert run.trace.final_gap <= 1e-6
+    assert run.trace.gaps[-1] <= 1e-6
     assert len(run.trace.iterates) < 600
     assert pathwise_modulus(run.trace) <= 12.0
 

@@ -550,7 +550,7 @@ def test_trace_stop_gap_halts_run():
     trace = mirror_extragradient_solve(problem, config, np.array([2.0]))
     assert trace.converged
     assert len(trace.iterates) == 2
-    assert trace.final_gap <= 1e-6
+    assert trace.gaps[-1] <= 1e-6
     no_stop = mirror_extragradient_solve(
         problem, SolverConfig(eta=0.1, horizon=400, kernel=EUC), np.array([2.0])
     )
@@ -634,7 +634,6 @@ def test_trace_iterates_stay_feasible_and_timing_monotone():
         assert problem.set.contains(x_half)
     assert np.all(np.diff(trace.elapsed) >= 0.0)
     assert trace.wall_time >= trace.elapsed[-1] >= 0.0
-    assert trace.final_gap == trace.gaps[-1]
 
 
 class CountingOperator:
@@ -652,11 +651,10 @@ class CountingOperator:
 @pytest.mark.parametrize("stop_gap", [1e-3, 0.0], ids=["stops", "horizon"])
 @pytest.mark.parametrize("extragradient", [True, False], ids=["extragradient", "gradient"])
 def test_a_stop_gap_adds_no_evaluation_before_the_stop(extragradient, stop_gap):
-    # With a stop gap the plain method evaluates F(x_{k+1}) on every
-    # iteration, for the stop test, and reuses it as the next F(x_k): a run
-    # that stops at iteration K costs K + 2 evaluations and one that reaches
-    # its horizon T costs T + 1, whatever record_every is. The extragradient
-    # method costs 2 (K + 1) and 2 T.
+    # The stop test reads the F(x_{k+0.5}) each iteration evaluates anyway, so
+    # it adds no evaluation: the plain method, whose x_{k+1} is x_{k+0.5},
+    # costs K + 2 evaluations when it stops at iteration K and T + 1 at its
+    # horizon T, and the extragradient method 2 (K + 1) and 2 T.
     op = CountingOperator(lambda x: x - np.array([0.25, 0.5]))
     horizon = 40
     config = SolverConfig(eta=0.1, horizon=horizon, kernel=EUC, record_every=7,
@@ -795,14 +793,32 @@ def test_minty_certificate_ties_keep_the_first_point():
             expected)
 
 
-@pytest.mark.parametrize("record_every, expected", [(1, 31), (3, 30)])
-def test_gradient_reuses_recorded_evaluation(record_every, expected):
-    # F(x_{k+1}) recorded for iteration k is F at the next iterate, so each
-    # iterate is evaluated once; the last one only when its iteration is recorded.
+@pytest.mark.parametrize("record_every, horizon", [(1, 31), (3, 30)])
+def test_gradient_reuses_recorded_evaluation(record_every, horizon):
+    # Every iteration evaluates F(x_{k+1}), which is the next iteration's
+    # F(x_k), so each iterate is evaluated once and a horizon of T costs T + 1
+    # evaluations whatever record_every is.
     op = CountingOperator(lambda p: -scarf_excess(p))
-    config = SolverConfig(eta=0.05, horizon=30, kernel=EUC, record_every=record_every)
-    mirror_gradient_solve(VIProblem(simplex(3), op), config, np.array([0.2, 0.3, 0.5]))
-    assert op.calls == expected
+    config = SolverConfig(eta=0.05, horizon=horizon, kernel=EUC, record_every=record_every)
+    trace = mirror_gradient_solve(VIProblem(simplex(3), op), config, np.array([0.2, 0.3, 0.5]))
+    assert op.calls == horizon + 1
+    np.testing.assert_array_equal(trace.indices, np.arange(0, horizon, record_every))
+
+
+def test_gradient_records_do_not_depend_on_record_every():
+    # What a run records does not change what it evaluates, so records of the
+    # same iteration are equal bytes across record_every.
+    traces = {}
+    for record_every in (1, 3, 7):
+        config = SolverConfig(eta=0.05, horizon=30, kernel=EUC, record_every=record_every)
+        traces[record_every] = mirror_gradient_solve(
+            VIProblem(simplex(3), lambda p: -scarf_excess(p)), config, np.array([0.2, 0.3, 0.5]))
+    common = [0, 21]  # the iterations each of the three runs records, at row k // r
+    for name in ("points", "half_points", "gaps", "divergences", "operator_deltas",
+                 "modulus_samples"):
+        ones = getattr(traces[1], name)[common].tobytes()
+        for r in (3, 7):
+            assert getattr(traces[r], name)[[k // r for k in common]].tobytes() == ones, (name, r)
 
 
 def _mixed_price_problem(space) -> VIProblem:
